@@ -24,7 +24,7 @@ import numpy as np
 
 from . import NumericalError, SimulationError, __version__
 from . import curvkit, lqr, margins, pathkit, simkit, svgplot
-from .models import VehicleParams
+from .models import MIN_DYNAMIC_SPEED, VehicleParams
 from .svgplot import Panel, Series
 
 SCHEMA_VERSION = 1
@@ -137,7 +137,7 @@ def _build_path(entry, base: Path) -> pathkit.RefPath:
         csv = params.pop("csv", None)
         _require(isinstance(csv, str), "'path.csv' is required for recorded paths")
         _require(not params, f"unknown recorded-path keys {sorted(params)}")
-        cols = read_recorded_csv(base / csv)
+        cols = pathkit.read_recorded_csv(base / csv)
         return pathkit.load_recorded(
             cols["t"], cols["X"], cols["Y"], cols["psi"],
             yaw_rate=cols.get("yaw_rate"), speed=cols.get("speed"), spacing=spacing)
@@ -411,16 +411,12 @@ def cmd_design(args) -> int:
 
 # --------------------------------------------------------------- curvature
 
-# recorded-log CSV handling lives with the path tooling
-read_recorded_csv = pathkit.read_recorded_csv
-write_recorded_csv = pathkit.write_recorded_csv
-
 
 def cmd_curvature(args) -> int:
     log_path = Path(args.log)
     out = _out_dir(args, "curvature")
     try:
-        cols = read_recorded_csv(log_path)
+        cols = pathkit.read_recorded_csv(log_path)
         for chan in ("steer", "yaw_rate", "speed"):
             if chan not in cols:
                 raise ConfigError(f"{log_path}: missing required channel '{chan}'")
@@ -490,7 +486,8 @@ def cmd_margins(args) -> int:
         if args.verify:
             return _verify_manifest(out, params_path)
         speed = float(args.speed)
-        if not (0.0 < speed <= 30.0) or (args.model == "dynamic" and speed <= 0.5):
+        if not (0.0 < speed <= 30.0) or \
+                (args.model == "dynamic" and speed <= MIN_DYNAMIC_SPEED):
             raise ConfigError(f"--speed {args.speed} outside the valid design range")
         weights = _parse_weights_flag(args.weights, args.model)
         dt = float(args.dt)
@@ -543,7 +540,7 @@ def cmd_smooth(args) -> int:
     path_csv = Path(args.path_csv)
     out = _out_dir(args, "smooth")
     try:
-        cols = read_recorded_csv(path_csv)
+        cols = pathkit.read_recorded_csv(path_csv)
         p = _vehicle_from(_read_json(Path(args.params)), Path(args.params)) if args.params \
             else VehicleParams()
         if args.verify:
@@ -560,8 +557,8 @@ def cmd_smooth(args) -> int:
     except SimulationError as e:
         return _fail(EXIT_SIM, f"smoothing diverged: {e}")
     out.mkdir(parents=True, exist_ok=True)
-    write_recorded_csv(out / "smoothed.csv", smooth.s / speed, smooth.x, smooth.y, smooth.psi,
-                       speed=np.full(len(smooth), speed))
+    pathkit.write_recorded_csv(out / "smoothed.csv", smooth.s / speed, smooth.x, smooth.y,
+                               smooth.psi, speed=np.full(len(smooth), speed))
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
     svgplot.render([

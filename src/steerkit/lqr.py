@@ -2,19 +2,20 @@
 
 Gains regulate path-relative errors with the convention delta_fb = -k @ e
 and positive gain entries, so positive lateral error (vehicle left of
-path) commands a right steer.  Every gain set is certified stable at
-construction: spectral radius of (Ad - Bd k) strictly below 1 - 1e-6.
+path) commands a right steer.  Every gain set, designed, interpolated or
+loaded, passes the one certificate in `certify`: spectral radius of
+(Ad - Bd k) strictly below 1 - CERT_MARGIN.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import NumericalError
-from .models import VehicleParams, error_dynamics_matrices, kinematic_error_model
+from .models import MIN_DYNAMIC_SPEED, VehicleParams, error_dynamics_matrices, \
+    kinematic_error_model
 from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius
 
 CERT_MARGIN = 1e-6
@@ -63,6 +64,23 @@ def discrete_error_model(model: str, v: float, p: VehicleParams, dt: float) -> S
     raise ValueError(f"unknown model {model!r}")
 
 
+def certify(model: str, k, v: float, p: VehicleParams, dt: float) -> GainSet:
+    """Certify gain row k against the model at speed v and return its GainSet.
+
+    Raises NumericalError unless the closed-loop spectral radius of
+    (Ad - Bd k) is below 1 - CERT_MARGIN.
+    """
+    k = np.asarray(k, dtype=float)
+    sysd = discrete_error_model(model, v, p, dt)
+    if k.shape != (sysd.n_states,):
+        raise ValueError(f"{model} gain row needs {sysd.n_states} entries, got shape {k.shape}")
+    rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
+    if rho >= 1.0 - CERT_MARGIN:
+        raise NumericalError(
+            f"{model} gain at v={v} fails certification (closed-loop radius {rho:.8f})")
+    return GainSet(k=k, v=float(v), dt=float(dt), model=model, closed_loop_radius=rho)
+
+
 def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) -> GainSet:
     sysd = discrete_error_model(model, v, p, dt)
     n = sysd.n_states
@@ -72,10 +90,7 @@ def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) ->
     r = np.array([[w.r]])
     x = solve_dare(sysd.A, sysd.B, q, r)
     k = mat_solve(r + sysd.B.T @ x @ sysd.B, sysd.B.T @ x @ sysd.A)[0]
-    rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
-    if rho >= 1.0 - CERT_MARGIN:
-        raise NumericalError(f"{model} design at v={v}: closed-loop radius {rho:.8f} not certified")
-    return GainSet(k=k, v=float(v), dt=float(dt), model=model, closed_loop_radius=float(rho))
+    return certify(model, k, v, p, dt)
 
 
 def design_kinematic(v: float, p: VehicleParams, w: LqrWeights,
@@ -95,8 +110,8 @@ def design_dynamic(vx: float, p: VehicleParams, w: LqrWeights,
     The curvature disturbance column is excluded from the Riccati design;
     only the steering input is regulated.
     """
-    if vx <= 0.5:
-        raise ValueError("dynamic design needs vx > 0.5 m/s")
+    if vx <= MIN_DYNAMIC_SPEED:
+        raise ValueError(f"dynamic design needs vx > {MIN_DYNAMIC_SPEED} m/s")
     if not (0.001 < dt <= 0.1):
         raise ValueError("control period must be in (0.001, 0.1] s")
     return _design("dynamic", vx, p, w, dt)
@@ -107,8 +122,10 @@ class GainSchedule:
     """Certified gains on an ascending speed grid with linear interpolation.
 
     Lookups between grid points interpolate the gain entries and certify
-    the interpolated gain lazily (cached, lock-protected) against the
-    model at that speed.  Outside the grid the end gains apply unchanged.
+    the interpolated gain against the model at that speed.  The last
+    interpolated GainSet is kept, so repeated lookups at one speed (a
+    constant-speed run) certify once.  Outside the grid the end gains
+    apply unchanged.
     """
 
     speeds: np.ndarray
@@ -116,8 +133,7 @@ class GainSchedule:
     dt: float
     model: str
     params: VehicleParams
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _last: GainSet | None = field(default=None, repr=False, compare=False)
 
     def lookup(self, v: float) -> GainSet:
         v = float(v)
@@ -129,20 +145,15 @@ class GainSchedule:
         i = int(np.searchsorted(s, v, side="right")) - 1
         if v == s[i]:
             return self.gains[i]
-        with self._lock:
-            hit = self._cache.get(v)
-            if hit is not None:
-                return hit
-            a = (v - s[i]) / (s[i + 1] - s[i])
-            k = self.gains[i].k + a * (self.gains[i + 1].k - self.gains[i].k)
-            sysd = discrete_error_model(self.model, v, self.params, self.dt)
-            rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
-            if rho >= 1.0:
-                raise NumericalError(
-                    f"interpolated gain at v={v} unstable (radius {rho:.6f})")
-            gs = GainSet(k=k, v=v, dt=self.dt, model=self.model, closed_loop_radius=float(rho))
-            self._cache[v] = gs
-            return gs
+        # one read of the memo: a concurrent lookup can only replace it whole
+        last = self._last
+        if last is not None and last.v == v:
+            return last
+        a = (v - s[i]) / (s[i + 1] - s[i])
+        k = self.gains[i].k + a * (self.gains[i + 1].k - self.gains[i].k)
+        gs = certify(self.model, k, v, self.params, self.dt)
+        self._last = gs
+        return gs
 
 
 def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,
@@ -167,11 +178,6 @@ def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,
     return GainSchedule(speeds=speeds, gains=gains, dt=dt, model=designer, params=p)
 
 
-def lookup(schedule: GainSchedule, v: float) -> GainSet:
-    """Module-level alias of GainSchedule.lookup."""
-    return schedule.lookup(v)
-
-
 def save_gain_csv(schedule: GainSchedule, fobj) -> None:
     """Write the schedule as `v,k1,k2[,k3,k4],dt` rows; floats use repr for
     bit-exact round trips."""
@@ -187,14 +193,18 @@ def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
     """Rebuild a schedule from a gain table; every row is re-certified."""
     rows = []
     header = None
-    for line in fobj:
+    for lineno, line in enumerate(fobj, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        cells = line.split(",")
         if header is None:
-            header = [c.strip() for c in line.split(",")]
+            header = [c.strip() for c in cells]
             continue
-        rows.append([float(c) for c in line.split(",")])
+        if len(cells) != len(header):
+            raise ValueError(f"gain table line {lineno} ({line!r}) has {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        rows.append([float(c) for c in cells])
     if header is None or not rows:
         raise ValueError("gain table is empty")
     n = len(header) - 2
@@ -209,12 +219,5 @@ def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
     speeds = np.array([row[0] for row in rows])
     if np.any(np.diff(speeds) <= 0):
         raise ValueError("gain table speeds must be ascending")
-    gains = []
-    for row in rows:
-        v, k = row[0], np.array(row[1:-1])
-        sysd = discrete_error_model(model, v, p, dt)
-        rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
-        if rho >= 1.0 - CERT_MARGIN:
-            raise NumericalError(f"loaded gain at v={v} fails certification (radius {rho:.8f})")
-        gains.append(GainSet(k=k, v=v, dt=dt, model=model, closed_loop_radius=float(rho)))
+    gains = [certify(model, row[1:-1], row[0], p, dt) for row in rows]
     return GainSchedule(speeds=speeds, gains=gains, dt=dt, model=model, params=p)

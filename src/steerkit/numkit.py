@@ -2,8 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays.  Everything here is a pure
 function: inputs are validated, never mutated, and all entries must be
-finite.  Sized and tuned for the 2- and 4-state vehicle models; none of
-this is meant for large systems.
+finite.  Linear solves and eigenvalues come from numpy.linalg; the
+matrix exponential (no scipy) and the doubling Riccati solver are written
+here, sized for the 2- and 4-state vehicle models.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 from . import NumericalError
 
 # Iteration caps / tolerances are fixed so results are reproducible.
-DARE_STEP_TOL = 1e-12
+DARE_STEP_TOL = 1e-15
 DARE_RESIDUAL_TOL = 1e-9
-DARE_MAX_ITER = 100_000
-QR_MAX_SWEEPS = 20_000
+DARE_MAX_ITER = 64
+MAT_COND_MAX = 1e14
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -126,39 +127,18 @@ def c2d(sys: StateSpace, dt: float) -> StateSpace:
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve AX = B by LU factorization with partial pivoting.
+    """Solve AX = B with numpy's LAPACK solver.
 
-    Raises NumericalError when a pivot is singular to working precision.
+    Raises NumericalError when A is singular to working precision
+    (2-norm condition number above MAT_COND_MAX).
     """
     a = _square(a, "A")
     b = as_matrix(b, "B")
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
-    if n == 1:
-        piv = a[0, 0]
-        if abs(piv) <= 1e-300:
-            raise NumericalError("singular pivot in 1x1 solve")
-        return b / piv
-
-    lu = a.copy()
-    x = b.astype(float, copy=True)
-    scale = max(np.abs(lu).max(), 1e-300)
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(lu[col:, col])))
-        if abs(lu[p, col]) <= 1e-14 * scale:
-            raise NumericalError(f"matrix singular to working precision at pivot {col}")
-        if p != col:
-            lu[[col, p]] = lu[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        rows = slice(col + 1, n)
-        factors = lu[rows, col] / lu[col, col]
-        lu[rows, col:] -= np.outer(factors, lu[col, col:])
-        x[rows] -= np.outer(factors, x[col])
-    # back substitution
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - lu[col, col + 1 :] @ x[col + 1 :]) / lu[col, col]
-    return x
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
+    if not np.linalg.cond(a) <= MAT_COND_MAX:
+        raise NumericalError("matrix singular to working precision")
+    return np.linalg.solve(a, b)
 
 
 def dare_residual(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x: np.ndarray) -> float:
@@ -170,12 +150,17 @@ def dare_residual(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x:
 
 
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+    """Solve the discrete algebraic Riccati equation by doubling.
 
-    Iterates X <- A'XA + Q - A'XB (R + B'XB)^-1 B'XA from X0 = Q,
-    re-symmetrizing each step, until the step norm drops below 1e-12.
-    Non-convergence within the iteration cap signals an unstabilizable
-    pair or ill conditioning and raises NumericalError.
+    Structure-preserving doubling (B.D.O. Anderson, Int. J. Control 1978)
+    from A0 = A, G0 = B R^-1 B', H0 = Q:
+
+        W = I + G H,  A <- A W^-1 A,  G <- G + A W^-1 G A',
+        H <- H + A' H W^-1 A,
+
+    until H stops changing.  Each step doubles the horizon, so
+    convergence is quadratic and the cap is small.  An unstabilizable
+    pair makes H diverge or overflow and raises NumericalError.
 
     Returns the positive-semidefinite solution X with residual Frobenius
     norm <= 1e-9 * (1 + ||X||).
@@ -194,112 +179,39 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
     if np.linalg.norm(r - r.T, "fro") > 1e-10 * (1 + np.linalg.norm(r, "fro")):
         raise ValueError("R must be symmetric")
 
-    x = 0.5 * (q + q.T)
-    at = a.T
-    bt = b.T
+    eye = np.eye(n)
+    ak = a
+    g = b @ mat_solve(r, b.T)
+    h = 0.5 * (q + q.T)
     # divergence for unstabilizable pairs is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DARE_MAX_ITER):
-            xb = x @ b
-            gram = r + bt @ xb
-            xa = x @ a
-            gain = mat_solve(gram, xb.T @ a)
-            x_next = at @ xa + q - (at @ xb) @ gain
-            x_next = 0.5 * (x_next + x_next.T)
-            if not np.all(np.isfinite(x_next)):
-                raise NumericalError("DARE iteration diverged (unstabilizable pair?)")
-            step = np.linalg.norm(x_next - x, "fro")
-            x = x_next
-            if step < DARE_STEP_TOL:
+            w = eye + g @ h
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ak))):
+                raise NumericalError("DARE doubling diverged (unstabilizable pair?)")
+            wa, wg = np.hsplit(mat_solve(w, np.hstack([ak, g])), 2)
+            h_next = h + ak.T @ h @ wa
+            h_next = 0.5 * (h_next + h_next.T)
+            g = g + ak @ wg @ ak.T
+            g = 0.5 * (g + g.T)
+            ak = ak @ wa
+            step = np.linalg.norm(h_next - h, "fro")
+            h = h_next
+            # the norms overflow to inf on a diverging H, and inf <= inf holds
+            if np.isfinite(step) and step <= DARE_STEP_TOL * (1.0 + np.linalg.norm(h, "fro")):
                 break
         else:
             raise NumericalError(
-                f"DARE iteration did not converge in {DARE_MAX_ITER} steps "
+                f"DARE doubling did not converge in {DARE_MAX_ITER} steps "
                 "(unstabilizable pair or ill-conditioning?)"
             )
-    res = dare_residual(a, b, q, r, x)
-    if res > DARE_RESIDUAL_TOL * (1.0 + np.linalg.norm(x, "fro")):
+    res = dare_residual(a, b, q, r, h)
+    # an overflowed (inf or nan) residual must fail the gate too
+    if not res <= DARE_RESIDUAL_TOL * (1.0 + np.linalg.norm(h, "fro")):
         raise NumericalError(f"DARE residual {res:.3e} exceeds tolerance after convergence")
-    return x
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        alpha = np.linalg.norm(x)
-        if alpha <= 1e-300:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(alpha, x[0] if x[0] != 0 else 1.0)
-        v /= np.linalg.norm(v)
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v)
     return h
 
 
-def _block_moduli(h: np.ndarray) -> list[float]:
-    """Eigenvalue moduli of a quasi-triangular matrix (1x1/2x2 diagonal blocks)."""
-    n = h.shape[0]
-    moduli: list[float] = []
-    i = 0
-    while i < n:
-        if i == n - 1 or abs(h[i + 1, i]) == 0.0:
-            moduli.append(abs(h[i, i]))
-            i += 1
-        else:
-            a11, a12 = h[i, i], h[i, i + 1]
-            a21, a22 = h[i + 1, i], h[i + 1, i + 1]
-            mean = 0.5 * (a11 + a22)
-            disc = 0.25 * (a11 - a22) ** 2 + a12 * a21
-            if disc >= 0.0:
-                root = np.sqrt(disc)
-                moduli.extend([abs(mean + root), abs(mean - root)])
-            else:
-                # complex pair: |lambda|^2 = det of the block
-                moduli.extend([np.sqrt(a11 * a22 - a12 * a21)] * 2)
-            i += 2
-    return moduli
-
-
 def spectral_radius(a: np.ndarray) -> float:
-    """Largest eigenvalue modulus via unshifted QR iteration on Hessenberg form.
-
-    Subdiagonal entries are deflated as they converge; unreduced 2x2
-    blocks (complex pairs, equal-modulus real pairs) are resolved by the
-    quadratic formula.  Intended for matrices up to ~8x8.
-    """
-    a = _square(a, "A")
-    n = a.shape[0]
-    if n == 1:
-        return abs(float(a[0, 0]))
-    h = _hessenberg(a)
-    scale = max(np.linalg.norm(h, np.inf), 1e-300)
-
-    def deflate(m: np.ndarray) -> None:
-        for i in range(n - 1):
-            if abs(m[i + 1, i]) <= 1e-13 * (abs(m[i, i]) + abs(m[i + 1, i + 1]) + 1e-30 * scale):
-                m[i + 1, i] = 0.0
-
-    def largest_unreduced(m: np.ndarray) -> int:
-        best, run = 1, 1
-        for i in range(n - 1):
-            run = run + 1 if m[i + 1, i] != 0.0 else 1
-            best = max(best, run)
-        return best
-
-    deflate(h)
-    for _ in range(QR_MAX_SWEEPS):
-        if largest_unreduced(h) <= 2:
-            break
-        qmat, rmat = np.linalg.qr(h)
-        h = rmat @ qmat
-        deflate(h)
-    else:
-        if largest_unreduced(h) > 2:
-            raise NumericalError(
-                "QR iteration stalled on an equal-modulus eigenvalue cluster larger than 2"
-            )
-    return max(_block_moduli(h))
+    """Largest eigenvalue modulus, from numpy's LAPACK eigenvalue solver."""
+    return float(np.max(np.abs(np.linalg.eigvals(_square(a, "A")))))

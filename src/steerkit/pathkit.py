@@ -24,17 +24,6 @@ HEADING_CONSISTENCY_TOL = 0.05
 
 
 @dataclass(frozen=True)
-class PathPoint:
-    """One path sample: arc length, position, desired heading, signed curvature."""
-
-    s: float
-    x: float
-    y: float
-    psi: float
-    kappa: float
-
-
-@dataclass(frozen=True)
 class PathProjection:
     """Projection of a pose onto a path: foot arc length and signed errors."""
 
@@ -98,15 +87,6 @@ class RefPath:
     @property
     def length(self) -> float:
         return float(self.s[-1] - self.s[0])
-
-    def point(self, i: int) -> PathPoint:
-        return PathPoint(
-            s=float(self.s[i]), x=float(self.x[i]), y=float(self.y[i]),
-            psi=float(self.psi[i]), kappa=float(self.kappa[i]),
-        )
-
-    def start_pose(self) -> Pose:
-        return Pose(float(self.x[0]), float(self.y[0]), float(self.psi[0]))
 
 
 def _smoothstep(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from . import SimulationError
 from .curvkit import CurvatureSample, KfState, ackermann_curvature, differential_curvature, \
     feedforward_steer, kf_update, MIN_CURVATURE_SPEED, MIN_COS_HEADING
 from .lqr import GainSchedule
-from .models import ControlInput, ErrorState, Pose, VehicleParams
+from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams
 from .pathkit import PathProjection, RefPath, project
 
 SETTLE_BAND = 0.05  # m, |e_y| band used for settle metrics
@@ -254,7 +254,7 @@ def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
 def dynamic_controller(err: ErrorState, vx: float, schedule: GainSchedule,
                        kappa: float, p: VehicleParams) -> ControlInput:
     """Full error-state feedback plus Ackermann feedforward."""
-    if vx <= MIN_CURVATURE_SPEED:
+    if vx <= MIN_DYNAMIC_SPEED:
         raise ValueError(f"vx={vx} below the dynamic-model speed guard")
     gains = schedule.lookup(vx)
     delta_fb = -float(gains.k @ err.as_array())
@@ -319,8 +319,8 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     else:
         state = np.array([x0, y0, heading0, 0.0, 0.0])
         deriv = dynamic_deriv(p)
-        if cfg.speed_at(0.0) <= MIN_CURVATURE_SPEED:
-            raise ValueError("dynamic model requires speed above 0.5 m/s")
+        if cfg.speed_at(0.0) <= MIN_DYNAMIC_SPEED:
+            raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
 
     control_every = int(round(cfg.control_dt / cfg.sim_dt))
     n_steps = int(round(cfg.t_end / cfg.sim_dt))

@@ -34,7 +34,7 @@ def report(criterion: int, message: str) -> None:
 
 
 def parking_path():
-    from steerkit.cli import read_recorded_csv
+    from steerkit.pathkit import read_recorded_csv
 
     cols = read_recorded_csv(CONFIGS / "parking_path.csv")
     return load_recorded(cols["t"], cols["X"], cols["Y"], cols["psi"], spacing=0.25)

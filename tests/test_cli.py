@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from steerkit.cli import main, read_recorded_csv
+from steerkit.cli import main
+from steerkit.pathkit import read_recorded_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
 

@@ -5,8 +5,8 @@ import pytest
 
 from steerkit import NumericalError
 from steerkit.lqr import (
-    GainSchedule, LqrWeights, build_schedule, design_dynamic, design_kinematic,
-    discrete_error_model, load_gain_csv, lookup, save_gain_csv,
+    CERT_MARGIN, GainSchedule, GainSet, LqrWeights, build_schedule, certify, design_dynamic,
+    design_kinematic, discrete_error_model, load_gain_csv, save_gain_csv,
 )
 from steerkit.numkit import spectral_radius
 
@@ -142,7 +142,7 @@ class TestSchedule:
         assert np.all(np.diff(k[:, 1]) < 0)
 
     def test_lookup_on_grid_returns_design(self, kinematic_schedule):
-        gs = lookup(kinematic_schedule, 5.0)
+        gs = kinematic_schedule.lookup(5.0)
         assert gs is kinematic_schedule.gains[4]
 
     def test_lookup_midpoint_is_mean(self, kinematic_schedule):
@@ -166,7 +166,17 @@ class TestSchedule:
         sched = kinematic_schedule if model == "kinematic" else dynamic_schedule
         for v in np.arange(1.0, 15.0001, 0.1):
             gs = sched.lookup(float(v))
-            assert gs.closed_loop_radius < 1.0
+            assert gs.closed_loop_radius < 1.0 - CERT_MARGIN
+
+    def test_lookup_certifies_interpolated_gain(self, params):
+        # grid gains built by hand, bypassing design: the interpolated gain
+        # between them must still be certified by lookup
+        bad = [GainSet(k=np.array([-1.0, -5.0]), v=v, dt=0.02, model="kinematic",
+                       closed_loop_radius=0.0) for v in (4.0, 6.0)]
+        sched = GainSchedule(speeds=np.array([4.0, 6.0]), gains=bad, dt=0.02,
+                             model="kinematic", params=params)
+        with pytest.raises(NumericalError):
+            sched.lookup(5.0)
 
 
 class TestGainCsv:
@@ -198,9 +208,43 @@ class TestGainCsv:
         with pytest.raises(ValueError):
             load_gain_csv(io.StringIO(""), params)
 
+    def test_short_row_rejected(self, params):
+        # without a length check this row loads as k=[0.4] and broadcasts
+        # through the radius check
+        text = "v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,0.4,0.02\n"
+        with pytest.raises(ValueError, match="line 3"):
+            load_gain_csv(io.StringIO(text), params)
+
+    def test_long_row_rejected(self, params):
+        text = "v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,0.8,2.2,0.1,0.02\n"
+        with pytest.raises(ValueError, match="line 3"):
+            load_gain_csv(io.StringIO(text), params)
+
+
+class TestCertify:
+    def test_returns_certified_gain_set(self, params):
+        gs = certify("kinematic", KIN_GAINS_V5, 5.0, params, 0.02)
+        assert gs.v == 5.0 and gs.dt == 0.02 and gs.model == "kinematic"
+        assert gs.closed_loop_radius < 1.0 - CERT_MARGIN
+
+    def test_unstable_gain_raises(self, params):
+        with pytest.raises(NumericalError):
+            certify("kinematic", [-1.0, -5.0], 5.0, params, 0.02)
+
+    def test_wrong_length_gain_rejected(self, params):
+        with pytest.raises(ValueError):
+            certify("kinematic", [0.4], 5.0, params, 0.02)
+        with pytest.raises(ValueError):
+            certify("dynamic", KIN_GAINS_V5, 5.0, params, 0.02)
+
 
 class TestScheduleIsolation:
     def test_new_instance_has_empty_cache(self, params):
-        sched = build_schedule([2.0, 4.0], "kinematic", params, EQUAL, 0.02)
-        assert isinstance(sched, GainSchedule)
-        assert sched._cache == {}
+        a = build_schedule([2.0, 4.0], "kinematic", params, EQUAL, 0.02)
+        b = build_schedule([2.0, 4.0], "kinematic", params, EQUAL, 0.02)
+        assert isinstance(a, GainSchedule)
+        assert a._last is None and b._last is None
+        gs = a.lookup(3.0)
+        assert a._last is gs
+        assert b._last is None
+        assert b.lookup(3.0) is not gs

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from steerkit import NumericalError
+from steerkit import NumericalError, numkit
 from steerkit.numkit import (
     StateSpace, c2d, dare_residual, expm, mat_solve, solve_dare, spectral_radius,
 )
@@ -129,12 +131,63 @@ class TestSolveDare:
         with pytest.raises(NumericalError):
             solve_dare(a, b, np.eye(2), np.eye(1))
 
+    def test_non_finite_residual_fails_gate(self, monkeypatch):
+        # an overflowed residual (inf - inf) is nan, and nan > bound is False
+        monkeypatch.setattr(numkit, "dare_residual", lambda *args: math.nan)
+        one = np.array([[1.0]])
+        with pytest.raises(NumericalError):
+            solve_dare(one, one, one, one)
+
     def test_asymmetric_weight_rejected(self):
         a = np.eye(2) * 0.5
         b = np.ones((2, 1))
         q = np.array([[1.0, 0.3], [0.0, 1.0]])
         with pytest.raises(ValueError):
             solve_dare(a, b, q, np.eye(1))
+
+
+def _pbh_margin(a, m):
+    """Smallest singular value of [A - lambda I, M] over the eigenvalues of A
+    with |lambda| >= 0.99 (Popov-Belevitch-Hautus test)."""
+    n = len(a)
+    margins = [np.linalg.svd(np.hstack([a - lam * np.eye(n), m]), compute_uv=False)[-1]
+               for lam in np.linalg.eigvals(a) if abs(lam) >= 1.0 - 1e-2]
+    return min(margins, default=np.inf)
+
+
+@st.composite
+def dare_problems(draw):
+    """Stabilizable (A, B), PSD Q detectable through A, and R > 0."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(float, (n, n), elements=entries))
+    # at most mildly unstable: a strongly unstable, weakly controlled mode
+    # makes X large and the Riccati equation ill-conditioned
+    assume(max(abs(np.linalg.eigvals(a))) <= 1.5)
+    b = draw(arrays(float, (n, m), elements=entries))
+    mq = draw(arrays(float, (draw(st.integers(1, n)), n), elements=entries))
+    mr = draw(arrays(float, (m, m), elements=entries))
+    q = mq.T @ mq
+    r = mr.T @ mr + draw(st.floats(0.1, 5.0)) * np.eye(m)
+    assume(_pbh_margin(a, b) > 1e-2)
+    assume(_pbh_margin(a.T, q) > 1e-2)
+    return a, b, q, r
+
+
+class TestSolveDareProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(dare_problems())
+    def test_residual_symmetric_psd_stabilizing(self, problem):
+        a, b, q, r = problem
+        x = solve_dare(a, b, q, r)
+        scale = 1.0 + np.linalg.norm(x, "fro")
+        assert dare_residual(a, b, q, r, x) <= 1e-9 * scale
+        assert np.linalg.norm(x - x.T, "fro") <= 1e-12 * scale
+        assert np.linalg.eigvalsh(x).min() >= -1e-9 * scale
+        k = np.linalg.solve(r + b.T @ x @ b, b.T @ x @ a)
+        assert spectral_radius(a - b @ k) < 1.0
 
 
 class TestSpectralRadius:
