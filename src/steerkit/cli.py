@@ -162,22 +162,35 @@ def _build_schedule_from_config(cfg: dict, p: VehicleParams, model: str,
     else:
         _require(isinstance(grid_spec, list), "'gains.grid' must be a list")
         grid = np.asarray([float(v) for v in grid_spec])
-    weights = _parse_weights_obj(entry.get("weights"), model)
+    weights = _parse_weights(entry.get("weights"), model)
     return lqr.build_schedule(grid, model, p, weights, dt=control_dt)
 
 
-def _parse_weights_obj(entry, model: str) -> lqr.LqrWeights:
+def _parse_weights(entry, model: str, source: str = "'weights.q'") -> lqr.LqrWeights:
+    """Weights from a config object {"q": [...], "r": r}; None gives unit weights."""
     n = 2 if model == "kinematic" else 4
     if entry is None:
         return lqr.LqrWeights(q_diag=(1.0,) * n, r=1.0)
     _require(isinstance(entry, dict), "'weights' must be an object with q and r")
-    q = entry.get("q")
-    r = entry.get("r", 1.0)
-    _require(isinstance(q, list) and len(q) == n, f"'weights.q' must list {n} values for {model}")
+    q, r = entry.get("q"), entry.get("r", 1.0)
+    _require(isinstance(q, list) and len(q) == n,
+             f"{source} needs {n} state weights for the {model} model")
     try:
         return lqr.LqrWeights(q_diag=tuple(float(v) for v in q), r=float(r))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad weights: {e}") from e
+
+
+def _parse_weights_flag(flag: str | None, model: str) -> lqr.LqrWeights:
+    """The --weights flag 'q1,q2[,q3,q4][:r]', checked as a config weights object."""
+    if flag is None:
+        return _parse_weights(None, model)
+    try:
+        qpart, _, rpart = flag.partition(":")
+        entry = {"q": [float(v) for v in qpart.split(",")], "r": float(rpart) if rpart else 1.0}
+    except ValueError as e:
+        raise ConfigError(f"--weights must look like 'q1,q2[,q3,q4][:r]': {e}") from e
+    return _parse_weights(entry, model, "--weights")
 
 
 def _sensors_from(cfg: dict) -> dict:
@@ -248,6 +261,17 @@ def _scenario_from_config(cfg: dict, config_path: Path):
     return scenario, schedule, p
 
 
+def _render_curvature(file: Path, t, ka, kd, fused, *extra: Series) -> None:
+    """Curvature plot: the three sources (plus extra series), then a zoom near zero."""
+    sources = (("ackermann", ka), ("differential", kd), ("fused", fused))
+    svgplot.render([
+        Panel(series=[Series(t, k, label=name) for name, k in sources] + list(extra),
+              title="Curvature sources", xlabel="t [s]", ylabel="kappa [1/m]"),
+        Panel(series=[Series(t, np.clip(k, -5e-3, 5e-3), label=name) for name, k in sources],
+              title="Near zero (clipped +-0.005)", xlabel="t [s]", ylabel="kappa [1/m]"),
+    ], file)
+
+
 def _plot_simulation(out: Path, log: simkit.SimLog, path: pathkit.RefPath) -> list[str]:
     plots = out / "plots"
     plots.mkdir(parents=True, exist_ok=True)
@@ -264,19 +288,8 @@ def _plot_simulation(out: Path, log: simkit.SimLog, path: pathkit.RefPath) -> li
         Panel(series=[Series(log.s, np.degrees(log.e_psi))], title="Heading error",
               xlabel="s [m]", ylabel="e_psi [deg]", hlines=[(0.0, "")]),
     ], plots / "error_vs_s.svg")
-    svgplot.render([
-        Panel(series=[
-            Series(log.t, log.kappa_ack, label="ackermann"),
-            Series(log.t, log.kappa_diff, label="differential"),
-            Series(log.t, log.kappa_fused, label="fused"),
-            Series(log.t, log.kappa_path, label="path", dash="2,2"),
-        ], title="Curvature sources", xlabel="t [s]", ylabel="kappa [1/m]"),
-        Panel(series=[
-            Series(log.t, np.clip(log.kappa_ack, -5e-3, 5e-3), label="ackermann"),
-            Series(log.t, np.clip(log.kappa_diff, -5e-3, 5e-3), label="differential"),
-            Series(log.t, np.clip(log.kappa_fused, -5e-3, 5e-3), label="fused"),
-        ], title="Near zero (clipped +-0.005)", xlabel="t [s]", ylabel="kappa [1/m]"),
-    ], plots / "curvature.svg")
+    _render_curvature(plots / "curvature.svg", log.t, log.kappa_ack, log.kappa_diff,
+                      log.kappa_fused, Series(log.t, log.kappa_path, label="path", dash="2,2"))
     return ["plots/trajectory.svg", "plots/error_vs_s.svg", "plots/curvature.svg"]
 
 
@@ -347,24 +360,6 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ design
 
-def _parse_weights_flag(flag: str | None, model: str) -> lqr.LqrWeights:
-    n = 2 if model == "kinematic" else 4
-    if flag is None:
-        return lqr.LqrWeights(q_diag=(1.0,) * n, r=1.0)
-    try:
-        qpart, _, rpart = flag.partition(":")
-        q = tuple(float(v) for v in qpart.split(","))
-        r = float(rpart) if rpart else 1.0
-    except ValueError as e:
-        raise ConfigError(f"--weights must look like 'q1,q2[,q3,q4][:r]': {e}") from e
-    if len(q) != n:
-        raise ConfigError(f"--weights needs {n} state weights for the {model} model")
-    try:
-        return lqr.LqrWeights(q_diag=q, r=r)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _parse_grid(flag: str) -> np.ndarray:
     try:
         if ":" in flag:
@@ -411,7 +406,6 @@ def cmd_design(args) -> int:
 
 # --------------------------------------------------------------- curvature
 
-
 def cmd_curvature(args) -> int:
     log_path = Path(args.log)
     out = _out_dir(args, "curvature")
@@ -424,35 +418,11 @@ def cmd_curvature(args) -> int:
             else VehicleParams()
         if args.verify:
             return _verify_manifest(out, log_path)
+        t = cols["t"]
+        ka, kd, fused = curvkit.curvature_series(t, cols["steer"], cols["psi"], cols["yaw_rate"],
+                                                 cols["speed"], p.wheelbase)
     except ValueError as e:
         return _fail(EXIT_INPUT, str(e))
-
-    t = cols["t"]
-    ka = np.array([curvkit.ackermann_curvature(d, p.wheelbase) for d in cols["steer"]])
-    kd = np.zeros(len(t))
-    kf_state = curvkit.KfState()
-    fused = np.zeros(len(t))
-    prev_t = None
-    for i in range(len(t)):
-        v, psi, yaw = cols["speed"][i], cols["psi"][i], cols["yaw_rate"][i]
-        diff_ok = v >= curvkit.MIN_CURVATURE_SPEED
-        if diff_ok:
-            if abs(math.cos(psi)) >= curvkit.MIN_COS_HEADING:
-                kd[i] = curvkit.differential_curvature(psi, yaw, v)
-            else:
-                # heading near +-pi/2: evaluate in a rotated (path-aligned) frame
-                kd[i] = curvkit.differential_curvature(0.0, yaw, v)
-        else:
-            kd[i] = kd[i - 1] if i else 0.0
-        dt = max(t[i] - prev_t, 1e-6) if prev_t is not None else 1e-3
-        prev_t = t[i]
-        z_ack = curvkit.CurvatureSample(t=t[i], kappa=ka[i], source="ackermann",
-                                        variance=kf_state.r_ack)
-        z_diff = curvkit.CurvatureSample(t=t[i], kappa=kd[i], source="differential",
-                                         variance=kf_state.r_diff / max(v, 0.5) ** 2) \
-            if diff_ok else None
-        kf_state = curvkit.kf_update(kf_state, dt, z_ack, z_diff)
-        fused[i] = kf_state.kappa_hat
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "curvature.csv", "w", encoding="utf-8", newline="\n") as f:
@@ -461,15 +431,7 @@ def cmd_curvature(args) -> int:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    svgplot.render([
-        Panel(series=[Series(t, ka, label="ackermann"), Series(t, kd, label="differential"),
-                      Series(t, fused, label="fused")],
-              title="Curvature sources", xlabel="t [s]", ylabel="kappa [1/m]"),
-        Panel(series=[Series(t, np.clip(ka, -5e-3, 5e-3), label="ackermann"),
-                      Series(t, np.clip(kd, -5e-3, 5e-3), label="differential"),
-                      Series(t, np.clip(fused, -5e-3, 5e-3), label="fused")],
-              title="Near zero (clipped +-0.005)", xlabel="t [s]", ylabel="kappa [1/m]"),
-    ], plots / "curvature.svg")
+    _render_curvature(plots / "curvature.svg", t, ka, kd, fused)
     _write_manifest(out, "curvature", log_path, None, ["curvature.csv", "plots/curvature.svg"])
     print(f"curvature analysis complete: {out / 'curvature.csv'}")
     return EXIT_OK

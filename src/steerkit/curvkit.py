@@ -2,8 +2,12 @@
 
 The steering-derived (Ackermann) source is quantized but unbiased; the
 differential source is noisy at low speed.  A scalar random-walk Kalman
-filter fuses both.  All functions accept scalars or numpy arrays.
-"""
+filter (`kf_step`) fuses both.  The curvature functions accept scalars or
+numpy arrays.  One rule (`differential_sample`) governs the differential
+source everywhere: at v >= MIN_CURVATURE_SPEED it is evaluated at the
+heading, or at heading 0 (the sample-aligned frame, exact since the
+formula collapses to psi_dot / v) when |cos psi| < MIN_COS_HEADING; below
+the speed guard there is no measurement and the value holds the last one."""
 
 from __future__ import annotations
 
@@ -72,6 +76,25 @@ def differential_curvature(psi, psi_dot, v):
     return float(out) if out.ndim == 0 else out
 
 
+def differential_sample(psi, psi_dot, v, held: float = 0.0):
+    """Differential curvature under the one heading and speed rule.
+
+    Where v >= MIN_CURVATURE_SPEED the sample is a measurement, evaluated
+    at heading psi, or at heading 0 where |cos psi| < MIN_COS_HEADING.
+    Elsewhere the value holds the series' last measurement (held before
+    the first).  Takes scalars or 1-D arrays; returns (kappa, valid).
+    """
+    psi, psi_dot, v = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (psi, psi_dot, v)))
+    valid = v >= MIN_CURVATURE_SPEED
+    psi = np.where(np.abs(np.cos(psi)) >= MIN_COS_HEADING, psi, 0.0)
+    if psi.ndim == 0:
+        return (differential_curvature(psi, psi_dot, v) if valid else float(held)), bool(valid)
+    kappa = np.zeros(len(psi))
+    kappa[valid] = differential_curvature(psi[valid], psi_dot[valid], v[valid])
+    last = np.maximum.accumulate(np.where(valid, np.arange(len(psi)), -1))
+    return np.where(last >= 0, kappa[last], float(held)), valid
+
+
 @dataclass(frozen=True)
 class CurvatureSample:
     """A time-stamped curvature measurement from one source."""
@@ -110,10 +133,26 @@ class KfState:
             raise ValueError("variance parameters must be positive")
 
 
+def kf_step(kappa: float, p: float, q_step: float, z_ack: float | None, r_ack: float,
+            z_diff: float | None, r_diff: float) -> tuple[float, float]:
+    """One filter cycle on floats: random-walk predict, then the Ackermann
+    update, then the differential update.  A measurement given as None is
+    skipped.  Returns the posterior (kappa, p).
+    """
+    p = p + q_step
+    for z, r in ((z_ack, r_ack), (z_diff, r_diff)):
+        if z is None:
+            continue
+        gain = p / (p + r)
+        kappa = kappa + gain * (z - kappa)
+        p = (1.0 - gain) * p
+    return kappa, p
+
+
 def kf_update(state: KfState, dt: float,
               z_ack: CurvatureSample | None = None,
               z_diff: CurvatureSample | None = None) -> KfState:
-    """One filter cycle: random-walk predict, then sequential scalar updates.
+    """One filter cycle (`kf_step`) on a KfState and per-source samples.
 
     With both measurements absent only the predict step runs.  Sequential
     scalar updates commute, so simultaneous measurements may be applied in
@@ -121,15 +160,33 @@ def kf_update(state: KfState, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    kappa = state.kappa_hat
-    p = state.p + state.q_process * dt
-    for z in (z_ack, z_diff):
-        if z is None:
-            continue
-        gain = p / (p + z.variance)
-        kappa = kappa + gain * (z.kappa - kappa)
-        p = (1.0 - gain) * p
+    kappa, p = kf_step(state.kappa_hat, state.p, state.q_process * dt,
+                       getattr(z_ack, "kappa", None), getattr(z_ack, "variance", None),
+                       getattr(z_diff, "kappa", None), getattr(z_diff, "variance", None))
     return replace(state, kappa_hat=kappa, p=p)
+
+
+def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):
+    """Ackermann, differential and fused curvature arrays of a recorded log.
+
+    Both sources are evaluated vectorized, then a default KfState filter
+    runs `kf_step` per sample: the step is the timestamp difference floored
+    at 1e-6 s (1e-3 s first) and the differential variance r_diff / max(v, 0.5)^2.
+    """
+    t = np.asarray(t, dtype=float)
+    ka = np.asarray(ackermann_curvature(steer, wheelbase), dtype=float)
+    kd, valid = differential_sample(psi, yaw_rate, speed)
+    st = KfState()
+    dt = np.concatenate(([1e-3], np.maximum(np.diff(t), 1e-6)))
+    q_step = st.q_process * dt
+    r_diff = st.r_diff / np.maximum(speed, 0.5) ** 2
+    fused = np.empty(len(t))
+    kappa, p = st.kappa_hat, st.p
+    for i, (q, za, zd, ok, rd) in enumerate(zip(q_step.tolist(), ka.tolist(), kd.tolist(),
+                                                 valid.tolist(), r_diff.tolist())):
+        kappa, p = kf_step(kappa, p, q, za, st.r_ack, zd if ok else None, rd)
+        fused[i] = kappa
+    return ka, kd, fused
 
 
 def kf_steady_state_variance(q_step: float, variances: tuple[float, ...]) -> float:

@@ -9,6 +9,7 @@ loaded, passes the one certificate in `certify`: spectral radius of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,12 @@ def certify(model: str, k, v: float, p: VehicleParams, dt: float) -> GainSet:
     Raises NumericalError unless the closed-loop spectral radius of
     (Ad - Bd k) is below 1 - CERT_MARGIN.
     """
+    return _certify_on(discrete_error_model(model, v, p, dt), model, k, v, dt)
+
+
+def _certify_on(sysd: StateSpace, model: str, k, v: float, dt: float) -> GainSet:
+    """The radius check of `certify` on an already discretized model."""
     k = np.asarray(k, dtype=float)
-    sysd = discrete_error_model(model, v, p, dt)
     if k.shape != (sysd.n_states,):
         raise ValueError(f"{model} gain row needs {sysd.n_states} entries, got shape {k.shape}")
     rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
@@ -90,7 +95,7 @@ def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) ->
     r = np.array([[w.r]])
     x = solve_dare(sysd.A, sysd.B, q, r)
     k = mat_solve(r + sysd.B.T @ x @ sysd.B, sysd.B.T @ x @ sysd.A)[0]
-    return certify(model, k, v, p, dt)
+    return _certify_on(sysd, model, k, v, dt)
 
 
 def design_kinematic(v: float, p: VehicleParams, w: LqrWeights,
@@ -125,7 +130,7 @@ class GainSchedule:
     the interpolated gain against the model at that speed.  The last
     interpolated GainSet is kept, so repeated lookups at one speed (a
     constant-speed run) certify once.  Outside the grid the end gains
-    apply unchanged.
+    apply unchanged; a non-finite speed is a ValueError.
     """
 
     speeds: np.ndarray
@@ -137,6 +142,8 @@ class GainSchedule:
 
     def lookup(self, v: float) -> GainSet:
         v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"gain lookup at non-finite speed {v}")
         s = self.speeds
         if v <= s[0]:
             return self.gains[0]

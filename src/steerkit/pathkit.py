@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import SimulationError
+from .curvkit import differential_sample
 from .models import VehicleParams, Pose, wrap_angle
 
 RECORDED_COLUMNS = ("t", "X", "Y", "psi", "yaw_rate", "speed", "steer")
@@ -213,6 +214,24 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
     raise ValueError(f"unknown path kind {kind!r}")
 
 
+def _resample(x: np.ndarray, y: np.ndarray, spacing: float):
+    """Drop repeated positions, resample to uniform arc length and take
+    central-difference headings.  Returns (keep, s_raw, s, x, y, psi): the
+    kept-sample mask and arc length, then the resampled path."""
+    keep = np.concatenate(([True], np.hypot(np.diff(x), np.diff(y)) > 1e-9))
+    x, y = x[keep], y[keep]
+    s_raw = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
+    n = max(2, int(math.ceil(s_raw[-1] / spacing)) + 1)
+    s = np.linspace(0.0, s_raw[-1], n)
+    xr = np.interp(s, s_raw, x)
+    yr = np.interp(s, s_raw, y)
+    psi = np.empty(n)
+    psi[1:-1] = np.arctan2(yr[2:] - yr[:-2], xr[2:] - xr[:-2])
+    psi[0] = math.atan2(yr[1] - yr[0], xr[1] - xr[0])
+    psi[-1] = math.atan2(yr[-1] - yr[-2], xr[-1] - xr[-2])
+    return keep, s_raw, s, xr, yr, psi
+
+
 def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25,
                   kappa_bound: float = DEFAULT_KAPPA_BOUND) -> RefPath:
     """Build a RefPath from recorded pose samples.
@@ -221,7 +240,7 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     Headings come from central differences of the resampled positions
     (raw heading channels are noisy at parking speeds).  Curvature is
     initialized from the yaw-rate/speed differential estimate when both
-    channels are present (evaluated in a sample-aligned frame), otherwise
+    channels are present (`curvkit.differential_sample`), otherwise
     from heading finite differences, and clipped to the drivable bound.
     The result is not strict-validated: smooth it before control use.
     """
@@ -236,42 +255,16 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     if np.any(np.diff(t) < 0):
         raise ValueError("timestamps must be monotone")
 
-    # drop consecutive duplicate positions
-    keep = np.concatenate(([True], (np.abs(np.diff(x)) + np.abs(np.diff(y))) > 1e-9))
-    x, y, psi, t = x[keep], y[keep], psi[keep], t[keep]
-    if len(x) < 2:
-        raise ValueError("recorded log has zero net displacement")
-    ds = np.hypot(np.diff(x), np.diff(y))
-    s_raw = np.concatenate(([0.0], np.cumsum(ds)))
+    keep, s_raw, s, xr, yr, psi_d = _resample(x, y, spacing)
     if s_raw[-1] < max(2.0 * spacing, 1e-6):
         raise ValueError("recorded log has zero net displacement")
 
-    n = max(2, int(math.ceil(s_raw[-1] / spacing)) + 1)
-    s = np.linspace(0.0, s_raw[-1], n)
-    xr = np.interp(s, s_raw, x)
-    yr = np.interp(s, s_raw, y)
-
-    psi_d = np.empty(n)
-    psi_d[1:-1] = np.arctan2(yr[2:] - yr[:-2], xr[2:] - xr[:-2])
-    psi_d[0] = math.atan2(yr[1] - yr[0], xr[1] - xr[0])
-    psi_d[-1] = math.atan2(yr[-1] - yr[-2], xr[-1] - xr[-2])
-
     if yaw_rate is not None and speed is not None:
-        from .curvkit import differential_curvature, MIN_CURVATURE_SPEED
-
-        yaw_rate = np.asarray(yaw_rate, dtype=float)[keep]
-        speed = np.asarray(speed, dtype=float)[keep]
-        kappa_raw = np.zeros(len(x))
-        for i in range(len(x)):
-            if speed[i] >= MIN_CURVATURE_SPEED:
-                # rotate into a sample-aligned frame (heading 0) where the
-                # differential formula is singularity-free
-                kappa_raw[i] = differential_curvature(0.0, float(yaw_rate[i]), float(speed[i]))
-            elif i > 0:
-                kappa_raw[i] = kappa_raw[i - 1]
+        kappa_raw, _ = differential_sample(psi[keep], np.asarray(yaw_rate, dtype=float)[keep],
+                                           np.asarray(speed, dtype=float)[keep])
         kappa = np.interp(s, s_raw, kappa_raw)
     else:
-        kappa = np.zeros(n)
+        kappa = np.zeros(len(s))
         dpsi = np.arctan2(np.sin(np.diff(psi_d)), np.cos(np.diff(psi_d)))
         step = s[1] - s[0]
         kappa[1:-1] = (dpsi[:-1] + dpsi[1:]) / (2.0 * step)
@@ -345,13 +338,9 @@ def _moving_average(values: np.ndarray, half: int) -> np.ndarray:
     if half < 1:
         return values.copy()
     csum = np.concatenate(([0.0], np.cumsum(values)))
-    n = len(values)
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        out[i] = (csum[hi] - csum[lo]) / (hi - lo)
-    return out
+    idx = np.arange(len(values))
+    lo, hi = np.maximum(idx - half, 0), np.minimum(idx + half + 1, len(values))
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def _condition_for_tracking(path: RefPath, window_m: float) -> RefPath:
@@ -384,8 +373,8 @@ def _condition_for_tracking(path: RefPath, window_m: float) -> RefPath:
 def read_recorded_csv(path) -> dict[str, np.ndarray]:
     """Read a recorded-log CSV: header t,X,Y,psi[,yaw_rate,speed,steer].
 
-    UTF-8, '#' comment lines allowed, SI units and radians throughout.
-    Returns one array per present column.
+    UTF-8, '#' comment lines allowed, SI units and radians throughout;
+    every cell must be finite.  Returns one array per present column.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -413,6 +402,9 @@ def read_recorded_csv(path) -> dict[str, np.ndarray]:
     if not data:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(data)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite {header[bad[0][1]]} in data row {bad[0][0] + 1}")
     return {name: arr[:, i] for i, name in enumerate(header)}
 
 
@@ -491,17 +483,6 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0,
     step = max(1, int(round(spacing / (v * cfg.sim_dt) / 4)))
     xs, ys = log.x[::step], log.y[::step]
     kap = np.tan(log.delta_act[::step]) / p.wheelbase
-    ds = np.hypot(np.diff(xs), np.diff(ys))
-    keep = np.concatenate(([True], ds > 1e-9))
-    xs, ys, kap = xs[keep], ys[keep], kap[keep]
-    s_raw = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))))
-    n = max(2, int(math.ceil(s_raw[-1] / spacing)) + 1)
-    s = np.linspace(0.0, s_raw[-1], n)
-    xr = np.interp(s, s_raw, xs)
-    yr = np.interp(s, s_raw, ys)
-    psi_d = np.empty(n)
-    psi_d[1:-1] = np.arctan2(yr[2:] - yr[:-2], xr[2:] - xr[:-2])
-    psi_d[0] = math.atan2(yr[1] - yr[0], xr[1] - xr[0])
-    psi_d[-1] = math.atan2(yr[-1] - yr[-2], xr[-1] - xr[-2])
-    return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=np.interp(s, s_raw, kap),
+    keep, s_raw, s, xr, yr, psi_d = _resample(xs, ys, spacing)
+    return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=np.interp(s, s_raw, kap[keep]),
                    kappa_bound=math.tan(p.max_steer) / p.wheelbase + 1e-9)

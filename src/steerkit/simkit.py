@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import SimulationError
-from .curvkit import CurvatureSample, KfState, ackermann_curvature, differential_curvature, \
-    feedforward_steer, kf_update, MIN_CURVATURE_SPEED, MIN_COS_HEADING
+from .curvkit import KfState, ackermann_curvature, differential_sample, feedforward_steer, \
+    kf_step
 from .lqr import GainSchedule
 from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams
 from .pathkit import PathProjection, RefPath, project
@@ -111,13 +111,21 @@ class ScenarioConfig:
         for name in self.sensors:
             if name not in default_sensors():
                 raise ValueError(f"unknown sensor channel {name!r}")
+        constant = isinstance(self.speed, (int, float))
+        knots = [(0.0, self.speed)] if constant else list(self.speed)
+        if not knots:
+            raise ValueError("speed table needs at least one [t, v] knot")
+        for i, (t, v) in enumerate(knots):
+            if not (0.0 < v < math.inf and -math.inf < t < math.inf
+                    and (i == 0 or knots[i - 1][0] < t)):
+                where = f"speed {v}" if constant else f"speed table knot {i} [{t}, {v}]"
+                raise ValueError(f"{where}: speeds must be positive and finite, times finite "
+                                 "and strictly ascending")
 
     def speed_at(self, t: float) -> float:
         if isinstance(self.speed, (int, float)):
             return float(self.speed)
-        knots = sorted((float(a), float(b)) for a, b in self.speed)
-        ts = [k[0] for k in knots]
-        vs = [k[1] for k in knots]
+        ts, vs = zip(*self.speed)
         return float(np.interp(t, ts, vs))
 
 
@@ -350,8 +358,8 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     saturated = False
 
     kf = KfState()
-    kappa_ack = 0.0
-    kappa_diff = 0.0
+    kappa_fused, kf_p, q_step = kf.kappa_hat, kf.p, kf.q_process * cfg.control_dt
+    kappa_ack = kappa_diff = 0.0
 
     cols: dict[str, list] = {name: [] for name in CSV_COLUMNS}
     prev_s = None
@@ -407,14 +415,9 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
 
             # curvature estimators run alongside the controller
             kappa_ack = ackermann_curvature(steer_m, p.wheelbase)
-            z_ack = CurvatureSample(t=t, kappa=kappa_ack, source="ackermann",
-                                    variance=kf.r_ack)
-            z_diff = None
-            if v_m >= MIN_CURVATURE_SPEED and abs(math.cos(e_psi_m)) >= MIN_COS_HEADING:
-                kappa_diff = differential_curvature(e_psi_m, yaw_m, v_m)
-                z_diff = CurvatureSample(t=t, kappa=kappa_diff, source="differential",
-                                         variance=kf.r_diff / v_m**2)
-            kf = kf_update(kf, cfg.control_dt, z_ack, z_diff)
+            kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
+            kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
+                                        kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
 
         target = cmd_buffer[0]
         if act.rate_limit is not None:
@@ -433,7 +436,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             "e_y_dot": vy + v * proj.e_psi,
             "e_psi_dot": yaw_rate - v * proj.kappa,
             "kappa_path": proj.kappa, "kappa_ack": kappa_ack,
-            "kappa_diff": kappa_diff, "kappa_fused": kf.kappa_hat,
+            "kappa_diff": kappa_diff, "kappa_fused": kappa_fused,
         }
         for name, val in row.items():
             cols[name].append(float(val))
@@ -460,36 +463,22 @@ def compute_metrics(log: SimLog, band: float = SETTLE_BAND) -> Metrics:
         raise ValueError("empty log")
     abs_ey = np.abs(log.e_y)
     inside = abs_ey < band
-    if inside[-1]:
+    settled = bool(inside[-1])
+    settle_distance = None
+    if settled:
         last_bad = np.nonzero(~inside)[0]
         settle_idx = int(last_bad[-1]) + 1 if len(last_bad) else 0
-        settled = True
         settle_distance = float(log.odometer[settle_idx] - log.odometer[0])
-    else:
-        settled = False
-        settle_distance = None
 
     contact = np.nonzero(abs_ey <= band)[0]
-    if len(contact):
-        c = int(contact[0])
-        post = Metrics(
-            max_abs_e_y=float(np.max(abs_ey)),
-            rms_e_y=float(np.sqrt(np.mean(log.e_y**2))),
-            max_abs_e_psi=float(np.max(np.abs(log.e_psi))),
-            settle_distance=settle_distance,
-            settled=settled,
-            post_max_abs_e_y=float(np.max(abs_ey[c:])),
-            post_rms_e_y=float(np.sqrt(np.mean(log.e_y[c:] ** 2))),
-            post_max_abs_e_psi=float(np.max(np.abs(log.e_psi[c:]))),
-        )
-        return post
+    c = int(contact[0]) if len(contact) else None
     return Metrics(
         max_abs_e_y=float(np.max(abs_ey)),
         rms_e_y=float(np.sqrt(np.mean(log.e_y**2))),
         max_abs_e_psi=float(np.max(np.abs(log.e_psi))),
         settle_distance=settle_distance,
         settled=settled,
-        post_max_abs_e_y=None,
-        post_rms_e_y=None,
-        post_max_abs_e_psi=None,
+        post_max_abs_e_y=None if c is None else float(np.max(abs_ey[c:])),
+        post_rms_e_y=None if c is None else float(np.sqrt(np.mean(log.e_y[c:] ** 2))),
+        post_max_abs_e_psi=None if c is None else float(np.max(np.abs(log.e_psi[c:]))),
     )

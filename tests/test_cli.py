@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from steerkit.cli import main
 from steerkit.pathkit import read_recorded_csv
@@ -83,6 +84,22 @@ class TestSimulate:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_circle_config(tmp_path, typo_key=1)
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    def test_unsorted_speed_table_exit_3(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, speed=[[5.0, 8.0], [0.0, 10.0]])
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "knot 1 [0.0, 10.0]" in capsys.readouterr().err
+
+    def test_nan_speed_exit_3(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, speed=float("nan"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "speed nan" in capsys.readouterr().err
+
+    def test_config_weights_count_exit_3(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, gains={"grid": [1.0, 15.0, 8],
+                                                   "weights": {"q": [1.0, 1.0, 1.0]}})
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "'weights.q' needs 2 state weights" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_circle_config(tmp_path, t_end=4.0)
@@ -200,6 +217,20 @@ class TestCurvature:
             f"{i * 0.1},{i * 0.5},0.0,0.0\n" for i in range(20)), encoding="utf-8")
         assert main(["curvature", str(file), "--out", str(tmp_path / "o")]) == 3
         assert "steer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("col, cell, message", [
+        (4, "nan", "non-finite yaw_rate in data row 5"),
+        (6, "1.6", "pi/2 tangent singularity"),
+    ])
+    def test_bad_cell_exit_3(self, tmp_path, capsys, col, cell, message):
+        log = write_drive_log(tmp_path, n=30)
+        lines = log.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[col] = cell
+        lines[5] = ",".join(cells)
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["curvature", str(log), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
 
     def test_empty_log_exit_3(self, tmp_path):
         file = tmp_path / "empty.csv"

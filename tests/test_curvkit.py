@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from steerkit.curvkit import (
-    CurvatureSample, KfState, ackermann_curvature, differential_curvature,
-    feedforward_steer, kf_steady_state_variance, kf_update,
+    MIN_COS_HEADING, MIN_CURVATURE_SPEED, CurvatureSample, KfState, ackermann_curvature,
+    curvature_series, differential_curvature, differential_sample, feedforward_steer, kf_step,
+    kf_steady_state_variance, kf_update,
 )
 
 
@@ -194,3 +196,77 @@ class TestKfUpdate:
         c_ack = first_down_crossing(ack_src, half - 50)
         c_fused = first_down_crossing(fused, half - 50)
         assert c_diff < c_fused < c_ack
+
+
+class TestDifferentialSample:
+    def test_rotates_inside_heading_guard(self):
+        kappa, ok = differential_sample(1.56, 0.2, 10.0)
+        assert ok
+        assert kappa == differential_curvature(0.0, 0.2, 10.0)
+
+    def test_low_speed_holds(self):
+        assert differential_sample(0.3, 0.2, 0.4, held=0.05) == (0.05, False)
+
+    def test_array_holds_last_measurement(self):
+        v = np.array([0.4, 2.0, 0.3, 0.0, 4.0])
+        kappa, ok = differential_sample(np.zeros(5), np.full(5, 0.2), v)
+        assert ok.tolist() == [False, True, False, False, True]
+        assert kappa.tolist() == [0.0, 0.1, 0.1, 0.1, 0.05]
+
+
+class TestKfStep:
+    def test_matches_kf_update_bit_for_bit(self):
+        st = KfState(kappa_hat=0.003, p=5e-4)
+        za = CurvatureSample(t=0.0, kappa=0.021, source="ackermann", variance=4e-6)
+        zd = CurvatureSample(t=0.0, kappa=0.018, source="differential", variance=1e-4)
+        for z_ack, z_diff in ((za, zd), (za, None), (None, zd), (None, None)):
+            out = kf_update(st, 0.02, z_ack, z_diff)
+            kappa, p = kf_step(st.kappa_hat, st.p, st.q_process * 0.02,
+                               z_ack and z_ack.kappa, 4e-6, z_diff and z_diff.kappa, 1e-4)
+            assert (kappa, p) == (out.kappa_hat, out.p)
+
+
+def reference_series(t, steer, psi, yaw, v, wheelbase):
+    """Per-sample loop: the heading/speed rule, then one kf_update per sample."""
+    st = KfState()
+    ka = np.array([ackermann_curvature(d, wheelbase) for d in steer])
+    kd = np.zeros(len(t))
+    fused = np.zeros(len(t))
+    for i in range(len(t)):
+        ok = v[i] >= MIN_CURVATURE_SPEED
+        if ok:
+            heading = psi[i] if abs(np.cos(psi[i])) >= MIN_COS_HEADING else 0.0
+            kd[i] = differential_curvature(heading, yaw[i], v[i])
+        else:
+            kd[i] = kd[i - 1] if i else 0.0
+        dt = max(t[i] - t[i - 1], 1e-6) if i else 1e-3
+        za = CurvatureSample(t=t[i], kappa=ka[i], source="ackermann", variance=st.r_ack)
+        zd = CurvatureSample(t=t[i], kappa=kd[i], source="differential",
+                             variance=st.r_diff / max(v[i], 0.5) ** 2) if ok else None
+        st = kf_update(st, dt, za, zd)
+        fused[i] = st.kappa_hat
+    return ka, kd, fused
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_sample = hst.tuples(
+    hst.one_of(hst.just(0.0), hst.floats(1e-9, 0.5, **_finite)),           # dt, 0 is floored
+    hst.floats(-1.0, 1.0, **_finite),                                       # steer
+    hst.one_of(hst.floats(-math.pi, math.pi, **_finite),                    # heading, and
+               hst.sampled_from([math.pi / 2, -math.pi / 2, 1.53, -1.54])),  # the guard band
+    hst.floats(-1.0, 1.0, **_finite),                                       # yaw rate
+    hst.one_of(hst.floats(0.0, 1.0, **_finite), hst.just(0.5),             # speed around
+               hst.floats(0.0, 30.0, **_finite)),                           # the 0.5 m/s guard
+)
+
+
+class TestCurvatureSeries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hst.lists(_sample, min_size=1, max_size=40), hst.floats(-100.0, 100.0, **_finite))
+    def test_matches_per_sample_reference(self, samples, t0):
+        dt, steer, psi, yaw, v = (np.array(c) for c in zip(*samples))
+        t = t0 + np.cumsum(dt)
+        got = curvature_series(t, steer, psi, yaw, v, 2.7)
+        want = reference_series(t, steer, psi, yaw, v, 2.7)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)

@@ -1,9 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from steerkit import NumericalError
+from steerkit import NumericalError, lqr
 from steerkit.lqr import (
     CERT_MARGIN, GainSchedule, GainSet, LqrWeights, build_schedule, certify, design_dynamic,
     design_kinematic, discrete_error_model, load_gain_csv, save_gain_csv,
@@ -62,6 +63,20 @@ class TestDesignKinematic:
         rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], gs.k))
         assert rho == pytest.approx(gs.closed_loop_radius, abs=1e-9)
         assert rho < 1.0 - 1e-6
+
+
+class TestDesignDiscretizesOnce:
+    @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+    def test_one_c2d_per_designed_gain(self, params, model, monkeypatch):
+        calls = []
+        real = lqr.c2d
+        monkeypatch.setattr(lqr, "c2d", lambda *a: calls.append(a) or real(*a))
+        design = design_kinematic if model == "kinematic" else design_dynamic
+        gs = design(6.0, params, EQUAL if model == "kinematic" else EQUAL4)
+        assert len(calls) == 1
+        # the certificate on the shared model is the one certify gives
+        again = certify(model, gs.k, 6.0, params, 0.02)
+        assert again.closed_loop_radius == gs.closed_loop_radius
 
 
 class TestDesignDynamic:
@@ -154,6 +169,11 @@ class TestSchedule:
     def test_lookup_clamps_outside(self, kinematic_schedule):
         assert kinematic_schedule.lookup(0.2) is kinematic_schedule.gains[0]
         assert kinematic_schedule.lookup(99.0) is kinematic_schedule.gains[-1]
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_lookup_rejects_non_finite_speed(self, kinematic_schedule, v):
+        with pytest.raises(ValueError, match=f"non-finite speed {v}"):
+            kinematic_schedule.lookup(v)
 
     def test_lookup_caches(self, kinematic_schedule):
         a = kinematic_schedule.lookup(7.3)

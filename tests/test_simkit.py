@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from steerkit import SimulationError
+from steerkit.curvkit import MIN_COS_HEADING
 from steerkit.models import ControlInput, ErrorState, Pose, \
     kinematic_derivative, pfaffian_residuals
 from steerkit.pathkit import PathProjection, gen_path
@@ -144,6 +145,25 @@ class TestScenarioConfig:
         assert cfg.speed_at(5.0) == pytest.approx(4.0)
         assert cfg.speed_at(20.0) == 6.0
 
+    def test_speed_table_must_ascend(self):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        for table in ([(5.0, 2.0), (0.0, 6.0)], [(0.0, 2.0), (0.0, 6.0)]):
+            with pytest.raises(ValueError, match=r"knot 1 \["):
+                ScenarioConfig(path=path, speed=table)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_speeds_must_be_positive(self, bad):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        with pytest.raises(ValueError, match=r"knot 1 \["):
+            ScenarioConfig(path=path, speed=[(0.0, 2.0), (10.0, bad)])
+        with pytest.raises(ValueError, match="speed"):
+            ScenarioConfig(path=path, speed=bad)
+
+    def test_empty_speed_table_rejected(self):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        with pytest.raises(ValueError, match="at least one"):
+            ScenarioConfig(path=path, speed=[])
+
 
 class TestRunScenario:
     def test_straight_equilibrium_is_exact(self, params, kinematic_schedule):
@@ -206,6 +226,17 @@ class TestRunScenario:
         cfg = ScenarioConfig(path=path, speed=10.0, t_end=20.0, initial_offset=(0.0, 1.5))
         with pytest.raises(SimulationError):
             run_scenario(cfg, limp, params=params)
+
+    def test_differential_sample_rotates_near_quarter_turn(self, params, kinematic_schedule):
+        # heading error 1.56 rad: |cos| < MIN_COS_HEADING, so the differential
+        # source is evaluated in the sample-aligned frame instead of held at 0
+        path = gen_path("line", spacing=0.1, length=80.0)
+        cfg = ScenarioConfig(path=path, speed=5.0, t_end=0.1, initial_offset=(0.0, 1.56),
+                             initial_steer=0.1)
+        log = run_scenario(cfg, kinematic_schedule, params=params)
+        assert abs(math.cos(log.e_psi[0])) < MIN_COS_HEADING
+        yaw = 5.0 / params.wheelbase * math.tan(0.1)
+        assert log.kappa_diff[0] == pytest.approx(yaw / 5.0, rel=1e-12)
 
     def test_gain_dimension_mismatch(self, params, kinematic_schedule, dynamic_schedule):
         path = gen_path("line", spacing=0.1, length=30.0)
