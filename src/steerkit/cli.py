@@ -25,6 +25,7 @@ import numpy as np
 from . import NumericalError, SimulationError, __version__
 from . import curvkit, lqr, margins, pathkit, simkit, svgplot
 from .models import MIN_DYNAMIC_SPEED, VehicleParams
+from .numkit import write_float_csv
 from .svgplot import Panel, Series
 
 SCHEMA_VERSION = 1
@@ -426,9 +427,7 @@ def cmd_curvature(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "curvature.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("t,kappa_ack,kappa_diff,kappa_fused\n")
-        for row in zip(t, ka, kd, fused):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_float_csv(f, ("t", "kappa_ack", "kappa_diff", "kappa_fused"), (t, ka, kd, fused))
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
     _render_curvature(plots / "curvature.svg", t, ka, kd, fused)
@@ -469,9 +468,7 @@ def cmd_margins(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "bode.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("omega,mag_db,phase_deg\n")
-        for row in zip(fr.omegas, fr.mag_db, fr.phase_deg):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_float_csv(f, ("omega", "mag_db", "phase_deg"), (fr.omegas, fr.mag_db, fr.phase_deg))
     payload = report.to_dict()
     payload.update({"speed": speed, "model": args.model, "dt": dt,
                     "gains": [float(g) for g in gains.k], "schema_version": SCHEMA_VERSION})

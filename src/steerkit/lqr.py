@@ -17,7 +17,7 @@ import numpy as np
 from . import NumericalError
 from .models import MIN_DYNAMIC_SPEED, VehicleParams, error_dynamics_matrices, \
     kinematic_error_model
-from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius
+from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, write_float_csv
 
 CERT_MARGIN = 1e-6
 DEFAULT_CONTROL_DT = 0.02  # 50 Hz steering command rate
@@ -188,12 +188,10 @@ def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,
 def save_gain_csv(schedule: GainSchedule, fobj) -> None:
     """Write the schedule as `v,k1,k2[,k3,k4],dt` rows; floats use repr for
     bit-exact round trips."""
-    n = len(schedule.gains[0].k)
-    header = ",".join(["v"] + [f"k{i + 1}" for i in range(n)] + ["dt"])
-    fobj.write(header + "\n")
-    for gs in schedule.gains:
-        cells = [repr(float(gs.v))] + [repr(float(g)) for g in gs.k] + [repr(float(gs.dt))]
-        fobj.write(",".join(cells) + "\n")
+    gains = schedule.gains
+    n = len(gains[0].k)
+    write_float_csv(fobj, ["v"] + [f"k{i + 1}" for i in range(n)] + ["dt"],
+                    [[g.v for g in gains], [g.k for g in gains], [g.dt for g in gains]])
 
 
 def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:

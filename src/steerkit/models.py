@@ -121,17 +121,37 @@ class SlipAngles:
         return max(abs(self.beta), abs(self.beta_f), abs(self.beta_r)) <= SMALL_ANGLE_LIMIT
 
 
-def kinematic_derivative(pose: Pose, u: ControlInput, p: VehicleParams) -> tuple[float, float, float]:
-    """Rear-axle kinematic bicycle: (dX, dY, dpsi) for speed v and steer delta.
+def kinematic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float, float, float]:
+    """Rear-axle kinematic bicycle: (dX, dY, dpsi) of the state (X, Y, psi).
 
     dX = v cos(psi), dY = v sin(psi), dpsi = (v / L) tan(delta).
     """
     if abs(u.delta) >= math.pi / 2:
         raise ValueError(f"steer angle {u.delta} at/beyond tangent singularity pi/2")
+    _, _, psi = state
     return (
-        u.v * math.cos(pose.psi),
-        u.v * math.sin(pose.psi),
+        u.v * math.cos(psi),
+        u.v * math.sin(psi),
         u.v / p.wheelbase * math.tan(u.delta),
+    )
+
+
+def dynamic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float, ...]:
+    """Linear-tire single track: derivative of the state (X, Y, psi, vy, r).
+
+    vy is the body-frame lateral velocity at the CoG and r the yaw rate;
+    the longitudinal speed vx = u.v is held.
+    """
+    _, _, psi, vy, r = state
+    vx = u.v
+    fyf = 2.0 * p.caf * (u.delta - (vy + p.lf * r) / vx)
+    fyr = -2.0 * p.car * (vy - p.lr * r) / vx
+    return (
+        vx * math.cos(psi) - vy * math.sin(psi),
+        vx * math.sin(psi) + vy * math.cos(psi),
+        r,
+        (fyf + fyr) / p.m - vx * r,
+        (p.lf * fyf - p.lr * fyr) / p.iz,
     )
 
 

@@ -4,7 +4,8 @@ Matrices are plain 2-D float64 numpy arrays.  Everything here is a pure
 function: inputs are validated, never mutated, and all entries must be
 finite.  Linear solves and eigenvalues come from numpy.linalg; the
 matrix exponential (no scipy) and the doubling Riccati solver are written
-here, sized for the 2- and 4-state vehicle models.
+here, sized for the 2- and 4-state vehicle models.  `write_float_csv`
+is the one writer of the tool's float tables.
 """
 
 from __future__ import annotations
@@ -215,3 +216,15 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus, from numpy's LAPACK eigenvalue solver."""
     return float(np.max(np.abs(np.linalg.eigvals(_square(a, "A")))))
+
+
+def write_float_csv(fobj, header, cols) -> None:
+    """Write a header line, then one row per index of the equal-length columns.
+
+    A column is a 1-D sequence or a 2-D block of several.  Cells are
+    `repr(float)`, so a reload is bit-exact.
+    """
+    fobj.write(",".join(header) + "\n")
+    table = np.column_stack(cols).astype(float, copy=False)
+    for i in range(0, len(table), 4096):  # in blocks: the float objects stay few
+        fobj.writelines(",".join(map(repr, row)) + "\n" for row in table[i:i + 4096].tolist())

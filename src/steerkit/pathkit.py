@@ -16,12 +16,15 @@ import numpy as np
 from . import SimulationError
 from .curvkit import differential_sample
 from .models import VehicleParams, Pose, wrap_angle
+from .numkit import write_float_csv
 
 RECORDED_COLUMNS = ("t", "X", "Y", "psi", "yaw_rate", "speed", "steer")
 
 MAX_SPACING = 0.5
 DEFAULT_KAPPA_BOUND = 0.75   # 1/m, ~1/(0.5 L) for a mid-size wheelbase
 HEADING_CONSISTENCY_TOL = 0.05
+PROJECT_HORIZON = 50.0   # m, a pose farther than this from every sample is lost
+PROJECT_WINDOW = 30.0    # m of arc ahead of the previous foot point (a fifth behind)
 
 
 @dataclass(frozen=True)
@@ -275,8 +278,7 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=kappa, strict=False)
 
 
-def project(path: RefPath, pose: Pose, prev_s: float | None = None,
-            horizon: float = 50.0, window: float = 30.0) -> PathProjection:
+def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProjection:
     """Project a pose onto the path: foot point, signed lateral and heading error.
 
     The foot point comes from quadratic interpolation of the squared
@@ -288,16 +290,17 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     if prev_s is None:
         lo, hi = 0, n
     else:
-        lo = int(np.searchsorted(path.s, prev_s - 0.2 * window)) - 1
-        hi = int(np.searchsorted(path.s, prev_s + window)) + 2
+        lo = int(np.searchsorted(path.s, prev_s - 0.2 * PROJECT_WINDOW)) - 1
+        hi = int(np.searchsorted(path.s, prev_s + PROJECT_WINDOW)) + 2
         lo, hi = max(0, lo), min(n, hi)
     dx = path.x[lo:hi] - pose.x
     dy = path.y[lo:hi] - pose.y
     d2 = dx * dx + dy * dy
     i = lo + int(np.argmin(d2))
-    if math.sqrt(d2[i - lo]) > horizon:
+    if math.sqrt(d2[i - lo]) > PROJECT_HORIZON:
         raise SimulationError(
-            f"pose ({pose.x:.1f}, {pose.y:.1f}) is beyond the {horizon} m horizon: vehicle lost"
+            f"pose ({pose.x:.1f}, {pose.y:.1f}) is beyond the {PROJECT_HORIZON} m horizon: "
+            "vehicle lost"
         )
 
     im = max(0, i - 1)
@@ -317,7 +320,7 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
             s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
         s_star = min(max(s_star, s0), s2)
 
-    j = int(np.clip(np.searchsorted(path.s, s_star) - 1, 0, n - 2))
+    j = min(max(int(np.searchsorted(path.s, s_star)) - 1, 0), n - 2)
     seg = float(path.s[j + 1] - path.s[j])
     a = (s_star - float(path.s[j])) / seg
     xf = float(path.x[j]) + a * float(path.x[j + 1] - path.x[j])
@@ -415,9 +418,7 @@ def write_recorded_csv(path, t, x, y, psi, yaw_rate=None, speed=None, steer=None
         if val is not None:
             cols[name] = val
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for row in zip(*cols.values()):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_float_csv(f, cols, list(cols.values()))
 
 
 def position_noise_estimate(path: RefPath) -> float:

@@ -9,8 +9,10 @@ Separate scenarios share no state and may run concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +21,9 @@ from . import SimulationError
 from .curvkit import KfState, ackermann_curvature, differential_sample, feedforward_steer, \
     kf_step
 from .lqr import GainSchedule
-from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams
+from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams, \
+    dynamic_derivative, kinematic_derivative
+from .numkit import write_float_csv
 from .pathkit import PathProjection, RefPath, project
 
 SETTLE_BAND = 0.05  # m, |e_y| band used for settle metrics
@@ -46,10 +50,7 @@ class SensorConfig:
     delay_steps: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0 or self.quantization_step < 0 or self.delay_steps < 0:
-            raise ValueError("sensor parameters must be nonnegative")
-        if self.rate_hz is not None and self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        _validate(self, ("noise_std", "quantization_step"), "rate_hz")
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,21 @@ class ActuatorConfig:
     rate_limit: float | None = None
 
     def __post_init__(self):
-        if self.lag_tau < 0 or self.delay_steps < 0:
-            raise ValueError("actuator parameters must be nonnegative")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive")
+        _validate(self, ("lag_tau",), "rate_limit")
+
+
+def _validate(cfg, nonnegative: tuple[str, ...], optional_positive: str) -> None:
+    """Finite nonnegative fields, a positive-or-None one, an integer delay_steps;
+    the comparisons are written so that NaN fails them."""
+    for name in nonnegative:
+        if not 0.0 <= getattr(cfg, name) < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {getattr(cfg, name)}")
+    value = getattr(cfg, optional_positive)
+    if value is not None and not value > 0:
+        raise ValueError(f"{optional_positive} must be positive, got {value}")
+    d = cfg.delay_steps
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 0:
+        raise ValueError(f"delay_steps must be a nonnegative integer, got {d!r}")
 
 
 def default_sensors() -> dict[str, SensorConfig]:
@@ -112,7 +124,7 @@ class ScenarioConfig:
             if name not in default_sensors():
                 raise ValueError(f"unknown sensor channel {name!r}")
         constant = isinstance(self.speed, (int, float))
-        knots = [(0.0, self.speed)] if constant else list(self.speed)
+        knots = self.speed_table
         if not knots:
             raise ValueError("speed table needs at least one [t, v] knot")
         for i, (t, v) in enumerate(knots):
@@ -122,11 +134,17 @@ class ScenarioConfig:
                 raise ValueError(f"{where}: speeds must be positive and finite, times finite "
                                  "and strictly ascending")
 
-    def speed_at(self, t: float) -> float:
-        if isinstance(self.speed, (int, float)):
-            return float(self.speed)
-        ts, vs = zip(*self.speed)
-        return float(np.interp(t, ts, vs))
+    @property
+    def speed_table(self) -> list[tuple[float, float]]:
+        """[(t, v), ...] knots; a constant speed is one knot."""
+        return [(0.0, self.speed)] if isinstance(self.speed, (int, float)) else list(self.speed)
+
+    def speed_at(self, t):
+        """Speed command at time t, a float or an array of times: linear
+        between knots, held beyond the first and last."""
+        ts, vs = zip(*self.speed_table)
+        v = np.interp(t, ts, vs)
+        return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass
@@ -159,15 +177,9 @@ class SimLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def to_csv(self, fobj) -> None:
         fobj.write("# steerkit simulation log; SI units, radians; saturated is 0/1\n")
-        fobj.write(",".join(CSV_COLUMNS) + "\n")
-        cols = [self.column(c) for c in CSV_COLUMNS]
-        for row in zip(*cols):
-            fobj.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_float_csv(fobj, CSV_COLUMNS, [getattr(self, c) for c in CSV_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -198,53 +210,21 @@ class Metrics:
         }
 
 
-def rk4_step(deriv: Callable[[np.ndarray, object], np.ndarray],
-             state: np.ndarray, u, dt: float) -> np.ndarray:
+def rk4_step(deriv: Callable[[Sequence[float], object], Sequence[float]],
+             state: Sequence[float], u, dt: float) -> list[float]:
     """Classical 4th-order Runge-Kutta step with the input held constant."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    h = 0.5 * dt
     k1 = deriv(state, u)
-    k2 = deriv(state + 0.5 * dt * k1, u)
-    k3 = deriv(state + 0.5 * dt * k2, u)
-    k4 = deriv(state + dt * k3, u)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    k2 = deriv([x + h * k for x, k in zip(state, k1)], u)
+    k3 = deriv([x + h * k for x, k in zip(state, k2)], u)
+    k4 = deriv([x + dt * k for x, k in zip(state, k3)], u)
+    c = dt / 6.0
+    out = [x + c * (a + 2.0 * b + 2.0 * g + d) for x, a, b, g, d in zip(state, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise SimulationError("non-finite state after integration step")
     return out
-
-
-def kinematic_deriv(p: VehicleParams) -> Callable[[np.ndarray, ControlInput], np.ndarray]:
-    """Derivative of (x, y, psi) for the rear-axle kinematic bicycle."""
-    wheelbase = p.wheelbase
-
-    def f(state: np.ndarray, u: ControlInput) -> np.ndarray:
-        _, _, psi = state
-        return np.array([
-            u.v * math.cos(psi),
-            u.v * math.sin(psi),
-            u.v / wheelbase * math.tan(u.delta),
-        ])
-
-    return f
-
-
-def dynamic_deriv(p: VehicleParams) -> Callable[[np.ndarray, ControlInput], np.ndarray]:
-    """Derivative of (x, y, psi, vy, r) for the linear-tire single track model."""
-
-    def f(state: np.ndarray, u: ControlInput) -> np.ndarray:
-        _, _, psi, vy, r = state
-        vx = u.v
-        fyf = 2.0 * p.caf * (u.delta - (vy + p.lf * r) / vx)
-        fyr = -2.0 * p.car * (vy - p.lr * r) / vx
-        return np.array([
-            vx * math.cos(psi) - vy * math.sin(psi),
-            vx * math.sin(psi) + vy * math.cos(psi),
-            r,
-            (fyf + fyr) / p.m - vx * r,
-            (p.lf * fyf - p.lr * fyr) / p.iz,
-        ])
-
-    return f
 
 
 def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
@@ -256,7 +236,7 @@ def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
     gains = schedule.lookup(v)
     delta_fb = -gains.k[0] * proj.e_y - gains.k[1] * proj.e_psi
     delta = delta_fb + feedforward_steer(proj.kappa, p.wheelbase)
-    return ControlInput(v=v, delta=float(np.clip(delta, -p.max_steer, p.max_steer)))
+    return ControlInput(v=v, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
 
 
 def dynamic_controller(err: ErrorState, vx: float, schedule: GainSchedule,
@@ -267,27 +247,25 @@ def dynamic_controller(err: ErrorState, vx: float, schedule: GainSchedule,
     gains = schedule.lookup(vx)
     delta_fb = -float(gains.k @ err.as_array())
     delta = delta_fb + feedforward_steer(kappa, p.wheelbase)
-    return ControlInput(v=vx, delta=float(np.clip(delta, -p.max_steer, p.max_steer)))
+    return ControlInput(v=vx, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
 
 
 class _Channel:
     """Sampled sensor channel with noise, quantization, and a delay buffer."""
 
-    def __init__(self, cfg: SensorConfig, period_steps: int, initial: float, rng):
-        self.cfg = cfg
-        self.period = max(1, period_steps)
+    def __init__(self, cfg: SensorConfig, period: int, initial: float, rng):
+        self.period = period
+        self.noise_std, self.q = cfg.noise_std, cfg.quantization_step
         self.buffer = deque([initial] * (cfg.delay_steps + 1), maxlen=cfg.delay_steps + 1)
         self.rng = rng
 
-    def maybe_sample(self, step: int, true_value: float) -> None:
+    def maybe_sample(self, step: int, v: float) -> None:
         if step % self.period:
             return
-        v = true_value
-        if self.cfg.noise_std > 0:
-            v += self.cfg.noise_std * self.rng.standard_normal()
-        q = self.cfg.quantization_step
-        if q > 0:
-            v = round(v / q) * q
+        if self.noise_std > 0:
+            v += self.noise_std * self.rng.standard_normal()
+        if self.q > 0:
+            v = round(v / self.q) * self.q
         self.buffer.append(v)
 
     def latest(self) -> float:
@@ -321,86 +299,73 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     y0 = float(path.y[0]) + e_y0 * math.cos(psi0)
     heading0 = psi0 + e_psi0
 
-    if cfg.model == "kinematic":
-        state = np.array([x0, y0, heading0])
-        deriv = kinematic_deriv(p)
+    n_steps = int(round(cfg.t_end / cfg.sim_dt))
+    times = np.arange(n_steps + 1) * cfg.sim_dt
+    speeds = cfg.speed_at(times).tolist()
+    # the solver's psi stays unwrapped; only the Pose handed to project wraps it
+    kinematic = cfg.model == "kinematic"
+    if kinematic:
+        state = [x0, y0, heading0]
+        deriv = partial(kinematic_derivative, p=p)
     else:
-        state = np.array([x0, y0, heading0, 0.0, 0.0])
-        deriv = dynamic_deriv(p)
-        if cfg.speed_at(0.0) <= MIN_DYNAMIC_SPEED:
+        state = [x0, y0, heading0, 0.0, 0.0]
+        deriv = partial(dynamic_derivative, p=p)
+        if speeds[0] <= MIN_DYNAMIC_SPEED:
             raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
 
     control_every = int(round(cfg.control_dt / cfg.sim_dt))
-    n_steps = int(round(cfg.t_end / cfg.sim_dt))
+    sensors = default_sensors() | cfg.sensors
+    proj = project(path, Pose(x0, y0, heading0))
 
-    channels: dict[str, _Channel] = {}
-    sensor_cfgs = dict(default_sensors())
-    sensor_cfgs.update(cfg.sensors)
-    first_proj = project(path, Pose(x0, y0, heading0))
-    initial_truth = {
-        "lateral": first_proj.e_y,
-        "heading": first_proj.e_psi,
-        "yaw_rate": 0.0,
-        "steer": cfg.initial_steer,
-        "speed": cfg.speed_at(0.0),
-    }
-    for name in sorted(sensor_cfgs):
-        scfg = sensor_cfgs[name]
+    def channel(name: str, initial: float) -> _Channel:
+        scfg = sensors[name]
         period = control_every if scfg.rate_hz is None else max(
             1, int(round(1.0 / (scfg.rate_hz * cfg.sim_dt))))
-        channels[name] = _Channel(scfg, period, initial_truth[name], rng)
+        return _Channel(scfg, period, initial, rng)
+
+    # offered a sample every step in this fixed (name) order, which fixes the noise draws
+    heading_ch = channel("heading", proj.e_psi)
+    lateral_ch = channel("lateral", proj.e_y)
+    speed_ch = channel("speed", speeds[0])
+    steer_ch = channel("steer", cfg.initial_steer)
+    yaw_ch = channel("yaw_rate", 0.0)
 
     act = cfg.actuator
     cmd_buffer = deque([cfg.initial_steer] * (act.delay_steps + 1), maxlen=act.delay_steps + 1)
     lag_alpha = 1.0 - math.exp(-cfg.sim_dt / act.lag_tau) if act.lag_tau > 0 else 1.0
-    delta_act = cfg.initial_steer
-    delta_cmd = cfg.initial_steer
+    max_move = None if act.rate_limit is None else act.rate_limit * cfg.sim_dt
+    delta_act = delta_cmd = cfg.initial_steer
     saturated = False
+    wheelbase = p.wheelbase
 
     kf = KfState()
     kappa_fused, kf_p, q_step = kf.kappa_hat, kf.p, kf.q_process * cfg.control_dt
     kappa_ack = kappa_diff = 0.0
 
-    cols: dict[str, list] = {name: [] for name in CSV_COLUMNS}
-    prev_s = None
+    rows = np.empty((n_steps + 1, len(CSV_COLUMNS)))
     odometer = 0.0
     stop_reason = "t_end"
     end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
 
-    for step in range(n_steps + 1):
-        t = step * cfg.sim_dt
-        v = cfg.speed_at(t)
-        pose = Pose(float(state[0]), float(state[1]), float(state[2]))
-        proj = project(path, pose, prev_s=prev_s)
-        prev_s = proj.s
-        if path.closed and prev_s >= end_s:
-            # start and end coincide on a closed path; wrap the search memory
-            prev_s -= path.length
-
-        if cfg.model == "kinematic":
+    for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
+        if kinematic:
             vy = 0.0
-            yaw_rate = v / p.wheelbase * math.tan(delta_act)
+            yaw_rate = v / wheelbase * math.tan(delta_act)
         else:
-            vy = float(state[3])
-            yaw_rate = float(state[4])
+            vy, yaw_rate = state[3], state[4]
 
-        # sensors sample on their own cadence, in fixed name order
-        truth = {
-            "lateral": proj.e_y,
-            "heading": proj.e_psi,
-            "yaw_rate": yaw_rate,
-            "steer": delta_act,
-            "speed": v,
-        }
-        for name in sorted(channels):
-            channels[name].maybe_sample(step, truth[name])
+        heading_ch.maybe_sample(step, proj.e_psi)
+        lateral_ch.maybe_sample(step, proj.e_y)
+        speed_ch.maybe_sample(step, v)
+        steer_ch.maybe_sample(step, delta_act)
+        yaw_ch.maybe_sample(step, yaw_rate)
 
         if step % control_every == 0:
-            e_y_m = channels["lateral"].latest()
-            e_psi_m = channels["heading"].latest()
-            v_m = max(channels["speed"].latest(), 1e-6)
-            yaw_m = channels["yaw_rate"].latest()
-            steer_m = channels["steer"].latest()
+            e_y_m = lateral_ch.latest()
+            e_psi_m = heading_ch.latest()
+            v_m = max(speed_ch.latest(), 1e-6)
+            yaw_m = yaw_ch.latest()
+            steer_m = steer_ch.latest()
 
             if cfg.controller == "kinematic_ff_fb":
                 meas_proj = PathProjection(s=proj.s, e_y=e_y_m, e_psi=e_psi_m, kappa=proj.kappa)
@@ -414,32 +379,22 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             cmd_buffer.append(delta_cmd)
 
             # curvature estimators run alongside the controller
-            kappa_ack = ackermann_curvature(steer_m, p.wheelbase)
+            kappa_ack = ackermann_curvature(steer_m, wheelbase)
             kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
             kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
                                         kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
 
         target = cmd_buffer[0]
-        if act.rate_limit is not None:
-            max_move = act.rate_limit * cfg.sim_dt
-            delta_next = delta_act + lag_alpha * (target - delta_act)
-            delta_act = delta_act + float(np.clip(delta_next - delta_act, -max_move, max_move))
-        else:
+        if max_move is None:
             delta_act = delta_act + lag_alpha * (target - delta_act)
+        else:
+            delta_next = delta_act + lag_alpha * (target - delta_act)
+            delta_act = delta_act + min(max(delta_next - delta_act, -max_move), max_move)
 
-        row = {
-            "t": t, "x": state[0], "y": state[1], "psi": state[2],
-            "vy": vy, "yaw_rate": yaw_rate, "odometer": odometer,
-            "v_cmd": v, "delta_cmd": delta_cmd, "delta_act": delta_act,
-            "saturated": float(saturated),
-            "s": proj.s, "e_y": proj.e_y, "e_psi": proj.e_psi,
-            "e_y_dot": vy + v * proj.e_psi,
-            "e_psi_dot": yaw_rate - v * proj.kappa,
-            "kappa_path": proj.kappa, "kappa_ack": kappa_ack,
-            "kappa_diff": kappa_diff, "kappa_fused": kappa_fused,
-        }
-        for name, val in row.items():
-            cols[name].append(float(val))
+        rows[step] = (t, state[0], state[1], state[2], vy, yaw_rate, odometer,
+                      v, delta_cmd, delta_act, saturated,
+                      proj.s, proj.e_y, proj.e_psi, vy + v * proj.e_psi,
+                      yaw_rate - v * proj.kappa, proj.kappa, kappa_ack, kappa_diff, kappa_fused)
 
         if proj.s >= end_s and not path.closed:
             stop_reason = "path_end"
@@ -448,21 +403,26 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             break
         state = rk4_step(deriv, state, ControlInput(v=v, delta=delta_act), cfg.sim_dt)
         odometer += v * cfg.sim_dt
+        prev_s = proj.s
+        if path.closed and prev_s >= end_s:
+            # start and end coincide on a closed path; wrap the search memory
+            prev_s -= path.length
+        proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)
 
-    return SimLog(**{name: np.array(vals) for name, vals in cols.items()},
+    return SimLog(**dict(zip(CSV_COLUMNS, rows[:step + 1].T)),
                   stop_reason=stop_reason, seed=cfg.seed)
 
 
-def compute_metrics(log: SimLog, band: float = SETTLE_BAND) -> Metrics:
+def compute_metrics(log: SimLog) -> Metrics:
     """Tracking metrics over the whole run and after first path contact.
 
     Settle distance is the odometer reading at the first entry into the
-    |e_y| < band window that holds to the end of the log.
+    |e_y| < SETTLE_BAND window that holds to the end of the log.
     """
     if len(log) == 0:
         raise ValueError("empty log")
     abs_ey = np.abs(log.e_y)
-    inside = abs_ey < band
+    inside = abs_ey < SETTLE_BAND
     settled = bool(inside[-1])
     settle_distance = None
     if settled:
@@ -470,7 +430,7 @@ def compute_metrics(log: SimLog, band: float = SETTLE_BAND) -> Metrics:
         settle_idx = int(last_bad[-1]) + 1 if len(last_bad) else 0
         settle_distance = float(log.odometer[settle_idx] - log.odometer[0])
 
-    contact = np.nonzero(abs_ey <= band)[0]
+    contact = np.nonzero(abs_ey <= SETTLE_BAND)[0]
     c = int(contact[0]) if len(contact) else None
     return Metrics(
         max_abs_e_y=float(np.max(abs_ey)),

@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here, not configurable.
 import json
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,7 @@ from steerkit.models import ControlInput, Pose, kinematic_derivative, \
     kinematic_error_model, pfaffian_residuals
 from steerkit.numkit import dare_residual, solve_dare
 from steerkit.pathkit import gen_path, load_recorded
-from steerkit.simkit import ScenarioConfig, compute_metrics, kinematic_deriv, rk4_step, \
-    run_scenario
+from steerkit.simkit import ScenarioConfig, compute_metrics, rk4_step, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
 EQUAL = LqrWeights((1.0, 1.0), 1.0)
@@ -131,7 +131,7 @@ def test_criterion_5_curvature_agreement(params):
     # steady circular motion of the kinematic plant at constant Ackermann steer
     radius = 50.0
     delta = math.atan(params.wheelbase / radius)
-    deriv = kinematic_deriv(params)
+    deriv = partial(kinematic_derivative, p=params)
     u = ControlInput(10.0, delta)
     state = np.array([0.0, 0.0, 0.0])
     for _ in range(2000):
@@ -236,8 +236,8 @@ def test_criterion_8_model_cross_checks(params, kinematic_schedule):
     for i in range(len(log)):
         pose = Pose(log.x[i], log.y[i], log.psi[i])
         u = ControlInput(log.v_cmd[i], log.delta_act[i])
-        r_rear, r_front = pfaffian_residuals(pose, kinematic_derivative(pose, u, params),
-                                             u, params)
+        vel = kinematic_derivative((pose.x, pose.y, pose.psi), u, params)
+        r_rear, r_front = pfaffian_residuals(pose, vel, u, params)
         worst = max(worst, abs(r_rear), abs(r_front))
     assert worst < 1e-12
 
@@ -245,7 +245,7 @@ def test_criterion_8_model_cross_checks(params, kinematic_schedule):
     def arc_error(dt):
         radius, speed = 50.0, 10.0
         u = ControlInput(speed, math.atan(params.wheelbase / radius))
-        deriv = kinematic_deriv(params)
+        deriv = partial(kinematic_derivative, p=params)
         period = 0.5 * math.pi * radius / speed
         steps = int(round(period / dt))
         state = np.array([0.0, 0.0, 0.0])

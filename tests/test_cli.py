@@ -95,6 +95,19 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "speed nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, entry, field", [
+        ("actuator", {"lag_tau": math.nan}, "lag_tau"),
+        ("sensors", {"lateral": {"noise_std": math.nan}}, "noise_std"),
+        ("actuator", {"delay_steps": 1.5}, "delay_steps"),
+        ("sensors", {"heading": {"delay_steps": 1.5}}, "delay_steps"),
+    ])
+    def test_nan_or_fractional_delay_exit_3(self, tmp_path, capsys, key, entry, field):
+        cfg = write_circle_config(tmp_path, **{key: entry})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_weights_count_exit_3(self, tmp_path, capsys):
         cfg = write_circle_config(tmp_path, gains={"grid": [1.0, 15.0, 8],
                                                    "weights": {"q": [1.0, 1.0, 1.0]}})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steerkit.models import (
-    ControlInput, DynamicState, Pose, VehicleParams, dynamic_matrices,
+    ControlInput, DynamicState, Pose, VehicleParams, dynamic_derivative, dynamic_matrices,
     error_dynamics_matrices, front_axle_pose, kinematic_derivative,
     kinematic_error_model, pfaffian_residuals, slip_angles, wrap_angle,
 )
@@ -37,10 +37,10 @@ class TestPose:
 
 class TestKinematicDerivative:
     def test_straight_ahead(self, params):
-        assert kinematic_derivative(Pose(0, 0, 0), ControlInput(1.0, 0.0), params) == (1.0, 0.0, 0.0)
+        assert kinematic_derivative((0, 0, 0), ControlInput(1.0, 0.0), params) == (1.0, 0.0, 0.0)
 
     def test_due_north(self, params):
-        dx, dy, dpsi = kinematic_derivative(Pose(0, 0, math.pi / 2), ControlInput(2.0, 0.0), params)
+        dx, dy, dpsi = kinematic_derivative((0, 0, math.pi / 2), ControlInput(2.0, 0.0), params)
         assert dx == pytest.approx(0.0, abs=1e-15)
         assert dy == pytest.approx(2.0, abs=1e-15)
         assert dpsi == 0.0
@@ -48,12 +48,25 @@ class TestKinematicDerivative:
     def test_circle_yaw_rate(self, params):
         # steering for a 50 m radius at 10 m/s turns at V/R
         delta = math.atan(params.wheelbase / 50.0)
-        _, _, dpsi = kinematic_derivative(Pose(0, 0, 0.3), ControlInput(10.0, delta), params)
+        _, _, dpsi = kinematic_derivative((0, 0, 0.3), ControlInput(10.0, delta), params)
         assert dpsi == pytest.approx(10.0 / 50.0, abs=1e-14)
 
     def test_steer_singularity(self, params):
         with pytest.raises(ValueError):
-            kinematic_derivative(Pose(0, 0, 0), ControlInput(1.0, math.pi / 2), params)
+            kinematic_derivative((0, 0, 0), ControlInput(1.0, math.pi / 2), params)
+
+
+class TestDynamicDerivative:
+    def test_lateral_rows_match_dynamic_matrices(self, params):
+        # the simulated plant and the design model are one single-track model
+        vx, vy, r, delta = 12.0, 0.3, 0.1, 0.05
+        d = dynamic_derivative((1.0, 2.0, 0.4, vy, r), ControlInput(vx, delta), params)
+        sys = dynamic_matrices(vx, params)
+        lin = sys.A @ np.array([0.0, vy, 0.0, r]) + sys.B[:, 0] * delta
+        assert d[3] == pytest.approx(lin[1], rel=1e-12)
+        assert d[4] == pytest.approx(lin[3], rel=1e-12)
+        assert d[2] == r
+        assert math.hypot(d[0], d[1]) == pytest.approx(math.hypot(vx, vy), rel=1e-12)
 
 
 class TestFrontAxle:
@@ -77,7 +90,7 @@ class TestPfaffian:
         for _ in range(50):
             pose = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))
             u = ControlInput(rng.uniform(0.5, 20.0), rng.uniform(-0.5, 0.5))
-            vel = kinematic_derivative(pose, u, params)
+            vel = kinematic_derivative((pose.x, pose.y, pose.psi), u, params)
             r_rear, r_front = pfaffian_residuals(pose, vel, u, params)
             assert abs(r_rear) < 1e-12
             assert abs(r_front) < 1e-12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steerkit import SimulationError
 from steerkit.models import Pose
@@ -150,6 +151,24 @@ class TestProject:
         assert pr.e_psi == pytest.approx(3.0, abs=1e-12)
         pr2 = project(p, Pose(10.0, 0.0, -3.0))
         assert pr2.e_psi == pytest.approx(-3.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["line", "left", "right"]),
+           heading=st.floats(-math.pi, math.pi), radius=st.floats(10.0, 200.0),
+           frac=st.floats(0.1, 0.9), d=st.floats(-2.0, 2.0), a=st.floats(-1.5, 1.5))
+    def test_sign_conventions_property(self, kind, heading, radius, frac, d, a):
+        # offset d along the left normal, heading error a: e_y = d, e_psi = a
+        if kind == "line":
+            p = gen_path("line", spacing=0.1, length=50.0, heading=heading)
+        else:
+            p = gen_path("circle", spacing=0.1, radius=radius, arc_deg=180.0,
+                         direction=kind, heading=heading)
+        i = int(frac * (len(p) - 1))
+        psi = float(p.psi[i])
+        pose = Pose(float(p.x[i]) - d * math.sin(psi), float(p.y[i]) + d * math.cos(psi), psi + a)
+        pr = project(p, pose)
+        assert pr.e_y == pytest.approx(d, abs=1e-9)
+        assert pr.e_psi == pytest.approx(a, abs=1e-9)
 
     def test_beyond_horizon_raises(self):
         p = gen_path("line", spacing=0.1, length=50.0)

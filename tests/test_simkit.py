@@ -1,5 +1,6 @@
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from steerkit.pathkit import PathProjection, gen_path
 from steerkit.simkit import (
     ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
     compute_metrics, default_sensors, dynamic_controller, kinematic_controller,
-    kinematic_deriv, rk4_step, run_scenario,
+    rk4_step, run_scenario,
 )
 
 
@@ -36,7 +37,7 @@ def synthetic_log(e_y, speed=2.0, dt=0.01):
 
 class TestRk4:
     def test_linear_motion_exact(self, params):
-        deriv = kinematic_deriv(params)
+        deriv = partial(kinematic_derivative, p=params)
         state = rk4_step(deriv, np.array([0.0, 0.0, 0.0]), ControlInput(1.0, 0.0), 0.01)
         assert state[0] == pytest.approx(0.01, abs=1e-18)
         assert state[1] == 0.0 and state[2] == 0.0
@@ -45,7 +46,7 @@ class TestRk4:
         # endpoint error against the analytic circular solution
         radius, v = 50.0, 10.0
         delta = math.atan(params.wheelbase / radius)
-        deriv = kinematic_deriv(params)
+        deriv = partial(kinematic_derivative, p=params)
         u = ControlInput(v, delta)
         period = arc * radius / v
         n = int(round(period / dt))
@@ -67,7 +68,7 @@ class TestRk4:
 
     def test_rejects_bad_dt(self, params):
         with pytest.raises(ValueError):
-            rk4_step(kinematic_deriv(params), np.zeros(3), ControlInput(1.0, 0.0), 0.0)
+            rk4_step(partial(kinematic_derivative, p=params), np.zeros(3), ControlInput(1.0, 0.0), 0.0)
 
     def test_nonfinite_state_aborts(self, params):
         def bad(state, u):
@@ -144,6 +145,10 @@ class TestScenarioConfig:
         assert cfg.speed_at(0.0) == 2.0
         assert cfg.speed_at(5.0) == pytest.approx(4.0)
         assert cfg.speed_at(20.0) == 6.0
+        ts = [0.0, 2.5, 5.0, 10.0, 20.0]
+        assert cfg.speed_at(np.array(ts)).tolist() == [cfg.speed_at(t) for t in ts]
+        constant = ScenarioConfig(path=path, speed=7.0)
+        assert constant.speed_at(np.zeros(3)).tolist() == [7.0, 7.0, 7.0]
 
     def test_speed_table_must_ascend(self):
         path = gen_path("line", spacing=0.1, length=30.0)
@@ -194,13 +199,41 @@ class TestRunScenario:
                             kinematic_schedule, params=params)
         assert not np.array_equal(log1.delta_cmd, log2.delta_cmd)
 
+    def test_path_end_log_has_exactly_the_stepped_rows(self, params, kinematic_schedule):
+        path = gen_path("line", spacing=0.1, length=40.0)
+        cfg = ScenarioConfig(path=path, speed=8.0, t_end=12.0, initial_offset=(0.3, 0.0))
+        log = run_scenario(cfg, kinematic_schedule, params=params)
+        assert log.stop_reason == "path_end"
+        assert len(log) < round(cfg.t_end / cfg.sim_dt) + 1
+        # the run stops on the first row past the end margin, and logs it
+        end_s = path.s[-1] - 2.0 * np.max(np.diff(path.s))
+        assert log.s[-1] >= end_s and np.all(log.s[:-1] < end_s)
+        np.testing.assert_array_equal(log.t, np.arange(len(log)) * cfg.sim_dt)
+        for name in CSV_COLUMNS:
+            assert np.all(np.isfinite(getattr(log, name))), name
+
+    def test_closed_circle_wraps_once_per_lap(self, params, kinematic_schedule):
+        path = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=360.0)
+        assert path.closed
+        t_end = 1.25 * path.length / 10.0
+        log = run_scenario(ScenarioConfig(path=path, speed=10.0, t_end=t_end),
+                           kinematic_schedule, params=params)
+        assert log.stop_reason == "t_end"
+        assert len(log) == round(t_end / 0.001) + 1
+        ds = np.diff(log.s)
+        back = np.nonzero(ds < 0)[0]
+        assert len(back) == 1
+        assert -ds[back[0]] == pytest.approx(path.length, abs=0.5)
+        assert np.all(np.delete(ds, back) >= 0)
+        assert compute_metrics(log).max_abs_e_y <= 0.10  # criterion 3 bound
+
     def test_pfaffian_residuals_along_log(self, params, kinematic_schedule):
         cfg = circle_scenario(speed=10.0, arc_deg=90.0, t_end=8.0)
         log = run_scenario(cfg, kinematic_schedule, params=params)
         for i in range(0, len(log), 500):
             pose = Pose(log.x[i], log.y[i], log.psi[i])
             u = ControlInput(log.v_cmd[i], log.delta_act[i])
-            vel = kinematic_derivative(pose, u, params)
+            vel = kinematic_derivative((pose.x, pose.y, pose.psi), u, params)
             r_rear, r_front = pfaffian_residuals(pose, vel, u, params)
             assert abs(r_rear) < 1e-12 and abs(r_front) < 1e-12
 
@@ -209,7 +242,8 @@ class TestRunScenario:
         log = run_scenario(cfg, kinematic_schedule, params=params)
         for i in range(0, len(log), 700):
             pose = Pose(log.x[i], log.y[i], log.psi[i])
-            vel = kinematic_derivative(pose, ControlInput(log.v_cmd[i], log.delta_act[i]), params)
+            vel = kinematic_derivative((pose.x, pose.y, pose.psi),
+                                       ControlInput(log.v_cmd[i], log.delta_act[i]), params)
             assert math.hypot(vel[0], vel[1]) == pytest.approx(log.v_cmd[i], abs=1e-9)
 
     def test_vehicle_lost_raises(self, params):
@@ -372,3 +406,19 @@ class TestDefaultSensors:
             SensorConfig(rate_hz=0.0)
         with pytest.raises(ValueError):
             ActuatorConfig(lag_tau=-0.1)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("noise_std", math.nan), ("quantization_step", math.nan), ("rate_hz", math.nan),
+        ("noise_std", math.inf), ("delay_steps", 1.5), ("delay_steps", -1),
+    ])
+    def test_sensor_rejects_nan_and_fractional_delay(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SensorConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field, bad", [
+        ("lag_tau", math.nan), ("rate_limit", math.nan), ("delay_steps", 1.5),
+        ("delay_steps", 2.0), ("delay_steps", -1),
+    ])
+    def test_actuator_rejects_nan_and_fractional_delay(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ActuatorConfig(**{field: bad})
