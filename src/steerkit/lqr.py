@@ -21,6 +21,7 @@ from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, wri
 
 CERT_MARGIN = 1e-6
 DEFAULT_CONTROL_DT = 0.02  # 50 Hz steering command rate
+CONTROL_DT_RANGE = (0.001, 0.1)  # s, a designable control period has lo < dt <= hi
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,16 @@ def _certify_on(sysd: StateSpace, model: str, k, v: float, dt: float) -> GainSet
     return GainSet(k=k, v=float(v), dt=float(dt), model=model, closed_loop_radius=rho)
 
 
+def check_control_dt(dt: float) -> float:
+    """Return dt, or raise ValueError unless it lies in CONTROL_DT_RANGE."""
+    lo, hi = CONTROL_DT_RANGE
+    if not lo < dt <= hi:
+        raise ValueError(f"control period must be in ({lo}, {hi}] s")
+    return dt
+
+
 def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) -> GainSet:
+    check_control_dt(dt)
     sysd = discrete_error_model(model, v, p, dt)
     n = sysd.n_states
     if len(w.q_diag) != n:
@@ -103,8 +113,6 @@ def design_kinematic(v: float, p: VehicleParams, w: LqrWeights,
     """LQR gains (k1 lateral, k2 heading) for the kinematic error model."""
     if v <= 0:
         raise ValueError("design speed must be positive")
-    if not (0.001 < dt <= 0.1):
-        raise ValueError("control period must be in (0.001, 0.1] s")
     return _design("kinematic", v, p, w, dt)
 
 
@@ -117,8 +125,6 @@ def design_dynamic(vx: float, p: VehicleParams, w: LqrWeights,
     """
     if vx <= MIN_DYNAMIC_SPEED:
         raise ValueError(f"dynamic design needs vx > {MIN_DYNAMIC_SPEED} m/s")
-    if not (0.001 < dt <= 0.1):
-        raise ValueError("control period must be in (0.001, 0.1] s")
     return _design("dynamic", vx, p, w, dt)
 
 

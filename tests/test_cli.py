@@ -1,10 +1,12 @@
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steerkit.cli import main
 from steerkit.pathkit import read_recorded_csv
@@ -317,3 +319,162 @@ class TestSmooth:
         smoothed = load_recorded(cols["t"], cols["X"], cols["Y"], cols["psi"])
         mid = slice(len(smoothed) // 10, -len(smoothed) // 10)
         assert np.all(np.abs(smoothed.kappa[mid] - 0.02) <= 0.05 * 0.02 + 1e-4)
+
+
+SEDAN = str(CONFIGS / "sedan.json")
+PARKING_PATH = str(CONFIGS / "parking_path.csv")
+
+
+class TestExitCodes:
+    """Usage and flag errors are input errors (exit 3) named on stderr; a grid the
+    designer rejects is a design failure (exit 4) from `simulate` as from `design`."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["design", SEDAN, "--dt", "abc"], "--dt"),
+        (["design", SEDAN, "--dt", "0"], "--dt"),
+        (["design", SEDAN, "--dt", "nan"], "--dt"),
+        (["design", SEDAN, "--dt=--"], "--dt"),
+        (["design", SEDAN, "--grid", "nan,3"], "--grid"),
+        (["design", SEDAN, "--bogus"], "--bogus"),
+        (["design", SEDAN, "--model", "foo"], "--model"),
+        (["margins", SEDAN], "--speed"),
+        (["margins", SEDAN, "--speed", "abc"], "--speed"),
+        (["margins", SEDAN, "--speed", "10", "--points", "abc"], "--points"),
+        (["margins", SEDAN, "--speed", "10", "--points", "0"], "--points"),
+        (["margins", SEDAN, "--speed", "10", "--points", "1"], "--points"),
+        (["smooth", PARKING_PATH, "--speed", "nan"], "--speed"),
+        (["smooth", PARKING_PATH, "--speed", "inf"], "--speed"),
+    ])
+    def test_bad_flag_exit_3(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_grid_rejected_by_designer_exit_4(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, gains={"grid": [0.1, 5.0, 2]})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 4
+        assert "grid speed 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_control_dt_out_of_range_exit_3(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, control_dt=0.2)
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert "control period" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigNumbers:
+    """Every config number is a JSON number, an integer where one is meant;
+    anything else is exit 3 naming the key, never coerced."""
+
+    @pytest.mark.parametrize("override, key", [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"t_end": True}, "t_end"),
+        ({"speed": True}, "speed"),
+        ({"vehicle": {"m": True}}, "vehicle.m"),
+        ({"sim_dt": "0.001"}, "sim_dt"),
+        ({"seed": None}, "seed"),
+        ({"t_end": None}, "t_end"),
+        ({"speed": None}, "speed"),
+        ({"initial_offset": [None, 0.0]}, "initial_offset[0]"),
+        ({"path": {"kind": "circle", "radius": 50.0, "arc_deg": 90.0, "spacing": None}},
+         "path.spacing"),
+        ({"gains": {"grid": [1.0, None, 8]}}, "gains.grid[1]"),
+        ({"actuator": {"delay_steps": True}}, "actuator.delay_steps"),
+        ({"sensors": {"speed": {"noise_std": "0.1"}}}, "sensors.speed.noise_std"),
+    ])
+    def test_not_a_number_exit_3(self, tmp_path, capsys, override, key):
+        cfg = write_circle_config(tmp_path, t_end=1.0)
+        data = json.loads(cfg.read_text())
+        data.update(override)
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optional_null_and_integral_numbers_accepted(self, tmp_path):
+        cfg = write_circle_config(tmp_path, t_end=1, speed=10, initial_offset=[0, 0],
+                                  actuator={"rate_limit": None},
+                                  sensors={"yaw_rate": {"rate_hz": None}})
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _listed(out: Path) -> set[str]:
+    """Files a manifest accounts for: its artifacts, and those of listed sub-manifests."""
+    names = set()
+    for name in json.loads((out / "manifest.json").read_text())["artifacts"]:
+        names.add(name)
+        if Path(name).name == "manifest.json":
+            sub = Path(name).parent
+            names |= {str(sub / n) for n in _listed(out / sub)}
+    return names
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "design", "margins",
+                                         "curvature", "smooth"])
+    def test_artifacts_are_exactly_the_files_written(self, tmp_path, command):
+        cfg = write_circle_config(tmp_path, t_end=2.0)
+        argv = {
+            "simulate": ["simulate", str(cfg)],
+            "sweep": ["simulate", str(cfg), "--sweep", "initial_offset.0=0.1,-0.1"],
+            "design": ["design", SEDAN],
+            "margins": ["margins", SEDAN, "--speed", "10", "--points", "50"],
+            "curvature": ["curvature", str(write_drive_log(tmp_path, n=100))],
+            "smooth": ["smooth", PARKING_PATH],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert _listed(out) == written - {"manifest.json"}
+        if command == "sweep":
+            assert json.loads((out / "manifest.json").read_text())["artifacts"] == [
+                "00_initial_offset_0_0.1/manifest.json", "01_initial_offset_0_-0.1/manifest.json"]
+
+
+_TOKENS = [*"0123456789", ".", "-", "e", ":", ",", "nan", "inf", "a", "x"]
+
+
+def _flag_text(max_tokens: int = 6):
+    return st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=max_tokens).map("".join)
+
+
+def _int_or_none(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _small_grid(text: str) -> bool:
+    """A lo:hi:n grid of at most 20 points, or anything that is not one."""
+    n = _int_or_none(text.rsplit(":", 1)[-1]) if text.count(":") == 2 else None
+    return n is None or n <= 20
+
+
+class TestFlagProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["design", "margins"]),
+           dt=st.none() | _flag_text(),
+           speed=st.none() | _flag_text(),
+           points=st.none() | _flag_text(4).filter(lambda t: (_int_or_none(t) or 0) <= 1000),
+           grid=st.none() | _flag_text(8).filter(_small_grid),
+           weights=st.none() | _flag_text(10),
+           model=st.sampled_from(["kinematic", "dynamic"]))
+    def test_flags_never_crash(self, command, dt, speed, points, grid, weights, model):
+        flags = {"--dt": dt, "--weights": weights, "--model": model}
+        if command == "design":
+            flags["--grid"] = grid
+        else:
+            flags.update({"--speed": speed, "--points": points})
+        argv = [command, SEDAN]
+        for flag, value in flags.items():
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        with tempfile.TemporaryDirectory() as d:
+            assert main(argv + ["--out", str(Path(d) / "o")]) in (0, 3, 4)

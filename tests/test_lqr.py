@@ -65,6 +65,18 @@ class TestDesignKinematic:
         assert rho < 1.0 - 1e-6
 
 
+class TestControlDtRange:
+    @pytest.mark.parametrize("design, v, w", [(design_kinematic, 5.0, EQUAL),
+                                              (design_dynamic, 5.0, EQUAL4)])
+    def test_both_designers_share_one_range(self, params, design, v, w):
+        lo, hi = lqr.CONTROL_DT_RANGE
+        assert design(v, params, w, hi).dt == hi
+        for dt in (lo, hi * 1.001, math.nan):
+            with pytest.raises(ValueError, match="control period"):
+                design(v, params, w, dt)
+        assert lqr.check_control_dt(lqr.DEFAULT_CONTROL_DT) == lqr.DEFAULT_CONTROL_DT
+
+
 class TestDesignDiscretizesOnce:
     @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
     def test_one_c2d_per_designed_gain(self, params, model, monkeypatch):
