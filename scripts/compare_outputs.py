@@ -1,0 +1,115 @@
+"""Byte-compare steerkit's command outputs between two checkouts.
+
+    python3 scripts/compare_outputs.py OLD_ROOT NEW_ROOT [--work DIR] [--desk-seeds 0-7]
+
+Each root is a repository checkout (the directory holding `src/` and
+`bench/`).  Both sides run the benchmark's `track` plan and its `desk` plan
+for every listed seed (design, margins, curvature and the `dyn`/`kin`
+simulations), each plan in one fresh process that imports steerkit from
+that side's `src/`.  The inputs come from NEW_ROOT's `bench/workloads.py`
+for both sides, so only the program differs.
+
+The script reports, and exits 1 on, any difference in:
+  - the exit code or the stdout line of a command (with the side's work
+    directory replaced by a placeholder);
+  - the set of artifacts a command wrote, or the sha256 of any artifact
+    except `manifest.json`, which records per-run paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def _run_plan(src: str, plan_file: str) -> None:
+    """Child mode: run a plan's commands through cli.main, print one JSON list."""
+    sys.path.insert(0, src)
+    from steerkit import cli
+
+    results = []
+    for cmd in json.loads(Path(plan_file).read_text(encoding="utf-8"))["commands"]:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(cmd["argv"])
+        results.append({"name": cmd["name"], "rc": rc, "stdout": buf.getvalue()})
+    print(json.dumps(results))
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*")) if f.is_file() and f.name != "manifest.json"}
+
+
+def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) -> dict:
+    """Run every plan on one side; key -> {stdout lines, exit codes, digests}."""
+    sys.path.insert(0, str(new_root / "bench"))
+    import workloads
+
+    record = {}
+    for workload, seed in plans:
+        key = f"{workload}-{seed}"
+        plan_dir = work / key
+        plan = workloads.generate(workload, seed, new_root, plan_dir)
+        plan_file = plan_dir / "plan.json"
+        plan_file.write_text(json.dumps({"commands": plan["commands"]}), encoding="utf-8")
+        proc = subprocess.run([sys.executable, __file__, "--child", str(root / "src"),
+                               str(plan_file)], capture_output=True, text=True, check=True)
+        runs = json.loads(proc.stdout.splitlines()[-1])
+        record[key] = {
+            "runs": [(r["name"], r["rc"], r["stdout"].replace(str(work), "<work>"))
+                     for r in runs],
+            "digests": _digests(plan_dir / "out"),
+        }
+        print(f"  {root.name}: {key} done, {len(record[key]['digests'])} artifacts",
+              file=sys.stderr)
+    return record
+
+
+def main(argv=None) -> int:
+    if argv is None and len(sys.argv) > 1 and sys.argv[1] == "--child":
+        _run_plan(sys.argv[2], sys.argv[3])
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("old_root", type=Path)
+    ap.add_argument("new_root", type=Path)
+    ap.add_argument("--work", type=Path, default=Path(".compare_work"))
+    ap.add_argument("--desk-seeds", type=_seeds, default=_seeds("0-7"))
+    args = ap.parse_args(argv)
+
+    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds]
+    new_root = args.new_root.resolve()
+    old = _side(args.old_root.resolve(), new_root, (args.work / "old").resolve(), plans)
+    new = _side(new_root, new_root, (args.work / "new").resolve(), plans)
+
+    failures = []
+    artifacts = 0
+    for key in old:
+        if old[key]["runs"] != new[key]["runs"]:
+            failures.append(f"{key}: exit codes or stdout differ: {old[key]['runs']} "
+                            f"vs {new[key]['runs']}")
+        a, b = old[key]["digests"], new[key]["digests"]
+        if set(a) != set(b):
+            failures.append(f"{key}: artifact sets differ: {sorted(set(a) ^ set(b))}")
+        failures += [f"{key}: {name} differs" for name in sorted(set(a) & set(b))
+                     if a[name] != b[name]]
+        artifacts += len(a)
+    for line in failures:
+        print(f"DIFF {line}")
+    print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -267,16 +267,20 @@ def _scenario_from_config(cfg: dict, config_path: Path):
     for name, entry in table.items():
         _require(name in sensors, f"unknown sensor channel {name!r}")
         sensors[name] = _build(simkit.SensorConfig, entry, f"sensors.{name}")
-    scenario = simkit.ScenarioConfig(
-        path=path, model=model, controller=controller, speed=speed,
-        t_end=_number(cfg.get("t_end", 60.0), "t_end"),
-        sim_dt=_number(cfg.get("sim_dt", 0.001), "sim_dt"),
-        control_dt=control_dt,
-        initial_offset=tuple(_number(v, f"initial_offset[{i}]") for i, v in enumerate(offset)),
-        sensors=sensors,
-        actuator=_build(simkit.ActuatorConfig, cfg.get("actuator", {}), "actuator"),
-        seed=_number(cfg.get("seed", 0), "seed", integer=True),
-    )
+    try:
+        scenario = simkit.ScenarioConfig(
+            path=path, model=model, controller=controller, speed=speed,
+            t_end=_number(cfg.get("t_end", 60.0), "t_end"),
+            sim_dt=_number(cfg.get("sim_dt", 0.001), "sim_dt"),
+            control_dt=control_dt,
+            initial_offset=tuple(_number(v, f"initial_offset[{i}]")
+                                 for i, v in enumerate(offset)),
+            sensors=sensors,
+            actuator=_build(simkit.ActuatorConfig, cfg.get("actuator", {}), "actuator"),
+            seed=_number(cfg.get("seed", 0), "seed", integer=True),
+        )
+    except ValueError as e:  # ConfigError included: every message names the file
+        raise ConfigError(f"{config_path}: {e}") from e
     schedule = _schedule_from_config(cfg, p, model, control_dt, base)
     return scenario, schedule, p
 
@@ -326,6 +330,29 @@ def _sweep_flag(text: str):
     return key, [(raw, json.loads(raw)) for raw in values.split(",")]
 
 
+def _set_dotted(cfg: dict, key: str, value) -> None:
+    """Set a dotted config key (object keys and list indices) to value; a
+    missing object key is created, any other step that does not resolve is
+    an input error naming the key."""
+    parts = key.split(".")
+    node = cfg
+    for depth, part in enumerate(parts):
+        where = ".".join(parts[:depth]) or "the config"
+        if isinstance(node, list):
+            index = int(part) if part.lstrip("-").isdigit() else len(node)
+            _require(-len(node) <= index < len(node),
+                     f"--sweep {key}: {where} is a list of {len(node)}, "
+                     f"so {part!r} is not an index of it")
+            part = index
+        else:
+            _require(isinstance(node, dict),
+                     f"--sweep {key}: {where} is {json.dumps(node)}, not an object or a list")
+        if depth == len(parts) - 1:
+            node[part] = value
+        else:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
+
+
 def cmd_simulate(args, out: OutputDir) -> str:
     config_path = Path(args.config)
     cfg = _read_json(config_path)
@@ -335,12 +362,9 @@ def cmd_simulate(args, out: OutputDir) -> str:
         _run_one_simulation(cfg, config_path, out)
         return f"simulation complete: artifacts in {out.root}"
     key, values = args.sweep
-    *parents, leaf = key.split(".")
     for i, (raw, val) in enumerate(values):
-        node = sub = json.loads(json.dumps(cfg))
-        for part in parents:
-            node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
-        node[int(leaf) if isinstance(node, list) else leaf] = val
+        sub = json.loads(json.dumps(cfg))
+        _set_dotted(sub, key, val)
         name = f"{i:02d}_{key.replace('.', '_')}_{raw}".replace("/", "_").replace(" ", "")
         _run_one_simulation(sub, config_path, OutputDir(out.root / name))
         out.path(f"{name}/manifest.json")
@@ -501,6 +525,8 @@ def _flag(convert, rule: str, ok=lambda value: True):
 _DT = _flag(lambda text: lqr.check_control_dt(float(text)),
             "a control period in ({}, {}] s".format(*lqr.CONTROL_DT_RANGE))
 _SPEED = _flag(float, "a positive finite speed in m/s", lambda v: 0.0 < v < math.inf)
+_SMOOTH_SPEED = _flag(float, f"a smoothing speed in (0, {pathkit.SMOOTH_SPEED_LIMIT:g}) m/s",
+                      lambda v: 0.0 < v < pathkit.SMOOTH_SPEED_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     smo = command("smooth", cmd_smooth, "smooth a recorded path by closed-loop tracking")
     smo.add_argument("path_csv", help="recorded path CSV")
     smo.add_argument("--params", help="vehicle params JSON")
-    smo.add_argument("--speed", type=_SPEED, default=3.0, help="tracking speed m/s [3.0]")
+    smo.add_argument("--speed", type=_SMOOTH_SPEED, default=3.0,
+                     help=f"tracking speed m/s, below {pathkit.SMOOTH_SPEED_LIMIT:g} [3.0]")
     return ap
 
 

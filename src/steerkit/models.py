@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,22 +61,21 @@ class VehicleParams:
         return self.lf + self.lr
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Planar configuration (X east, Y north, heading psi)."""
+class Pose(NamedTuple("Pose", [("x", float), ("y", float), ("psi", float)])):
+    """Planar configuration (X east, Y north, heading psi wrapped to (-pi, pi]).
 
-    x: float
-    y: float
-    psi: float
+    A tuple, cheap enough for the simulator to build one per step.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, psi: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi)):
             raise ValueError("pose entries must be finite")
-        object.__setattr__(self, "psi", wrap_angle(self.psi))
+        return tuple.__new__(cls, (x, y, wrap_angle(psi)))
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     """Speed command v (m/s) and road-wheel steering angle delta (rad)."""
 
     v: float
@@ -126,13 +126,14 @@ def kinematic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[floa
 
     dX = v cos(psi), dY = v sin(psi), dpsi = (v / L) tan(delta).
     """
-    if abs(u.delta) >= math.pi / 2:
-        raise ValueError(f"steer angle {u.delta} at/beyond tangent singularity pi/2")
+    v, delta = u
+    if abs(delta) >= math.pi / 2:
+        raise ValueError(f"steer angle {delta} at/beyond tangent singularity pi/2")
     _, _, psi = state
     return (
-        u.v * math.cos(psi),
-        u.v * math.sin(psi),
-        u.v / p.wheelbase * math.tan(u.delta),
+        v * math.cos(psi),
+        v * math.sin(psi),
+        v / p.wheelbase * math.tan(delta),
     )
 
 
@@ -143,8 +144,8 @@ def dynamic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float,
     the longitudinal speed vx = u.v is held.
     """
     _, _, psi, vy, r = state
-    vx = u.v
-    fyf = 2.0 * p.caf * (u.delta - (vy + p.lf * r) / vx)
+    vx, delta = u
+    fyf = 2.0 * p.caf * (delta - (vy + p.lf * r) / vx)
     fyr = -2.0 * p.car * (vy - p.lr * r) / vx
     return (
         vx * math.cos(psi) - vy * math.sin(psi),

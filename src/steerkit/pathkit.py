@@ -8,8 +8,9 @@ curvature means a left turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +26,13 @@ DEFAULT_KAPPA_BOUND = 0.75   # 1/m, ~1/(0.5 L) for a mid-size wheelbase
 HEADING_CONSISTENCY_TOL = 0.05
 PROJECT_HORIZON = 50.0   # m, a pose farther than this from every sample is lost
 PROJECT_WINDOW = 30.0    # m of arc ahead of the previous foot point (a fifth behind)
+# a smoothing run at speed v designs its gains on 4 speeds from max(FLOOR, v/2)
+# to min(CAP, 1.5 v + 1); that grid ascends, as build_schedule needs, while v/2 < CAP
+SMOOTH_GRID_FLOOR, SMOOTH_GRID_CAP = 0.6, 29.0
+SMOOTH_SPEED_LIMIT = 2.0 * SMOOTH_GRID_CAP
 
 
-@dataclass(frozen=True)
-class PathProjection:
+class PathProjection(NamedTuple):
     """Projection of a pose onto a path: foot arc length and signed errors."""
 
     s: float
@@ -71,6 +75,8 @@ class RefPath:
             self._check_consistency(kappa_bound)
         for arr in (self.s, self.x, self.y, self.psi, self.kappa):
             arr.setflags(write=False)
+        # float lists of the frozen columns, for project's per-sample scalar reads
+        self._lists = tuple(arr.tolist() for arr in (self.s, self.x, self.y, self.psi, self.kappa))
 
     def _check_consistency(self, kappa_bound: float) -> None:
         if np.max(np.abs(self.kappa)) > kappa_bound + 1e-12:
@@ -284,34 +290,41 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProje
     The foot point comes from quadratic interpolation of the squared
     distance around the nearest sample.  Passing the previous projection's
     arc length restricts the search window, preventing backward jumps on
-    self-near paths; that memory is caller-owned state.
+    self-near paths; that memory is caller-owned state.  The nearest
+    sample is a numpy argmin over the window; everything after it reads
+    the path's float lists.
     """
-    n = len(path)
+    s, x, y, psi, kappa = path._lists
+    px, py = pose.x, pose.y
+    n = len(s)
     if prev_s is None:
         lo, hi = 0, n
     else:
-        lo = int(np.searchsorted(path.s, prev_s - 0.2 * PROJECT_WINDOW)) - 1
-        hi = int(np.searchsorted(path.s, prev_s + PROJECT_WINDOW)) + 2
-        lo, hi = max(0, lo), min(n, hi)
-    dx = path.x[lo:hi] - pose.x
-    dy = path.y[lo:hi] - pose.y
-    d2 = dx * dx + dy * dy
-    i = lo + int(np.argmin(d2))
-    if math.sqrt(d2[i - lo]) > PROJECT_HORIZON:
+        lo = max(0, bisect_left(s, prev_s - 0.2 * PROJECT_WINDOW) - 1)
+        hi = min(n, bisect_left(s, prev_s + PROJECT_WINDOW) + 2)
+    # d2 = dx * dx + dy * dy over the window, in place
+    d2 = path.x[lo:hi] - px
+    d2 *= d2
+    dy = path.y[lo:hi] - py
+    dy *= dy
+    d2 += dy
+    k = int(d2.argmin())
+    if math.sqrt(d2[k]) > PROJECT_HORIZON:
         raise SimulationError(
-            f"pose ({pose.x:.1f}, {pose.y:.1f}) is beyond the {PROJECT_HORIZON} m horizon: "
+            f"pose ({px:.1f}, {py:.1f}) is beyond the {PROJECT_HORIZON} m horizon: "
             "vehicle lost"
         )
 
+    i = lo + k
     im = max(0, i - 1)
     ip = min(n - 1, i + 1)
     if im == ip:
-        s_star = float(path.s[i])
+        s_star = s[i]
     else:
-        s0, s1, s2 = float(path.s[im]), float(path.s[i]), float(path.s[ip])
-        f0 = (path.x[im] - pose.x) ** 2 + (path.y[im] - pose.y) ** 2
-        f1 = (path.x[i] - pose.x) ** 2 + (path.y[i] - pose.y) ** 2
-        f2 = (path.x[ip] - pose.x) ** 2 + (path.y[ip] - pose.y) ** 2
+        s0, s1, s2 = s[im], s[i], s[ip]
+        f0 = (x[im] - px) ** 2 + (y[im] - py) ** 2
+        f1 = (x[i] - px) ** 2 + (y[i] - py) ** 2
+        f2 = (x[ip] - px) ** 2 + (y[ip] - py) ** 2
         # parabola vertex through the three bracketing squared distances
         denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
         if abs(denom) < 1e-30:
@@ -320,20 +333,15 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProje
             s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
         s_star = min(max(s_star, s0), s2)
 
-    j = min(max(int(np.searchsorted(path.s, s_star)) - 1, 0), n - 2)
-    seg = float(path.s[j + 1] - path.s[j])
-    a = (s_star - float(path.s[j])) / seg
-    xf = float(path.x[j]) + a * float(path.x[j + 1] - path.x[j])
-    yf = float(path.y[j]) + a * float(path.y[j + 1] - path.y[j])
-    dpsi_seg = wrap_angle(float(path.psi[j + 1]) - float(path.psi[j]))
-    psi_f = wrap_angle(float(path.psi[j]) + a * dpsi_seg)
-    kappa_f = float(path.kappa[j]) + a * float(path.kappa[j + 1] - path.kappa[j])
+    j = min(max(bisect_left(s, s_star) - 1, 0), n - 2)
+    a = (s_star - s[j]) / (s[j + 1] - s[j])
+    xf = x[j] + a * (x[j + 1] - x[j])
+    yf = y[j] + a * (y[j + 1] - y[j])
+    psi_f = wrap_angle(psi[j] + a * wrap_angle(psi[j + 1] - psi[j]))
+    kappa_f = kappa[j] + a * (kappa[j + 1] - kappa[j])
 
-    tx, ty = math.cos(psi_f), math.sin(psi_f)
-    ox, oy = pose.x - xf, pose.y - yf
-    e_y = tx * oy - ty * ox
-    e_psi = wrap_angle(pose.psi - psi_f)
-    return PathProjection(s=float(s_star), e_y=float(e_y), e_psi=float(e_psi), kappa=kappa_f)
+    e_y = math.cos(psi_f) * (py - yf) - math.sin(psi_f) * (px - xf)
+    return PathProjection(s_star, e_y, wrap_angle(pose.psi - psi_f), kappa_f)
 
 
 def _moving_average(values: np.ndarray, half: int) -> np.ndarray:
@@ -455,12 +463,12 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0,
     from .lqr import LqrWeights, build_schedule
 
     v = float(v)
-    if v <= 0:
-        raise ValueError("smoothing speed must be positive")
+    if not 0.0 < v < SMOOTH_SPEED_LIMIT:
+        raise ValueError(f"smoothing speed must be in (0, {SMOOTH_SPEED_LIMIT:g}) m/s, got {v}")
     if window_m is None:
         window_m = min(12.0, max(1.0, 40.0 * position_noise_estimate(path)))
     ref = _condition_for_tracking(path, window_m)
-    grid = np.linspace(max(0.6, 0.5 * v), min(29.0, 1.5 * v + 1.0), 4)
+    grid = np.linspace(max(SMOOTH_GRID_FLOOR, 0.5 * v), min(SMOOTH_GRID_CAP, 1.5 * v + 1.0), 4)
     # deliberately soft loop: the vehicle must not follow what noise remains
     # after conditioning, so high control weight and a slow linear actuator
     schedule = build_schedule(grid, "kinematic", p, LqrWeights(q_diag=(1.0, 1.0), r=100.0), dt=0.02)

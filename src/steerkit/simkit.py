@@ -79,6 +79,13 @@ def _validate(cfg, nonnegative: tuple[str, ...], optional_positive: str) -> None
         raise ValueError(f"delay_steps must be a nonnegative integer, got {d!r}")
 
 
+def _whole_steps(ratio: float) -> int | None:
+    """round(ratio) when ratio is a whole number (to 1e-9) of at least one
+    sim step, else None."""
+    steps = round(ratio)
+    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 else None
+
+
 def default_sensors() -> dict[str, SensorConfig]:
     # steering is read from a coarse CAN channel: 0.1 deg at the wheel,
     # ratio 16 to the road wheel; yaw rate is the 200 Hz gyro channel
@@ -115,14 +122,17 @@ class ScenarioConfig:
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.sim_dt <= 0 or self.sim_dt > self.control_dt:
             raise ValueError("need 0 < sim_dt <= control_dt")
-        ratio = self.control_dt / self.sim_dt
-        if abs(ratio - round(ratio)) > 1e-9:
+        if _whole_steps(self.control_dt / self.sim_dt) is None:
             raise ValueError("control_dt must be an integer multiple of sim_dt")
         for name in self.sensors:
             if name not in default_sensors():
                 raise ValueError(f"unknown sensor channel {name!r}")
+        for name in default_sensors():
+            self.sample_period(name)
         constant = isinstance(self.speed, (int, float))
         knots = self.speed_table
         if not knots:
@@ -133,6 +143,29 @@ class ScenarioConfig:
                 where = f"speed {v}" if constant else f"speed table knot {i} [{t}, {v}]"
                 raise ValueError(f"{where}: speeds must be positive and finite, times finite "
                                  "and strictly ascending")
+
+    @property
+    def control_every(self) -> int:
+        """Sim steps per control period."""
+        return round(self.control_dt / self.sim_dt)
+
+    def sample_period(self, name: str) -> int:
+        """Sim steps between samples of sensor channel `name`: the control
+        period when its rate_hz is None.  A rate must be at most 1/sim_dt and
+        give a whole number of sim steps per sample, by the control_dt rule."""
+        rate = (default_sensors() | self.sensors)[name].rate_hz
+        if rate is None:
+            return self.control_every
+        ratio = 1.0 / (rate * self.sim_dt)
+        steps = _whole_steps(ratio)
+        if steps is None and ratio < 1.0:
+            raise ValueError(f"sensors.{name}: rate_hz {rate:g} is above the sim rate "
+                             f"1/sim_dt = {1.0 / self.sim_dt:g} Hz")
+        if steps is None:
+            raise ValueError(f"sensors.{name}: rate_hz {rate:g} samples every {ratio:.6g} sim "
+                             f"steps; the period must be a whole number of sim_dt = "
+                             f"{self.sim_dt:g} s steps")
+        return steps
 
     @property
     def speed_table(self) -> list[tuple[float, float]]:
@@ -313,22 +346,22 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
         if speeds[0] <= MIN_DYNAMIC_SPEED:
             raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
 
-    control_every = int(round(cfg.control_dt / cfg.sim_dt))
+    control_every = cfg.control_every
     sensors = default_sensors() | cfg.sensors
     proj = project(path, Pose(x0, y0, heading0))
 
     def channel(name: str, initial: float) -> _Channel:
-        scfg = sensors[name]
-        period = control_every if scfg.rate_hz is None else max(
-            1, int(round(1.0 / (scfg.rate_hz * cfg.sim_dt))))
-        return _Channel(scfg, period, initial, rng)
+        return _Channel(sensors[name], cfg.sample_period(name), initial, rng)
 
-    # offered a sample every step in this fixed (name) order, which fixes the noise draws
+    # offered a sample in this fixed (name) order, which fixes the noise draws,
+    # on every step where one of them is due
     heading_ch = channel("heading", proj.e_psi)
     lateral_ch = channel("lateral", proj.e_y)
     speed_ch = channel("speed", speeds[0])
     steer_ch = channel("steer", cfg.initial_steer)
     yaw_ch = channel("yaw_rate", 0.0)
+    offer_every = math.gcd(*(ch.period for ch in (heading_ch, lateral_ch, speed_ch, steer_ch,
+                                                  yaw_ch)))
 
     act = cfg.actuator
     cmd_buffer = deque([cfg.initial_steer] * (act.delay_steps + 1), maxlen=act.delay_steps + 1)
@@ -346,6 +379,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     odometer = 0.0
     stop_reason = "t_end"
     end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+    sim_dt, closed = cfg.sim_dt, path.closed
 
     for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
         if kinematic:
@@ -354,11 +388,12 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
         else:
             vy, yaw_rate = state[3], state[4]
 
-        heading_ch.maybe_sample(step, proj.e_psi)
-        lateral_ch.maybe_sample(step, proj.e_y)
-        speed_ch.maybe_sample(step, v)
-        steer_ch.maybe_sample(step, delta_act)
-        yaw_ch.maybe_sample(step, yaw_rate)
+        if step % offer_every == 0:
+            heading_ch.maybe_sample(step, proj.e_psi)
+            lateral_ch.maybe_sample(step, proj.e_y)
+            speed_ch.maybe_sample(step, v)
+            steer_ch.maybe_sample(step, delta_act)
+            yaw_ch.maybe_sample(step, yaw_rate)
 
         if step % control_every == 0:
             e_y_m = lateral_ch.latest()
@@ -368,7 +403,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             steer_m = steer_ch.latest()
 
             if cfg.controller == "kinematic_ff_fb":
-                meas_proj = PathProjection(s=proj.s, e_y=e_y_m, e_psi=e_psi_m, kappa=proj.kappa)
+                meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
                 u = kinematic_controller(meas_proj, v_m, gains, p)
             else:
                 err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
@@ -396,15 +431,15 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
                       proj.s, proj.e_y, proj.e_psi, vy + v * proj.e_psi,
                       yaw_rate - v * proj.kappa, proj.kappa, kappa_ack, kappa_diff, kappa_fused)
 
-        if proj.s >= end_s and not path.closed:
+        if proj.s >= end_s and not closed:
             stop_reason = "path_end"
             break
         if step == n_steps:
             break
-        state = rk4_step(deriv, state, ControlInput(v=v, delta=delta_act), cfg.sim_dt)
-        odometer += v * cfg.sim_dt
+        state = rk4_step(deriv, state, ControlInput(v, delta_act), sim_dt)
+        odometer += v * sim_dt
         prev_s = proj.s
-        if path.closed and prev_s >= end_s:
+        if closed and prev_s >= end_s:
             # start and end coincide on a closed path; wrap the search memory
             prev_s -= path.length
         proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)

@@ -156,6 +156,36 @@ class TestSimulate:
             metrics = json.loads((out / Path(sub).parent / "metrics.json").read_text())
             assert metrics["settled"]
 
+    @pytest.mark.parametrize("key", ["speed.x", "path.kind.z", "initial_offset.2",
+                                     "initial_offset.a"])
+    def test_sweep_key_that_does_not_resolve_exit_3(self, tmp_path, capsys, key):
+        out = tmp_path / "sweep"
+        assert main(["simulate", str(CONFIGS / "circle_10ms.json"), "--out", str(out),
+                     "--sweep", f"{key}=1"]) == 3
+        assert f"--sweep {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_names_seed_and_file_exit_3(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, seed=-1)
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "seed" in err and str(cfg) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channel, rate, message", [
+        ("yaw_rate", 300.0, "whole number of sim_dt"),
+        ("speed", 5000.0, "above the sim rate"),
+    ])
+    def test_sensor_rate_off_the_sim_grid_exit_3(self, tmp_path, capsys, channel, rate,
+                                                  message):
+        cfg = write_circle_config(tmp_path, sensors={channel: {"rate_hz": rate}})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"sensors.{channel}" in err and message in err
+        assert not out.exists()
+
     def test_verify_manifest(self, tmp_path):
         cfg = write_circle_config(tmp_path, t_end=3.0)
         out = tmp_path / "v"
@@ -350,6 +380,18 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 3
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("speed", ["58", "100"])
+    def test_smooth_speed_beyond_grid_rule_exit_3(self, tmp_path, capsys, speed):
+        out = tmp_path / "o"
+        assert main(["smooth", PARKING_PATH, "--speed", speed, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "--speed" in err and "(0, 58) m/s" in err
+        assert not out.exists()
+
+    def test_smooth_speed_just_below_limit_parses(self):
+        from steerkit.cli import build_parser
+        assert build_parser().parse_args(["smooth", PARKING_PATH, "--speed", "57.9"]).speed == 57.9
 
     def test_config_grid_rejected_by_designer_exit_4(self, tmp_path, capsys):
         cfg = write_circle_config(tmp_path, gains={"grid": [0.1, 5.0, 2]})

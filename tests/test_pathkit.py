@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steerkit import SimulationError
-from steerkit.models import Pose
+from steerkit.models import Pose, wrap_angle
 from steerkit.pathkit import (
-    RefPath, gen_path, load_recorded, position_noise_estimate, profile_curvature,
-    project, smooth_recorded,
+    PROJECT_HORIZON, PROJECT_WINDOW, SMOOTH_SPEED_LIMIT, PathProjection, RefPath, gen_path,
+    load_recorded, position_noise_estimate, profile_curvature, project, smooth_recorded,
 )
 
 
@@ -190,6 +190,126 @@ class TestProject:
         assert far.s > 30.0
 
 
+
+def numpy_project(path, pose, prev_s=None):
+    """The numpy-scalar projection that `project` replaced, kept as its oracle."""
+    n = len(path)
+    if prev_s is None:
+        lo, hi = 0, n
+    else:
+        lo = int(np.searchsorted(path.s, prev_s - 0.2 * PROJECT_WINDOW)) - 1
+        hi = int(np.searchsorted(path.s, prev_s + PROJECT_WINDOW)) + 2
+        lo, hi = max(0, lo), min(n, hi)
+    dx = path.x[lo:hi] - pose.x
+    dy = path.y[lo:hi] - pose.y
+    d2 = dx * dx + dy * dy
+    i = lo + int(np.argmin(d2))
+    if math.sqrt(d2[i - lo]) > PROJECT_HORIZON:
+        raise SimulationError("vehicle lost")
+
+    im = max(0, i - 1)
+    ip = min(n - 1, i + 1)
+    if im == ip:
+        s_star = float(path.s[i])
+    else:
+        s0, s1, s2 = float(path.s[im]), float(path.s[i]), float(path.s[ip])
+        f0 = (path.x[im] - pose.x) ** 2 + (path.y[im] - pose.y) ** 2
+        f1 = (path.x[i] - pose.x) ** 2 + (path.y[i] - pose.y) ** 2
+        f2 = (path.x[ip] - pose.x) ** 2 + (path.y[ip] - pose.y) ** 2
+        denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
+        if abs(denom) < 1e-30:
+            s_star = s1
+        else:
+            s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
+        s_star = min(max(s_star, s0), s2)
+
+    j = min(max(int(np.searchsorted(path.s, s_star)) - 1, 0), n - 2)
+    seg = float(path.s[j + 1] - path.s[j])
+    a = (s_star - float(path.s[j])) / seg
+    xf = float(path.x[j]) + a * float(path.x[j + 1] - path.x[j])
+    yf = float(path.y[j]) + a * float(path.y[j + 1] - path.y[j])
+    dpsi_seg = wrap_angle(float(path.psi[j + 1]) - float(path.psi[j]))
+    psi_f = wrap_angle(float(path.psi[j]) + a * dpsi_seg)
+    kappa_f = float(path.kappa[j]) + a * float(path.kappa[j + 1] - path.kappa[j])
+
+    tx, ty = math.cos(psi_f), math.sin(psi_f)
+    ox, oy = pose.x - xf, pose.y - yf
+    e_y = tx * oy - ty * ox
+    e_psi = wrap_angle(pose.psi - psi_f)
+    return PathProjection(s=float(s_star), e_y=float(e_y), e_psi=float(e_psi), kappa=kappa_f)
+
+
+def oracle_paths():
+    rng = np.random.default_rng(7)
+    t = np.arange(0.0, 60.0, 0.2)
+    x, y = 2.0 * t + 0.05 * rng.standard_normal(len(t)), 4.0 * np.sin(0.05 * t)
+    return {
+        "line": gen_path("line", spacing=0.1, length=80.0, heading=2.5, x0=3.0, y0=-4.0),
+        "short_line": gen_path("line", spacing=0.5, length=3.2),
+        "two_samples": RefPath(s=[0.0, 0.4], x=[0.0, 0.4], y=[0.0, 0.0], psi=[0.0, 0.0],
+                               kappa=[0.0, 0.0]),
+        "open_circle": gen_path("circle", spacing=0.1, radius=30.0, arc_deg=200.0,
+                                direction="right", heading=-1.0),
+        "closed_circle": gen_path("circle", spacing=0.1, radius=50.0),
+        "lane_change": gen_path("lane_change", spacing=0.1, length=60.0, offset=3.5),
+        "s_curve": gen_path("s_curve", spacing=0.25, length=80.0, offset=-4.0),
+        "recorded": load_recorded(t, x, y, np.arctan2(np.gradient(y), np.gradient(x)),
+                                  spacing=0.25),
+    }
+
+
+ORACLE_PATHS = oracle_paths()
+
+
+def bits(proj):
+    return tuple(float(v).hex() for v in proj)
+
+
+class TestProjectOracle:
+    """`project` on the path's float lists is bit-identical to the numpy oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(ORACLE_PATHS)), frac=st.floats(0.0, 1.0),
+           on_sample=st.booleans(), d=st.one_of(st.just(0.0), st.floats(-45.0, 45.0)),
+           bearing=st.floats(-math.pi, math.pi), heading=st.floats(-10.0, 10.0),
+           memory=st.sampled_from(["none", "near", "wrapped"]), ds=st.floats(-3.0, 3.0))
+    def test_bit_identical_within_horizon(self, name, frac, on_sample, d, bearing, heading,
+                                          memory, ds):
+        path = ORACLE_PATHS[name]
+        i = round(frac * (len(path) - 1))
+        # on a sample, or halfway to the next one, where the nearest sample ties
+        k = min(i + 1, len(path) - 1)
+        w = 0.0 if on_sample else 0.5
+        bx = (1.0 - w) * float(path.x[i]) + w * float(path.x[k])
+        by = (1.0 - w) * float(path.y[i]) + w * float(path.y[k])
+        pose = Pose(bx + d * math.cos(bearing), by + d * math.sin(bearing), heading)
+        s_near = float(path.s[i]) + ds
+        prev_s = {"none": None, "near": s_near, "wrapped": s_near - path.length}[memory]
+        try:
+            want = numpy_project(path, pose, prev_s)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                project(path, pose, prev_s)
+            return
+        assert bits(project(path, pose, prev_s)) == bits(want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(ORACLE_PATHS)), extra=st.floats(1e-6, 1e4),
+           bearing=st.floats(-math.pi, math.pi),
+           prev_s=st.one_of(st.none(), st.floats(-100.0, 400.0)))
+    def test_both_raise_beyond_horizon(self, name, extra, bearing, prev_s):
+        path = ORACLE_PATHS[name]
+        # the pose sits farther than the horizon from every sample of the path
+        cx, cy = float(np.mean(path.x)), float(np.mean(path.y))
+        reach = float(np.max(np.hypot(path.x - cx, path.y - cy)))
+        r = reach + PROJECT_HORIZON * (1.0 + 1e-9) + extra
+        pose = Pose(cx + r * math.cos(bearing), cy + r * math.sin(bearing), 0.0)
+        with pytest.raises(SimulationError):
+            numpy_project(path, pose, prev_s)
+        with pytest.raises(SimulationError, match="horizon"):
+            project(path, pose, prev_s)
+
+
 class TestLoadRecorded:
     def test_circle_curvature_recovered(self):
         p = recorded_circle()
@@ -264,6 +384,23 @@ class TestSmoothRecorded:
         raw = recorded_circle(radius=20.0, speed=2.0)
         sm = smooth_recorded(raw, params, v=2.0)
         assert np.max(np.abs(sm.kappa)) <= math.tan(params.max_steer) / params.wheelbase + 1e-9
+
+    @pytest.mark.parametrize("v", [0.0, -1.0, SMOOTH_SPEED_LIMIT, 100.0])
+    def test_speed_outside_grid_rule_rejected(self, params, v):
+        # beyond SMOOTH_SPEED_LIMIT the smoothing gain grid would not ascend
+        raw = recorded_circle()
+        with pytest.raises(ValueError, match=f"in \\(0, {SMOOTH_SPEED_LIMIT:g}\\) m/s"):
+            smooth_recorded(raw, params, v=v)
+
+    def test_speed_limit_is_where_grid_stops_ascending(self):
+        from steerkit.pathkit import SMOOTH_GRID_CAP, SMOOTH_GRID_FLOOR
+
+        def ascends(v):
+            return max(SMOOTH_GRID_FLOOR, 0.5 * v) < min(SMOOTH_GRID_CAP, 1.5 * v + 1.0)
+
+        assert SMOOTH_SPEED_LIMIT == 58.0
+        assert ascends(np.nextafter(SMOOTH_SPEED_LIMIT, 0.0)) and ascends(1e-9)
+        assert not ascends(SMOOTH_SPEED_LIMIT)
 
     def test_noise_estimator_scales(self):
         t = np.arange(0.0, 40.0, 0.2)

@@ -139,6 +139,33 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(path=path, sensors={"gps": SensorConfig()})
 
+    def test_sample_periods(self):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        cfg = ScenarioConfig(path=path, sensors={"speed": SensorConfig(rate_hz=1000.0)})
+        assert cfg.control_every == 20
+        assert [cfg.sample_period(n) for n in ("heading", "speed", "yaw_rate")] == [20, 1, 5]
+        coarse = ScenarioConfig(path=path, sim_dt=0.002,
+                                sensors={"yaw_rate": SensorConfig(rate_hz=250.0)})
+        assert coarse.sample_period("yaw_rate") == 2
+
+    @pytest.mark.parametrize("sim_dt, channel, rate, message", [
+        (0.001, "yaw_rate", 300.0, "whole number of sim_dt"),
+        (0.001, "lateral", 1500.0, "above the sim rate"),
+        (0.001, "speed", 5000.0, "above the sim rate"),
+        (0.002, "yaw_rate", 200.0, "whole number of sim_dt"),
+    ])
+    def test_sensor_rate_must_be_whole_sim_steps(self, sim_dt, channel, rate, message):
+        # 300 Hz at 1 kHz used to sample every 3rd step (333 Hz); 5 kHz every step
+        path = gen_path("line", spacing=0.1, length=30.0)
+        sensors = default_sensors() | {channel: SensorConfig(rate_hz=rate)}
+        with pytest.raises(ValueError, match=f"sensors.{channel}: .*{message}"):
+            ScenarioConfig(path=path, sim_dt=sim_dt, sensors=sensors)
+
+    def test_negative_seed_rejected(self):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioConfig(path=path, seed=-1)
+
     def test_piecewise_speed(self):
         path = gen_path("line", spacing=0.1, length=30.0)
         cfg = ScenarioConfig(path=path, speed=[(0.0, 2.0), (10.0, 6.0)])
@@ -372,8 +399,10 @@ class TestDelayMarginCrossCheck:
         path = gen_path("line", spacing=0.1, length=260.0)
 
         def unstable(delay_steps):
+            # 200 Hz is not a whole number of 2 ms steps; 250 Hz is a sample every 2 steps
             cfg = ScenarioConfig(
                 path=path, speed=v, t_end=22.0, sim_dt=0.002, initial_offset=(0.3, 0.0),
+                sensors=default_sensors() | {"yaw_rate": SensorConfig(rate_hz=250.0)},
                 actuator=ActuatorConfig(lag_tau=1e-3, delay_steps=delay_steps,
                                         rate_limit=None))
             try:
