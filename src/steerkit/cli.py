@@ -13,6 +13,9 @@ speeds must be positive and finite, `--points` an integer >= 2 and
 (never a bool, null or string), an integer where one is meant (seed,
 grid count, delay_steps); anything else is exit 3 naming the key.
 
+`simulate --sweep` runs its members in forked worker processes where there
+are several usable CPUs (`_run_sweep`); the artifacts are those of a serial run.
+
 Every successful command writes its artifacts through one OutputDir, whose
 manifest.json records the tool version, the sha256 of the primary input
 and exactly the artifacts written.  Re-running with --verify checks the
@@ -353,6 +356,34 @@ def _set_dotted(cfg: dict, key: str, value) -> None:
             node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
 
 
+def _sweep_member(member: tuple) -> None:
+    _run_one_simulation(*member)
+
+
+def _run_sweep(members: list[tuple]) -> None:
+    """Run the sweep members, in forked worker processes (one per usable CPU, at
+    most one per member) where there are several of each and the platform can
+    fork, else one after another.  Each member runs the same deterministic
+    kernel, so its artifacts do not depend on the choice.  A failure raises the
+    exception of the first failing member in sweep order; members not yet
+    started are cancelled, running ones finish, and no worker outlives the call."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(members), cpus or 1)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        list(map(_sweep_member, members))
+        return
+    # fork: the workers inherit the imported modules instead of importing them
+    # again, and a fork pool starts all its workers before its manager thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        list(pool.map(_sweep_member, members))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_simulate(args, out: OutputDir) -> str:
     config_path = Path(args.config)
     cfg = _read_json(config_path)
@@ -362,12 +393,15 @@ def cmd_simulate(args, out: OutputDir) -> str:
         _run_one_simulation(cfg, config_path, out)
         return f"simulation complete: artifacts in {out.root}"
     key, values = args.sweep
+    members = []
     for i, (raw, val) in enumerate(values):
         sub = json.loads(json.dumps(cfg))
         _set_dotted(sub, key, val)
         name = f"{i:02d}_{key.replace('.', '_')}_{raw}".replace("/", "_").replace(" ", "")
-        _run_one_simulation(sub, config_path, OutputDir(out.root / name))
-        out.path(f"{name}/manifest.json")
+        members.append((sub, config_path, OutputDir(out.root / name)))
+    _run_sweep(members)
+    for _, _, member_out in members:
+        out.path(f"{member_out.root.name}/manifest.json")
     out.manifest("simulate-sweep", config_path,
                  _number(cfg.get("seed", 0), "seed", integer=True))
     return f"sweep complete: {len(values)} runs in {out.root}"

@@ -21,6 +21,8 @@ DARE_STEP_TOL = 1e-15
 DARE_RESIDUAL_TOL = 1e-9
 DARE_MAX_ITER = 64
 MAT_COND_MAX = 1e14
+# rows per block of write_float_csv: a block's cell strings all exist at once
+CSV_BLOCK_ROWS = 2048
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -218,13 +220,30 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_square(a, "A")))))
 
 
+def _column_reprs(col: np.ndarray) -> list[str]:
+    """repr of every cell of a 1-D float column, computed once per run of equal
+    consecutive values.  Equal means == and the same sign bit, so 0.0 and -0.0
+    keep their own repr; NaN is never equal, so it is formatted every time."""
+    new_run = np.empty(len(col), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(col[1:], col[:-1], out=new_run[1:])
+    new_run[1:] |= np.signbit(col[1:]) != np.signbit(col[:-1])
+    starts = np.flatnonzero(new_run)
+    if len(starts) == len(col):
+        return list(map(repr, col.tolist()))
+    reprs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return reprs.repeat(np.diff(starts, append=len(col))).tolist()
+
+
 def write_float_csv(fobj, header, cols) -> None:
     """Write a header line, then one row per index of the equal-length columns.
 
     A column is a 1-D sequence or a 2-D block of several.  Cells are
-    `repr(float)`, so a reload is bit-exact.
+    `repr(float)`, so a reload is bit-exact; a run of repeated values in a
+    column is formatted once.
     """
     fobj.write(",".join(header) + "\n")
     table = np.column_stack(cols).astype(float, copy=False)
-    for i in range(0, len(table), 4096):  # in blocks: the float objects stay few
-        fobj.writelines(",".join(map(repr, row)) + "\n" for row in table[i:i + 4096].tolist())
+    for i in range(0, len(table), CSV_BLOCK_ROWS):
+        cells = [_column_reprs(col) for col in table[i:i + CSV_BLOCK_ROWS].T]
+        fobj.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -388,10 +388,11 @@ def read_recorded_csv(path) -> dict[str, np.ndarray]:
     every cell must be finite.  Returns one array per present column.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from e
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    rows = [ln.strip() for ln in text.splitlines()
+            if ln.strip() and not ln.strip().startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty log")
     header = [c.strip() for c in rows[0].split(",")]
@@ -401,22 +402,34 @@ def read_recorded_csv(path) -> dict[str, np.ndarray]:
     for col in ("t", "X", "Y", "psi"):
         if col not in header:
             raise ValueError(f"{path}: missing required channel '{col}'")
-    data = []
-    for ln in rows[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-        try:
-            data.append([float(c) for c in cells])
-        except ValueError as e:
-            raise ValueError(f"{path}: non-numeric cell ({e})") from e
-    if not data:
+    if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(data)
+    # numpy's C parser on the kept rows (comments=None: the '#' rule above is the
+    # only one); it strips the separator \x1f around a cell, which float() rejects
+    arr = None
+    if "\x1f" not in text:
+        try:
+            arr = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if arr is None or arr.shape[1] != len(header):
+        # row by row: names the first bad row, and reads what only float() takes
+        # (underscores, non-ASCII digits and spaces)
+        arr = np.asarray([_data_row(path, ln, len(header)) for ln in rows[1:]])
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         raise ValueError(f"{path}: non-finite {header[bad[0][1]]} in data row {bad[0][0] + 1}")
     return {name: arr[:, i] for i, name in enumerate(header)}
+
+
+def _data_row(path, line: str, n_cols: int) -> list[float]:
+    cells = line.split(",")
+    if len(cells) != n_cols:
+        raise ValueError(f"{path}: row has {len(cells)} cells, header has {n_cols}")
+    try:
+        return [float(c) for c in cells]
+    except ValueError as e:
+        raise ValueError(f"{path}: non-numeric cell ({e})") from e
 
 
 def write_recorded_csv(path, t, x, y, psi, yaw_rate=None, speed=None, steer=None) -> None:

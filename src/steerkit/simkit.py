@@ -384,7 +384,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
         if kinematic:
             vy = 0.0
-            yaw_rate = v / wheelbase * math.tan(delta_act)
+            yaw_rate = kinematic_derivative(state, (v, delta_act), p)[2]
         else:
             vy, yaw_rate = state[3], state[4]
 

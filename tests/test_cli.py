@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerkit.cli import main
+from steerkit import SimulationError, cli
+from steerkit.cli import ConfigError, main
 from steerkit.pathkit import read_recorded_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
@@ -201,6 +207,95 @@ class TestSimulate:
         cfg = write_circle_config(tmp_path, t_end=3.0)
         assert main(["simulate", str(cfg)]) == 0
         assert (tmp_path / "envroot" / "simulate" / "log.csv").exists()
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    """Every file under out but manifest.json (which records the paths), by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    """Make the sweep see `cpus` usable CPUs: 1 selects the serial path, more the workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestSweepWorkers:
+    def test_members_equal_solo_runs(self, tmp_path, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        cfg = write_circle_config(tmp_path, t_end=3.0)
+        values = ["0.2", "-0.1", "0.3"]
+        out = tmp_path / "sweep"
+        assert main(["simulate", str(cfg), "--out", str(out),
+                     "--sweep", "initial_offset.0=" + ",".join(values)]) == 0
+        assert not multiprocessing.active_children()
+        for i, raw in enumerate(values):
+            solo_dir = tmp_path / f"solo{i}"
+            solo_dir.mkdir()
+            solo_cfg = write_circle_config(solo_dir, t_end=3.0, initial_offset=[float(raw), 0.0])
+            assert main(["simulate", str(solo_cfg), "--out", str(solo_dir / "out")]) == 0
+            member = _artifacts(out / f"{i:02d}_initial_offset_0_{raw}")
+            assert "log.csv" in member
+            assert member == _artifacts(solo_dir / "out")
+
+    @pytest.mark.parametrize("key, values, code, message", [
+        ("initial_offset.0", "0.1,100,0.2", 2, "beyond the 50.0 m horizon"),
+        ("seed", "0,-1,1", 3, "seed must be a nonnegative integer"),
+    ])
+    def test_first_failing_member_reported_as_serial(self, tmp_path, capsys, monkeypatch,
+                                                     key, values, code, message):
+        cfg = write_circle_config(tmp_path, t_end=2.0)
+        first = f"00_{key.replace('.', '_')}_{values.split(',')[0]}"
+        results = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            rc = main(["simulate", str(cfg), "--out", str(out), "--sweep", f"{key}={values}"])
+            assert not multiprocessing.active_children()
+            assert (out / first / "log.csv").exists()
+            results.append((rc, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == code and message in results[0][1]
+
+    def test_first_failing_member_in_order_not_first_to_fail(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def run(cfg, config_path, out):  # inherited by the forked workers
+            if cfg["seed"] == 0:
+                time.sleep(0.5)
+                raise SimulationError("member 0 failed late")
+            raise ConfigError("member 1 failed at once")
+
+        monkeypatch.setattr(cli, "_run_one_simulation", run)
+        _usable_cpus(monkeypatch, 2)
+        cfg = write_circle_config(tmp_path)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o"),
+                     "--sweep", "seed=0,1"]) == 2
+        assert "member 0 failed late" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cpus, members, in_workers", [(1, 3, False), (2, 1, False),
+                                                          (2, 3, True)])
+    def test_members_run_in_workers_where_there_are_several_cpus_and_members(
+            self, tmp_path, monkeypatch, cpus, members, in_workers):
+        def run(cfg, config_path, out):  # inherited by the forked workers
+            out.path("pid").write_text(str(os.getpid()))
+
+        monkeypatch.setattr(cli, "_run_one_simulation", run)
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path)), "--out", str(out),
+                     "--sweep", "seed=" + ",".join(map(str, range(members)))]) == 0
+        pids = [int(p.read_text()) for p in out.glob("*/pid")]
+        assert len(pids) == members
+        assert (os.getpid() not in pids) == in_workers
+
+    def test_cli_import_loads_no_process_modules(self):
+        code = ("import sys, steerkit.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestDesign:

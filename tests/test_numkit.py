@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 
 import numpy as np
@@ -245,3 +247,61 @@ class TestMatSolve:
     def test_singular_raises(self):
         with pytest.raises(NumericalError):
             mat_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[1.0], [1.0]]))
+
+
+def reference_float_csv(header, cols) -> str:
+    """The writer's contract, row by row: the header, then repr of every cell."""
+    table = np.column_stack(cols).astype(float)
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                             for row in table.tolist())
+
+
+def first_difference(got: str, want: str):
+    """(line, got, wanted) at the first line where two texts differ, else None; a
+    short failure report where a diff of two long texts would take minutes."""
+    for i, pair in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+        if pair[0] != pair[1]:
+            return i, *pair
+    return None
+
+
+# signed zeros twice over, so that runs of 0.0 and -0.0 often meet
+_SPECIAL = [0.0, -0.0, 0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -2.5, 5e-324]
+
+
+@st.composite
+def _run_column(draw, n: int) -> np.ndarray:
+    """n cells made of runs of repeated values, repeated cyclically up to n."""
+    values = draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(), min_size=1, max_size=8))
+    lengths = draw(st.lists(st.integers(1, 5000), min_size=len(values), max_size=len(values)))
+    return np.resize(np.repeat(np.array(values, dtype=float), lengths), n)
+
+
+class TestWriteFloatCsv:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           n=st.sampled_from([1, 2, numkit.CSV_BLOCK_ROWS - 1, numkit.CSV_BLOCK_ROWS,
+                              numkit.CSV_BLOCK_ROWS + 1, 2 * numkit.CSV_BLOCK_ROWS + 1])
+           | st.integers(1, 3 * numkit.CSV_BLOCK_ROWS),
+           widths=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_matches_per_row_repr(self, data, n, widths):
+        cols = []
+        for width in widths:
+            block = np.column_stack([data.draw(_run_column(n)) for _ in range(width)])
+            cols.append(block[:, 0] if width == 1 else block)
+        header = [f"c{i}" for i in range(sum(widths))]
+        buf = io.StringIO()
+        numkit.write_float_csv(buf, header, cols)
+        assert first_difference(buf.getvalue(), reference_float_csv(header, cols)) is None
+
+    def test_signed_zeros_and_nan_in_one_run(self):
+        col = np.array([0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, math.inf, -math.inf])
+        buf = io.StringIO()
+        numkit.write_float_csv(buf, ["a"], [col])
+        assert buf.getvalue().split("\n")[1:-1] == [
+            "0.0", "-0.0", "-0.0", "0.0", "nan", "nan", "inf", "inf", "-inf"]
+
+    def test_bool_and_list_columns(self):
+        buf = io.StringIO()
+        numkit.write_float_csv(buf, ["b", "x"], [np.array([True, True, False]), [1, 1, 2]])
+        assert buf.getvalue() == "b,x\n1.0,1.0\n1.0,1.0\n0.0,2.0\n"

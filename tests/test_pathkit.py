@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from steerkit import SimulationError
 from steerkit.models import Pose, wrap_angle
 from steerkit.pathkit import (
-    PROJECT_HORIZON, PROJECT_WINDOW, SMOOTH_SPEED_LIMIT, PathProjection, RefPath, gen_path,
-    load_recorded, position_noise_estimate, profile_curvature, project, smooth_recorded,
+    PROJECT_HORIZON, PROJECT_WINDOW, RECORDED_COLUMNS, SMOOTH_SPEED_LIMIT, PathProjection,
+    RefPath, gen_path, load_recorded, position_noise_estimate, profile_curvature, project,
+    read_recorded_csv, smooth_recorded,
 )
 
 
@@ -357,6 +360,104 @@ class TestLoadRecorded:
         for i in range(0, len(t), 7):
             pr = project(p, Pose(x[i], y[i], psi[i]))
             assert abs(pr.e_y) <= 0.125  # spacing / 2
+
+
+def rowwise_read_recorded_csv(path) -> dict[str, np.ndarray]:
+    """The row-by-row recorded-log reader that numpy's parser replaced, kept as the oracle."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
+    rows = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: empty log")
+    header = [c.strip() for c in rows[0].split(",")]
+    unknown = set(header) - set(RECORDED_COLUMNS)
+    if unknown:
+        raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
+    for col in ("t", "X", "Y", "psi"):
+        if col not in header:
+            raise ValueError(f"{path}: missing required channel '{col}'")
+    data = []
+    for ln in rows[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
+        try:
+            data.append([float(c) for c in cells])
+        except ValueError as e:
+            raise ValueError(f"{path}: non-numeric cell ({e})") from e
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+    arr = np.asarray(data)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite {header[bad[0][1]]} in data row {bad[0][0] + 1}")
+    return {name: arr[:, i] for i, name in enumerate(header)}
+
+
+# cells numpy's parser and float() might read differently: spaces, underscores,
+# non-ASCII digits and spaces, the ASCII separators, signs, specials, garbage
+_ODD_CELLS = ["", " ", " 1.5", "2.5 ", "\t3", "1_0", "\u0661\u0662", "\uff11", "\u20071",
+              "1\x1f", "\x1f1", "\x0c1", "+1", "-0.0", "1.", ".5", "1e", "1e5", "1E-3",
+              "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "1,5", "#", "1#2", '"1"']
+_HEADERS = ["t,X,Y,psi", "t,X,Y,psi,yaw_rate,speed,steer", " t , X ,Y,psi,speed",
+            "psi,t,Y,X,steer"] * 3 + ["t,X,Y", "t,X,Y,psi,altitude", "t,X,Y,psi,speed,"]
+
+
+@st.composite
+def recorded_log_text(draw) -> str:
+    header = draw(st.sampled_from(_HEADERS))
+    # now and then every data row is one cell short or long of the header
+    width = header.count(",") + 1 + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    clean = st.floats(-1e6, 1e6).map(repr)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["odd"] * 2 + ["short", "long", "comment",
+                                                                  "blank"]))
+        if kind == "row":
+            lines.append(",".join(draw(st.lists(clean, min_size=width, max_size=width))))
+        elif kind == "odd":  # one odd cell in a clean row
+            cells = draw(st.lists(clean, min_size=width, max_size=width))
+            cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD_CELLS))
+            lines.append(",".join(cells))
+        elif kind in ("short", "long"):
+            n = width - 1 if kind == "short" else width + 1
+            lines.append(",".join(draw(st.lists(clean, min_size=n, max_size=n))))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #x,1", "#1,2,3,4"])))
+        else:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    if draw(st.booleans()):
+        lines.insert(0, "# steerkit log")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(reader, file: Path):
+    try:
+        return {k: v.tobytes() for k, v in reader(file).items()}
+    except ValueError as e:
+        return str(e)
+
+
+class TestReadRecordedCsvOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=recorded_log_text())
+    def test_matches_rowwise_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "log.csv"
+            file.write_text(text, encoding="utf-8", newline="")
+            assert _outcome(read_recorded_csv, file) == _outcome(rowwise_read_recorded_csv, file)
+
+    def test_long_log_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(3)
+        cols = np.column_stack([np.arange(3000) * 0.02] + [rng.standard_normal(3000) * 10.0 ** k
+                                                          for k in range(-3, 3)])
+        file = tmp_path / "log.csv"
+        file.write_text("# header next\nt,X,Y,psi,yaw_rate,speed,steer\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in cols.tolist()), encoding="utf-8")
+        assert _outcome(read_recorded_csv, file) == _outcome(rowwise_read_recorded_csv, file)
+        assert read_recorded_csv(file)["steer"].tobytes() == cols[:, 6].tobytes()
 
 
 class TestSmoothRecorded:
