@@ -12,7 +12,7 @@ the speed guard there is no measurement and the value holds the last one."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,30 +96,11 @@ def differential_sample(psi, psi_dot, v, held: float = 0.0):
 
 
 @dataclass(frozen=True)
-class CurvatureSample:
-    """A time-stamped curvature measurement from one source."""
-
-    t: float
-    kappa: float
-    source: str               # 'ackermann' | 'differential' | 'fused'
-    variance: float
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("measurement variance must be positive")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
-        if self.source not in ("ackermann", "differential", "fused"):
-            raise ValueError(f"unknown source {self.source!r}")
-
-
-@dataclass(frozen=True)
 class KfState:
     """Scalar random-walk Kalman filter state for fused curvature.
 
     q_process is the random-walk intensity ((1/m)^2 per second); r_ack and
-    r_diff are the default per-source measurement variances used when a
-    sample does not carry its own.
+    r_diff are the default per-source measurement variances.
     """
 
     kappa_hat: float = 0.0
@@ -135,10 +116,12 @@ class KfState:
 
 def kf_step(kappa: float, p: float, q_step: float, z_ack: float | None, r_ack: float,
             z_diff: float | None, r_diff: float) -> tuple[float, float]:
-    """One filter cycle on floats: random-walk predict, then the Ackermann
-    update, then the differential update.  A measurement given as None is
-    skipped.  Returns the posterior (kappa, p).
+    """One filter cycle on floats: random-walk predict by q_step = q_process * dt
+    (positive, else ValueError), then the Ackermann update, then the differential
+    update.  A measurement given as None is skipped.  Returns the posterior (kappa, p).
     """
+    if not q_step > 0:
+        raise ValueError(f"per-cycle process noise q_step must be positive, got {q_step}")
     p = p + q_step
     for z, r in ((z_ack, r_ack), (z_diff, r_diff)):
         if z is None:
@@ -147,23 +130,6 @@ def kf_step(kappa: float, p: float, q_step: float, z_ack: float | None, r_ack: f
         kappa = kappa + gain * (z - kappa)
         p = (1.0 - gain) * p
     return kappa, p
-
-
-def kf_update(state: KfState, dt: float,
-              z_ack: CurvatureSample | None = None,
-              z_diff: CurvatureSample | None = None) -> KfState:
-    """One filter cycle (`kf_step`) on a KfState and per-source samples.
-
-    With both measurements absent only the predict step runs.  Sequential
-    scalar updates commute, so simultaneous measurements may be applied in
-    either order.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    kappa, p = kf_step(state.kappa_hat, state.p, state.q_process * dt,
-                       getattr(z_ack, "kappa", None), getattr(z_ack, "variance", None),
-                       getattr(z_diff, "kappa", None), getattr(z_diff, "variance", None))
-    return replace(state, kappa_hat=kappa, p=p)
 
 
 def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):

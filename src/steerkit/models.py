@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import SimulationError
 from .numkit import StateSpace
 
 # Below this longitudinal speed the linear tire model divides by ~zero and
@@ -121,20 +122,22 @@ class SlipAngles:
         return max(abs(self.beta), abs(self.beta_f), abs(self.beta_r)) <= SMALL_ANGLE_LIMIT
 
 
+def kinematic_yaw_rate(v: float, delta: float, p: VehicleParams) -> float:
+    """Heading rate of the kinematic bicycle: (v / L) tan(delta)."""
+    if abs(delta) >= math.pi / 2:
+        raise ValueError(f"steer angle {delta} at/beyond tangent singularity pi/2")
+    return v / p.wheelbase * math.tan(delta)
+
+
 def kinematic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float, float, float]:
     """Rear-axle kinematic bicycle: (dX, dY, dpsi) of the state (X, Y, psi).
 
     dX = v cos(psi), dY = v sin(psi), dpsi = (v / L) tan(delta).
     """
     v, delta = u
-    if abs(delta) >= math.pi / 2:
-        raise ValueError(f"steer angle {delta} at/beyond tangent singularity pi/2")
+    dpsi = kinematic_yaw_rate(v, delta, p)
     _, _, psi = state
-    return (
-        v * math.cos(psi),
-        v * math.sin(psi),
-        v / p.wheelbase * math.tan(delta),
-    )
+    return v * math.cos(psi), v * math.sin(psi), dpsi
 
 
 def dynamic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float, ...]:
@@ -154,6 +157,55 @@ def dynamic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float,
         (fyf + fyr) / p.m - vx * r,
         (p.lf * fyf - p.lr * fyr) / p.iz,
     )
+
+
+def kinematic_step(state, v: float, delta: float, dt: float, p: VehicleParams) -> tuple:
+    """One classical RK4 step of kinematic_derivative with the input held,
+    bit-equal to generic RK4: each stage evaluates the derivative's
+    expressions in the same order.  w does not depend on the state, so
+    stages 2 and 3 are equal: one tan and three cos/sin pairs.  Raises
+    ValueError for dt <= 0 or |delta| >= pi/2 and SimulationError when
+    the result is not finite."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    x, y, psi = state
+    w = kinematic_yaw_rate(v, delta, p)
+    psi_h, psi_e = psi + 0.5 * dt * w, psi + dt * w
+    a, b, c = v * math.cos(psi_h), v * math.sin(psi_h), dt / 6.0
+    x = x + c * (v * math.cos(psi) + 2.0 * a + 2.0 * a + v * math.cos(psi_e))
+    y = y + c * (v * math.sin(psi) + 2.0 * b + 2.0 * b + v * math.sin(psi_e))
+    psi = psi + c * (w + 2.0 * w + 2.0 * w + w)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi)):
+        raise SimulationError("non-finite state after integration step")
+    return x, y, psi
+
+
+def dynamic_step(state, vx: float, delta: float, dt: float, p: VehicleParams) -> tuple:
+    """One RK4 step of dynamic_derivative at held speed vx, bit-equal as in
+    kinematic_step; the leading 2 caf and -2 car, which Python evaluates
+    first anyway, are hoisted.  No steer check: the tire model has no tan."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    x, y, psi, vy, r = state
+    lf, lr, m, iz, cf, cr = p.lf, p.lr, p.m, p.iz, 2.0 * p.caf, -2.0 * p.car
+    cos, sin, h = math.cos, math.sin, 0.5 * dt
+
+    def rates(psi, vy, r):  # dynamic_derivative's dX, dY, dvy, dr
+        co, si = cos(psi), sin(psi)
+        f, g = cf * (delta - (vy + lf * r) / vx), cr * (vy - lr * r) / vx
+        return vx * co - vy * si, vx * si + vy * co, (f + g) / m - vx * r, (lf * f - lr * g) / iz
+
+    x1, y1, v1, w1 = rates(psi, vy, r)
+    x2, y2, v2, w2 = rates(psi + h * r, vy + h * v1, r2 := r + h * w1)
+    x3, y3, v3, w3 = rates(psi + h * r2, vy + h * v2, r3 := r + h * w2)
+    x4, y4, v4, w4 = rates(psi + dt * r3, vy + dt * v3, r4 := r + dt * w3)
+    c = dt / 6.0
+    out = (x + c * (x1 + 2.0 * x2 + 2.0 * x3 + x4), y + c * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+           psi + c * (r + 2.0 * r2 + 2.0 * r3 + r4), vy + c * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+           r + c * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+    if not all(map(math.isfinite, out)):
+        raise SimulationError("non-finite state after integration step")
+    return out
 
 
 def front_axle_pose(pose: Pose, p: VehicleParams) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Closed-loop simulation: RK4 plant integration, controllers, sensors, actuator.
+"""Closed-loop simulation: RK4 plant steps, controllers, sensors, actuator.
 
 One scenario is one single-threaded deterministic loop: given the same
 config and seed, the produced log is bit-identical (noise comes from
@@ -12,8 +12,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .curvkit import KfState, ackermann_curvature, differential_sample, feedforw
     kf_step
 from .lqr import GainSchedule
 from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams, \
-    dynamic_derivative, kinematic_derivative
+    dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import write_float_csv
 from .pathkit import PathProjection, RefPath, project
 
@@ -243,23 +242,6 @@ class Metrics:
         }
 
 
-def rk4_step(deriv: Callable[[Sequence[float], object], Sequence[float]],
-             state: Sequence[float], u, dt: float) -> list[float]:
-    """Classical 4th-order Runge-Kutta step with the input held constant."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = 0.5 * dt
-    k1 = deriv(state, u)
-    k2 = deriv([x + h * k for x, k in zip(state, k1)], u)
-    k3 = deriv([x + h * k for x, k in zip(state, k2)], u)
-    k4 = deriv([x + dt * k for x, k in zip(state, k3)], u)
-    c = dt / 6.0
-    out = [x + c * (a + 2.0 * b + 2.0 * g + d) for x, a, b, g, d in zip(state, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, out)):
-        raise SimulationError("non-finite state after integration step")
-    return out
-
-
 def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
                          p: VehicleParams) -> ControlInput:
     """Feedback on (e_y, e_psi) plus Ackermann feedforward from path curvature.
@@ -309,14 +291,18 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
                  params: VehicleParams | None = None) -> SimLog:
     """Run one closed-loop scenario and return its log.
 
-    Per sim step the plant integrates by RK4; per control period the
-    sensors' latest values feed the selected controller and the curvature
-    estimators; the commanded steer passes through the actuator's pure
-    delay, first-order lag, and rate limit.  Raises SimulationError when
-    the vehicle leaves the projection horizon or the state goes
-    non-finite.
+    Per sim step the plant takes one RK4 step (`models.kinematic_step` or
+    `dynamic_step`); per control period the sensors' latest values feed the
+    selected controller and the curvature estimators; the commanded steer
+    passes through the actuator's pure delay, first-order lag, and rate
+    limit.  Raises SimulationError when the vehicle leaves the projection
+    horizon or the state goes non-finite, and ValueError for an
+    initial_steer that is not finite or exceeds max_steer.
     """
     p = params if params is not None else VehicleParams()
+    if not abs(cfg.initial_steer) <= p.max_steer:
+        raise ValueError(f"initial_steer {cfg.initial_steer} must be finite and at most "
+                         f"max_steer {p.max_steer} in magnitude")
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -337,14 +323,10 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     speeds = cfg.speed_at(times).tolist()
     # the solver's psi stays unwrapped; only the Pose handed to project wraps it
     kinematic = cfg.model == "kinematic"
-    if kinematic:
-        state = [x0, y0, heading0]
-        deriv = partial(kinematic_derivative, p=p)
-    else:
-        state = [x0, y0, heading0, 0.0, 0.0]
-        deriv = partial(dynamic_derivative, p=p)
-        if speeds[0] <= MIN_DYNAMIC_SPEED:
-            raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
+    state = (x0, y0, heading0) if kinematic else (x0, y0, heading0, 0.0, 0.0)
+    plant_step = kinematic_step if kinematic else dynamic_step
+    if not kinematic and speeds[0] <= MIN_DYNAMIC_SPEED:
+        raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
 
     control_every = cfg.control_every
     sensors = default_sensors() | cfg.sensors
@@ -384,7 +366,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
         if kinematic:
             vy = 0.0
-            yaw_rate = kinematic_derivative(state, (v, delta_act), p)[2]
+            yaw_rate = kinematic_yaw_rate(v, delta_act, p)
         else:
             vy, yaw_rate = state[3], state[4]
 
@@ -436,7 +418,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             break
         if step == n_steps:
             break
-        state = rk4_step(deriv, state, ControlInput(v, delta_act), sim_dt)
+        state = plant_step(state, v, delta_act, sim_dt, p)
         odometer += v * sim_dt
         prev_s = proj.s
         if closed and prev_s >= end_s:

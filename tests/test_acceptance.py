@@ -7,22 +7,19 @@ lines.  Tolerances are fixed here, not configurable.
 import json
 import math
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from steerkit.cli import main
-from steerkit.curvkit import (
-    CurvatureSample, KfState, ackermann_curvature, differential_curvature, kf_update,
-)
+from steerkit.curvkit import ackermann_curvature, differential_curvature, kf_step
 from steerkit.lqr import LqrWeights, build_schedule, discrete_error_model
 from steerkit.margins import compute_margins, default_grid, loop_response
 from steerkit.models import ControlInput, Pose, kinematic_derivative, \
-    kinematic_error_model, pfaffian_residuals
+    kinematic_error_model, kinematic_step, pfaffian_residuals
 from steerkit.numkit import dare_residual, solve_dare
 from steerkit.pathkit import gen_path, load_recorded
-from steerkit.simkit import ScenarioConfig, compute_metrics, rk4_step, run_scenario
+from steerkit.simkit import ScenarioConfig, compute_metrics, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
 EQUAL = LqrWeights((1.0, 1.0), 1.0)
@@ -131,12 +128,11 @@ def test_criterion_5_curvature_agreement(params):
     # steady circular motion of the kinematic plant at constant Ackermann steer
     radius = 50.0
     delta = math.atan(params.wheelbase / radius)
-    deriv = partial(kinematic_derivative, p=params)
     u = ControlInput(10.0, delta)
-    state = np.array([0.0, 0.0, 0.0])
+    state = (0.0, 0.0, 0.0)
     for _ in range(2000):
-        state = rk4_step(deriv, state, u, 0.001)
-    yaw_rate = deriv(state, u)[2]
+        state = kinematic_step(state, u.v, u.delta, 0.001, params)
+    yaw_rate = kinematic_derivative(state, u, params)[2]
     kappa_ack = ackermann_curvature(delta, params.wheelbase)
     kappa_diff = differential_curvature(0.0, yaw_rate, u.v)  # path-aligned frame
     assert abs(kappa_ack - 0.02) <= 1e-9
@@ -166,15 +162,12 @@ def test_criterion_6_kalman_fusion():
     z_diff = truth + math.sqrt(r_diff) * rng.standard_normal(n)
 
     def run(use_ack, use_diff):
-        st = KfState(kappa_hat=0.0, p=1e-2, q_process=q, r_ack=r_ack, r_diff=r_diff)
+        kappa, p = 0.0, 1e-2
         err = np.empty(n)
         for i in range(n):
-            za = CurvatureSample(t=i * dt, kappa=z_ack[i], source="ackermann",
-                                 variance=r_ack) if use_ack else None
-            zd = CurvatureSample(t=i * dt, kappa=z_diff[i], source="differential",
-                                 variance=r_diff) if use_diff else None
-            st = kf_update(st, dt, za, zd)
-            err[i] = st.kappa_hat - truth[i]
+            kappa, p = kf_step(kappa, p, q * dt, z_ack[i] if use_ack else None, r_ack,
+                               z_diff[i] if use_diff else None, r_diff)
+            err[i] = kappa - truth[i]
         return float(np.var(err[n // 10:]))
 
     fused = run(True, True)
@@ -244,13 +237,12 @@ def test_criterion_8_model_cross_checks(params, kinematic_schedule):
     # order-4 convergence of the integrator on the analytic circular solution
     def arc_error(dt):
         radius, speed = 50.0, 10.0
-        u = ControlInput(speed, math.atan(params.wheelbase / radius))
-        deriv = partial(kinematic_derivative, p=params)
+        delta = math.atan(params.wheelbase / radius)
         period = 0.5 * math.pi * radius / speed
         steps = int(round(period / dt))
-        state = np.array([0.0, 0.0, 0.0])
+        state = (0.0, 0.0, 0.0)
         for _ in range(steps):
-            state = rk4_step(deriv, state, u, period / steps)
+            state = kinematic_step(state, speed, delta, period / steps, params)
         return math.hypot(state[0] - radius, state[1] - radius)
 
     ratio = arc_error(0.1) / arc_error(0.05)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from steerkit.curvkit import (
-    MIN_COS_HEADING, MIN_CURVATURE_SPEED, CurvatureSample, KfState, ackermann_curvature,
-    curvature_series, differential_curvature, differential_sample, feedforward_steer, kf_step,
-    kf_steady_state_variance, kf_update,
+    MIN_COS_HEADING, MIN_CURVATURE_SPEED, KfState, ackermann_curvature, curvature_series,
+    differential_curvature, differential_sample, feedforward_steer, kf_step,
+    kf_steady_state_variance,
 )
 
 
@@ -86,35 +86,33 @@ class TestDifferentialCurvature:
             differential_curvature(1.56, 0.1, 10.0)
 
 
-class TestCurvatureSample:
+class TestKfState:
     def test_variance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CurvatureSample(t=0.0, kappa=0.0, source="ackermann", variance=0.0)
-
-    def test_source_names(self):
-        with pytest.raises(ValueError):
-            CurvatureSample(t=0.0, kappa=0.0, source="gps", variance=1.0)
+        for field in ("p", "q_process", "r_ack", "r_diff"):
+            with pytest.raises(ValueError):
+                KfState(**{field: 0.0})
 
 
 class TestKfUpdate:
+    """The filter cycle, kf_step, on floats."""
+
     def test_pure_prediction_grows_variance(self):
         st = KfState(kappa_hat=0.01, p=1e-4)
-        out = st
+        kappa, p = st.kappa_hat, st.p
         for _ in range(10):
-            out = kf_update(out, 0.02)
-        assert out.kappa_hat == 0.01
-        assert out.p == pytest.approx(1e-4 + 10 * st.q_process * 0.02, abs=1e-15)
+            kappa, p = kf_step(kappa, p, st.q_process * 0.02, None, st.r_ack, None, st.r_diff)
+        assert kappa == 0.01
+        assert p == pytest.approx(1e-4 + 10 * st.q_process * 0.02, abs=1e-15)
 
     def test_converges_to_constant(self):
         st = KfState(kappa_hat=0.0, p=1.0)
         c = 0.02
-        for i in range(4000):
-            za = CurvatureSample(t=i * 0.02, kappa=c, source="ackermann", variance=st.r_ack)
-            zd = CurvatureSample(t=i * 0.02, kappa=c, source="differential", variance=st.r_diff)
-            st = kf_update(st, 0.02, za, zd)
-        assert st.kappa_hat == pytest.approx(c, abs=1e-9)
+        kappa, p = st.kappa_hat, st.p
+        for _ in range(4000):
+            kappa, p = kf_step(kappa, p, st.q_process * 0.02, c, st.r_ack, c, st.r_diff)
+        assert kappa == pytest.approx(c, abs=1e-9)
         expected_p = kf_steady_state_variance(st.q_process * 0.02, (st.r_ack, st.r_diff))
-        assert st.p == pytest.approx(expected_p, rel=1e-6)
+        assert p == pytest.approx(expected_p, rel=1e-6)
 
     def test_steady_state_matches_closed_form(self):
         q_step = 1e-6 * 0.02
@@ -124,16 +122,17 @@ class TestKfUpdate:
 
     def test_update_order_insensitive(self):
         st = KfState(kappa_hat=0.003, p=5e-4)
-        za = CurvatureSample(t=0.0, kappa=0.021, source="ackermann", variance=4e-6)
-        zd = CurvatureSample(t=0.0, kappa=0.018, source="differential", variance=1e-4)
-        ab = kf_update(st, 0.02, z_ack=za, z_diff=zd)
-        ba = kf_update(st, 0.02, z_ack=zd, z_diff=za)
-        assert ab.kappa_hat == pytest.approx(ba.kappa_hat, abs=1e-12)
-        assert ab.p == pytest.approx(ba.p, abs=1e-12)
+        q_step = st.q_process * 0.02
+        ab = kf_step(st.kappa_hat, st.p, q_step, 0.021, 4e-6, 0.018, 1e-4)
+        ba = kf_step(st.kappa_hat, st.p, q_step, 0.018, 1e-4, 0.021, 4e-6)
+        assert ab[0] == pytest.approx(ba[0], abs=1e-12)
+        assert ab[1] == pytest.approx(ba[1], abs=1e-12)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            kf_update(KfState(), 0.0)
+        st = KfState()
+        for dt in (0.0, -0.02, math.nan):
+            with pytest.raises(ValueError):
+                kf_step(st.kappa_hat, st.p, st.q_process * dt, None, st.r_ack, None, st.r_diff)
 
     def test_fusion_beats_single_sources(self):
         # matched-model Monte Carlo: random-walk truth, two noisy sensors
@@ -146,15 +145,12 @@ class TestKfUpdate:
         z2 = walk + math.sqrt(r2) * rng.standard_normal(n)
 
         def run(use1, use2):
-            st = KfState(kappa_hat=0.0, p=1e-2, q_process=q, r_ack=r1, r_diff=r2)
+            kappa, p = 0.0, 1e-2
             err = np.empty(n)
             for i in range(n):
-                za = CurvatureSample(t=i * dt, kappa=z1[i], source="ackermann",
-                                     variance=r1) if use1 else None
-                zd = CurvatureSample(t=i * dt, kappa=z2[i], source="differential",
-                                     variance=r2) if use2 else None
-                st = kf_update(st, dt, za, zd)
-                err[i] = st.kappa_hat - walk[i]
+                kappa, p = kf_step(kappa, p, q * dt, z1[i] if use1 else None, r1,
+                                   z2[i] if use2 else None, r2)
+                err[i] = kappa - walk[i]
             return float(np.var(err[n // 10:]))
 
         fused = run(True, True)
@@ -177,13 +173,12 @@ class TestKfUpdate:
         ack_src = np.concatenate([np.zeros(lag), true[:-lag]])
         # comparable source weights and a fast filter keep its own lag small
         st = KfState(kappa_hat=0.0, p=1e-2, q_process=1e-4, r_ack=1e-4, r_diff=1e-4)
+        kappa, p = st.kappa_hat, st.p
         fused = np.empty(n)
         for i in range(n):
-            za = CurvatureSample(t=t[i], kappa=ack_src[i], source="ackermann", variance=st.r_ack)
-            zd = CurvatureSample(t=t[i], kappa=diff_src[i], source="differential",
-                                 variance=st.r_diff)
-            st = kf_update(st, dt, za, zd)
-            fused[i] = st.kappa_hat
+            kappa, p = kf_step(kappa, p, st.q_process * dt, ack_src[i], st.r_ack,
+                               diff_src[i], st.r_diff)
+            fused[i] = kappa
 
         def first_down_crossing(sig, start):
             for i in range(start, n - 1):
@@ -215,20 +210,23 @@ class TestDifferentialSample:
 
 
 class TestKfStep:
-    def test_matches_kf_update_bit_for_bit(self):
+    def test_matches_scalar_kalman_cycle_bit_for_bit(self):
+        # predict, then one scalar update per present measurement, in source order
         st = KfState(kappa_hat=0.003, p=5e-4)
-        za = CurvatureSample(t=0.0, kappa=0.021, source="ackermann", variance=4e-6)
-        zd = CurvatureSample(t=0.0, kappa=0.018, source="differential", variance=1e-4)
-        for z_ack, z_diff in ((za, zd), (za, None), (None, zd), (None, None)):
-            out = kf_update(st, 0.02, z_ack, z_diff)
-            kappa, p = kf_step(st.kappa_hat, st.p, st.q_process * 0.02,
-                               z_ack and z_ack.kappa, 4e-6, z_diff and z_diff.kappa, 1e-4)
-            assert (kappa, p) == (out.kappa_hat, out.p)
+        q_step = st.q_process * 0.02
+        for z_ack, z_diff in ((0.021, 0.018), (0.021, None), (None, 0.018), (None, None)):
+            kappa, p = st.kappa_hat, st.p + q_step
+            for z, r in ((z_ack, 4e-6), (z_diff, 1e-4)):
+                if z is not None:
+                    gain = p / (p + r)
+                    kappa, p = kappa + gain * (z - kappa), (1.0 - gain) * p
+            assert kf_step(st.kappa_hat, st.p, q_step, z_ack, 4e-6, z_diff, 1e-4) == (kappa, p)
 
 
 def reference_series(t, steer, psi, yaw, v, wheelbase):
-    """Per-sample loop: the heading/speed rule, then one kf_update per sample."""
+    """Per-sample loop: the heading/speed rule, then one kf_step per sample."""
     st = KfState()
+    kappa, p = st.kappa_hat, st.p
     ka = np.array([ackermann_curvature(d, wheelbase) for d in steer])
     kd = np.zeros(len(t))
     fused = np.zeros(len(t))
@@ -240,11 +238,9 @@ def reference_series(t, steer, psi, yaw, v, wheelbase):
         else:
             kd[i] = kd[i - 1] if i else 0.0
         dt = max(t[i] - t[i - 1], 1e-6) if i else 1e-3
-        za = CurvatureSample(t=t[i], kappa=ka[i], source="ackermann", variance=st.r_ack)
-        zd = CurvatureSample(t=t[i], kappa=kd[i], source="differential",
-                             variance=st.r_diff / max(v[i], 0.5) ** 2) if ok else None
-        st = kf_update(st, dt, za, zd)
-        fused[i] = st.kappa_hat
+        kappa, p = kf_step(kappa, p, st.q_process * dt, ka[i], st.r_ack,
+                           kd[i] if ok else None, st.r_diff / max(v[i], 0.5) ** 2)
+        fused[i] = kappa
     return ka, kd, fused
 
 

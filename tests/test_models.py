@@ -2,12 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steerkit.models import (
-    ControlInput, DynamicState, Pose, VehicleParams, dynamic_derivative, dynamic_matrices,
-    error_dynamics_matrices, front_axle_pose, kinematic_derivative,
-    kinematic_error_model, pfaffian_residuals, slip_angles, wrap_angle,
+    MIN_DYNAMIC_SPEED, ControlInput, DynamicState, Pose, VehicleParams, dynamic_derivative,
+    dynamic_matrices, dynamic_step, error_dynamics_matrices, front_axle_pose,
+    kinematic_derivative, kinematic_error_model, kinematic_step, pfaffian_residuals,
+    slip_angles, wrap_angle,
 )
+
+
+def generic_rk4(deriv, state, u, dt):
+    """Classical 4th-order Runge-Kutta step with the input held constant: the
+    oracle the fused model steps must equal bit for bit."""
+    h = 0.5 * dt
+    k1 = deriv(state, u)
+    k2 = deriv([x + h * k for x, k in zip(state, k1)], u)
+    k3 = deriv([x + h * k for x, k in zip(state, k2)], u)
+    k4 = deriv([x + dt * k for x, k in zip(state, k3)], u)
+    c = dt / 6.0
+    return tuple(x + c * (a + 2.0 * b + 2.0 * g + d)
+                 for x, a, b, g, d in zip(state, k1, k2, k3, k4))
+
+
+def _f(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_vehicles = st.builds(VehicleParams, m=_f(200.0, 5e4), iz=_f(100.0, 1e5), lf=_f(0.3, 4.0),
+                      lr=_f(0.3, 4.0), caf=_f(1e3, 5e5), car=_f(1e3, 5e5))
+_steers = _f(-math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 0.0))
+_dts = _f(1e-5, 0.5)
+_poses = st.tuples(_f(-1e4, 1e4), _f(-1e4, 1e4), _f(-20.0, 20.0))
 
 
 class TestVehicleParams:
@@ -54,6 +80,25 @@ class TestKinematicDerivative:
     def test_steer_singularity(self, params):
         with pytest.raises(ValueError):
             kinematic_derivative((0, 0, 0), ControlInput(1.0, math.pi / 2), params)
+
+
+class TestFusedSteps:
+    """kinematic_step and dynamic_step are generic RK4 on the derivatives, exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=_vehicles, pose=_poses, v=_f(-40.0, 40.0), delta=_steers, dt=_dts)
+    def test_kinematic_step_equals_generic_rk4(self, p, pose, v, delta, dt):
+        oracle = generic_rk4(lambda s, u: kinematic_derivative(s, u, p), pose, (v, delta), dt)
+        assert kinematic_step(pose, v, delta, dt, p) == oracle
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=_vehicles, pose=_poses, vy=_f(-10.0, 10.0), r=_f(-3.0, 3.0),
+           vx=st.floats(MIN_DYNAMIC_SPEED, 60.0, exclude_min=True),
+           delta=_steers, dt=_dts)
+    def test_dynamic_step_equals_generic_rk4(self, p, pose, vy, r, vx, delta, dt):
+        state = (*pose, vy, r)
+        oracle = generic_rk4(lambda s, u: dynamic_derivative(s, u, p), state, (vx, delta), dt)
+        assert dynamic_step(state, vx, delta, dt, p) == oracle
 
 
 class TestDynamicDerivative:

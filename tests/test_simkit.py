@@ -1,19 +1,18 @@
 import io
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from steerkit import SimulationError
 from steerkit.curvkit import MIN_COS_HEADING
-from steerkit.models import ControlInput, ErrorState, Pose, \
-    kinematic_derivative, pfaffian_residuals
+from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, \
+    kinematic_derivative, kinematic_step, pfaffian_residuals
 from steerkit.pathkit import PathProjection, gen_path
 from steerkit.simkit import (
     ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
     compute_metrics, default_sensors, dynamic_controller, kinematic_controller,
-    rk4_step, run_scenario,
+    run_scenario,
 )
 
 
@@ -36,9 +35,10 @@ def synthetic_log(e_y, speed=2.0, dt=0.01):
 
 
 class TestRk4:
+    """The fused plant steps, models.kinematic_step and dynamic_step."""
+
     def test_linear_motion_exact(self, params):
-        deriv = partial(kinematic_derivative, p=params)
-        state = rk4_step(deriv, np.array([0.0, 0.0, 0.0]), ControlInput(1.0, 0.0), 0.01)
+        state = kinematic_step((0.0, 0.0, 0.0), 1.0, 0.0, 0.01, params)
         assert state[0] == pytest.approx(0.01, abs=1e-18)
         assert state[1] == 0.0 and state[2] == 0.0
 
@@ -46,13 +46,11 @@ class TestRk4:
         # endpoint error against the analytic circular solution
         radius, v = 50.0, 10.0
         delta = math.atan(params.wheelbase / radius)
-        deriv = partial(kinematic_derivative, p=params)
-        u = ControlInput(v, delta)
         period = arc * radius / v
         n = int(round(period / dt))
-        state = np.array([0.0, 0.0, 0.0])
+        state = (0.0, 0.0, 0.0)
         for _ in range(n):
-            state = rk4_step(deriv, state, u, period / n)
+            state = kinematic_step(state, v, delta, period / n, params)
         xe = radius * math.sin(arc)
         ye = radius * (1.0 - math.cos(arc))
         return math.hypot(state[0] - xe, state[1] - ye)
@@ -68,14 +66,21 @@ class TestRk4:
 
     def test_rejects_bad_dt(self, params):
         with pytest.raises(ValueError):
-            rk4_step(partial(kinematic_derivative, p=params), np.zeros(3), ControlInput(1.0, 0.0), 0.0)
+            kinematic_step((0.0, 0.0, 0.0), 1.0, 0.0, 0.0, params)
 
     def test_nonfinite_state_aborts(self, params):
-        def bad(state, u):
-            return np.array([float("inf"), 0.0, 0.0])
-
         with pytest.raises(SimulationError):
-            rk4_step(bad, np.zeros(3), ControlInput(1.0, 0.0), 0.01)
+            kinematic_step((float("inf"), 0.0, 0.0), 1.0, 0.0, 0.01, params)
+
+    def test_dynamic_rejects_bad_dt_and_nonfinite_state(self, params):
+        with pytest.raises(ValueError):
+            dynamic_step((0.0,) * 5, 10.0, 0.0, -0.01, params)
+        with pytest.raises(SimulationError):
+            dynamic_step((0.0, 0.0, 0.0, float("nan"), 0.0), 10.0, 0.0, 0.01, params)
+
+    def test_kinematic_rejects_tangent_singularity(self, params):
+        with pytest.raises(ValueError, match="singularity"):
+            kinematic_step((0.0, 0.0, 0.0), 1.0, math.pi / 2, 0.01, params)
 
 
 class TestKinematicController:
@@ -306,6 +311,23 @@ class TestRunScenario:
                          kinematic_schedule, params=params)
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(path=path), dynamic_schedule, params=params)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.61])
+    def test_bad_initial_steer_rejected(self, params, kinematic_schedule, dynamic_schedule, bad):
+        # NaN used to fail in the steer quantizer; 1.0 rad ran silently past max_steer
+        path = gen_path("line", spacing=0.1, length=30.0)
+        for model, controller, schedule in (("kinematic", "kinematic_ff_fb", kinematic_schedule),
+                                            ("dynamic", "dynamic_lqr", dynamic_schedule)):
+            cfg = ScenarioConfig(path=path, model=model, controller=controller, t_end=0.1,
+                                 initial_steer=bad)
+            with pytest.raises(ValueError, match="initial_steer"):
+                run_scenario(cfg, schedule, params=params)
+
+    def test_initial_steer_at_max_steer_runs(self, params, kinematic_schedule):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        cfg = ScenarioConfig(path=path, t_end=0.1, initial_steer=-params.max_steer)
+        log = run_scenario(cfg, kinematic_schedule, params=params)
+        assert log.delta_act[0] == -params.max_steer
 
     def test_dynamic_model_tracks_circle(self, params, dynamic_schedule):
         path = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=120.0)
