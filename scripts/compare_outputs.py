@@ -9,7 +9,9 @@ simulations), each plan in one fresh process that imports steerkit from
 that side's `src/`.  The inputs come from NEW_ROOT's `bench/workloads.py`
 for both sides, so only the program differs.
 
-The script reports, and exits 1 on, any difference in:
+The summary line also gives each root's `src/steerkit/*.py` line count
+(as `wc -l` counts it).  The script reports, and exits 1 on, any
+difference in:
   - the exit code or the stdout line of a command (with the side's work
     directory replaced by a placeholder);
   - the set of artifacts a command wrote, or the sha256 of any artifact
@@ -50,6 +52,10 @@ def _run_plan(src: str, plan_file: str) -> None:
 def _digests(out: Path) -> dict[str, str]:
     return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(out.rglob("*")) if f.is_file() and f.name != "manifest.json"}
+
+
+def _src_lines(root: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "steerkit").glob("*.py"))
 
 
 def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) -> dict:
@@ -107,7 +113,9 @@ def main(argv=None) -> int:
         artifacts += len(a)
     for line in failures:
         print(f"DIFF {line}")
-    print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences")
+    print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences; "
+          f"src/steerkit/*.py lines: {_src_lines(args.old_root)} old, "
+          f"{_src_lines(args.new_root)} new")
     return 1 if failures else 0
 
 

@@ -237,7 +237,10 @@ def _schedule_from_config(cfg: dict, p: VehicleParams, model: str, control_dt: f
         path = base / entry["csv"]
         _require(path.exists(), f"gain table {path} not found")
         with open(path, encoding="utf-8") as f:
-            return lqr.load_gain_csv(f, p)
+            schedule = lqr.load_gain_csv(f, p)
+        _require(schedule.dt == control_dt, f"gain table {path} has dt {schedule.dt} s, "
+                 f"the config's control_dt is {control_dt} s")
+        return schedule
     grid = _speed_grid(entry.get("grid", [1.0, 15.0, 15]), "gains.grid")
     weights = _weights(entry.get("weights"), model)
     lqr.check_control_dt(control_dt)
@@ -305,7 +308,7 @@ def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
     metrics = simkit.compute_metrics(log)
     with out.open("log.csv") as f:
         log.to_csv(f)
-    out.json("metrics.json", {**metrics.to_dict(), "stop_reason": log.stop_reason,
+    out.json("metrics.json", {**metrics, "stop_reason": log.stop_reason,
                               "seed": scenario.seed, "schema_version": SCHEMA_VERSION})
     with out.open("gains.csv") as f:
         lqr.save_gain_csv(schedule, f)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import NumericalError
-from .models import MIN_DYNAMIC_SPEED, VehicleParams, error_dynamics_matrices, \
-    kinematic_error_model
+from .models import VehicleParams, error_dynamics_matrices, kinematic_error_model
 from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, write_float_csv
 
 CERT_MARGIN = 1e-6
@@ -87,11 +86,12 @@ def _certify_on(sysd: StateSpace, model: str, k, v: float, dt: float) -> GainSet
     return GainSet(k=k, v=float(v), dt=float(dt), model=model, closed_loop_radius=rho)
 
 
-def check_control_dt(dt: float) -> float:
-    """Return dt, or raise ValueError unless it lies in CONTROL_DT_RANGE."""
+def check_control_dt(dt: float, where: str = "") -> float:
+    """Return dt, or raise ValueError unless it lies in CONTROL_DT_RANGE;
+    `where` says where dt comes from in the message."""
     lo, hi = CONTROL_DT_RANGE
     if not lo < dt <= hi:
-        raise ValueError(f"control period must be in ({lo}, {hi}] s")
+        raise ValueError(f"control period {dt} s{where} must be in ({lo}, {hi}] s")
     return dt
 
 
@@ -110,9 +110,8 @@ def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) ->
 
 def design_kinematic(v: float, p: VehicleParams, w: LqrWeights,
                      dt: float = DEFAULT_CONTROL_DT) -> GainSet:
-    """LQR gains (k1 lateral, k2 heading) for the kinematic error model."""
-    if v <= 0:
-        raise ValueError("design speed must be positive")
+    """LQR gains (k1 lateral, k2 heading) for the kinematic error model,
+    whose build rejects v <= 0."""
     return _design("kinematic", v, p, w, dt)
 
 
@@ -121,10 +120,9 @@ def design_dynamic(vx: float, p: VehicleParams, w: LqrWeights,
     """LQR gains over the 4 error states for the dynamic single-track model.
 
     The curvature disturbance column is excluded from the Riccati design;
-    only the steering input is regulated.
+    only the steering input is regulated.  The model build rejects a vx at
+    or below models.MIN_DYNAMIC_SPEED.
     """
-    if vx <= MIN_DYNAMIC_SPEED:
-        raise ValueError(f"dynamic design needs vx > {MIN_DYNAMIC_SPEED} m/s")
     return _design("dynamic", vx, p, w, dt)
 
 
@@ -201,7 +199,8 @@ def save_gain_csv(schedule: GainSchedule, fobj) -> None:
 
 
 def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
-    """Rebuild a schedule from a gain table; every row is re-certified."""
+    """Rebuild a schedule from a gain table; every cell must be finite and
+    every dt in CONTROL_DT_RANGE, and every row is re-certified."""
     rows = []
     header = None
     for lineno, line in enumerate(fobj, 1):
@@ -211,17 +210,21 @@ def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
         cells = line.split(",")
         if header is None:
             header = [c.strip() for c in cells]
+            n = len(header) - 2
+            if header[0] != "v" or header[-1] != "dt" or n not in (2, 4) or \
+                    header[1 : 1 + n] != [f"k{i + 1}" for i in range(n)]:
+                raise ValueError(f"unexpected gain table header {header!r}")
             continue
         if len(cells) != len(header):
             raise ValueError(f"gain table line {lineno} ({line!r}) has {len(cells)} cells, "
                              f"the header has {len(header)}")
-        rows.append([float(c) for c in cells])
-    if header is None or not rows:
+        row = [float(c) for c in cells]
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"gain table line {lineno} ({line!r}) has a non-finite cell")
+        check_control_dt(row[-1], f" on gain table line {lineno}")
+        rows.append(row)
+    if not rows:
         raise ValueError("gain table is empty")
-    n = len(header) - 2
-    if header[0] != "v" or header[-1] != "dt" or n not in (2, 4) or \
-            header[1 : 1 + n] != [f"k{i + 1}" for i in range(n)]:
-        raise ValueError(f"unexpected gain table header {header!r}")
     model = "kinematic" if n == 2 else "dynamic"
     dts = {row[-1] for row in rows}
     if len(dts) != 1:

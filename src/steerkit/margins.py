@@ -68,8 +68,8 @@ def loop_response(sys: StateSpace, k, omegas) -> FreqResponse:
 
     k is a gain row (or a GainSet-like object with a .k attribute).
     Phase is unwrapped by nearest-multiple continuity from the first grid
-    point.  An exactly singular (zI - Ad) yields an infinite-magnitude
-    sample rather than an error.
+    point.  (zI - Ad) is solved for the whole grid at once; an error
+    model's only unit-circle pole is z = 1, outside every grid.
     """
     if not sys.is_discrete:
         raise ValueError("loop_response needs a discrete-time model")
@@ -80,15 +80,10 @@ def loop_response(sys: StateSpace, k, omegas) -> FreqResponse:
     if np.any(omegas <= 0) or np.any(omegas >= math.pi / sys.dt):
         raise ValueError("frequencies must lie in (0, pi/dt)")
 
-    eye = np.eye(sys.n_states)
-    bd = sys.B[:, 0]
-    values = np.empty(len(omegas), dtype=complex)
-    for i, w in enumerate(omegas):
-        z = np.exp(1j * w * sys.dt)
-        try:
-            values[i] = krow @ np.linalg.solve(z * eye - sys.A, bd)
-        except np.linalg.LinAlgError:
-            values[i] = np.inf
+    z = np.exp(1j * omegas * sys.dt)
+    x = np.linalg.solve(z[:, None, None] * np.eye(sys.n_states) - sys.A, sys.B[:, 0])
+    # one dot per row: x @ krow rounds differently in the last bits
+    values = np.array([krow @ xi for xi in x], dtype=complex)
     mag_db = 20.0 * np.log10(np.abs(values))
     phase_deg = np.degrees(np.unwrap(np.angle(values)))
     return FreqResponse(omegas=omegas, mag_db=mag_db, phase_deg=phase_deg, dt=sys.dt)

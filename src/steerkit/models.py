@@ -26,6 +26,14 @@ MIN_DYNAMIC_SPEED = 0.5
 SMALL_ANGLE_LIMIT = 0.17
 
 
+def check_dynamic_speed(vx: float, where: str = "") -> None:
+    """Raise ValueError when vx is at/below MIN_DYNAMIC_SPEED; `where` says
+    what the speed is in the message."""
+    if vx <= MIN_DYNAMIC_SPEED:
+        raise ValueError(f"vx={vx} m/s{where} is at/below the {MIN_DYNAMIC_SPEED} m/s guard; "
+                         "use the kinematic model")
+
+
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     w = math.fmod(a + math.pi, 2.0 * math.pi)
@@ -240,10 +248,7 @@ def pfaffian_residuals(
 
 def slip_angles(s: DynamicState, vx: float, p: VehicleParams) -> SlipAngles:
     """Linearized side-slip angles at CoG, front and rear axles."""
-    if vx <= MIN_DYNAMIC_SPEED:
-        raise ValueError(
-            f"vx={vx} m/s is at/below the {MIN_DYNAMIC_SPEED} m/s guard; use the kinematic model"
-        )
+    check_dynamic_speed(vx)
     return SlipAngles(
         beta=s.y_dot / vx,
         beta_f=(s.y_dot + p.lf * s.psi_dot) / vx,
@@ -265,12 +270,9 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
     """Continuous-time lateral dynamics on (y, y_dot, psi, psi_dot), input delta.
 
     Rows follow the scalar lateral-force and yaw-moment balances; the two
-    integrator rows couple y -> y_dot and psi -> psi_dot.  Full-state output.
+    integrator rows couple y -> y_dot and psi -> psi_dot.
     """
-    if vx <= MIN_DYNAMIC_SPEED:
-        raise ValueError(
-            f"vx={vx} m/s is at/below the {MIN_DYNAMIC_SPEED} m/s guard; use the kinematic model"
-        )
+    check_dynamic_speed(vx)
     a22, a24, a42, a44, b2, b4 = _lateral_coefficients(vx, p)
     a = np.array(
         [
@@ -281,7 +283,7 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
         ]
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
-    return StateSpace(A=a, B=b, C=np.eye(4), dt=0.0)
+    return StateSpace(A=a, B=b, dt=0.0)
 
 
 def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
@@ -295,10 +297,7 @@ def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np
     unchanged.  The second return value is the disturbance column
     multiplying the desired yaw rate psi_dot_d = vx * kappa.
     """
-    if vx <= MIN_DYNAMIC_SPEED:
-        raise ValueError(
-            f"vx={vx} m/s is at/below the {MIN_DYNAMIC_SPEED} m/s guard; use the kinematic model"
-        )
+    check_dynamic_speed(vx)
     a22, _, a42, a44, b2, b4 = _lateral_coefficients(vx, p)
     a23 = 2.0 * (p.caf + p.car) / p.m
     a24 = -2.0 * (p.caf * p.lf - p.car * p.lr) / (p.m * vx)
@@ -313,7 +312,7 @@ def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
     disturbance = np.array([[0.0], [a24 - vx], [0.0], [a44]])
-    return StateSpace(A=a, B=b, C=np.eye(4), dt=0.0), disturbance
+    return StateSpace(A=a, B=b, dt=0.0), disturbance
 
 
 def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
@@ -328,4 +327,4 @@ def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
         raise ValueError("wheelbase must be > 0")
     a = np.array([[0.0, v], [0.0, 0.0]])
     b = np.array([[0.0], [v / wheelbase]])
-    return StateSpace(A=a, B=b, C=np.eye(2), dt=0.0)
+    return StateSpace(A=a, B=b, dt=0.0)

@@ -46,7 +46,7 @@ def _square(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Linear state-space model x' = Ax + Bu, y = Cx.
+    """Linear state-space model x' = Ax + Bu (full-state output).
 
     dt is the sample period in seconds; dt == 0 marks a continuous-time
     model.
@@ -54,30 +54,21 @@ class StateSpace:
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
     dt: float = 0.0
 
     def __post_init__(self):
         A = _square(self.A, "A")
         B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
         if B.shape[0] != A.shape[0]:
             raise ValueError(f"B has {B.shape[0]} rows, expected {A.shape[0]}")
-        if C.shape[1] != A.shape[0]:
-            raise ValueError(f"C has {C.shape[1]} cols, expected {A.shape[0]}")
         if self.dt < 0:
             raise ValueError("dt must be >= 0")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
 
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
 
     @property
     def is_discrete(self) -> bool:
@@ -113,20 +104,20 @@ def c2d(sys: StateSpace, dt: float) -> StateSpace:
 
     Uses the augmented-matrix exponential: exp([[A, B], [0, 0]] * dt)
     yields Ad in the upper-left block and Bd = (int_0^dt e^{A tau} dtau) B
-    in the upper-right block.  C carries over unchanged.
+    in the upper-right block.
     """
     if sys.is_discrete:
         raise ValueError("c2d expects a continuous-time model (dt == 0)")
     if dt <= 0:
         raise ValueError("sample period dt must be > 0")
-    n, m = sys.n_states, sys.n_inputs
+    n, m = sys.B.shape
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
     phi = expm(aug * dt)
     ad = phi[:n, :n]
     bd = phi[:n, n:]
-    return StateSpace(A=ad, B=bd, C=sys.C.copy(), dt=dt)
+    return StateSpace(A=ad, B=bd, dt=dt)
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

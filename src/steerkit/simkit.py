@@ -20,7 +20,7 @@ from . import SimulationError
 from .curvkit import KfState, ackermann_curvature, differential_sample, feedforward_steer, \
     kf_step
 from .lqr import GainSchedule
-from .models import MIN_DYNAMIC_SPEED, ControlInput, ErrorState, Pose, VehicleParams, \
+from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import write_float_csv
 from .pathkit import PathProjection, RefPath, project
@@ -181,65 +181,25 @@ class ScenarioConfig:
 
 @dataclass
 class SimLog:
-    """Uniformly sampled run record; one row per sim_dt.  Columns in CSV_COLUMNS."""
+    """Uniformly sampled run record: `rows` holds one row per sim_dt with the
+    columns CSV_COLUMNS, and a column reads by name (log.e_y is a view)."""
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    psi: np.ndarray
-    vy: np.ndarray
-    yaw_rate: np.ndarray
-    odometer: np.ndarray
-    v_cmd: np.ndarray
-    delta_cmd: np.ndarray
-    delta_act: np.ndarray
-    saturated: np.ndarray
-    s: np.ndarray
-    e_y: np.ndarray
-    e_psi: np.ndarray
-    e_y_dot: np.ndarray
-    e_psi_dot: np.ndarray
-    kappa_path: np.ndarray
-    kappa_ack: np.ndarray
-    kappa_diff: np.ndarray
-    kappa_fused: np.ndarray
+    rows: np.ndarray
     stop_reason: str = "t_end"
     seed: int = 0
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached for non-fields only; "rows" is no column, so no recursion
+        if name not in CSV_COLUMNS:
+            raise AttributeError(f"SimLog has no column {name!r}")
+        return self.rows[:, CSV_COLUMNS.index(name)]
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.rows)
 
     def to_csv(self, fobj) -> None:
         fobj.write("# steerkit simulation log; SI units, radians; saturated is 0/1\n")
-        write_float_csv(fobj, CSV_COLUMNS, [getattr(self, c) for c in CSV_COLUMNS])
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Tracking quality of one run, over the whole log and post path contact."""
-
-    max_abs_e_y: float
-    rms_e_y: float
-    max_abs_e_psi: float
-    settle_distance: float | None
-    settled: bool
-    post_max_abs_e_y: float | None
-    post_rms_e_y: float | None
-    post_max_abs_e_psi: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_e_y": self.max_abs_e_y,
-            "rms_e_y": self.rms_e_y,
-            "max_abs_e_psi": self.max_abs_e_psi,
-            "settle_distance": self.settle_distance,
-            "settled": self.settled,
-            "post_transient": {
-                "max_abs_e_y": self.post_max_abs_e_y,
-                "rms_e_y": self.post_rms_e_y,
-                "max_abs_e_psi": self.post_max_abs_e_psi,
-            },
-        }
+        write_float_csv(fobj, CSV_COLUMNS, [self.rows])
 
 
 def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
@@ -257,8 +217,7 @@ def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
 def dynamic_controller(err: ErrorState, vx: float, schedule: GainSchedule,
                        kappa: float, p: VehicleParams) -> ControlInput:
     """Full error-state feedback plus Ackermann feedforward."""
-    if vx <= MIN_DYNAMIC_SPEED:
-        raise ValueError(f"vx={vx} below the dynamic-model speed guard")
+    check_dynamic_speed(vx)
     gains = schedule.lookup(vx)
     delta_fb = -float(gains.k @ err.as_array())
     delta = delta_fb + feedforward_steer(kappa, p.wheelbase)
@@ -325,8 +284,9 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     kinematic = cfg.model == "kinematic"
     state = (x0, y0, heading0) if kinematic else (x0, y0, heading0, 0.0, 0.0)
     plant_step = kinematic_step if kinematic else dynamic_step
-    if not kinematic and speeds[0] <= MIN_DYNAMIC_SPEED:
-        raise ValueError(f"dynamic model requires speed above {MIN_DYNAMIC_SPEED} m/s")
+    if not kinematic:
+        v_min = min(speeds)
+        check_dynamic_speed(v_min, f" (speed command at t={times[speeds.index(v_min)]:g} s)")
 
     control_every = cfg.control_every
     sensors = default_sensors() | cfg.sensors
@@ -426,12 +386,13 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
             prev_s -= path.length
         proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)
 
-    return SimLog(**dict(zip(CSV_COLUMNS, rows[:step + 1].T)),
-                  stop_reason=stop_reason, seed=cfg.seed)
+    return SimLog(rows[:step + 1], stop_reason=stop_reason, seed=cfg.seed)
 
 
-def compute_metrics(log: SimLog) -> Metrics:
-    """Tracking metrics over the whole run and after first path contact.
+def compute_metrics(log: SimLog) -> dict:
+    """Tracking metrics over the whole run and after first path contact, as
+    metrics.json holds them (post-contact values under "post_transient",
+    None without contact).
 
     Settle distance is the odometer reading at the first entry into the
     |e_y| < SETTLE_BAND window that holds to the end of the log.
@@ -449,13 +410,15 @@ def compute_metrics(log: SimLog) -> Metrics:
 
     contact = np.nonzero(abs_ey <= SETTLE_BAND)[0]
     c = int(contact[0]) if len(contact) else None
-    return Metrics(
-        max_abs_e_y=float(np.max(abs_ey)),
-        rms_e_y=float(np.sqrt(np.mean(log.e_y**2))),
-        max_abs_e_psi=float(np.max(np.abs(log.e_psi))),
-        settle_distance=settle_distance,
-        settled=settled,
-        post_max_abs_e_y=None if c is None else float(np.max(abs_ey[c:])),
-        post_rms_e_y=None if c is None else float(np.sqrt(np.mean(log.e_y[c:] ** 2))),
-        post_max_abs_e_psi=None if c is None else float(np.max(np.abs(log.e_psi[c:]))),
-    )
+    return {
+        "max_abs_e_y": float(np.max(abs_ey)),
+        "rms_e_y": float(np.sqrt(np.mean(log.e_y**2))),
+        "max_abs_e_psi": float(np.max(np.abs(log.e_psi))),
+        "settle_distance": settle_distance,
+        "settled": settled,
+        "post_transient": {
+            "max_abs_e_y": None if c is None else float(np.max(abs_ey[c:])),
+            "rms_e_y": None if c is None else float(np.sqrt(np.mean(log.e_y[c:] ** 2))),
+            "max_abs_e_psi": None if c is None else float(np.max(np.abs(log.e_psi[c:]))),
+        },
+    }

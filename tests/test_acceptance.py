@@ -93,7 +93,7 @@ def test_criterion_3_paper_error_bounds(params, kinematic_schedule):
                          kinematic_schedule, params=params)
     t10 = time.perf_counter() - t0
     m10 = compute_metrics(log10)
-    assert m10.max_abs_e_y <= 0.10
+    assert m10["max_abs_e_y"] <= 0.10
     assert t10 < 10.0
 
     path3 = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=180.0)
@@ -102,12 +102,12 @@ def test_criterion_3_paper_error_bounds(params, kinematic_schedule):
                         kinematic_schedule, params=params)
     t3 = time.perf_counter() - t0
     m3 = compute_metrics(log3)
-    assert m3.max_abs_e_y <= 0.05
-    assert m3.max_abs_e_psi <= math.radians(1.0)
+    assert m3["max_abs_e_y"] <= 0.05
+    assert m3["max_abs_e_psi"] <= math.radians(1.0)
     assert t3 < 10.0
-    report(3, f"10 m/s: |e_y|<={m10.max_abs_e_y:.3f} m ({t10:.1f} s); "
-              f"3 m/s: |e_y|<={m3.max_abs_e_y:.3f} m, "
-              f"|e_psi|<={math.degrees(m3.max_abs_e_psi):.2f} deg ({t3:.1f} s)")
+    report(3, f"10 m/s: |e_y|<={m10['max_abs_e_y']:.3f} m ({t10:.1f} s); "
+              f"3 m/s: |e_y|<={m3['max_abs_e_y']:.3f} m, "
+              f"|e_psi|<={math.degrees(m3['max_abs_e_psi']):.2f} deg ({t3:.1f} s)")
 
 
 def test_criterion_4_parking_sweep(params, kinematic_schedule):
@@ -117,9 +117,9 @@ def test_criterion_4_parking_sweep(params, kinematic_schedule):
         cfg = ScenarioConfig(path=path, speed=1.5, t_end=40.0,
                              initial_offset=(offset, 0.0), seed=0)
         metrics = compute_metrics(run_scenario(cfg, kinematic_schedule, params=params))
-        assert metrics.settled, f"offset {offset} never settled"
-        assert metrics.settle_distance <= 15.0
-        worst_settle = max(worst_settle, metrics.settle_distance)
+        assert metrics["settled"], f"offset {offset} never settled"
+        assert metrics["settle_distance"] <= 15.0
+        worst_settle = max(worst_settle, metrics["settle_distance"])
     report(4, f"4 offsets settle within {worst_settle:.1f} m <= 15 m and stay settled")
 
 

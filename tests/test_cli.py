@@ -152,6 +152,41 @@ class TestSimulate:
         assert (tmp_path / "a" / "gains.csv").read_bytes() == \
             (tmp_path / "b" / "gains.csv").read_bytes()
 
+    def test_dynamic_speed_dip_exit_3_before_any_artifact(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, model="dynamic", controller="dynamic_lqr",
+                                  speed=[[0, 5], [4, 0.3]], t_end=8.0,
+                                  gains={"grid": [1.0, 15.0, 8],
+                                         "weights": {"q": [1.0] * 4, "r": 1.0}})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "vx=0.3 m/s (speed command at t=4 s)" in err
+        assert not out.exists()
+
+    def test_gain_table_dt_must_be_control_dt(self, tmp_path, capsys):
+        designed = tmp_path / "d"
+        assert main(["design", str(CONFIGS / "sedan.json"), "--out", str(designed),
+                     "--dt", "0.05"]) == 0
+        cfg = write_circle_config(tmp_path, gains={"csv": str(designed / "gains.csv")})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "dt 0.05 s" in err and "control_dt is 0.02 s" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("6.0,nan,2.2,0.02", "gain table line 3 ('6.0,nan,2.2,0.02') has a non-finite cell"),
+        ("6.0,0.8,2.2,0.5", "control period 0.5 s on gain table line 3"),
+    ])
+    def test_gain_table_cell_exit_3_before_any_artifact(self, tmp_path, capsys, row, message):
+        table = tmp_path / "gains.csv"
+        table.write_text(f"v,k1,k2,dt\n5.0,0.9,2.4,0.02\n{row}\n", encoding="utf-8")
+        cfg = write_circle_config(tmp_path, gains={"csv": str(table)})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_offsets(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["simulate", str(CONFIGS / "parking.json"), "--out", str(out),

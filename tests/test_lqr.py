@@ -252,6 +252,21 @@ class TestGainCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_gain_csv(io.StringIO(text), params)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1, 3])
+    def test_non_finite_cell_rejected(self, params, cell, column):
+        row = ["6.0", "0.8", "2.2", "0.02"]
+        row[column] = cell
+        text = "v,k1,k2,dt\n5.0,0.9,2.4,0.02\n" + ",".join(row) + "\n"
+        with pytest.raises(ValueError, match="line 3 .*non-finite"):
+            load_gain_csv(io.StringIO(text), params)
+
+    @pytest.mark.parametrize("dt", ["0.5", "0.001", "0.0", "-0.02"])
+    def test_dt_outside_control_range_rejected(self, params, dt):
+        text = f"v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,0.8,2.2,{dt}\n"
+        with pytest.raises(ValueError, match=f"control period {dt} s on gain table line 3"):
+            load_gain_csv(io.StringIO(text), params)
+
 
 class TestCertify:
     def test_returns_certified_gain_set(self, params):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from steerkit.lqr import LqrWeights, design_kinematic, discrete_error_model
+from steerkit import NumericalError
+from steerkit.lqr import LqrWeights, design_dynamic, design_kinematic, discrete_error_model
 from steerkit.margins import FreqResponse, compute_margins, default_grid, loop_response
 from steerkit.numkit import StateSpace
 
@@ -14,7 +16,45 @@ PM_FREQ_V10 = 9.564363700670086
 
 
 def integrator_loop(dt=0.01):
-    return StateSpace(A=[[1.0]], B=[[dt]], C=[[1.0]], dt=dt)
+    return StateSpace(A=[[1.0]], B=[[dt]], dt=dt)
+
+
+def loop_response_per_frequency(sys, k, omegas):
+    """(mag_db, phase_deg) by one solve per frequency: the loop that
+    loop_response's batched solve replaced, kept as its oracle."""
+    krow = np.asarray(getattr(k, "k", k), dtype=float).reshape(-1)
+    eye = np.eye(sys.n_states)
+    values = np.empty(len(omegas), dtype=complex)
+    for i, w in enumerate(omegas):
+        z = np.exp(1j * w * sys.dt)
+        values[i] = krow @ np.linalg.solve(z * eye - sys.A, sys.B[:, 0])
+    return 20.0 * np.log10(np.abs(values)), np.degrees(np.unwrap(np.angle(values)))
+
+
+class TestBatchedSolveOracle:
+    """The batched solve must stay bit-equal to the per-frequency loop: any
+    other reduction of the final dot (x @ krow, einsum, a row sum) rounds
+    differently in the last bits."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(["kinematic", "dynamic"]),
+           v=st.floats(0.6, 30.0),
+           dt=st.floats(0.001, 0.1, exclude_min=True),
+           q=st.floats(0.01, 100.0),
+           r=st.floats(0.01, 100.0),
+           points=st.integers(2, 600))
+    def test_bit_equal_to_per_frequency_loop(self, params, model, v, dt, q, r, points):
+        n, design = (2, design_kinematic) if model == "kinematic" else (4, design_dynamic)
+        try:
+            gs = design(v, params, LqrWeights((q,) + (1.0,) * (n - 1), r), dt)
+        except NumericalError:
+            assume(False)
+        sysd = discrete_error_model(model, v, params, dt)
+        grid = default_grid(dt, points=points)
+        fr = loop_response(sysd, gs, grid)
+        mag_db, phase_deg = loop_response_per_frequency(sysd, gs, grid)
+        assert np.array_equal(fr.mag_db, mag_db)
+        assert np.array_equal(fr.phase_deg, phase_deg)
 
 
 class TestLoopResponse:
@@ -34,7 +74,7 @@ class TestLoopResponse:
         assert np.allclose(scaled.phase_deg, base.phase_deg, atol=1e-9)
 
     def test_finite_at_grid_top_for_stable_plant(self):
-        sys = StateSpace(A=[[0.5]], B=[[1.0]], C=[[1.0]], dt=0.01)
+        sys = StateSpace(A=[[0.5]], B=[[1.0]], dt=0.01)
         fr = loop_response(sys, np.array([1.0]), default_grid(0.01))
         assert np.all(np.isfinite(fr.mag_db))
 
@@ -44,7 +84,7 @@ class TestLoopResponse:
             loop_response(sys, np.array([1.0]), np.array([1.0, 400.0]))
 
     def test_rejects_continuous_model(self):
-        sys = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]], dt=0.0)
+        sys = StateSpace(A=[[0.0]], B=[[1.0]], dt=0.0)
         with pytest.raises(ValueError):
             loop_response(sys, np.array([1.0]), np.array([1.0]))
 
@@ -69,7 +109,7 @@ class TestComputeMargins:
         assert rep.pm_freq == pytest.approx(1.0, rel=0.01)
 
     def test_small_loop_no_crossover(self):
-        sys = StateSpace(A=[[0.5]], B=[[0.01]], C=[[1.0]], dt=0.01)
+        sys = StateSpace(A=[[0.5]], B=[[0.01]], dt=0.01)
         rep = compute_margins(loop_response(sys, np.array([1.0]), default_grid(0.01)))
         assert math.isinf(rep.gm)
         assert rep.pm is None

@@ -36,20 +36,18 @@ def random_stabilizable(rng, n):
 class TestStateSpace:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            StateSpace(A=np.eye(2), B=np.zeros((3, 1)), C=np.eye(2))
+            StateSpace(A=np.eye(2), B=np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            StateSpace(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(3))
-        with pytest.raises(ValueError):
-            StateSpace(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), dt=-0.1)
+            StateSpace(A=np.eye(2), B=np.zeros((2, 1)), dt=-0.1)
 
     def test_rejects_non_finite(self):
         a = np.eye(2)
         a[0, 1] = np.nan
         with pytest.raises(ValueError):
-            StateSpace(A=a, B=np.zeros((2, 1)), C=np.eye(2))
+            StateSpace(A=a, B=np.zeros((2, 1)))
 
     def test_continuous_flag(self):
-        sys = StateSpace(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        sys = StateSpace(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
         assert not sys.is_discrete
         assert c2d(sys, 0.01).is_discrete
 
@@ -57,27 +55,27 @@ class TestStateSpace:
 class TestC2d:
     def test_zero_a_identity(self):
         b = np.array([[2.0], [-1.0], [0.5]])
-        sys = StateSpace(A=np.zeros((3, 3)), B=b, C=np.eye(3))
+        sys = StateSpace(A=np.zeros((3, 3)), B=b)
         sysd = c2d(sys, 0.01)
         assert np.allclose(sysd.A, np.eye(3), atol=1e-15)
         assert np.allclose(sysd.B, 0.01 * b, atol=1e-15)
 
     def test_scalar_zoh_closed_form(self):
-        sys = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
+        sys = StateSpace(A=[[-2.0]], B=[[1.0]])
         sysd = c2d(sys, 0.1)
         assert sysd.A[0, 0] == pytest.approx(math.exp(-0.2), abs=1e-14)
         assert sysd.B[0, 0] == pytest.approx((math.exp(-0.2) - 1.0) / -2.0, abs=1e-14)
 
     def test_nilpotent_series_terminates_exactly(self):
         v, wheelbase, dt = 10.0, 2.7, 0.02
-        sys = StateSpace(A=[[0.0, v], [0.0, 0.0]], B=[[0.0], [v / wheelbase]], C=np.eye(2))
+        sys = StateSpace(A=[[0.0, v], [0.0, 0.0]], B=[[0.0], [v / wheelbase]])
         sysd = c2d(sys, dt)
         assert np.array_equal(sysd.A, [[1.0, v * dt], [0.0, 1.0]])
         assert sysd.B[0, 0] == pytest.approx(v**2 * dt**2 / (2 * wheelbase), abs=1e-18)
         assert sysd.B[1, 0] == pytest.approx(v * dt / wheelbase, abs=1e-18)
 
     def test_rejects_discrete_input_and_bad_dt(self):
-        sys = StateSpace(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        sys = StateSpace(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             c2d(c2d(sys, 0.1), 0.1)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,16 +24,14 @@ def circle_scenario(speed=10.0, arc_deg=270.0, **kw):
 
 
 def synthetic_log(e_y, speed=2.0, dt=0.01):
-    n = len(e_y)
-    t = np.arange(n) * dt
-    zeros = np.zeros(n)
-    return SimLog(
-        t=t, x=speed * t, y=np.asarray(e_y, dtype=float), psi=zeros, vy=zeros,
-        yaw_rate=zeros, odometer=speed * t, v_cmd=np.full(n, speed), delta_cmd=zeros,
-        delta_act=zeros, saturated=zeros, s=speed * t, e_y=np.asarray(e_y, dtype=float),
-        e_psi=zeros, e_y_dot=zeros, e_psi_dot=zeros, kappa_path=zeros, kappa_ack=zeros,
-        kappa_diff=zeros, kappa_fused=zeros,
-    )
+    """A straight-line log with lateral error e_y, built as its row table."""
+    e_y = np.asarray(e_y, dtype=float)
+    t = np.arange(len(e_y)) * dt
+    rows = np.zeros((len(e_y), len(CSV_COLUMNS)))
+    for name, col in (("t", t), ("x", speed * t), ("y", e_y), ("odometer", speed * t),
+                      ("v_cmd", speed), ("s", speed * t), ("e_y", e_y)):
+        rows[:, CSV_COLUMNS.index(name)] = col
+    return SimLog(rows)
 
 
 class TestRk4:
@@ -257,7 +257,7 @@ class TestRunScenario:
         assert len(back) == 1
         assert -ds[back[0]] == pytest.approx(path.length, abs=0.5)
         assert np.all(np.delete(ds, back) >= 0)
-        assert compute_metrics(log).max_abs_e_y <= 0.10  # criterion 3 bound
+        assert compute_metrics(log)["max_abs_e_y"] <= 0.10  # criterion 3 bound
 
     def test_pfaffian_residuals_along_log(self, params, kinematic_schedule):
         cfg = circle_scenario(speed=10.0, arc_deg=90.0, t_end=8.0)
@@ -335,7 +335,7 @@ class TestRunScenario:
                              speed=10.0, t_end=20.0)
         log = run_scenario(cfg, dynamic_schedule, params=params)
         m = compute_metrics(log)
-        assert m.max_abs_e_y < 0.15
+        assert m["max_abs_e_y"] < 0.15
         assert log.stop_reason == "path_end"
 
     def test_saturation_flagged(self, params, kinematic_schedule):
@@ -363,13 +363,67 @@ class TestRunScenario:
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(log)
 
+    def test_dynamic_speed_dip_rejected_before_the_first_step(self, params, dynamic_schedule):
+        # the dip comes 4 s into the run; the whole commanded table is checked up front
+        cfg = ScenarioConfig(path=gen_path("line", spacing=0.1, length=80.0), model="dynamic",
+                             controller="dynamic_lqr", speed=[(0.0, 5.0), (4.0, 0.3)], t_end=8.0)
+        with pytest.raises(ValueError, match=r"0\.3 m/s \(speed command at t=4 s\)"):
+            run_scenario(cfg, dynamic_schedule, params=params)
+
+
+class TestSimLog:
+    """A SimLog is its run's row table; a column reads by its CSV_COLUMNS name."""
+
+    def test_to_csv_equals_per_row_repr(self, params, kinematic_schedule):
+        cfg = circle_scenario(speed=10.0, arc_deg=30.0, t_end=2.0, seed=3,
+                              sensors={"lateral": SensorConfig(noise_std=0.02)})
+        log = run_scenario(cfg, kinematic_schedule, params=params)
+        buf = io.StringIO()
+        log.to_csv(buf)
+        want = ["# steerkit simulation log; SI units, radians; saturated is 0/1",
+                ",".join(CSV_COLUMNS)]
+        want += [",".join(map(repr, row)) for row in log.rows.tolist()]
+        assert buf.getvalue() == "\n".join(want) + "\n"
+
+    def test_columns_are_views_of_the_table(self):
+        log = synthetic_log(np.linspace(0.1, 0.0, 7))
+        assert len(log) == 7
+        for i, name in enumerate(CSV_COLUMNS):
+            column = getattr(log, name)
+            assert np.shares_memory(column, log.rows)
+            assert np.array_equal(column, log.rows[:, i])
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        log = synthetic_log(np.zeros(3))
+        with pytest.raises(AttributeError, match="no_such_column"):
+            log.no_such_column
+        assert not hasattr(log, "e_z") and not hasattr(log, "__no_such_dunder__")
+        # a log with no table yet (as copy and pickle make one) fails cleanly, not by recursion
+        with pytest.raises(AttributeError):
+            object.__new__(SimLog).e_y
+        assert log.stop_reason == "t_end" and log.seed == 0
+
+    def test_copy_and_pickle_round_trip(self):
+        log = SimLog(synthetic_log(np.linspace(0.2, 0.0, 5)).rows, stop_reason="path_end", seed=7)
+        for clone in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+            assert np.array_equal(clone.rows, log.rows)
+            assert clone.stop_reason == "path_end" and clone.seed == 7
+            assert np.array_equal(clone.e_y, log.e_y)
+
+    def test_synthetic_log_builds_a_table(self):
+        log = synthetic_log(np.array([0.3, 0.2]), speed=2.0, dt=0.5)
+        assert log.rows.shape == (2, len(CSV_COLUMNS))
+        assert log.e_y.tolist() == [0.3, 0.2]
+        assert log.odometer.tolist() == [0.0, 1.0]
+        assert log.v_cmd.tolist() == [2.0, 2.0] and not log.delta_act.any()
+
 
 class TestMetrics:
     def test_constant_error(self):
         m = compute_metrics(synthetic_log(np.full(100, 0.03)))
-        assert m.max_abs_e_y == pytest.approx(0.03)
-        assert m.rms_e_y == pytest.approx(0.03)
-        assert m.settled and m.settle_distance == 0.0
+        assert m["max_abs_e_y"] == pytest.approx(0.03)
+        assert m["rms_e_y"] == pytest.approx(0.03)
+        assert m["settled"] and m["settle_distance"] == 0.0
 
     def test_settle_distance_definition(self):
         # decays through the 0.05 band at a known odometer reading
@@ -377,14 +431,14 @@ class TestMetrics:
         log = synthetic_log(e, speed=2.0, dt=0.01)
         m = compute_metrics(log)
         # first in-band index is 620 -> odometer = 2.0 * 6.20
-        assert m.settled
-        assert m.settle_distance == pytest.approx(12.4, abs=0.05)
+        assert m["settled"]
+        assert m["settle_distance"] == pytest.approx(12.4, abs=0.05)
 
     def test_unsettled_flag(self):
         m = compute_metrics(synthetic_log(np.full(50, 0.2)))
-        assert not m.settled
-        assert m.settle_distance is None
-        assert m.post_max_abs_e_y is None
+        assert not m["settled"]
+        assert m["settle_distance"] is None
+        assert m["post_transient"]["max_abs_e_y"] is None
 
     def test_refinement_invariance(self, params, kinematic_schedule):
         path = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=120.0)
@@ -392,15 +446,15 @@ class TestMetrics:
                              kinematic_schedule, params=params)
                 for dt in (0.001, 0.0005)]
         m1, m2 = (compute_metrics(lg) for lg in logs)
-        assert m1.max_abs_e_y == pytest.approx(m2.max_abs_e_y, rel=0.02)
-        assert m1.rms_e_y == pytest.approx(m2.rms_e_y, rel=0.02)
+        assert m1["max_abs_e_y"] == pytest.approx(m2["max_abs_e_y"], rel=0.02)
+        assert m1["rms_e_y"] == pytest.approx(m2["rms_e_y"], rel=0.02)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics(synthetic_log(np.array([])))
 
     def test_to_dict_shape(self):
-        d = compute_metrics(synthetic_log(np.full(10, 0.01))).to_dict()
+        d = compute_metrics(synthetic_log(np.full(10, 0.01)))
         assert set(d) == {"max_abs_e_y", "rms_e_y", "max_abs_e_psi", "settle_distance",
                           "settled", "post_transient"}
 
