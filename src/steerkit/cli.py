@@ -38,7 +38,7 @@ import numpy as np
 
 from . import NumericalError, SimulationError, __version__
 from . import curvkit, lqr, margins, pathkit, simkit, svgplot
-from .models import MIN_DYNAMIC_SPEED, VehicleParams
+from .models import VehicleParams, check_dynamic_speed
 from .numkit import write_float_csv
 from .svgplot import Panel, Series
 
@@ -472,8 +472,12 @@ def cmd_margins(args, out: OutputDir) -> str:
     if args.verify:
         return out.verify(Path(args.params))
     speed, dt = args.speed, args.dt
-    _require(speed <= 30.0 and (args.model == "kinematic" or speed > MIN_DYNAMIC_SPEED),
-             f"--speed {speed} outside the valid design range")
+    _require(speed <= 30.0, f"--speed {speed} outside the valid design range")
+    try:
+        if args.model == "dynamic":
+            check_dynamic_speed(speed, " (--speed)")
+    except ValueError as e:
+        raise ConfigError(f"--speed {speed} outside the valid design range: {e}") from e
     weights = _weights(args.weights, args.model, "--weights")
     design = lqr.design_kinematic if args.model == "kinematic" else lqr.design_dynamic
     gains = _designed(design, speed, p, weights, dt)

@@ -66,10 +66,10 @@ def default_grid(dt: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 def loop_response(sys: StateSpace, k, omegas) -> FreqResponse:
     """Evaluate the state-feedback loop transfer on the unit circle.
 
-    k is a gain row (or a GainSet-like object with a .k attribute).
-    Phase is unwrapped by nearest-multiple continuity from the first grid
-    point.  (zI - Ad) is solved for the whole grid at once; an error
-    model's only unit-circle pole is z = 1, outside every grid.
+    k is a gain row or has one as .k.  Phase is unwrapped by nearest-multiple
+    continuity from the first grid point.  (zI - Ad) x = b is solved over the
+    grid at once, b a column per point (the one b shape numpy 1.x and 2.x read
+    alike); z = 1, the only pole on the unit circle, lies outside every grid.
     """
     if not sys.is_discrete:
         raise ValueError("loop_response needs a discrete-time model")
@@ -81,9 +81,9 @@ def loop_response(sys: StateSpace, k, omegas) -> FreqResponse:
         raise ValueError("frequencies must lie in (0, pi/dt)")
 
     z = np.exp(1j * omegas * sys.dt)
-    x = np.linalg.solve(z[:, None, None] * np.eye(sys.n_states) - sys.A, sys.B[:, 0])
-    # one dot per row: x @ krow rounds differently in the last bits
-    values = np.array([krow @ xi for xi in x], dtype=complex)
+    b = np.broadcast_to(sys.B[:, :1], (len(z), sys.n_states, 1))
+    x = np.linalg.solve(z[:, None, None] * np.eye(sys.n_states) - sys.A, b)[:, :, 0]
+    values = np.array([krow @ xi for xi in x], dtype=complex)  # x @ krow rounds differently
     mag_db = 20.0 * np.log10(np.abs(values))
     phase_deg = np.degrees(np.unwrap(np.angle(values)))
     return FreqResponse(omegas=omegas, mag_db=mag_db, phase_deg=phase_deg, dt=sys.dt)

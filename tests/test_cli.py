@@ -432,6 +432,14 @@ class TestMargins:
         assert main(["margins", str(CONFIGS / "sedan.json"), "--speed", "0",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_dynamic_speed_at_guard_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["margins", str(CONFIGS / "sedan.json"), "--model", "dynamic",
+                     "--speed", "0.5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "--speed 0.5 outside the valid design range" in err and "guard" in err
+        assert not out.exists()
+
     def test_bode_row_count_matches_grid(self, tmp_path):
         out = tmp_path / "m"
         assert main(["margins", str(CONFIGS / "sedan.json"), "--speed", "5",

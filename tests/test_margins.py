@@ -31,6 +31,16 @@ def loop_response_per_frequency(sys, k, omegas):
     return 20.0 * np.log10(np.abs(values)), np.degrees(np.unwrap(np.angle(values)))
 
 
+def numpy1_solve(a, b):
+    """np.linalg.solve as numpy 1.x dispatches it: b is a stack of vectors
+    only when b.ndim == a.ndim - 1, otherwise a stack of matrices."""
+    from numpy.linalg import _umath_linalg
+    a, b = np.asarray(a), np.asarray(b)
+    t = np.result_type(a, b, 1.0)
+    gufunc = _umath_linalg.solve1 if b.ndim == a.ndim - 1 else _umath_linalg.solve
+    return gufunc(a.astype(t), b.astype(t))
+
+
 class TestBatchedSolveOracle:
     """The batched solve must stay bit-equal to the per-frequency loop: any
     other reduction of the final dot (x @ krow, einsum, a row sum) rounds
@@ -55,6 +65,18 @@ class TestBatchedSolveOracle:
         mag_db, phase_deg = loop_response_per_frequency(sysd, gs, grid)
         assert np.array_equal(fr.mag_db, mag_db)
         assert np.array_equal(fr.phase_deg, phase_deg)
+
+    @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+    def test_bit_equal_under_numpy1_solve_dispatch(self, params, model, monkeypatch):
+        n, design = (2, design_kinematic) if model == "kinematic" else (4, design_dynamic)
+        gs = design(10.0, params, LqrWeights((1.0,) * n, 1.0), 0.02)
+        sysd = discrete_error_model(model, 10.0, params, 0.02)
+        grid = default_grid(0.02)
+        fr = loop_response(sysd, gs, grid)
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        fr1 = loop_response(sysd, gs, grid)
+        assert np.array_equal(fr.mag_db, fr1.mag_db)
+        assert np.array_equal(fr.phase_deg, fr1.phase_deg)
 
 
 class TestLoopResponse:
