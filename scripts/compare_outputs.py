@@ -16,6 +16,10 @@ difference in:
     directory replaced by a placeholder);
   - the set of artifacts a command wrote, or the sha256 of any artifact
     except `manifest.json`, which records per-run paths.
+For each artifact whose sha256 differs, the DIFF line also gives the
+largest absolute and relative difference over its numeric cells (a CSV,
+cell by cell) or numeric leaves (a JSON file, leaf by leaf); the summary
+line gives the largest of those over every differing artifact.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def _seeds(text: str) -> list[int]:
@@ -54,6 +60,54 @@ def _digests(out: Path) -> dict[str, str]:
             for f in sorted(out.rglob("*")) if f.is_file() and f.name != "manifest.json"}
 
 
+def _numbers(path: Path) -> dict | None:
+    """Numeric cells of a CSV keyed by (row, column), or numeric leaves of a
+    JSON file keyed by their key path; None for any other file."""
+    if path.suffix == ".csv":
+        out = {}
+        rows = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+                if not ln.startswith("#")]
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row.split(",")):
+                with contextlib.suppress(ValueError):
+                    out[i, j] = float(cell)
+        return out
+    if path.suffix == ".json":
+        out = {}
+
+        def walk(node, key):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(v, key + (k,))
+            elif isinstance(node, list):
+                for k, v in enumerate(node):
+                    walk(v, key + (k,))
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                out[key] = float(node)
+
+        walk(json.loads(path.read_text(encoding="utf-8")), ())
+        return out
+    return None
+
+
+def _numeric_diff(old: Path, new: Path) -> tuple[float, float] | None:
+    """(largest absolute, largest relative) difference over the numeric
+    entries both files hold at the same place; None when a file is neither
+    CSV nor JSON or the two hold numbers at different places."""
+    a, b = _numbers(old), _numbers(new)
+    if a is None or b is None or a.keys() != b.keys() or not a:
+        return None
+    x, y = np.array(list(a.values())), np.array([b[k] for k in a])
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(same, 0.0, np.abs(x - y))
+        scale = np.maximum(np.abs(x), np.abs(y))
+        rel = np.where(same, 0.0, diff / np.where(scale > 0, scale, 1.0))
+    diff[np.isnan(diff)] = np.inf
+    rel[np.isnan(rel)] = np.inf
+    return float(diff.max()), float(rel.max())
+
+
 def _src_lines(root: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "steerkit").glob("*.py"))
 
@@ -77,6 +131,7 @@ def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) 
             "runs": [(r["name"], r["rc"], r["stdout"].replace(str(work), "<work>"))
                      for r in runs],
             "digests": _digests(plan_dir / "out"),
+            "out": plan_dir / "out",
         }
         print(f"  {root.name}: {key} done, {len(record[key]['digests'])} artifacts",
               file=sys.stderr)
@@ -101,6 +156,7 @@ def main(argv=None) -> int:
 
     failures = []
     artifacts = 0
+    largest = [0.0, 0.0]
     for key in old:
         if old[key]["runs"] != new[key]["runs"]:
             failures.append(f"{key}: exit codes or stdout differ: {old[key]['runs']} "
@@ -108,12 +164,21 @@ def main(argv=None) -> int:
         a, b = old[key]["digests"], new[key]["digests"]
         if set(a) != set(b):
             failures.append(f"{key}: artifact sets differ: {sorted(set(a) ^ set(b))}")
-        failures += [f"{key}: {name} differs" for name in sorted(set(a) & set(b))
-                     if a[name] != b[name]]
+        for name in sorted(set(a) & set(b)):
+            if a[name] == b[name]:
+                continue
+            nums = _numeric_diff(old[key]["out"] / name, new[key]["out"] / name)
+            if nums is None:
+                failures.append(f"{key}: {name} differs")
+                continue
+            largest = [max(largest[0], nums[0]), max(largest[1], nums[1])]
+            failures.append(f"{key}: {name} differs (largest difference {nums[0]:.3g} "
+                            f"absolute, {nums[1]:.3g} relative)")
         artifacts += len(a)
     for line in failures:
         print(f"DIFF {line}")
-    print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences; "
+    print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences "
+          f"(largest numeric: {largest[0]:.3g} absolute, {largest[1]:.3g} relative); "
           f"src/steerkit/*.py lines: {_src_lines(args.old_root)} old, "
           f"{_src_lines(args.new_root)} new")
     return 1 if failures else 0

@@ -3,11 +3,14 @@
 The steering-derived (Ackermann) source is quantized but unbiased; the
 differential source is noisy at low speed.  A scalar random-walk Kalman
 filter (`kf_step`) fuses both.  The curvature functions accept scalars or
-numpy arrays.  One rule (`differential_sample`) governs the differential
-source everywhere: at v >= MIN_CURVATURE_SPEED it is evaluated at the
-heading, or at heading 0 (the sample-aligned frame, exact since the
-formula collapses to psi_dot / v) when |cos psi| < MIN_COS_HEADING; below
-the speed guard there is no measurement and the value holds the last one."""
+numpy arrays.  Python floats (the simulator's per-tick calls) skip the
+array conversions and guards; they go through the same numpy ufunc for
+every elementary function, so they give the bits a 0-d array gives.  One
+rule (`differential_sample`) governs the differential source everywhere:
+at v >= MIN_CURVATURE_SPEED it is evaluated at the heading, or at heading
+0 (the sample-aligned frame, exact since the formula collapses to
+psi_dot / v) when |cos psi| < MIN_COS_HEADING; below the speed guard there
+is no measurement and the value holds the last one."""
 
 from __future__ import annotations
 
@@ -29,8 +32,12 @@ DEFAULT_R_DIFFERENTIAL = 1e-4
 
 def ackermann_curvature(delta, wheelbase: float):
     """Curvature from the steering angle: tan(delta) / L."""
-    delta = np.asarray(delta, dtype=float)
-    if np.any(np.abs(delta) >= math.pi / 2):
+    if isinstance(delta, float):
+        singular = abs(delta) >= math.pi / 2
+    else:
+        delta = np.asarray(delta, dtype=float)
+        singular = np.any(np.abs(delta) >= math.pi / 2)
+    if singular:
         raise ValueError("steer angle at/beyond the pi/2 tangent singularity")
     out = np.tan(delta) / wheelbase
     return float(out) if out.ndim == 0 else out
@@ -43,7 +50,8 @@ def feedforward_steer(kappa, wheelbase: float, max_steer: float | None = None):
     result is clamped; callers needing the saturation fact should compare
     against the bound themselves.
     """
-    kappa = np.asarray(kappa, dtype=float)
+    if not isinstance(kappa, float):
+        kappa = np.asarray(kappa, dtype=float)
     out = np.arctan(kappa * wheelbase)
     if max_steer is not None:
         out = np.clip(out, -max_steer, max_steer)
@@ -62,13 +70,14 @@ def differential_curvature(psi, psi_dot, v):
     singularity callers must rotate the frame or fall back to the
     Ackermann source.
     """
-    psi = np.asarray(psi, dtype=float)
-    psi_dot = np.asarray(psi_dot, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < MIN_CURVATURE_SPEED):
+    scalar = isinstance(psi, float) and isinstance(psi_dot, float) and isinstance(v, float)
+    if not scalar:
+        psi, psi_dot, v = (np.asarray(a, dtype=float) for a in (psi, psi_dot, v))
+    any_of = bool if scalar else np.any
+    if any_of(v < MIN_CURVATURE_SPEED):
         raise ValueError(f"speed below the {MIN_CURVATURE_SPEED} m/s guard")
     cos_psi = np.cos(psi)
-    if np.any(np.abs(cos_psi) < MIN_COS_HEADING):
+    if any_of(np.abs(cos_psi) < MIN_COS_HEADING):
         raise ValueError("heading too close to +-pi/2; rotate the frame first")
     y1 = np.tan(psi)
     y2 = psi_dot / (np.abs(v * cos_psi) * cos_psi**2)
@@ -84,6 +93,12 @@ def differential_sample(psi, psi_dot, v, held: float = 0.0):
     Elsewhere the value holds the series' last measurement (held before
     the first).  Takes scalars or 1-D arrays; returns (kappa, valid).
     """
+    if isinstance(psi, float) and isinstance(psi_dot, float) and isinstance(v, float):
+        if not v >= MIN_CURVATURE_SPEED:
+            return float(held), False
+        if not abs(np.cos(psi)) >= MIN_COS_HEADING:
+            psi = 0.0
+        return differential_curvature(psi, psi_dot, v), True
     psi, psi_dot, v = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (psi, psi_dot, v)))
     valid = v >= MIN_CURVATURE_SPEED
     psi = np.where(np.abs(np.cos(psi)) >= MIN_COS_HEADING, psi, 0.0)

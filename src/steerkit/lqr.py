@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import NumericalError
-from .models import VehicleParams, error_dynamics_matrices, kinematic_error_model
+from .models import VehicleParams, error_dynamics_matrices
 from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, write_float_csv
 
 CERT_MARGIN = 1e-6
@@ -55,32 +55,49 @@ class GainSet:
             raise ValueError("gain set must be a flat row of gains")
 
 
+def _zoh(model: str, v: float, p: VehicleParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Ad, Bd) of the ZOH-discretized error model, Bd one column; the one
+    discretization behind design, certification and `discrete_error_model`.
+
+    The kinematic model's A = [[0, v], [0, 0]] is nilpotent, so its ZOH is
+    closed form: Ad = [[1, v dt], [0, 1]], Bd = [(v dt)(v dt / L) / 2, v dt / L].
+    The dynamic model goes through `c2d`.
+    """
+    if model == "kinematic":
+        if not v > 0:
+            raise ValueError("speed must be > 0")
+        vdt, wdt = v * dt, v / p.wheelbase * dt
+        return np.array([[1.0, vdt], [0.0, 1.0]]), np.array([[vdt * wdt / 2.0], [wdt]])
+    if model == "dynamic":
+        sysd = c2d(error_dynamics_matrices(v, p)[0], dt)
+        return sysd.A, sysd.B
+    raise ValueError(f"unknown model {model!r}")
+
+
 def discrete_error_model(model: str, v: float, p: VehicleParams, dt: float) -> StateSpace:
     """ZOH-discretized error model used for design and certification."""
-    if model == "kinematic":
-        return c2d(kinematic_error_model(v, p.wheelbase), dt)
-    if model == "dynamic":
-        sys, _ = error_dynamics_matrices(v, p)
-        return c2d(sys, dt)
-    raise ValueError(f"unknown model {model!r}")
+    ad, bd = _zoh(model, v, p, dt)
+    return StateSpace(A=ad, B=bd, dt=dt)
 
 
 def certify(model: str, k, v: float, p: VehicleParams, dt: float) -> GainSet:
     """Certify gain row k against the model at speed v and return its GainSet.
 
     Raises NumericalError unless the closed-loop spectral radius of
-    (Ad - Bd k) is below 1 - CERT_MARGIN.
+    (Ad - Bd k) is below 1 - CERT_MARGIN (a NaN radius fails), and
+    ValueError for a gain row of the wrong length or with a non-finite entry.
     """
-    return _certify_on(discrete_error_model(model, v, p, dt), model, k, v, dt)
+    return _certify_on(*_zoh(model, v, p, dt), model, k, v, dt)
 
 
-def _certify_on(sysd: StateSpace, model: str, k, v: float, dt: float) -> GainSet:
+def _certify_on(ad: np.ndarray, bd: np.ndarray, model: str, k, v: float, dt: float) -> GainSet:
     """The radius check of `certify` on an already discretized model."""
     k = np.asarray(k, dtype=float)
-    if k.shape != (sysd.n_states,):
-        raise ValueError(f"{model} gain row needs {sysd.n_states} entries, got shape {k.shape}")
-    rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
-    if rho >= 1.0 - CERT_MARGIN:
+    if k.shape != (len(ad),):
+        raise ValueError(f"{model} gain row needs {len(ad)} entries, got shape {k.shape}")
+    # a non-finite k makes a non-finite loop, which spectral_radius rejects
+    rho = spectral_radius(ad - bd * k)
+    if not rho < 1.0 - CERT_MARGIN:
         raise NumericalError(
             f"{model} gain at v={v} fails certification (closed-loop radius {rho:.8f})")
     return GainSet(k=k, v=float(v), dt=float(dt), model=model, closed_loop_radius=rho)
@@ -97,15 +114,15 @@ def check_control_dt(dt: float, where: str = "") -> float:
 
 def _design(model: str, v: float, p: VehicleParams, w: LqrWeights, dt: float) -> GainSet:
     check_control_dt(dt)
-    sysd = discrete_error_model(model, v, p, dt)
-    n = sysd.n_states
+    ad, bd = _zoh(model, v, p, dt)
+    n = len(ad)
     if len(w.q_diag) != n:
         raise ValueError(f"{model} design needs {n} state weights, got {len(w.q_diag)}")
     q = np.diag(w.q_diag).astype(float)
     r = np.array([[w.r]])
-    x = solve_dare(sysd.A, sysd.B, q, r)
-    k = mat_solve(r + sysd.B.T @ x @ sysd.B, sysd.B.T @ x @ sysd.A)[0]
-    return _certify_on(sysd, model, k, v, dt)
+    x = solve_dare(ad, bd, q, r)
+    k = mat_solve(r + bd.T @ x @ bd, bd.T @ x @ ad)[0]
+    return _certify_on(ad, bd, model, k, v, dt)
 
 
 def design_kinematic(v: float, p: VehicleParams, w: LqrWeights,
@@ -218,7 +235,10 @@ def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
         if len(cells) != len(header):
             raise ValueError(f"gain table line {lineno} ({line!r}) has {len(cells)} cells, "
                              f"the header has {len(header)}")
-        row = [float(c) for c in cells]
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"gain table line {lineno} ({line!r}) has a non-numeric cell") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"gain table line {lineno} ({line!r}) has a non-finite cell")
         check_control_dt(row[-1], f" on gain table line {lineno}")

@@ -29,7 +29,7 @@ SMALL_ANGLE_LIMIT = 0.17
 def check_dynamic_speed(vx: float, where: str = "") -> None:
     """Raise ValueError when vx is at/below MIN_DYNAMIC_SPEED; `where` says
     what the speed is in the message."""
-    if vx <= MIN_DYNAMIC_SPEED:
+    if not vx > MIN_DYNAMIC_SPEED:  # NaN fails too
         raise ValueError(f"vx={vx} m/s{where} is at/below the {MIN_DYNAMIC_SPEED} m/s guard; "
                          "use the kinematic model")
 
@@ -283,7 +283,7 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
         ]
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
-    return StateSpace(A=a, B=b, dt=0.0)
+    return StateSpace.built(a, b)
 
 
 def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
@@ -312,7 +312,7 @@ def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
     disturbance = np.array([[0.0], [a24 - vx], [0.0], [a44]])
-    return StateSpace(A=a, B=b, dt=0.0), disturbance
+    return StateSpace.built(a, b), disturbance
 
 
 def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
@@ -321,10 +321,10 @@ def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
     A = [[0, v], [0, 0]], B = [0, v/L]^T: the tangent-frame linearization
     of the bicycle kinematics about the reference path.
     """
-    if v <= 0:
+    if not v > 0:
         raise ValueError("speed must be > 0")
     if wheelbase <= 0:
         raise ValueError("wheelbase must be > 0")
     a = np.array([[0.0, v], [0.0, 0.0]])
     b = np.array([[0.0], [v / wheelbase]])
-    return StateSpace(A=a, B=b, dt=0.0)
+    return StateSpace.built(a, b)

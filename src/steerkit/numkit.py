@@ -2,14 +2,18 @@
 
 Matrices are plain 2-D float64 numpy arrays.  Everything here is a pure
 function: inputs are validated, never mutated, and all entries must be
-finite.  Linear solves and eigenvalues come from numpy.linalg; the
-matrix exponential (no scipy) and the doubling Riccati solver are written
-here, sized for the 2- and 4-state vehicle models.  `write_float_csv`
-is the one writer of the tool's float tables.
+finite.  Linear solves and the eigenvalues of larger matrices come from
+numpy.linalg.  Written here, sized for the 2- and 4-state vehicle models:
+the matrix exponential (no scipy), Higham's scaling-and-squaring method
+with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
+it; the spectral radius, closed form from trace and determinant for a
+2x2 matrix; and the doubling Riccati solver.  `write_float_csv` is the one
+writer of the tool's float tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,12 @@ DARE_MAX_ITER = 64
 MAT_COND_MAX = 1e14
 # rows per block of write_float_csv: a block's cell strings all exist at once
 CSV_BLOCK_ROWS = 2048
+# Pade coefficients b_0..b_13 of degree 13 and the 1-norm up to which that
+# approximant needs no scaling (Higham 2005, Table 2.3 and eq. 2.4)
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+PADE13_THETA = 5.371920351148152
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -32,7 +42,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be 2-D with at least one row and column, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -66,6 +76,16 @@ class StateSpace:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
+    @classmethod
+    def built(cls, A: np.ndarray, B: np.ndarray, dt: float = 0.0) -> "StateSpace":
+        """A model from float64 arrays that steerkit built itself (A square,
+        B with as many rows): stored as given, without __post_init__'s checks."""
+        sys = object.__new__(cls)
+        object.__setattr__(sys, "A", A)
+        object.__setattr__(sys, "B", B)
+        object.__setattr__(sys, "dt", dt)
+        return sys
+
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
@@ -76,27 +96,41 @@ class StateSpace:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor series.
+    """Matrix exponential by scaling and squaring with the degree-13 Pade
+    approximant (N. J. Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005).
 
-    Adequate for the small, well-scaled matrices handled here.  The
-    series is summed until terms vanish at double precision, so nilpotent
-    inputs terminate exactly.
+    A is scaled by 2^-s so that its 1-norm is at most PADE13_THETA, where
+    r13 = (V - U)^-1 (V + U) meets exp to double precision; the result is
+    squared s times.  The odd and even parts U and V come from I, A^2, A^4
+    and A^6 through one product with the coefficient block.
     """
     m = _square(a, "expm input")
     n = m.shape[0]
-    norm = np.linalg.norm(m, np.inf)
-    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
-    x = m / (2.0**s)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 120):
-        term = term @ x / k
-        result = result + term
-        if np.linalg.norm(term, np.inf) <= 1e-18 * max(1.0, np.linalg.norm(result, np.inf)):
-            break
+    norm = float(np.abs(m).sum(axis=0).max())
+    s = math.ceil(math.log2(norm / PADE13_THETA)) if norm > PADE13_THETA else 0
+    if s:
+        m = m * 2.0**-s
+    powers = np.empty((4, n, n))
+    powers[0] = np.eye(n)
+    a2 = np.matmul(m, m, out=powers[1])
+    a4 = np.matmul(a2, a2, out=powers[2])
+    a6 = np.matmul(a4, a2, out=powers[3])
+    # U_6, V_6, U_0, V_0 with U = A (A^6 U_6 + U_0) and V = A^6 V_6 + V_0
+    parts = (_PADE13_BLOCK @ powers.reshape(4, n * n)).reshape(4, n, n)
+    uv = a6 @ parts[:2] + parts[2:]
+    u, v = m @ uv[0], uv[1]
+    r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
-        result = result @ result
-    return result
+        r = r @ r
+    return r
+
+
+# weights of I, A^2, A^4 and A^6 in U_6, V_6, U_0 and V_0 (one row each)
+_PADE13_BLOCK = np.array([[0.0, PADE13[9], PADE13[11], PADE13[13]],
+                          [0.0, PADE13[8], PADE13[10], PADE13[12]],
+                          [PADE13[1], PADE13[3], PADE13[5], PADE13[7]],
+                          [PADE13[0], PADE13[2], PADE13[4], PADE13[6]]])
 
 
 def c2d(sys: StateSpace, dt: float) -> StateSpace:
@@ -115,9 +149,7 @@ def c2d(sys: StateSpace, dt: float) -> StateSpace:
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
     phi = expm(aug * dt)
-    ad = phi[:n, :n]
-    bd = phi[:n, n:]
-    return StateSpace(A=ad, B=bd, dt=dt)
+    return StateSpace.built(phi[:n, :n], phi[:n, n:], dt)
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,8 +239,21 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
 
 
 def spectral_radius(a: np.ndarray) -> float:
-    """Largest eigenvalue modulus, from numpy's LAPACK eigenvalue solver."""
-    return float(np.max(np.abs(np.linalg.eigvals(_square(a, "A")))))
+    """Largest eigenvalue modulus.
+
+    A 2x2 matrix [[p, q], [r, s]] has eigenvalues h +- sqrt(disc) with
+    half-trace h = (p + s) / 2 and disc = ((p - s) / 2)^2 + q r; a complex
+    pair has modulus sqrt(h^2 - disc), the square root of the determinant.
+    Larger matrices use numpy's LAPACK eigenvalue solver.  The radius is NaN
+    or inf when the 2x2 arithmetic overflows.
+    """
+    m = _square(a, "A")
+    if m.shape[0] != 2:
+        return float(np.abs(np.linalg.eigvals(m)).max())
+    (p, q), (r, s) = m.tolist()
+    h, d = 0.5 * (p + s), 0.5 * (p - s)
+    disc = d * d + q * r
+    return math.sqrt(h * h - disc) if disc < 0.0 else abs(h) + math.sqrt(disc)
 
 
 def _column_reprs(col: np.ndarray) -> list[str]:

@@ -348,6 +348,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
                 meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
                 u = kinematic_controller(meas_proj, v_m, gains, p)
             else:
+                check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                 err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
                                  e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
                 u = dynamic_controller(err, v_m, gains, proj.kappa, p)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,6 +32,11 @@ class Panel:
     logx: bool = False
     vlines: list[tuple[float, str]] = field(default_factory=list)
     hlines: list[tuple[float, str]] = field(default_factory=list)
+
+
+def escape(text: str) -> str:
+    """XML-escape &, > and < (in that order, as xml.sax.saxutils.escape does)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _finite(x, y):
@@ -154,7 +158,13 @@ def render(panels: list[Panel], out_path, width: int = 820, panel_height: int = 
                 continue
             color = s.color or PALETTE[si % len(PALETTE)]
             step = max(1, len(x) // 4000)
-            pts = " ".join(f"{tx(float(a)):.2f},{ty(float(b)):.2f}" for a, b in zip(x[::step], y[::step]))
+            # tx and ty on the whole slice, in their operation order
+            x, y = x[::step], y[::step]
+            if panel.logx:
+                x = np.array(list(map(math.log10, x.tolist())))
+            px = px0 + (x - xlo) / (xhi - xlo) * (px1 - px0)
+            py = py1 - (y - ylo) / (yhi - ylo) * (py1 - py0)
+            pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          f'stroke-width="1.3"{dash}/>')

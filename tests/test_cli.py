@@ -187,6 +187,31 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_gain_table_cell_exit_3_before_any_artifact(self, tmp_path, capsys):
+        table = tmp_path / "gains.csv"
+        table.write_text("v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,abc,2.2,0.02\n", encoding="utf-8")
+        cfg = write_circle_config(tmp_path, gains={"csv": str(table)})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "gain table line 3 ('6.0,abc,2.2,0.02') has a non-numeric cell" in err
+        assert not out.exists()
+
+    def test_noisy_speed_reading_at_dynamic_guard_names_channel_and_time(self, tmp_path,
+                                                                         capsys):
+        # the command stays at 1 m/s; the noisy reading dips below the 0.5 m/s guard
+        cfg = write_circle_config(tmp_path, model="dynamic", controller="dynamic_lqr",
+                                  path={"kind": "line", "length": 60.0, "spacing": 0.1},
+                                  speed=1.0, t_end=20.0,
+                                  sensors={"speed": {"noise_std": 0.3}},
+                                  gains={"grid": [1.0, 15.0, 8],
+                                         "weights": {"q": [1.0] * 4, "r": 1.0}})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "m/s (sensors.speed reading at t=0.24 s) is at/below the 0.5 m/s guard" in err
+        assert not out.exists()
+
     def test_sweep_offsets(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["simulate", str(CONFIGS / "parking.json"), "--out", str(out),

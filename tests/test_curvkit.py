@@ -266,3 +266,59 @@ class TestCurvatureSeries:
         want = reference_series(t, steer, psi, yaw, v, 2.7)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+
+def _same(float_path, array_path):
+    """Both calls return the same bits (repr round-trips a float exactly), or
+    both raise the same error."""
+    try:
+        want = array_path()
+    except ValueError as e:
+        try:
+            float_path()
+        except ValueError as got:
+            assert str(got) == str(e)
+            return
+        raise AssertionError(f"float path did not raise {e!r}")
+    got = float_path()
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+
+
+finite = hst.floats(-1e6, 1e6)
+angles = hst.one_of(hst.floats(-4.0, 4.0), hst.sampled_from(
+    [math.pi / 2, -math.pi / 2, math.acos(MIN_COS_HEADING), math.nan, -0.0]))
+speeds = hst.one_of(hst.floats(0.0, 40.0), hst.sampled_from(
+    [MIN_CURVATURE_SPEED, math.nextafter(MIN_CURVATURE_SPEED, 0.0), math.nan]))
+
+
+class TestFloatPathsMatchArrayPaths:
+    """Python floats skip the array plumbing; the 0-d array path is the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(delta=angles, wheelbase=hst.floats(0.5, 5.0))
+    def test_ackermann(self, delta, wheelbase):
+        _same(lambda: ackermann_curvature(delta, wheelbase),
+              lambda: ackermann_curvature(np.array(delta), wheelbase))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kappa=hst.one_of(finite, hst.sampled_from([math.nan, math.inf, -0.0])),
+           wheelbase=hst.floats(0.5, 5.0),
+           max_steer=hst.one_of(hst.none(), hst.floats(0.01, 1.5)))
+    def test_feedforward(self, kappa, wheelbase, max_steer):
+        _same(lambda: feedforward_steer(kappa, wheelbase, max_steer),
+              lambda: feedforward_steer(np.array(kappa), wheelbase, max_steer))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(psi=angles, psi_dot=finite, v=speeds)
+    def test_differential_curvature(self, psi, psi_dot, v):
+        _same(lambda: differential_curvature(psi, psi_dot, v),
+              lambda: differential_curvature(np.array(psi), np.array(psi_dot), np.array(v)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(psi=angles, psi_dot=finite, v=speeds, held=finite)
+    def test_differential_sample(self, psi, psi_dot, v, held):
+        got = differential_sample(psi, psi_dot, v, held)
+        want = differential_sample(np.array(psi), np.array(psi_dot), np.array(v), held)
+        assert type(got[1]) is type(want[1]) and got[1] == want[1]
+        _same(lambda: got[0], lambda: want[0])

@@ -79,16 +79,25 @@ class TestControlDtRange:
 
 class TestDesignDiscretizesOnce:
     @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
-    def test_one_c2d_per_designed_gain(self, params, model, monkeypatch):
+    def test_one_zoh_per_designed_gain(self, params, model, monkeypatch):
         calls = []
-        real = lqr.c2d
-        monkeypatch.setattr(lqr, "c2d", lambda *a: calls.append(a) or real(*a))
+        real = lqr._zoh
+        monkeypatch.setattr(lqr, "_zoh", lambda *a: calls.append(a) or real(*a))
         design = design_kinematic if model == "kinematic" else design_dynamic
         gs = design(6.0, params, EQUAL if model == "kinematic" else EQUAL4)
         assert len(calls) == 1
         # the certificate on the shared model is the one certify gives
         again = certify(model, gs.k, 6.0, params, 0.02)
         assert again.closed_loop_radius == gs.closed_loop_radius
+
+    def test_kinematic_zoh_is_closed_form(self, params):
+        v, dt = 10.0, 0.02
+        wheelbase = params.wheelbase
+        sysd = discrete_error_model("kinematic", v, params, dt)
+        assert np.array_equal(sysd.A, [[1.0, v * dt], [0.0, 1.0]])
+        assert sysd.B[0, 0] == (v * dt) * (v / wheelbase * dt) / 2.0
+        assert sysd.B[1, 0] == v / wheelbase * dt
+        assert sysd.B.shape == (2, 1) and sysd.dt == dt
 
 
 class TestDesignDynamic:
@@ -261,6 +270,12 @@ class TestGainCsv:
         with pytest.raises(ValueError, match="line 3 .*non-finite"):
             load_gain_csv(io.StringIO(text), params)
 
+    @pytest.mark.parametrize("cell", ["abc", "", "0x1p3"])
+    def test_non_numeric_cell_names_the_line(self, params, cell):
+        text = f"v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,{cell},2.2,0.02\n"
+        with pytest.raises(ValueError, match=r"gain table line 3 \('6\.0,.*has a non-numeric cell"):
+            load_gain_csv(io.StringIO(text), params)
+
     @pytest.mark.parametrize("dt", ["0.5", "0.001", "0.0", "-0.02"])
     def test_dt_outside_control_range_rejected(self, params, dt):
         text = f"v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,0.8,2.2,{dt}\n"
@@ -283,6 +298,33 @@ class TestCertify:
             certify("kinematic", [0.4], 5.0, params, 0.02)
         with pytest.raises(ValueError):
             certify("dynamic", KIN_GAINS_V5, 5.0, params, 0.02)
+
+    @pytest.mark.parametrize("model, n", [("kinematic", 2), ("dynamic", 4)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_row_is_value_error(self, params, model, n, bad):
+        k = [0.5] * n
+        k[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            certify(model, k, 5.0, params, 0.02)
+
+    @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_radius_fails_certification(self, params, model, rho, monkeypatch):
+        gs = (design_kinematic if model == "kinematic" else design_dynamic)(
+            5.0, params, EQUAL if model == "kinematic" else EQUAL4)
+        monkeypatch.setattr(lqr, "spectral_radius", lambda a: rho)
+        with pytest.raises(NumericalError, match="fails certification"):
+            certify(model, gs.k, 5.0, params, 0.02)
+
+    @pytest.mark.parametrize("k, radius", [([1e306, 1e306], math.inf),
+                                           ([-1e306, 1e306], math.nan)])
+    def test_overflowing_kinematic_loop_fails_closed(self, params, k, radius):
+        # finite gains whose 2x2 loop overflows the trace/determinant arithmetic
+        sysd = discrete_error_model("kinematic", 5.0, params, 0.02)
+        rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
+        assert rho == radius or (math.isnan(rho) and math.isnan(radius))
+        with pytest.raises(NumericalError, match="fails certification"):
+            certify("kinematic", k, 5.0, params, 0.02)
 
 
 class TestScheduleIsolation:

@@ -202,6 +202,16 @@ class TestDynamicMatrices:
         with pytest.raises(ValueError):
             dynamic_matrices(0.5, params)
 
+    @pytest.mark.parametrize("build", [
+        lambda v, p: dynamic_matrices(v, p),
+        lambda v, p: error_dynamics_matrices(v, p),
+        lambda v, p: kinematic_error_model(v, p.wheelbase),
+    ])
+    def test_nan_speed_rejected_without_state_space_checks(self, params, build):
+        # the builders return StateSpace.built models, so the guard is theirs
+        with pytest.raises(ValueError, match="speed|vx=nan"):
+            build(math.nan, params)
+
     def test_open_loop_eigenstructure(self, params):
         # two pure integrators, remaining pair strictly stable
         for vx in np.linspace(1.0, 30.0, 12):

@@ -66,14 +66,6 @@ class TestC2d:
         assert sysd.A[0, 0] == pytest.approx(math.exp(-0.2), abs=1e-14)
         assert sysd.B[0, 0] == pytest.approx((math.exp(-0.2) - 1.0) / -2.0, abs=1e-14)
 
-    def test_nilpotent_series_terminates_exactly(self):
-        v, wheelbase, dt = 10.0, 2.7, 0.02
-        sys = StateSpace(A=[[0.0, v], [0.0, 0.0]], B=[[0.0], [v / wheelbase]])
-        sysd = c2d(sys, dt)
-        assert np.array_equal(sysd.A, [[1.0, v * dt], [0.0, 1.0]])
-        assert sysd.B[0, 0] == pytest.approx(v**2 * dt**2 / (2 * wheelbase), abs=1e-18)
-        assert sysd.B[1, 0] == pytest.approx(v * dt / wheelbase, abs=1e-18)
-
     def test_rejects_discrete_input_and_bad_dt(self):
         sys = StateSpace(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
         with pytest.raises(ValueError):
