@@ -208,7 +208,7 @@ class TestDynamicMatrices:
         lambda v, p: kinematic_error_model(v, p.wheelbase),
     ])
     def test_nan_speed_rejected_without_state_space_checks(self, params, build):
-        # the builders return StateSpace.built models, so the guard is theirs
+        # these return StateSpace.built models, so the NaN guard is their own
         with pytest.raises(ValueError, match="speed|vx=nan"):
             build(math.nan, params)
 
