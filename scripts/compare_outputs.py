@@ -5,9 +5,14 @@
 Each root is a repository checkout (the directory holding `src/` and
 `bench/`).  Both sides run the benchmark's `track` plan and its `desk` plan
 for every listed seed (design, margins, curvature and the `dyn`/`kin`
-simulations), each plan in one fresh process that imports steerkit from
-that side's `src/`.  The inputs come from NEW_ROOT's `bench/workloads.py`
-for both sides, so only the program differs.
+simulations), then this script's `seam` plan, each plan in one fresh
+process that imports steerkit from that side's `src/`.  The `seam` plan
+simulates what no benchmark plan covers: closed circles that pass their
+seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720 degrees run past
+its second lap), and a noisy dynamic run with a speed table and a
+rate-limited actuator that ends at its path end.  The inputs come from
+NEW_ROOT (its `bench/workloads.py` and its shipped configs) for both
+sides, so only the program differs.
 
 The summary line also gives each root's `src/steerkit/*.py` line count
 (as `wc -l` counts it).  The script reports, and exits 1 on, any
@@ -112,6 +117,30 @@ def _src_lines(root: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "steerkit").glob("*.py"))
 
 
+def _seam_plan(new_root: Path, work: Path) -> dict:
+    """The closed-circle and path-end simulations, written from the shipped configs."""
+    configs = new_root / "src" / "steerkit" / "configs"
+    work.mkdir(parents=True, exist_ok=True)
+    c10, c3 = (json.loads((configs / f"{name}.json").read_text(encoding="utf-8"))
+               for name in ("circle_10ms", "circle_3ms"))
+    c10["path"]["arc_deg"] = 360.0   # 40 s at 10 m/s: 1.27 laps
+    c3["path"]["arc_deg"] = 720.0    # 215 s at 3 m/s: past the seam after two laps
+    c3["t_end"] = 215.0
+    end = dict(c10, model="dynamic", controller="dynamic_lqr", t_end=15.0, seed=3,
+               path={"kind": "lane_change", "length": 80.0, "offset": 3.0, "spacing": 0.1},
+               speed=[[0.0, 8.0], [4.0, 12.0], [8.0, 6.0]],
+               sensors={"lateral": {"noise_std": 0.02}, "heading": {"noise_std": 0.002},
+                        "speed": {"noise_std": 0.05}},
+               actuator={"rate_limit": 0.5},
+               gains={"grid": [1.0, 15.0, 15], "weights": {"q": [1, 1, 1, 1], "r": 1.0}})
+    commands = []
+    for name, cfg in (("c10_360", c10), ("c3_720", c3), ("path_end", end)):
+        (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        commands.append({"name": name, "argv": ["simulate", str(work / f"{name}.json"),
+                                                "--out", str(work / "out" / name)]})
+    return {"commands": commands}
+
+
 def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) -> dict:
     """Run every plan on one side; key -> {stdout lines, exit codes, digests}."""
     sys.path.insert(0, str(new_root / "bench"))
@@ -121,7 +150,8 @@ def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) 
     for workload, seed in plans:
         key = f"{workload}-{seed}"
         plan_dir = work / key
-        plan = workloads.generate(workload, seed, new_root, plan_dir)
+        plan = _seam_plan(new_root, plan_dir) if workload == "seam" else \
+            workloads.generate(workload, seed, new_root, plan_dir)
         plan_file = plan_dir / "plan.json"
         plan_file.write_text(json.dumps({"commands": plan["commands"]}), encoding="utf-8")
         proc = subprocess.run([sys.executable, __file__, "--child", str(root / "src"),
@@ -149,7 +179,7 @@ def main(argv=None) -> int:
     ap.add_argument("--desk-seeds", type=_seeds, default=_seeds("0-7"))
     args = ap.parse_args(argv)
 
-    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds]
+    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds] + [("seam", 0)]
     new_root = args.new_root.resolve()
     old = _side(args.old_root.resolve(), new_root, (args.work / "old").resolve(), plans)
     new = _side(new_root, new_root, (args.work / "new").resolve(), plans)

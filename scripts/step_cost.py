@@ -4,8 +4,9 @@
 
 Each root is a repository checkout (the directory holding `src/` and
 `bench/`).  The cases are the shipped `circle_10ms`, `circle_3ms` and
-`parking` configs and the `desk` benchmark's `dyn`/`kin` configs of one
-seed.  All inputs come from NEW_ROOT (its `configs/` and its
+`parking` configs, `circle_10ms` on the closed 360-degree circle (1.27
+laps, across the seam), and the `desk` benchmark's `dyn`/`kin` configs of
+one seed.  All inputs come from NEW_ROOT (its `configs/` and its
 `bench/workloads.py`), so only the program differs.
 
 Every round starts one fresh process per side, the side that goes first
@@ -52,7 +53,11 @@ def _cases(new_root: Path, desk_seed: int, work: Path) -> list[list[str]]:
     import workloads
 
     workloads.generate("desk", desk_seed, new_root, work)
-    return cases + [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")]
+    closed = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
+    closed["path"]["arc_deg"] = 360.0
+    (work / "circle_10ms_360.json").write_text(json.dumps(closed), encoding="utf-8")
+    return cases + [["c10_closed", str(work / "circle_10ms_360.json")]] + \
+        [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")]
 
 
 def main(argv=None) -> int:

@@ -60,8 +60,8 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("m", "iz", "lf", "lr", "caf", "car", "max_steer"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_steer >= math.pi / 2:
             raise ValueError("max_steer must be below pi/2")
 

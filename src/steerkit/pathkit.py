@@ -284,24 +284,39 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=kappa, strict=False)
 
 
-def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProjection:
+def _window(s: list[float], prev_s: float) -> tuple[int, int]:
+    """Sample range [lo, hi) that project searches for the memory prev_s."""
+    return (max(0, bisect_left(s, prev_s - 0.2 * PROJECT_WINDOW) - 1),
+            min(len(s), bisect_left(s, prev_s + PROJECT_WINDOW) + 2))
+
+
+def _lost(px: float, py: float) -> SimulationError:
+    return SimulationError(f"pose ({px:.1f}, {py:.1f}) is beyond the {PROJECT_HORIZON} m "
+                           "horizon: vehicle lost")
+
+
+def project(path: RefPath, pose: Pose, prev_s: float | None = None,
+            margin: float = 0.0) -> PathProjection | None:
     """Project a pose onto the path: foot point, signed lateral and heading error.
 
     The foot point comes from quadratic interpolation of the squared
     distance around the nearest sample.  Passing the previous projection's
     arc length restricts the search window, preventing backward jumps on
-    self-near paths; that memory is caller-owned state.  The nearest
-    sample is a numpy argmin over the window; everything after it reads
-    the path's float lists.
+    self-near paths; that memory is caller-owned state.  With margin > 0
+    the memory is only known to lie within prev_s +- margin: the result is
+    the one that every such memory gives, or None where they may differ.
+    The nearest sample is a numpy argmin over the window; everything after
+    it reads the path's float lists.
     """
     s, x, y, psi, kappa = path._lists
     px, py = pose.x, pose.y
     n = len(s)
     if prev_s is None:
         lo, hi = 0, n
+    elif margin:
+        lo, hi = _window(s, prev_s - margin)[0], _window(s, prev_s + margin)[1]
     else:
-        lo = max(0, bisect_left(s, prev_s - 0.2 * PROJECT_WINDOW) - 1)
-        hi = min(n, bisect_left(s, prev_s + PROJECT_WINDOW) + 2)
+        lo, hi = _window(s, prev_s)
     # d2 = dx * dx + dy * dy over the window, in place
     d2 = path.x[lo:hi] - px
     d2 *= d2
@@ -309,29 +324,25 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProje
     dy *= dy
     d2 += dy
     k = int(d2.argmin())
-    if math.sqrt(d2[k]) > PROJECT_HORIZON:
-        raise SimulationError(
-            f"pose ({px:.1f}, {py:.1f}) is beyond the {PROJECT_HORIZON} m horizon: "
-            "vehicle lost"
-        )
-
     i = lo + k
+    if margin and not _window(s, prev_s + margin)[0] <= i < _window(s, prev_s - margin)[1]:
+        return None
+    if math.sqrt(d2[k]) > PROJECT_HORIZON:
+        raise _lost(px, py)
+
     im = max(0, i - 1)
     ip = min(n - 1, i + 1)
-    if im == ip:
-        s_star = s[i]
+    s0, s1, s2 = s[im], s[i], s[ip]
+    f0 = (x[im] - px) ** 2 + (y[im] - py) ** 2
+    f1 = (x[i] - px) ** 2 + (y[i] - py) ** 2
+    f2 = (x[ip] - px) ** 2 + (y[ip] - py) ** 2
+    # parabola vertex through the three bracketing squared distances
+    denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
+    if abs(denom) < 1e-30:
+        s_star = s1
     else:
-        s0, s1, s2 = s[im], s[i], s[ip]
-        f0 = (x[im] - px) ** 2 + (y[im] - py) ** 2
-        f1 = (x[i] - px) ** 2 + (y[i] - py) ** 2
-        f2 = (x[ip] - px) ** 2 + (y[ip] - py) ** 2
-        # parabola vertex through the three bracketing squared distances
-        denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
-        if abs(denom) < 1e-30:
-            s_star = s1
-        else:
-            s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
-        s_star = min(max(s_star, s0), s2)
+        s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
+    s_star = min(max(s_star, s0), s2)
 
     j = min(max(bisect_left(s, s_star) - 1, 0), n - 2)
     a = (s_star - s[j]) / (s[j + 1] - s[j])

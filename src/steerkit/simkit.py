@@ -23,9 +23,11 @@ from .lqr import GainSchedule
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import write_float_csv
+from .pathbatch import project_run
 from .pathkit import PathProjection, RefPath, project
 
 SETTLE_BAND = 0.05  # m, |e_y| band used for settle metrics
+BLOCK_ROWS = 480    # rows whose logged-only projections are settled in one batch, at most
 
 CSV_COLUMNS = (
     "t", "x", "y", "psi", "vy", "yaw_rate", "odometer",
@@ -33,6 +35,13 @@ CSV_COLUMNS = (
     "s", "e_y", "e_psi", "e_y_dot", "e_psi_dot",
     "kappa_path", "kappa_ack", "kappa_diff", "kappa_fused",
 )
+ROW_BYTES = 8 * len(CSV_COLUMNS)   # one float64 per column
+MAX_LOG_ROWS = 5_000_000           # rows of one run's log: 800 MB of row table
+_S, _VY, _YAW_RATE, _V, _E_Y_DOT, _E_PSI_DOT = (CSV_COLUMNS.index(c) for c in (
+    "s", "vy", "yaw_rate", "v_cmd", "e_y_dot", "e_psi_dot"))
+_PROJ = [CSV_COLUMNS.index(c) for c in ("s", "e_y", "e_psi", "kappa_path")]
+# the projection a deferred row carries until its block settles
+_UNSETTLED = PathProjection(math.nan, math.nan, math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -119,14 +128,19 @@ class ScenarioConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in ("kinematic_ff_fb", "dynamic_lqr"):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.sim_dt <= 0 or self.sim_dt > self.control_dt:
             raise ValueError("need 0 < sim_dt <= control_dt")
         if _whole_steps(self.control_dt / self.sim_dt) is None:
             raise ValueError("control_dt must be an integer multiple of sim_dt")
+        rows = round(self.t_end / self.sim_dt) + 1
+        if rows > MAX_LOG_ROWS:
+            raise ValueError(f"t_end {self.t_end:g} s at sim_dt {self.sim_dt:g} s logs {rows:,} "
+                             f"rows, above the budget of {MAX_LOG_ROWS:,} rows "
+                             f"({ROW_BYTES} B each)")
         for name in self.sensors:
             if name not in default_sensors():
                 raise ValueError(f"unknown sensor channel {name!r}")
@@ -246,6 +260,11 @@ class _Channel:
         return self.buffer[0]
 
 
+class _Unverified(Exception):
+    """A read step's projection, taken while its memory was still pending,
+    is not the one the exact memory gives."""
+
+
 def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
                  params: VehicleParams | None = None) -> SimLog:
     """Run one closed-loop scenario and return its log.
@@ -262,13 +281,27 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     if not abs(cfg.initial_steer) <= p.max_steer:
         raise ValueError(f"initial_steer {cfg.initial_steer} must be finite and at most "
                          f"max_steer {p.max_steer} in magnitude")
-    path = cfg.path
-    rng = np.random.default_rng(cfg.seed)
-
     if cfg.controller == "dynamic_lqr" and len(gains.gains[0].k) != 4:
         raise ValueError("dynamic_lqr controller needs a 4-state gain schedule")
     if cfg.controller == "kinematic_ff_fb" and len(gains.gains[0].k) != 2:
         raise ValueError("kinematic_ff_fb controller needs a 2-state gain schedule")
+    try:
+        return _run(cfg, gains, p, BLOCK_ROWS)
+    except _Unverified:
+        return _run(cfg, gains, p, 1)
+
+
+def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int) -> SimLog:
+    """run_scenario's loop.  Every step where the controller runs or the
+    heading or lateral channel samples projects its pose at once; with
+    block > 1 the other steps' projections, which only the log reads, wait
+    in the row table and are settled by one `pathbatch.project_run` call per
+    block of at most `block` rows.  The pending rows leave the memory of
+    the next read step open: it projects with a margin and is checked
+    against the exact projection when its block settles; a run that fails
+    that check raises _Unverified.  Stops and errors come in step order."""
+    path = cfg.path
+    rng = np.random.default_rng(cfg.seed)
 
     # start pose: path start displaced by the configured lateral/heading offset
     e_y0, e_psi0 = cfg.initial_offset
@@ -321,72 +354,148 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     odometer = 0.0
     stop_reason = "t_end"
     end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
-    sim_dt, closed = cfg.sim_dt, path.closed
+    sim_dt, closed, length = cfg.sim_dt, path.closed, path.length
 
-    for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
-        if kinematic:
-            vy = 0.0
-            yaw_rate = kinematic_yaw_rate(v, delta_act, p)
-        else:
-            vy, yaw_rate = state[3], state[4]
+    # read steps: every step where a projection feeds the loop
+    read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every) \
+        if block > 1 else 1
+    # how far the foot may move between read steps, and over a block, with
+    # slack; the first is checked by settle(), the second keeps a block off
+    # a closed path's seam, where the memory wraps
+    travel = 2.0 * max(speeds) * sim_dt
+    reach = 1.0 + travel * read_every
+    seam_reach = reach + travel * block
+    pending = None          # first row whose projection waits for settle()
+    last_s = proj.s         # foot of the newest row projected at once
+    written = -1
 
-        if step % offer_every == 0:
-            heading_ch.maybe_sample(step, proj.e_psi)
-            lateral_ch.maybe_sample(step, proj.e_y)
-            speed_ch.maybe_sample(step, v)
-            steer_ch.maybe_sample(step, delta_act)
-            yaw_ch.maybe_sample(step, yaw_rate)
+    def settle(b: int) -> SimLog | None:
+        """Project the pending rows up to b from the foot of the row before
+        them, check the read rows among them against the projections the
+        loop used, and fill their projection columns.  Return the log ended
+        at the first row that reaches the path end, or None; raise the
+        first lost row's SimulationError."""
+        nonlocal pending
+        a, pending = pending, None
+        blk = rows[a:b + 1]
+        feet, lost = project_run(path, *blk[:, 1:4].T,   # x, y, psi
+                                 rows[a - 1, _S].item(), end_s)
+        ends = () if closed else np.flatnonzero(feet[0] >= end_s)
+        m = int(ends[0]) + 1 if len(ends) else feet.shape[1]
+        reads = slice(-a % read_every, m, read_every)
+        if not np.array_equal(blk[reads][:, _PROJ].view(np.uint64),
+                              feet[:, reads].T.view(np.uint64)):
+            raise _Unverified
+        blk = blk[:m]
+        blk[:, _PROJ] = feet[:, :m].T
+        blk[:, _E_Y_DOT] = blk[:, _VY] + blk[:, _V] * feet[2, :m]
+        blk[:, _E_PSI_DOT] = blk[:, _YAW_RATE] - blk[:, _V] * feet[3, :m]
+        if len(ends):
+            return SimLog(rows[:a + m], stop_reason="path_end", seed=cfg.seed)
+        if lost is not None:
+            raise lost
+        return None
 
-        if step % control_every == 0:
-            e_y_m = lateral_ch.latest()
-            e_psi_m = heading_ch.latest()
-            v_m = max(speed_ch.latest(), 1e-6)
-            yaw_m = yaw_ch.latest()
-            steer_m = steer_ch.latest()
-
-            if cfg.controller == "kinematic_ff_fb":
-                meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
-                u = kinematic_controller(meas_proj, v_m, gains, p)
+    try:
+        for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
+            if kinematic:
+                vy = 0.0
+                yaw_rate = kinematic_yaw_rate(v, delta_act, p)
             else:
-                check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
-                err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
-                                 e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                u = dynamic_controller(err, v_m, gains, proj.kappa, p)
-            delta_cmd = u.delta
-            saturated = abs(delta_cmd) >= p.max_steer - 1e-12
-            cmd_buffer.append(delta_cmd)
+                vy, yaw_rate = state[3], state[4]
 
-            # curvature estimators run alongside the controller
-            kappa_ack = ackermann_curvature(steer_m, wheelbase)
-            kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
-            kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
-                                        kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
+            q = proj or _UNSETTLED
+            if step % offer_every == 0:
+                heading_ch.maybe_sample(step, q.e_psi)
+                lateral_ch.maybe_sample(step, q.e_y)
+                speed_ch.maybe_sample(step, v)
+                steer_ch.maybe_sample(step, delta_act)
+                yaw_ch.maybe_sample(step, yaw_rate)
 
-        target = cmd_buffer[0]
-        if max_move is None:
-            delta_act = delta_act + lag_alpha * (target - delta_act)
-        else:
-            delta_next = delta_act + lag_alpha * (target - delta_act)
-            delta_act = delta_act + min(max(delta_next - delta_act, -max_move), max_move)
+            if step % control_every == 0:
+                e_y_m = lateral_ch.latest()
+                e_psi_m = heading_ch.latest()
+                v_m = max(speed_ch.latest(), 1e-6)
+                yaw_m = yaw_ch.latest()
+                steer_m = steer_ch.latest()
 
-        rows[step] = (t, state[0], state[1], state[2], vy, yaw_rate, odometer,
-                      v, delta_cmd, delta_act, saturated,
-                      proj.s, proj.e_y, proj.e_psi, vy + v * proj.e_psi,
-                      yaw_rate - v * proj.kappa, proj.kappa, kappa_ack, kappa_diff, kappa_fused)
+                if cfg.controller == "kinematic_ff_fb":
+                    meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
+                    u = kinematic_controller(meas_proj, v_m, gains, p)
+                else:
+                    check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
+                    err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
+                                     e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
+                    u = dynamic_controller(err, v_m, gains, proj.kappa, p)
+                delta_cmd = u.delta
+                saturated = abs(delta_cmd) >= p.max_steer - 1e-12
+                cmd_buffer.append(delta_cmd)
 
-        if proj.s >= end_s and not closed:
-            stop_reason = "path_end"
-            break
-        if step == n_steps:
-            break
-        state = plant_step(state, v, delta_act, sim_dt, p)
-        odometer += v * sim_dt
-        prev_s = proj.s
-        if closed and prev_s >= end_s:
-            # start and end coincide on a closed path; wrap the search memory
-            prev_s -= path.length
-        proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)
+                # curvature estimators run alongside the controller
+                kappa_ack = ackermann_curvature(steer_m, wheelbase)
+                kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
+                kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
+                                            kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
 
+            target = cmd_buffer[0]
+            if max_move is None:
+                delta_act = delta_act + lag_alpha * (target - delta_act)
+            else:
+                delta_next = delta_act + lag_alpha * (target - delta_act)
+                delta_act = delta_act + min(max(delta_next - delta_act, -max_move), max_move)
+
+            rows[step] = (t, state[0], state[1], state[2], vy, yaw_rate, odometer,
+                          v, delta_cmd, delta_act, saturated,
+                          q.s, q.e_y, q.e_psi, vy + v * q.e_psi,
+                          yaw_rate - v * q.kappa, q.kappa, kappa_ack, kappa_diff, kappa_fused)
+            written = step
+
+            if proj is not None and proj.s >= end_s and not closed:
+                if pending is not None:
+                    return settle(step)   # this row or an earlier one ends the run
+                stop_reason = "path_end"
+                break
+            if step == n_steps:
+                break
+            state = plant_step(state, v, delta_act, sim_dt, p)
+            odometer += v * sim_dt
+
+            nxt = step + 1
+            near_seam = closed and last_s + seam_reach >= end_s
+            if nxt % read_every and not near_seam:
+                proj = None
+                if pending is None:
+                    pending = nxt
+                continue
+            pose = Pose(state[0], state[1], state[2])
+            proj = None
+            if pending is not None and nxt - pending < block and not near_seam:
+                try:
+                    proj = project(path, pose, prev_s=last_s, margin=reach)
+                except SimulationError:
+                    pass
+            if proj is None:
+                if pending is not None:
+                    log = settle(step)
+                    if log is not None:
+                        return log
+                    last_s = rows[step, _S].item()
+                # start and end coincide on a closed path; wrap the search memory
+                prev_s = last_s - length if closed and last_s >= end_s else last_s
+                proj = project(path, pose, prev_s=prev_s)
+            last_s = proj.s
+    except Exception:
+        # a pending row may end the run or be lost before this error
+        if pending is not None and written >= pending:
+            log = settle(written)
+            if log is not None:
+                return log
+        raise
+
+    if pending is not None:
+        log = settle(step)
+        if log is not None:
+            return log
     return SimLog(rows[:step + 1], stop_reason=stop_reason, seed=cfg.seed)
 
 

@@ -390,6 +390,37 @@ class TestDesign:
         assert main(["design", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_run_above_the_row_budget_exit_3_naming_t_end_and_sim_dt(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["simulate", str(write_circle_config(tmp_path, t_end=5000.0)),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "t_end 5000 s at sim_dt 0.001 s" in err and "budget of 5,000,000 rows" in err
+    assert not out.exists()
+
+
+class TestInfiniteVehicleParameter:
+    """A vehicle number written 1e999 reads as inf: exit 3 naming the key, no output."""
+
+    @pytest.mark.parametrize("key", ["m", "caf"])
+    @pytest.mark.parametrize("command", [["design"], ["design", "--model", "dynamic"],
+                                         ["simulate"]])
+    def test_exit_3_names_the_key(self, tmp_path, capsys, key, command):
+        out = tmp_path / "o"
+        if command[0] == "simulate":
+            file = write_circle_config(tmp_path, vehicle={key: "INF"})
+        else:
+            file = tmp_path / "vehicle.json"
+            file.write_text(json.dumps({"schema_version": 1, "vehicle": {key: "INF"}}),
+                            encoding="utf-8")
+        file.write_text(file.read_text(encoding="utf-8").replace('"INF"', "1e999"),
+                        encoding="utf-8")
+        argv = [command[0], str(file), "--out", str(out)] + command[1:]
+        assert main(argv) == 3
+        assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCurvature:
     def test_noiseless_circle_all_sources_agree(self, tmp_path):
         log = write_drive_log(tmp_path)

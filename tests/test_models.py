@@ -46,6 +46,12 @@ class TestVehicleParams:
         with pytest.raises(ValueError):
             VehicleParams(lf=-1.0)
 
+    @pytest.mark.parametrize("name", ["m", "iz", "lf", "lr", "caf", "car", "max_steer"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -0.0])
+    def test_rejects_non_finite_and_nonpositive_naming_the_key(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            VehicleParams(**{name: bad})
+
     def test_rejects_huge_steer(self):
         with pytest.raises(ValueError):
             VehicleParams(max_steer=2.0)

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from steerkit import SimulationError
+from steerkit import SimulationError, pathbatch
 from steerkit.models import Pose, wrap_angle
+from steerkit.pathbatch import RUN_TABLE_CELLS, project_run
 from steerkit.pathkit import (
     PROJECT_HORIZON, PROJECT_WINDOW, RECORDED_COLUMNS, SMOOTH_SPEED_LIMIT, PathProjection,
     RefPath, gen_path, load_recorded, position_noise_estimate, profile_curvature, project,
@@ -311,6 +314,104 @@ class TestProjectOracle:
             numpy_project(path, pose, prev_s)
         with pytest.raises(SimulationError, match="horizon"):
             project(path, pose, prev_s)
+
+
+def sequential_project(path, x, y, psi, prev_s, seam):
+    """project_run's contract spelled out: project pose by pose, each with the
+    previous foot as its memory, wrapped by the path length at the seam of a
+    closed path; stop at the first lost pose."""
+    feet = []
+    for xr, yr, pr in zip(x, y, psi):
+        memory = prev_s - path.length if path.closed and prev_s >= seam else prev_s
+        try:
+            proj = project(path, Pose(xr, yr, pr), memory)
+        except SimulationError as e:
+            return feet, str(e)
+        feet.append(tuple(proj))
+        prev_s = proj.s
+    return feet, None
+
+
+@st.composite
+def pose_runs(draw):
+    """A vehicle-like run of poses near a path: it starts near a sample and
+    advances 0-3 samples per pose (past the seam of a closed path) with a
+    drifting lateral offset, heading error and noise; a large offset can
+    leave the horizon."""
+    name = draw(st.sampled_from(sorted(ORACLE_PATHS)))
+    path = ORACLE_PATHS[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 400))
+    # anywhere, or close to the end: the end of an open path, the seam of a closed one
+    i0 = draw(st.one_of(st.integers(0, len(path) - 1),
+                        st.integers(max(0, len(path) - 60), len(path) - 1)))
+    idx = (i0 + np.cumsum(rng.integers(0, 4, rows))) % len(path) if path.closed else \
+        np.minimum(i0 + np.cumsum(rng.integers(0, 4, rows)), len(path) - 1)
+    # near the path, anywhere up to beyond the horizon, or far inside a bend,
+    # where the foot moves several times faster than the pose
+    kappa = float(path.kappa[i0])
+    inside = [st.floats(0.7, 0.95).map(lambda f: f / kappa)] if abs(kappa) > 1e-3 else []
+    offset = draw(st.one_of(st.floats(-2.0, 2.0), st.floats(-60.0, 60.0), *inside))
+    lateral = offset + np.cumsum(rng.normal(0.0, draw(st.sampled_from([0.0, 0.01, 0.5])), rows))
+    psi = path.psi[idx]
+    x = path.x[idx] - lateral * np.sin(psi) + rng.normal(0.0, 0.02, rows)
+    y = path.y[idx] + lateral * np.cos(psi) + rng.normal(0.0, 0.02, rows)
+    heading = psi + draw(st.floats(-1.0, 1.0)) + rng.normal(0.0, 0.05, rows).cumsum()
+    prev_s = float(path.s[i0]) + draw(st.floats(-3.0, 3.0))
+    seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+    return path, x, y, heading, prev_s, seam
+
+
+class TestProjectRun:
+    """project_run on a run of poses is project called pose by pose."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(run=pose_runs(), cells=st.sampled_from([RUN_TABLE_CELLS, 200, 2000]))
+    def test_equals_project_pose_by_pose(self, run, cells):
+        path, x, y, psi, prev_s, seam = run
+        want, error = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s,
+                                         seam)
+        with mock.patch.object(pathbatch, "RUN_TABLE_CELLS", cells):
+            feet, lost = project_run(path, x, y, psi, prev_s, seam)
+        assert [tuple(f) for f in feet.T.tolist()] == want
+        assert np.array(want).reshape(-1, 4).tobytes() == np.ascontiguousarray(feet.T).tobytes()
+        assert (None if lost is None else str(lost)) == error
+
+    @pytest.mark.parametrize("start", [30, 3])
+    def test_across_the_seam_of_a_closed_path(self, start):
+        # the memory wraps once the foot passes the seam: the next windows
+        # lie at the path start, away from the samples nearest the end
+        path = ORACLE_PATHS["closed_circle"]
+        n = len(path)
+        seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+        idx = (n - start + np.arange(60)) % n
+        x, y, psi = path.x[idx] + 0.01, path.y[idx] + 0.02, path.psi[idx]
+        prev_s = float(path.s[n - start - 1])
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
+        feet, lost = project_run(path, x, y, psi, prev_s, seam)
+        assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+        assert min(f[0] for f in want) == 0.0 and max(f[0] for f in want) >= seam
+
+    @pytest.mark.parametrize("advance, inside", [(8, 0.95), (-3, 0.0)])
+    def test_foot_leaving_the_range_the_poses_suggest(self, advance, inside):
+        # far inside a bend the foot moves 20 times as fast as the pose; a
+        # run that backs up moves its foot behind the range it starts in
+        path = ORACLE_PATHS["closed_circle"]
+        seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+        idx = (1500 + advance * np.arange(300)) % len(path)
+        lateral = inside / float(path.kappa[0])
+        psi = path.psi[idx]
+        x, y = path.x[idx] - lateral * np.sin(psi), path.y[idx] + lateral * np.cos(psi)
+        prev_s = float(path.s[1500 - np.sign(advance)])
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
+        feet, lost = project_run(path, x, y, psi, prev_s, seam)
+        assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+
+    def test_vector_wrap_is_wrap_angle(self):
+        # project_run wraps with np.fmod, which is exact like math.fmod
+        a = np.concatenate((np.random.default_rng(5).uniform(-40.0, 40.0, 20000),
+                            np.arange(-6, 7) * math.pi, [0.0, -0.0, 1e-300, -1e-300]))
+        assert pathbatch._wrap(a).tolist() == [wrap_angle(v) for v in a.tolist()]
 
 
 class TestLoadRecorded:

@@ -12,7 +12,7 @@ from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, \
     kinematic_derivative, kinematic_step, pfaffian_residuals
 from steerkit.pathkit import PathProjection, gen_path
 from steerkit.simkit import (
-    ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
+    MAX_LOG_ROWS, ROW_BYTES, ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
     compute_metrics, default_sensors, dynamic_controller, kinematic_controller,
     run_scenario,
 )
@@ -138,6 +138,22 @@ class TestScenarioConfig:
         path = gen_path("line", spacing=0.1, length=30.0)
         with pytest.raises(ValueError):
             ScenarioConfig(path=path, sim_dt=0.05, control_dt=0.02)
+
+    def test_row_budget(self):
+        # built only, never run: the check comes before anything is allocated
+        path = gen_path("line", spacing=0.1, length=30.0)
+        assert MAX_LOG_ROWS * ROW_BYTES == 800_000_000
+        at = ScenarioConfig(path=path, t_end=(MAX_LOG_ROWS - 1) * 0.001, sim_dt=0.001)
+        assert round(at.t_end / at.sim_dt) + 1 == MAX_LOG_ROWS
+        with pytest.raises(ValueError, match=r"t_end 5000 s at sim_dt 0.001 s logs "
+                                             r"5,000,001 rows, above the budget of 5,000,000"):
+            ScenarioConfig(path=path, t_end=MAX_LOG_ROWS * 0.001, sim_dt=0.001)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_end_positive_and_finite(self, bad):
+        path = gen_path("line", spacing=0.1, length=30.0)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            ScenarioConfig(path=path, t_end=bad)
 
     def test_unknown_channel_rejected(self):
         path = gen_path("line", spacing=0.1, length=30.0)
