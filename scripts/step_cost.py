@@ -1,6 +1,8 @@
-"""Time steerkit's simulation step on two checkouts, side by side.
+"""Time steerkit's simulation step, or whole simulate commands, on two
+checkouts, side by side.
 
     python3 scripts/step_cost.py OLD_ROOT NEW_ROOT [--rounds 3] [--desk-seed 1] [--work DIR]
+                                 [--commands]
 
 Each root is a repository checkout (the directory holding `src/` and
 `bench/`).  The cases are the shipped `circle_10ms`, `circle_3ms` and
@@ -16,12 +18,22 @@ one `run_scenario` call per case.  A case's cost is that wall time over
 the log's rows (one row per sim step), in microseconds; the script prints
 the best over the rounds for each side, then one JSON line with every
 round's values.
+
+With --commands each round starts one fresh process per side and case,
+which times one whole `simulate` command through `cli.main` (set-up, run,
+log.csv, metrics and plots, into a scratch directory under --work) and
+reports its wall time in seconds and its peak resident set in MB, both of
+its own (RUSAGE_SELF) and of the children it waited for (RUSAGE_CHILDREN,
+such as a forked log.csv formatter).  The script prints the best and the
+median time per side and the largest peak RSS of each kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -46,6 +58,50 @@ def _time_cases(src: str, cases: list[list[str]]) -> None:
     print(json.dumps(out))
 
 
+def _time_command(src: str, config: str, out: str) -> None:
+    """Child mode: print [seconds, self peak RSS MB, children peak RSS MB]
+    of one simulate command."""
+    sys.path.insert(0, src)
+    from steerkit import cli
+
+    t0 = time.perf_counter()
+    rc = cli.main(["simulate", config, "--out", out])
+    elapsed = time.perf_counter() - t0
+    if rc != 0:
+        raise SystemExit(f"simulate {config} exited {rc}")
+    print(json.dumps([elapsed] + [resource.getrusage(who).ru_maxrss / 1024.0
+                                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
+
+
+def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
+    runs = {side: {name: [] for name, _ in cases} for side in sides}
+    for i in range(rounds):
+        for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
+            for name, config in cases:
+                proc = subprocess.run([sys.executable, __file__, "--command",
+                                       str(sides[side] / "src"), config,
+                                       str(work / f"out_{side}_{name}")],
+                                      capture_output=True, text=True, check=True)
+                runs[side][name].append(json.loads(proc.stdout.splitlines()[-1]))
+        print(f"  round {i + 1}/{rounds} done", file=sys.stderr)
+
+    summary = {side: {name: {"best_s": min(r[0] for r in rs),
+                             "median_s": statistics.median(r[0] for r in rs),
+                             "self_rss_mb": max(r[1] for r in rs),
+                             "children_rss_mb": max(r[2] for r in rs)}
+                      for name, rs in by_case.items()} for side, by_case in runs.items()}
+    print(f"{'case':<14}{'old best s':>11}{'new best s':>11}{'old med s':>10}{'new med s':>10}"
+          f"{'new/old':>8}{'self MB old/new':>18}{'child MB old/new':>18}")
+    for name, _ in cases:
+        o, n = summary["old"][name], summary["new"][name]
+        print(f"{name:<14}{o['best_s']:>11.3f}{n['best_s']:>11.3f}{o['median_s']:>10.3f}"
+              f"{n['median_s']:>10.3f}{n['median_s'] / o['median_s']:>8.3f}"
+              f"{o['self_rss_mb']:>9.1f}/{n['self_rss_mb']:<8.1f}"
+              f"{o['children_rss_mb']:>9.1f}/{n['children_rss_mb']:<8.1f}")
+    print(json.dumps({"unit": "s per simulate command; MB", "rounds": rounds,
+                      "summary": summary, "runs": runs}))
+
+
 def _cases(new_root: Path, desk_seed: int, work: Path) -> list[list[str]]:
     configs = new_root / "src" / "steerkit" / "configs"
     cases = [[name, str(configs / f"{name}.json")] for name in SHIPPED]
@@ -64,18 +120,26 @@ def main(argv=None) -> int:
     if argv is None and len(sys.argv) > 1 and sys.argv[1] == "--child":
         _time_cases(sys.argv[2], json.loads(sys.argv[3]))
         return 0
+    if argv is None and len(sys.argv) > 1 and sys.argv[1] == "--command":
+        _time_command(*sys.argv[2:5])
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("old_root", type=Path)
     ap.add_argument("new_root", type=Path)
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--desk-seed", type=int, default=1)
     ap.add_argument("--work", type=Path, default=Path(".compare_work") / "step_cost")
+    ap.add_argument("--commands", action="store_true",
+                    help="time whole simulate commands, with peak RSS")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
     cases = _cases(args.new_root.resolve(), args.desk_seed, args.work.resolve())
     sides = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
+    if args.commands:
+        _run_commands(sides, cases, args.rounds, args.work.resolve())
+        return 0
     rounds: dict[str, list[dict]] = {"old": [], "new": []}
     for i in range(args.rounds):
         for side in (("old", "new") if i % 2 == 0 else ("new", "old")):

@@ -15,6 +15,12 @@ grid count, delay_steps); anything else is exit 3 naming the key.
 
 `simulate --sweep` runs its members in forked worker processes where there
 are several usable CPUs (`_run_sweep`); the artifacts are those of a serial run.
+Outside a sweep worker, `simulate` formats log.csv in a forked child while
+the run goes on (`logfork.ForkedLog`, chosen by `_log_writer`) where there
+are two usable CPUs, `fork`, no other thread and at least one CSV block of
+rows; the child writes an unnamed temporary file, which is copied to
+log.csv only after the run has returned, and a child that fails leaves the
+log to be formatted serially, with the same bytes.
 
 Every successful command writes its artifacts through one OutputDir, whose
 manifest.json records the tool version, the sha256 of the primary input
@@ -32,6 +38,7 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +46,7 @@ import numpy as np
 from . import NumericalError, SimulationError, __version__
 from . import curvkit, lqr, margins, pathkit, simkit, svgplot
 from .models import VehicleParams, check_dynamic_speed
-from .numkit import write_float_csv
+from .numkit import CSV_BLOCK_ROWS, write_float_csv
 from .svgplot import Panel, Series
 
 SCHEMA_VERSION = 1
@@ -302,29 +309,57 @@ def _render_curvature(file: Path, t, ka, kd, fused, *extra: Series) -> None:
     ], file)
 
 
+_in_sweep_worker = False   # set in the --sweep worker processes
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+        os.cpu_count() or 1
+
+
+def _log_writer(scenario: simkit.ScenarioConfig):
+    """A `logfork.ForkedLog` where log.csv can be formatted on a second CPU
+    while the run goes on: outside a --sweep worker, with two usable CPUs,
+    `fork` and no other thread to fork with, and a log of at least one CSV
+    block; else None, and the log is formatted after the run."""
+    if _in_sweep_worker or scenario.log_rows < CSV_BLOCK_ROWS or _usable_cpus() < 2 \
+            or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    from .logfork import ForkedLog
+    return ForkedLog()
+
+
 def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
     scenario, schedule, p = _scenario_from_config(cfg, config_path)
-    log = simkit.run_scenario(scenario, schedule, params=p)
-    metrics = simkit.compute_metrics(log)
-    with out.open("log.csv") as f:
-        log.to_csv(f)
-    out.json("metrics.json", {**metrics, "stop_reason": log.stop_reason,
-                              "seed": scenario.seed, "schema_version": SCHEMA_VERSION})
-    with out.open("gains.csv") as f:
-        lqr.save_gain_csv(schedule, f)
-    path = scenario.path
-    svgplot.render([Panel(series=[Series(path.x, path.y, label="reference"),
-                                  Series(log.x, log.y, label="vehicle", dash="5,3")],
-                          title="Trajectory", xlabel="X [m]", ylabel="Y [m]")],
-                   out.path("plots/trajectory.svg"))
-    svgplot.render([
-        Panel(series=[Series(log.s, log.e_y)], title="Lateral error",
-              xlabel="s [m]", ylabel="e_y [m]", hlines=[(0.0, "")]),
-        Panel(series=[Series(log.s, np.degrees(log.e_psi))], title="Heading error",
-              xlabel="s [m]", ylabel="e_psi [deg]", hlines=[(0.0, "")]),
-    ], out.path("plots/error_vs_s.svg"))
-    _render_curvature(out.path("plots/curvature.svg"), log.t, log.kappa_ack, log.kappa_diff,
-                      log.kappa_fused, Series(log.t, log.kappa_path, label="path", dash="2,2"))
+    writer = _log_writer(scenario)
+    try:
+        log = simkit.run_scenario(scenario, schedule, params=p, writer=writer)
+        log_file = out.path("log.csv")   # first in the manifest, written last
+        metrics = simkit.compute_metrics(log)
+        out.json("metrics.json", {**metrics, "stop_reason": log.stop_reason,
+                                  "seed": scenario.seed, "schema_version": SCHEMA_VERSION})
+        with out.open("gains.csv") as f:
+            lqr.save_gain_csv(schedule, f)
+        path = scenario.path
+        svgplot.render([Panel(series=[Series(path.x, path.y, label="reference"),
+                                      Series(log.x, log.y, label="vehicle", dash="5,3")],
+                              title="Trajectory", xlabel="X [m]", ylabel="Y [m]")],
+                       out.path("plots/trajectory.svg"))
+        svgplot.render([
+            Panel(series=[Series(log.s, log.e_y)], title="Lateral error",
+                  xlabel="s [m]", ylabel="e_y [m]", hlines=[(0.0, "")]),
+            Panel(series=[Series(log.s, np.degrees(log.e_psi))], title="Heading error",
+                  xlabel="s [m]", ylabel="e_psi [deg]", hlines=[(0.0, "")]),
+        ], out.path("plots/error_vs_s.svg"))
+        _render_curvature(out.path("plots/curvature.svg"), log.t, log.kappa_ack,
+                          log.kappa_diff, log.kappa_fused,
+                          Series(log.t, log.kappa_path, label="path", dash="2,2"))
+        if writer is None or not writer.commit(log_file):
+            with _text_file(log_file) as f:
+                log.to_csv(f)
+    finally:
+        if writer is not None:
+            writer.abort()
     out.manifest("simulate", config_path, scenario.seed)
 
 
@@ -363,6 +398,13 @@ def _sweep_member(member: tuple) -> None:
     _run_one_simulation(*member)
 
 
+def _sweep_worker() -> None:
+    """Initializer of the --sweep workers: their logs are formatted in-process,
+    since the workers already hold the CPUs."""
+    global _in_sweep_worker
+    _in_sweep_worker = True
+
+
 def _run_sweep(members: list[tuple]) -> None:
     """Run the sweep members, in forked worker processes (one per usable CPU, at
     most one per member) where there are several of each and the platform can
@@ -373,14 +415,14 @@ def _run_sweep(members: list[tuple]) -> None:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(members), cpus or 1)
+    workers = min(len(members), _usable_cpus())
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         list(map(_sweep_member, members))
         return
     # fork: the workers inherit the imported modules instead of importing them
     # again, and a fork pool starts all its workers before its manager thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_sweep_worker)
     try:
         list(pool.map(_sweep_member, members))
     finally:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +66,9 @@ class VehicleParams:
         if self.max_steer >= math.pi / 2:
             raise ValueError("max_steer must be below pi/2")
 
-    @property
+    @cached_property
     def wheelbase(self) -> float:
+        """lf + lr, computed once: the loop reads it on every step."""
         return self.lf + self.lr
 
 
@@ -167,17 +169,20 @@ def dynamic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float,
     )
 
 
-def kinematic_step(state, v: float, delta: float, dt: float, p: VehicleParams) -> tuple:
+def kinematic_step(state, v: float, delta: float, dt: float, p: VehicleParams,
+                   w: float | None = None) -> tuple:
     """One classical RK4 step of kinematic_derivative with the input held,
     bit-equal to generic RK4: each stage evaluates the derivative's
     expressions in the same order.  w does not depend on the state, so
-    stages 2 and 3 are equal: one tan and three cos/sin pairs.  Raises
+    stages 2 and 3 are equal: one tan and three cos/sin pairs.  A caller
+    that has w = kinematic_yaw_rate(v, delta, p) passes it.  Raises
     ValueError for dt <= 0 or |delta| >= pi/2 and SimulationError when
     the result is not finite."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, y, psi = state
-    w = kinematic_yaw_rate(v, delta, p)
+    if w is None:
+        w = kinematic_yaw_rate(v, delta, p)
     psi_h, psi_e = psi + 0.5 * dt * w, psi + dt * w
     a, b, c = v * math.cos(psi_h), v * math.sin(psi_h), dt / 6.0
     x = x + c * (v * math.cos(psi) + 2.0 * a + 2.0 * a + v * math.cos(psi_e))

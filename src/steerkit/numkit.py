@@ -8,7 +8,7 @@ the matrix exponential (no scipy), Higham's scaling-and-squaring method
 with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
 it; the spectral radius, closed form from trace and determinant for a
 2x2 matrix; and the doubling Riccati solver.  `write_float_csv` is the one
-writer of the tool's float tables.
+writer of the tool's float tables, and `write_csv_rows` its row formatter.
 """
 
 from __future__ import annotations
@@ -279,7 +279,13 @@ def write_float_csv(fobj, header, cols) -> None:
     column is formatted once.
     """
     fobj.write(",".join(header) + "\n")
-    table = np.column_stack(cols).astype(float, copy=False)
+    write_csv_rows(fobj, np.column_stack(cols).astype(float, copy=False))
+
+
+def write_csv_rows(fobj, table: np.ndarray) -> None:
+    """The rows of write_float_csv for a 2-D float64 table, CSV_BLOCK_ROWS at
+    a time.  A run of repeated values is found per block, but its repr is the
+    value's own, so the bytes do not depend on where the blocks start."""
     for i in range(0, len(table), CSV_BLOCK_ROWS):
         cells = [_column_reprs(col) for col in table[i:i + CSV_BLOCK_ROWS].T]
         fobj.writelines(",".join(row) + "\n" for row in zip(*cells))

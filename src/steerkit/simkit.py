@@ -22,7 +22,7 @@ from .curvkit import KfState, ackermann_curvature, differential_sample, feedforw
 from .lqr import GainSchedule
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
-from .numkit import write_float_csv
+from .numkit import CSV_BLOCK_ROWS, write_csv_rows
 from .pathbatch import project_run
 from .pathkit import PathProjection, RefPath, project
 
@@ -35,6 +35,8 @@ CSV_COLUMNS = (
     "s", "e_y", "e_psi", "e_y_dot", "e_psi_dot",
     "kappa_path", "kappa_ack", "kappa_diff", "kappa_fused",
 )
+LOG_HEAD = ("# steerkit simulation log; SI units, radians; saturated is 0/1\n"
+            + ",".join(CSV_COLUMNS) + "\n")
 ROW_BYTES = 8 * len(CSV_COLUMNS)   # one float64 per column
 MAX_LOG_ROWS = 5_000_000           # rows of one run's log: 800 MB of row table
 _S, _VY, _YAW_RATE, _V, _E_Y_DOT, _E_PSI_DOT = (CSV_COLUMNS.index(c) for c in (
@@ -89,7 +91,9 @@ def _validate(cfg, nonnegative: tuple[str, ...], optional_positive: str) -> None
 
 def _whole_steps(ratio: float) -> int | None:
     """round(ratio) when ratio is a whole number (to 1e-9) of at least one
-    sim step, else None."""
+    sim step, else None (inf too, which round() cannot take)."""
+    if not ratio < math.inf:
+        return None
     steps = round(ratio)
     return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 else None
 
@@ -135,8 +139,9 @@ class ScenarioConfig:
         if self.sim_dt <= 0 or self.sim_dt > self.control_dt:
             raise ValueError("need 0 < sim_dt <= control_dt")
         if _whole_steps(self.control_dt / self.sim_dt) is None:
-            raise ValueError("control_dt must be an integer multiple of sim_dt")
-        rows = round(self.t_end / self.sim_dt) + 1
+            raise ValueError(f"control_dt {self.control_dt:g} s must be an integer multiple of "
+                             f"sim_dt {self.sim_dt:g} s")
+        rows = self.log_rows
         if rows > MAX_LOG_ROWS:
             raise ValueError(f"t_end {self.t_end:g} s at sim_dt {self.sim_dt:g} s logs {rows:,} "
                              f"rows, above the budget of {MAX_LOG_ROWS:,} rows "
@@ -156,6 +161,13 @@ class ScenarioConfig:
                 where = f"speed {v}" if constant else f"speed table knot {i} [{t}, {v}]"
                 raise ValueError(f"{where}: speeds must be positive and finite, times finite "
                                  "and strictly ascending")
+
+    @property
+    def log_rows(self) -> int | float:
+        """Rows of a log that runs to t_end, one per sim step and the start;
+        inf where t_end / sim_dt overflows, which round() cannot take."""
+        ratio = self.t_end / self.sim_dt
+        return round(ratio) + 1 if ratio < math.inf else math.inf
 
     @property
     def control_every(self) -> int:
@@ -212,8 +224,8 @@ class SimLog:
         return len(self.rows)
 
     def to_csv(self, fobj) -> None:
-        fobj.write("# steerkit simulation log; SI units, radians; saturated is 0/1\n")
-        write_float_csv(fobj, CSV_COLUMNS, [self.rows])
+        fobj.write(LOG_HEAD)
+        write_csv_rows(fobj, self.rows)
 
 
 def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
@@ -266,7 +278,7 @@ class _Unverified(Exception):
 
 
 def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
-                 params: VehicleParams | None = None) -> SimLog:
+                 params: VehicleParams | None = None, writer=None) -> SimLog:
     """Run one closed-loop scenario and return its log.
 
     Per sim step the plant takes one RK4 step (`models.kinematic_step` or
@@ -276,6 +288,12 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     limit.  Raises SimulationError when the vehicle leaves the projection
     horizon or the state goes non-finite, and ValueError for an
     initial_steer that is not finite or exceeds max_steer.
+
+    A `writer` (`logfork.ForkedLog`) provides the row table (`table(shape)`)
+    and is told that the rows below a watermark are final (`publish(k)`,
+    checked every BLOCK_ROWS steps and sent once k passes a CSV_BLOCK_ROWS
+    boundary), then the log's length (`finish(n)`); a rerun first abandons
+    the first table (`abort()`).
     """
     p = params if params is not None else VehicleParams()
     if not abs(cfg.initial_steer) <= p.max_steer:
@@ -286,12 +304,18 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     if cfg.controller == "kinematic_ff_fb" and len(gains.gains[0].k) != 2:
         raise ValueError("kinematic_ff_fb controller needs a 2-state gain schedule")
     try:
-        return _run(cfg, gains, p, BLOCK_ROWS)
+        log = _run(cfg, gains, p, BLOCK_ROWS, writer)
     except _Unverified:
-        return _run(cfg, gains, p, 1)
+        if writer is not None:
+            writer.abort()
+        log = _run(cfg, gains, p, 1, writer)
+    if writer is not None:
+        writer.finish(len(log))
+    return log
 
 
-def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int) -> SimLog:
+def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
+         writer) -> SimLog:
     """run_scenario's loop.  Every step where the controller runs or the
     heading or lateral channel samples projects its pose at once; with
     block > 1 the other steps' projections, which only the log reads, wait
@@ -310,13 +334,13 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int)
     y0 = float(path.y[0]) + e_y0 * math.cos(psi0)
     heading0 = psi0 + e_psi0
 
-    n_steps = int(round(cfg.t_end / cfg.sim_dt))
+    n_steps = cfg.log_rows - 1
     times = np.arange(n_steps + 1) * cfg.sim_dt
     speeds = cfg.speed_at(times).tolist()
     # the solver's psi stays unwrapped; only the Pose handed to project wraps it
     kinematic = cfg.model == "kinematic"
     state = (x0, y0, heading0) if kinematic else (x0, y0, heading0, 0.0, 0.0)
-    plant_step = kinematic_step if kinematic else dynamic_step
+    w = w_speed = math.nan   # the kinematic yaw rate of the last plant step, and its speed
     if not kinematic:
         v_min = min(speeds)
         check_dynamic_speed(v_min, f" (speed command at t={times[speeds.index(v_min)]:g} s)")
@@ -350,7 +374,12 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int)
     kappa_fused, kf_p, q_step = kf.kappa_hat, kf.p, kf.q_process * cfg.control_dt
     kappa_ack = kappa_diff = 0.0
 
-    rows = np.empty((n_steps + 1, len(CSV_COLUMNS)))
+    shape = (n_steps + 1, len(CSV_COLUMNS))
+    rows = np.empty(shape) if writer is None else writer.table(shape)
+    # the last step, or the next step that tells the writer which rows are final
+    # once they pass the next CSV block boundary, block_end
+    check = n_steps if writer is None else min(BLOCK_ROWS, n_steps)
+    block_end = CSV_BLOCK_ROWS
     odometer = 0.0
     stop_reason = "t_end"
     end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
@@ -400,7 +429,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int)
         for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
             if kinematic:
                 vy = 0.0
-                yaw_rate = kinematic_yaw_rate(v, delta_act, p)
+                # the last plant step's rate, unless the speed has changed since
+                yaw_rate = w if v == w_speed else kinematic_yaw_rate(v, delta_act, p)
             else:
                 vy, yaw_rate = state[3], state[4]
 
@@ -434,8 +464,12 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int)
                 # curvature estimators run alongside the controller
                 kappa_ack = ackermann_curvature(steer_m, wheelbase)
                 kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
+                try:
+                    r_diff = kf.r_diff / v_m**2
+                except OverflowError:   # float ** raises where v_m^2 passes the float range
+                    r_diff = 0.0        # r_diff / inf
                 kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
-                                            kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
+                                            kappa_diff if diff_ok else None, r_diff)
 
             target = cmd_buffer[0]
             if max_move is None:
@@ -455,9 +489,19 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int)
                     return settle(step)   # this row or an earlier one ends the run
                 stop_reason = "path_end"
                 break
-            if step == n_steps:
-                break
-            state = plant_step(state, v, delta_act, sim_dt, p)
+            if step >= check:
+                if step == n_steps:
+                    break
+                final = step + 1 if pending is None else pending   # settle() starts at pending
+                if final >= block_end:
+                    writer.publish(final)
+                    block_end = final - final % CSV_BLOCK_ROWS + CSV_BLOCK_ROWS
+                check = min(step + BLOCK_ROWS, n_steps)
+            if kinematic:
+                w, w_speed = kinematic_yaw_rate(v, delta_act, p), v
+                state = kinematic_step(state, v, delta_act, sim_dt, p, w)
+            else:
+                state = dynamic_step(state, v, delta_act, sim_dt, p)
             odometer += v * sim_dt
 
             nxt = step + 1

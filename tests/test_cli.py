@@ -2,9 +2,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerkit import SimulationError, cli
+from steerkit import SimulationError, cli, logfork, numkit, simkit
 from steerkit.cli import ConfigError, main
-from steerkit.pathkit import read_recorded_csv
+from steerkit.pathkit import project, read_recorded_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
 
@@ -212,6 +214,32 @@ class TestSimulate:
         assert "m/s (sensors.speed reading at t=0.24 s) is at/below the 0.5 m/s guard" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sim_dt": 5e-324}, "sim_dt"),
+        ({"t_end": 1e308}, "t_end 1e+308 s at sim_dt 0.001 s"),
+    ])
+    def test_step_count_overflow_exit_3(self, tmp_path, capsys, overrides, message):
+        cfg = write_circle_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_speed_is_a_lost_vehicle_not_an_overflow(self, tmp_path, capsys):
+        # v**2 in the differential variance used to raise OverflowError
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path, speed=1e155)),
+                     "--out", str(out)]) == 2
+        assert "vehicle lost" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noisy_speed_reading_past_the_float_range_runs(self, tmp_path):
+        # readings of about 1e200 m/s square past the float range: variance 0
+        out = tmp_path / "o"
+        cfg = write_circle_config(tmp_path, t_end=3.0, sensors={"speed": {"noise_std": 1e200}})
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert (out / "log.csv").exists()
+
     def test_sweep_offsets(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["simulate", str(CONFIGS / "parking.json"), "--out", str(out),
@@ -351,11 +379,147 @@ class TestSweepWorkers:
 
     def test_cli_import_loads_no_process_modules(self):
         code = ("import sys, steerkit.cli; "
-                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+                "print([m for m in ('multiprocessing', 'concurrent.futures', 'mmap', "
+                "'steerkit.logfork') if m in sys.modules])")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+
+def _record_pids(monkeypatch, file: Path) -> None:
+    """Append "run PID" for each run_scenario call and "fmt PID" for each
+    block of log.csv rows formatted, to `file`, from whichever process
+    makes them."""
+    def recorded(kind, fn):
+        def wrapped(*args, **kwargs):
+            with open(file, "a", encoding="utf-8") as f:
+                f.write(f"{kind} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(simkit, "run_scenario", recorded("run", simkit.run_scenario))
+    for owner in (simkit, logfork):   # SimLog.to_csv, and the forked child
+        monkeypatch.setattr(owner, "write_csv_rows", recorded("fmt", numkit.write_csv_rows))
+
+
+class TestForkedLog:
+    """simulate formats log.csv in a forked child where that pays."""
+
+    @pytest.mark.parametrize("cpus, t_end, forked", [
+        (2, 3.0, True), (1, 3.0, False),
+        (2, 2.047, True), (2, 2.046, False),   # 2,048 and 2,047 rows
+    ])
+    def test_child_only_with_two_cpus_and_a_csv_block(self, tmp_path, monkeypatch, forks,
+                                                       cpus, t_end, forked):
+        _usable_cpus(monkeypatch, cpus)
+        _record_pids(monkeypatch, tmp_path / "pids")
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path, t_end=t_end)),
+                     "--out", str(out)]) == 0
+        fmt = {line.split()[1] for line in (tmp_path / "pids").read_text().splitlines()
+               if line.startswith("fmt")}
+        assert fmt and (str(os.getpid()) not in fmt) == forked
+        assert len(forks) == forked and forks.all_reaped()
+        assert (out / "log.csv").read_bytes().startswith(b"# steerkit simulation log")
+
+    def test_no_child_while_another_thread_runs(self, tmp_path, monkeypatch, forks):
+        _usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30.0,))
+        other.start()
+        try:
+            assert main(["simulate", str(write_circle_config(tmp_path, t_end=3.0)),
+                         "--out", str(tmp_path / "o")]) == 0
+        finally:
+            release.set()
+            other.join(30.0)
+        assert not other.is_alive() and not forks
+
+    def test_no_child_inside_sweep_workers(self, tmp_path, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        _record_pids(monkeypatch, tmp_path / "pids")
+        assert main(["simulate", str(write_circle_config(tmp_path, t_end=3.0)),
+                     "--out", str(tmp_path / "o"), "--sweep", "seed=0,1,2"]) == 0
+        pids = [line.split() for line in (tmp_path / "pids").read_text().splitlines()]
+        runs = {pid for kind, pid in pids if kind == "run"}
+        fmt = {pid for kind, pid in pids if kind == "fmt"}
+        assert str(os.getpid()) not in runs and fmt and fmt <= runs
+        assert not multiprocessing.active_children()
+
+    def test_forked_log_equals_the_serial_one(self, tmp_path, monkeypatch):
+        cfg = write_circle_config(tmp_path, t_end=5.0, initial_offset=[0.4, 0.0])
+        logs = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            assert main(["simulate", str(cfg), "--out", str(tmp_path / f"c{cpus}")]) == 0
+            logs.append(_artifacts(tmp_path / f"c{cpus}"))
+        assert logs[0] == logs[1]
+        manifest = json.loads((tmp_path / "c2" / "manifest.json").read_text())
+        assert manifest["artifacts"][0] == "log.csv"
+
+    @pytest.mark.parametrize("failure", ["killed", "exit 1"])
+    def test_a_failed_child_leaves_the_log_to_the_parent(self, tmp_path, monkeypatch, forks,
+                                                         failure):
+        cfg = write_circle_config(tmp_path, t_end=5.0)
+        _usable_cpus(monkeypatch, 1)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "serial")]) == 0
+        _usable_cpus(monkeypatch, 2)
+        table = logfork.ForkedLog.table
+
+        def failing(writer, shape):
+            rows = table(writer, shape)
+            os.kill(writer.pid, signal.SIGKILL)
+            return rows
+
+        if failure == "killed":
+            monkeypatch.setattr(logfork.ForkedLog, "table", failing)
+        else:
+            monkeypatch.setattr(logfork, "_format", lambda rows, pipe, fd: 1)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(forks) == 1 and forks.all_reaped()
+        assert _artifacts(tmp_path / "o") == _artifacts(tmp_path / "serial")
+
+    @pytest.mark.parametrize("overrides, code, message, children", [
+        # steering rate-limited to nothing: the vehicle leaves the horizon mid-run
+        ({"path": {"kind": "line", "length": 300.0, "spacing": 0.1},
+          "initial_offset": [0.0, 1.2], "actuator": {"rate_limit": 0.001}, "t_end": 20.0},
+         2, "vehicle lost", 1),
+        # a noisy speed reading dips below the dynamic guard mid-run
+        ({"model": "dynamic", "controller": "dynamic_lqr", "speed": 1.0, "t_end": 20.0,
+          "sensors": {"speed": {"noise_std": 0.3}},
+          "gains": {"grid": [1.0, 15.0, 8], "weights": {"q": [1.0] * 4, "r": 1.0}}},
+         3, "sensors.speed reading", 1),
+        # rejected while the config is read, before any run
+        ({"seed": -1}, 3, "seed must be a nonnegative integer", 0),
+    ])
+    def test_a_failed_run_writes_nothing_and_reaps_the_child(self, tmp_path, monkeypatch,
+                                                             capsys, forks, overrides, code,
+                                                             message, children):
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert len(forks) == children and forks.all_reaped()
+        assert not out.exists()
+
+    def test_an_interrupt_reaps_the_child(self, tmp_path, monkeypatch, forks):
+        _usable_cpus(monkeypatch, 2)
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 40:
+                raise KeyboardInterrupt
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(simkit, "project", interrupted)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", str(write_circle_config(tmp_path, t_end=5.0)), "--out", str(out)])
+        assert len(forks) == 1 and forks.all_reaped()
+        assert not out.exists()
 
 
 class TestDesign:

@@ -259,9 +259,9 @@ class TestRunScenarioOracle:
         blocks = []
         run = simkit._run
 
-        def spy(cfg, gains, p, block):
+        def spy(cfg, gains, p, block, writer):
             blocks.append(block)
-            return run(cfg, gains, p, block)
+            return run(cfg, gains, p, block, writer)
 
         def skewed(path, pose, prev_s=None, margin=0.0):
             proj = project(path, pose, prev_s, margin)

@@ -149,6 +149,14 @@ class TestScenarioConfig:
                                              r"5,000,001 rows, above the budget of 5,000,000"):
             ScenarioConfig(path=path, t_end=MAX_LOG_ROWS * 0.001, sim_dt=0.001)
 
+    def test_step_counts_that_overflow_are_input_errors(self):
+        # control_dt / sim_dt and t_end / sim_dt are inf here, which round() cannot take
+        path = gen_path("line", spacing=0.1, length=30.0)
+        with pytest.raises(ValueError, match=r"integer multiple of sim_dt 4.94066e-324 s"):
+            ScenarioConfig(path=path, sim_dt=5e-324)
+        with pytest.raises(ValueError, match=r"t_end 1e\+308 s at sim_dt 0.001 s logs inf rows"):
+            ScenarioConfig(path=path, t_end=1e308)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     def test_t_end_positive_and_finite(self, bad):
         path = gen_path("line", spacing=0.1, length=30.0)
