@@ -20,12 +20,15 @@ the best over the rounds for each side, then one JSON line with every
 round's values.
 
 With --commands each round starts one fresh process per side and case,
-which times one whole `simulate` command through `cli.main` (set-up, run,
-log.csv, metrics and plots, into a scratch directory under --work) and
-reports its wall time in seconds and its peak resident set in MB, both of
-its own (RUSAGE_SELF) and of the children it waited for (RUSAGE_CHILDREN,
-such as a forked log.csv formatter).  The script prints the best and the
-median time per side and the largest peak RSS of each kind.
+which times one whole command through `cli.main` (into a scratch directory
+under --work): a `simulate` command per case above (set-up, run, log.csv,
+metrics and plots), then the `desk` plan's four `design` commands of the
+same seed (both models, two weight sets each; gain design, gains.csv and
+the plot).  It reports the command's wall time in seconds and its peak
+resident set in MB, both of its own (RUSAGE_SELF) and of the children it
+waited for (RUSAGE_CHILDREN, such as a forked log.csv formatter).  The
+script prints the best and the median time per side and the largest peak
+RSS of each kind.
 """
 
 from __future__ import annotations
@@ -58,17 +61,18 @@ def _time_cases(src: str, cases: list[list[str]]) -> None:
     print(json.dumps(out))
 
 
-def _time_command(src: str, config: str, out: str) -> None:
+def _time_command(src: str, argv: str, out: str) -> None:
     """Child mode: print [seconds, self peak RSS MB, children peak RSS MB]
-    of one simulate command."""
+    of one command, argv a JSON list without --out."""
     sys.path.insert(0, src)
     from steerkit import cli
 
+    argv = json.loads(argv)
     t0 = time.perf_counter()
-    rc = cli.main(["simulate", config, "--out", out])
+    rc = cli.main(argv + ["--out", out])
     elapsed = time.perf_counter() - t0
     if rc != 0:
-        raise SystemExit(f"simulate {config} exited {rc}")
+        raise SystemExit(f"{' '.join(argv)} exited {rc}")
     print(json.dumps([elapsed] + [resource.getrusage(who).ru_maxrss / 1024.0
                                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
 
@@ -77,9 +81,9 @@ def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
     runs = {side: {name: [] for name, _ in cases} for side in sides}
     for i in range(rounds):
         for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
-            for name, config in cases:
+            for name, argv in cases:
                 proc = subprocess.run([sys.executable, __file__, "--command",
-                                       str(sides[side] / "src"), config,
+                                       str(sides[side] / "src"), json.dumps(argv),
                                        str(work / f"out_{side}_{name}")],
                                       capture_output=True, text=True, check=True)
                 runs[side][name].append(json.loads(proc.stdout.splitlines()[-1]))
@@ -90,30 +94,34 @@ def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
                              "self_rss_mb": max(r[1] for r in rs),
                              "children_rss_mb": max(r[2] for r in rs)}
                       for name, rs in by_case.items()} for side, by_case in runs.items()}
-    print(f"{'case':<14}{'old best s':>11}{'new best s':>11}{'old med s':>10}{'new med s':>10}"
+    print(f"{'case':<20}{'old best s':>11}{'new best s':>11}{'old med s':>10}{'new med s':>10}"
           f"{'new/old':>8}{'self MB old/new':>18}{'child MB old/new':>18}")
     for name, _ in cases:
         o, n = summary["old"][name], summary["new"][name]
-        print(f"{name:<14}{o['best_s']:>11.3f}{n['best_s']:>11.3f}{o['median_s']:>10.3f}"
+        print(f"{name:<20}{o['best_s']:>11.3f}{n['best_s']:>11.3f}{o['median_s']:>10.3f}"
               f"{n['median_s']:>10.3f}{n['median_s'] / o['median_s']:>8.3f}"
               f"{o['self_rss_mb']:>9.1f}/{n['self_rss_mb']:<8.1f}"
               f"{o['children_rss_mb']:>9.1f}/{n['children_rss_mb']:<8.1f}")
-    print(json.dumps({"unit": "s per simulate command; MB", "rounds": rounds,
+    print(json.dumps({"unit": "s per command; MB", "rounds": rounds,
                       "summary": summary, "runs": runs}))
 
 
-def _cases(new_root: Path, desk_seed: int, work: Path) -> list[list[str]]:
+def _cases(new_root: Path, desk_seed: int, work: Path) -> tuple[list[list[str]], list]:
+    """The simulate cases ([name, config]) and the desk plan's design
+    commands ([name, argv without --out])."""
     configs = new_root / "src" / "steerkit" / "configs"
     cases = [[name, str(configs / f"{name}.json")] for name in SHIPPED]
     sys.path.insert(0, str(new_root / "bench"))
     import workloads
 
-    workloads.generate("desk", desk_seed, new_root, work)
+    plan = workloads.generate("desk", desk_seed, new_root, work)
+    designs = [[cmd["name"], cmd["argv"][:cmd["argv"].index("--out")]]
+               for cmd in plan["commands"] if cmd["kind"] == "design"]
     closed = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
     closed["path"]["arc_deg"] = 360.0
     (work / "circle_10ms_360.json").write_text(json.dumps(closed), encoding="utf-8")
     return cases + [["c10_closed", str(work / "circle_10ms_360.json")]] + \
-        [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")]
+        [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")], designs
 
 
 def main(argv=None) -> int:
@@ -130,15 +138,16 @@ def main(argv=None) -> int:
     ap.add_argument("--desk-seed", type=int, default=1)
     ap.add_argument("--work", type=Path, default=Path(".compare_work") / "step_cost")
     ap.add_argument("--commands", action="store_true",
-                    help="time whole simulate commands, with peak RSS")
+                    help="time whole simulate and desk design commands, with peak RSS")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
-    cases = _cases(args.new_root.resolve(), args.desk_seed, args.work.resolve())
+    cases, designs = _cases(args.new_root.resolve(), args.desk_seed, args.work.resolve())
     sides = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
     if args.commands:
-        _run_commands(sides, cases, args.rounds, args.work.resolve())
+        commands = [[name, ["simulate", config]] for name, config in cases] + designs
+        _run_commands(sides, commands, args.rounds, args.work.resolve())
         return 0
     rounds: dict[str, list[dict]] = {"old": [], "new": []}
     for i in range(args.rounds):

@@ -265,7 +265,11 @@ def _lateral_coefficients(vx: float, p: VehicleParams) -> tuple[float, float, fl
     a22 = -2.0 * (p.caf + p.car) / (p.m * vx)
     a24 = -vx - 2.0 * (p.caf * p.lf - p.car * p.lr) / (p.m * vx)
     a42 = -2.0 * (p.lf * p.caf - p.lr * p.car) / (p.iz * vx)
-    a44 = -2.0 * (p.lf**2 * p.caf + p.lr**2 * p.car) / (p.iz * vx)
+    try:
+        yaw_stiffness = p.lf**2 * p.caf + p.lr**2 * p.car
+    except OverflowError:   # float ** raises where the square passes the float range
+        yaw_stiffness = math.inf
+    a44 = -2.0 * yaw_stiffness / (p.iz * vx)
     b2 = 2.0 * p.caf / p.m
     b4 = 2.0 * p.lf * p.caf / p.iz
     return a22, a24, a42, a44, b2, b4
@@ -291,7 +295,7 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
     return StateSpace.built(a, b)
 
 
-def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
+def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
     """Error-coordinate dynamics on (e_y, e_y_dot, e_psi, e_psi_dot).
 
     Obtained from the body-frame model by substituting
@@ -300,23 +304,28 @@ def error_dynamics_matrices(vx: float, p: VehicleParams) -> tuple[StateSpace, np
     coupling the pair (A, B) is unstabilizable (two decoupled marginal
     modes against one steering input) and no regulator exists.  B is
     unchanged.  The second return value is the disturbance column
-    multiplying the desired yaw rate psi_dot_d = vx * kappa.
+    multiplying the desired yaw rate psi_dot_d = vx * kappa.  An array of
+    speeds gives stacks, one item per speed; the first speed at or below
+    the guard raises.
     """
-    check_dynamic_speed(vx)
-    a22, _, a42, a44, b2, b4 = _lateral_coefficients(vx, p)
-    a23 = 2.0 * (p.caf + p.car) / p.m
-    a24 = -2.0 * (p.caf * p.lf - p.car * p.lr) / (p.m * vx)
-    a43 = 2.0 * (p.lf * p.caf - p.lr * p.car) / p.iz
-    a = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, a22, a23, a24],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, a42, a43, a44],
-        ]
-    )
-    b = np.array([[0.0], [b2], [0.0], [b4]])
-    disturbance = np.array([[0.0], [a24 - vx], [0.0], [a44]])
+    for v in np.ravel(vx).tolist():
+        check_dynamic_speed(v)
+    vx = np.asarray(vx, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        a22, _, a42, a44, b2, b4 = _lateral_coefficients(vx, p)
+        a23 = 2.0 * (p.caf + p.car) / p.m
+        a24 = -2.0 * (p.caf * p.lf - p.car * p.lr) / (p.m * vx)
+        a43 = 2.0 * (p.lf * p.caf - p.lr * p.car) / p.iz
+    a = np.zeros(vx.shape + (4, 4))
+    a[..., 0, 1] = a[..., 2, 3] = 1.0
+    a[..., 1, 1], a[..., 1, 2], a[..., 1, 3] = a22, a23, a24
+    a[..., 3, 1], a[..., 3, 2], a[..., 3, 3] = a42, a43, a44
+    b = np.zeros(vx.shape + (4, 1))
+    b[..., 1, 0], b[..., 3, 0] = b2, b4
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"the dynamic model of {p} is not finite")
+    disturbance = np.zeros(vx.shape + (4, 1))
+    disturbance[..., 1, 0], disturbance[..., 3, 0] = a24 - vx, a44
     return StateSpace.built(a, b), disturbance
 
 

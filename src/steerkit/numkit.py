@@ -1,14 +1,23 @@
 """Small dense-matrix numerics for systems up to ~8 states.
 
-Matrices are plain 2-D float64 numpy arrays.  Everything here is a pure
-function: inputs are validated, never mutated, and all entries must be
-finite.  Linear solves and the eigenvalues of larger matrices come from
-numpy.linalg.  Written here, sized for the 2- and 4-state vehicle models:
-the matrix exponential (no scipy), Higham's scaling-and-squaring method
-with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
-it; the spectral radius, closed form from trace and determinant for a
-2x2 matrix; and the doubling Riccati solver.  `write_float_csv` is the one
-writer of the tool's float tables, and `write_csv_rows` its row formatter.
+Matrices are float64 numpy arrays, and every routine takes stacks: an
+array of shape (..., r, c) holds one matrix per index of its leading axes,
+and a plain 2-D matrix is a stack of one.  Each item's result is the one
+the routine gives that item alone, to the bit: the stacked numpy calls
+(matmul, solve, svd, eigvals) run the same kernel item by item, a scaling
+or iteration count is chosen per item, and a Frobenius norm is the dot
+product of the flattened item, as `np.linalg.norm(x, "fro")` takes it.
+A stack that fails raises what its first failing item raises alone.
+
+Everything here is a pure function: inputs are validated, never mutated,
+and all entries must be finite.  Linear solves and the eigenvalues of
+larger matrices come from numpy.linalg.  Written here, sized for the 2-
+and 4-state vehicle models: the matrix exponential (no scipy), Higham's
+scaling-and-squaring method with the degree-13 Pade approximant; the
+zero-order hold `c2d` on top of it; the spectral radius, closed form from
+trace and determinant for a 2x2 matrix; and the doubling Riccati solver.
+`write_float_csv` is the one writer of the tool's float tables, and
+`write_csv_rows` its row formatter.
 """
 
 from __future__ import annotations
@@ -36,11 +45,12 @@ PADE13_THETA = 5.371920351148152
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 matrix (copy not guaranteed)."""
+    """Validate and return a finite float64 matrix or stack of matrices (copy
+    not guaranteed); a 1-D input is one column."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValueError(f"{name} must be 2-D with at least one row and column, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -49,14 +59,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def _square(a, name: str) -> np.ndarray:
     m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of every item."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm per item, as np.linalg.norm(item, "fro") computes it:
+    the square root of the flattened item's dot product with itself."""
+    flat = np.ascontiguousarray(m).reshape(m.shape[:-2] + (1, -1))
+    return np.sqrt((flat @ _t(flat))[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """Linear state-space model x' = Ax + Bu (full-state output).
+    """Linear state-space model x' = Ax + Bu (full-state output), or a stack
+    of them with the same leading axes on A and B.
 
     dt is the sample period in seconds; dt == 0 marks a continuous-time
     model.
@@ -69,8 +92,8 @@ class StateSpace:
     def __post_init__(self):
         A = _square(self.A, "A")
         B = as_matrix(self.B, "B")
-        if B.shape[0] != A.shape[0]:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {A.shape[0]}")
+        if B.shape[:-1] != A.shape[:-1]:
+            raise ValueError(f"B has {B.shape[-2]} rows, expected {A.shape[-1]}")
         if self.dt < 0:
             raise ValueError("dt must be >= 0")
         object.__setattr__(self, "A", A)
@@ -88,7 +111,7 @@ class StateSpace:
 
     @property
     def n_states(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def is_discrete(self) -> bool:
@@ -100,29 +123,32 @@ def expm(a: np.ndarray) -> np.ndarray:
     approximant (N. J. Higham, "The scaling and squaring method for the
     matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005).
 
-    A is scaled by 2^-s so that its 1-norm is at most PADE13_THETA, where
-    r13 = (V - U)^-1 (V + U) meets exp to double precision; the result is
-    squared s times.  The odd and even parts U and V come from I, A^2, A^4
-    and A^6 through one product with the coefficient block.
+    Each item A is scaled by its own 2^-s so that its 1-norm is at most
+    PADE13_THETA, where r13 = (V - U)^-1 (V + U) meets exp to double
+    precision; its result is squared s times.  The odd and even parts U and
+    V come from I, A^2, A^4 and A^6 through one product with the
+    coefficient block.
     """
     m = _square(a, "expm input")
-    n = m.shape[0]
-    norm = float(np.abs(m).sum(axis=0).max())
-    s = math.ceil(math.log2(norm / PADE13_THETA)) if norm > PADE13_THETA else 0
-    if s:
-        m = m * 2.0**-s
-    powers = np.empty((4, n, n))
-    powers[0] = np.eye(n)
-    a2 = np.matmul(m, m, out=powers[1])
-    a4 = np.matmul(a2, a2, out=powers[2])
-    a6 = np.matmul(a4, a2, out=powers[3])
+    n = m.shape[-1]
+    norms = np.abs(m).sum(axis=-2).max(axis=-1)
+    s = np.array([math.ceil(math.log2(x / PADE13_THETA)) if x > PADE13_THETA else 0
+                  for x in norms.ravel().tolist()], dtype=np.intp).reshape(norms.shape)
+    if s.any():
+        m = m * np.ldexp(1.0, -s)[..., None, None]
+    powers = np.empty(m.shape[:-2] + (4, n, n))
+    powers[..., 0, :, :] = np.eye(n)
+    a2 = np.matmul(m, m, out=powers[..., 1, :, :])
+    a4 = np.matmul(a2, a2, out=powers[..., 2, :, :])
+    a6 = np.matmul(a4, a2, out=powers[..., 3, :, :])
     # U_6, V_6, U_0, V_0 with U = A (A^6 U_6 + U_0) and V = A^6 V_6 + V_0
-    parts = (_PADE13_BLOCK @ powers.reshape(4, n * n)).reshape(4, n, n)
-    uv = a6 @ parts[:2] + parts[2:]
-    u, v = m @ uv[0], uv[1]
+    parts = (_PADE13_BLOCK @ powers.reshape(m.shape[:-2] + (4, n * n))).reshape(powers.shape)
+    uv = a6[..., None, :, :] @ parts[..., :2, :, :] + parts[..., 2:, :, :]
+    u, v = m @ uv[..., 0, :, :], uv[..., 1, :, :]
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for j in range(int(s.max(initial=0))):
+        squared = s > j
+        r[squared] = r[squared] @ r[squared]
     return r
 
 
@@ -134,7 +160,7 @@ _PADE13_BLOCK = np.array([[0.0, PADE13[9], PADE13[11], PADE13[13]],
 
 
 def c2d(sys: StateSpace, dt: float) -> StateSpace:
-    """Zero-order-hold discretization of a continuous-time model.
+    """Zero-order-hold discretization of a continuous-time model (or stack).
 
     Uses the augmented-matrix exponential: exp([[A, B], [0, 0]] * dt)
     yields Ad in the upper-left block and Bd = (int_0^dt e^{A tau} dtau) B
@@ -144,39 +170,46 @@ def c2d(sys: StateSpace, dt: float) -> StateSpace:
         raise ValueError("c2d expects a continuous-time model (dt == 0)")
     if dt <= 0:
         raise ValueError("sample period dt must be > 0")
-    n, m = sys.B.shape
-    aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = sys.A
-    aug[:n, n:] = sys.B
+    n, m = sys.B.shape[-2:]
+    aug = np.zeros(sys.A.shape[:-2] + (n + m, n + m))
+    aug[..., :n, :n] = sys.A
+    aug[..., :n, n:] = sys.B
     phi = expm(aug * dt)
-    return StateSpace.built(phi[:n, :n], phi[:n, n:], dt)
+    return StateSpace.built(phi[..., :n, :n], phi[..., :n, n:], dt)
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve AX = B with numpy's LAPACK solver.
+    """Solve AX = B with numpy's LAPACK solver, per item of stacks with the
+    same leading axes.
 
-    Raises NumericalError when A is singular to working precision
+    Raises NumericalError when an A is singular to working precision
     (2-norm condition number above MAT_COND_MAX).
     """
     a = _square(a, "A")
     b = as_matrix(b, "B")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
-    if not np.linalg.cond(a) <= MAT_COND_MAX:
+    if b.shape[-2] != a.shape[-1]:
+        raise ValueError(f"B has {b.shape[-2]} rows, expected {a.shape[-1]}")
+    if not np.all(np.linalg.cond(a) <= MAT_COND_MAX):
         raise NumericalError("matrix singular to working precision")
+    # B gets A's leading axes: numpy 1.x reads a B with one axis less than A
+    # as a stack of vectors, numpy 2.x as one matrix
+    if b.ndim < a.ndim:
+        b = np.broadcast_to(b, a.shape[:-2] + b.shape[-2:])
     return np.linalg.solve(a, b)
 
 
-def dare_residual(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x: np.ndarray) -> float:
-    """Frobenius norm of A'XA - X + Q - A'XB (R + B'XB)^-1 B'XA."""
-    axa = a.T @ x @ a
-    bxb = r + b.T @ x @ b
-    gain_term = a.T @ x @ b @ mat_solve(bxb, b.T @ x @ a)
-    return float(np.linalg.norm(axa - x + q - gain_term, "fro"))
+def dare_residual(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x: np.ndarray):
+    """Frobenius norm of A'XA - X + Q - A'XB (R + B'XB)^-1 B'XA, a float, or
+    an array of them for stacks."""
+    axa = _t(a) @ x @ a
+    bxb = r + _t(b) @ x @ b
+    gain_term = _t(a) @ x @ b @ mat_solve(bxb, _t(b) @ x @ a)
+    return _fro(axa - x + q - gain_term)
 
 
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the discrete algebraic Riccati equation by doubling.
+    """Solve the discrete algebraic Riccati equation by doubling, for one
+    problem or a stack of them (leading axes broadcast).
 
     Structure-preserving doubling (B.D.O. Anderson, Int. J. Control 1978)
     from A0 = A, G0 = B R^-1 B', H0 = Q:
@@ -184,9 +217,10 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
         W = I + G H,  A <- A W^-1 A,  G <- G + A W^-1 G A',
         H <- H + A' H W^-1 A,
 
-    until H stops changing.  Each step doubles the horizon, so
-    convergence is quadratic and the cap is small.  An unstabilizable
-    pair makes H diverge or overflow and raises NumericalError.
+    until H stops changing; an item that has stopped is set aside while the
+    others go on.  Each step doubles the horizon, so convergence is
+    quadratic and the cap is small.  An unstabilizable pair makes H diverge
+    or overflow and raises NumericalError.
 
     Returns the positive-semidefinite solution X with residual Frobenius
     norm <= 1e-9 * (1 + ||X||).
@@ -195,51 +229,75 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np
     b = as_matrix(b, "B")
     q = _square(q, "Q")
     r = _square(r, "R")
-    n = a.shape[0]
-    if b.shape[0] != n or q.shape[0] != n:
+    n = a.shape[-1]
+    if b.shape[-2] != n or q.shape[-1] != n:
         raise ValueError("A, B, Q dimensions are inconsistent")
-    if r.shape[0] != b.shape[1]:
-        raise ValueError(f"R must be {b.shape[1]}x{b.shape[1]}")
-    if np.linalg.norm(q - q.T, "fro") > 1e-10 * (1 + np.linalg.norm(q, "fro")):
+    if r.shape[-1] != b.shape[-1]:
+        raise ValueError(f"R must be {b.shape[-1]}x{b.shape[-1]}")
+    if np.any(_fro(q - _t(q)) > 1e-10 * (1 + _fro(q))):
         raise ValueError("Q must be symmetric")
-    if np.linalg.norm(r - r.T, "fro") > 1e-10 * (1 + np.linalg.norm(r, "fro")):
+    if np.any(_fro(r - _t(r)) > 1e-10 * (1 + _fro(r))):
         raise ValueError("R must be symmetric")
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], q.shape[:-2], r.shape[:-2])
+    a, b, q, r = (np.broadcast_to(m, lead + m.shape[-2:]).reshape((-1,) + m.shape[-2:])
+                  for m in (a, b, q, r))
+    try:
+        x = _doubling(a, b, q, r)
+    except NumericalError:
+        if len(a) == 1:
+            raise
+        for item in range(len(a)):   # the first item that fails alone raises
+            _doubling(*(m[item:item + 1] for m in (a, b, q, r)))
+        raise
+    return x.reshape(lead + (n, n))
 
-    eye = np.eye(n)
+
+def _doubling(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """solve_dare on stacks of equal length, validated."""
+    eye = np.eye(a.shape[-1])
     ak = a
-    g = b @ mat_solve(r, b.T)
-    h = 0.5 * (q + q.T)
+    g = b @ mat_solve(r, _t(b))
+    h = 0.5 * (q + _t(q))
+    x = np.empty_like(h)
+    items = np.arange(len(a))   # the items still iterating
     # divergence for unstabilizable pairs is caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DARE_MAX_ITER):
             w = eye + g @ h
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ak))):
                 raise NumericalError("DARE doubling diverged (unstabilizable pair?)")
-            wa, wg = np.hsplit(mat_solve(w, np.hstack([ak, g])), 2)
-            h_next = h + ak.T @ h @ wa
-            h_next = 0.5 * (h_next + h_next.T)
-            g = g + ak @ wg @ ak.T
-            g = 0.5 * (g + g.T)
+            sol = mat_solve(w, np.concatenate([ak, g], axis=-1))
+            wa, wg = np.split(sol, 2, axis=-1)
+            h_next = h + _t(ak) @ h @ wa
+            h_next = 0.5 * (h_next + _t(h_next))
+            g = g + ak @ wg @ _t(ak)
+            g = 0.5 * (g + _t(g))
             ak = ak @ wa
-            step = np.linalg.norm(h_next - h, "fro")
+            step = _fro(h_next - h)
             h = h_next
             # the norms overflow to inf on a diverging H, and inf <= inf holds
-            if np.isfinite(step) and step <= DARE_STEP_TOL * (1.0 + np.linalg.norm(h, "fro")):
-                break
+            done = np.isfinite(step) & (step <= DARE_STEP_TOL * (1.0 + _fro(h)))
+            if done.any():
+                x[items[done]] = h[done]
+                go = ~done
+                items, ak, g, h = items[go], ak[go], g[go], h[go]
+                if not len(items):
+                    break
         else:
             raise NumericalError(
                 f"DARE doubling did not converge in {DARE_MAX_ITER} steps "
                 "(unstabilizable pair or ill-conditioning?)"
             )
-    res = dare_residual(a, b, q, r, h)
+    res = dare_residual(a, b, q, r, x)
     # an overflowed (inf or nan) residual must fail the gate too
-    if not res <= DARE_RESIDUAL_TOL * (1.0 + np.linalg.norm(h, "fro")):
-        raise NumericalError(f"DARE residual {res:.3e} exceeds tolerance after convergence")
-    return h
+    bad = np.flatnonzero(~(res <= DARE_RESIDUAL_TOL * (1.0 + _fro(x))))
+    if len(bad):
+        raise NumericalError(f"DARE residual {res[bad[0]]:.3e} exceeds tolerance after convergence")
+    return x
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    """Largest eigenvalue modulus.
+def spectral_radius(a: np.ndarray):
+    """Largest eigenvalue modulus: a float, or an array of them for a stack.
 
     A 2x2 matrix [[p, q], [r, s]] has eigenvalues h +- sqrt(disc) with
     half-trace h = (p + s) / 2 and disc = ((p - s) / 2)^2 + q r; a complex
@@ -248,12 +306,15 @@ def spectral_radius(a: np.ndarray) -> float:
     or inf when the 2x2 arithmetic overflows.
     """
     m = _square(a, "A")
-    if m.shape[0] != 2:
-        return float(np.abs(np.linalg.eigvals(m)).max())
-    (p, q), (r, s) = m.tolist()
-    h, d = 0.5 * (p + s), 0.5 * (p - s)
-    disc = d * d + q * r
-    return math.sqrt(h * h - disc) if disc < 0.0 else abs(h) + math.sqrt(disc)
+    if m.shape[-1] != 2:
+        rho = np.abs(np.linalg.eigvals(m)).max(axis=-1)
+    else:
+        p, q, r, s = (m[..., i, j] for i in (0, 1) for j in (0, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, d = 0.5 * (p + s), 0.5 * (p - s)
+            disc = d * d + q * r
+            rho = np.where(disc < 0.0, np.sqrt(h * h - disc), np.abs(h) + np.sqrt(disc))
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def _column_reprs(col: np.ndarray) -> list[str]:

@@ -30,6 +30,14 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
 
 
+def _square(v: float) -> float:
+    """v ** 2, or inf where float ** overflows and raises."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
           pose_psi: np.ndarray) -> np.ndarray:
     """project's foot computation for the nearest samples i of the poses
@@ -43,10 +51,14 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
     # in the last bit for some v
     terms = np.concatenate((x[im] - px, y[im] - py, x[i] - px, y[i] - py, x[ip] - px,
                             y[ip] - py, s1 - s0, s1 - s2))
-    sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms)).reshape(8, -1)
+    try:
+        sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms))
+    except OverflowError:   # a pose over 1e154 m off its nearest sample: lost
+        sq = np.fromiter(map(_square, terms.tolist()), float, len(terms))
+    sq = sq.reshape(8, -1)
     f0, f1, f2 = sq[0] + sq[1], sq[2] + sq[3], sq[4] + sq[5]
-    denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):   # inf - inf for a lost pose
+        denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
         vertex = s1 - 0.5 * (sq[6] * (f1 - f2) - sq[7] * (f1 - f0)) / denom
     s_star = np.where(np.abs(denom) < 1e-30, s1, vertex)
     s_star = np.where(s0 > s_star, s0, s_star)   # Python's max(s_star, s0)

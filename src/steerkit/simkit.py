@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import SimulationError
+from . import NumericalError, SimulationError
 from .curvkit import KfState, ackermann_curvature, differential_sample, feedforward_steer, \
     kf_step
-from .lqr import GainSchedule
+from .lqr import GainSchedule, GainSet, certify
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import CSV_BLOCK_ROWS, write_csv_rows
@@ -228,24 +228,24 @@ class SimLog:
         write_csv_rows(fobj, self.rows)
 
 
-def kinematic_controller(proj: PathProjection, v: float, schedule: GainSchedule,
+def kinematic_controller(proj: PathProjection, v: float, k: np.ndarray,
                          p: VehicleParams) -> ControlInput:
-    """Feedback on (e_y, e_psi) plus Ackermann feedforward from path curvature.
+    """Feedback on (e_y, e_psi) through the gain row k = (k1, k2) plus
+    Ackermann feedforward from path curvature.
 
     delta = clamp(-k1 e_y - k2 e_psi + atan(kappa L), +-max_steer)
     """
-    gains = schedule.lookup(v)
-    delta_fb = -gains.k[0] * proj.e_y - gains.k[1] * proj.e_psi
+    delta_fb = -k[0] * proj.e_y - k[1] * proj.e_psi
     delta = delta_fb + feedforward_steer(proj.kappa, p.wheelbase)
     return ControlInput(v=v, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
 
 
-def dynamic_controller(err: ErrorState, vx: float, schedule: GainSchedule,
+def dynamic_controller(err: ErrorState, vx: float, k: np.ndarray,
                        kappa: float, p: VehicleParams) -> ControlInput:
-    """Full error-state feedback plus Ackermann feedforward."""
+    """Full error-state feedback through the gain row k plus Ackermann
+    feedforward."""
     check_dynamic_speed(vx)
-    gains = schedule.lookup(vx)
-    delta_fb = -float(gains.k @ err.as_array())
+    delta_fb = -float(k @ err.as_array())
     delta = delta_fb + feedforward_steer(kappa, p.wheelbase)
     return ControlInput(v=vx, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
 
@@ -286,8 +286,14 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     selected controller and the curvature estimators; the commanded steer
     passes through the actuator's pure delay, first-order lag, and rate
     limit.  Raises SimulationError when the vehicle leaves the projection
-    horizon or the state goes non-finite, and ValueError for an
+    horizon or the state goes non-finite, NumericalError when a gain the
+    controller used fails certification, and ValueError for an
     initial_steer that is not finite or exceeds max_steer.
+
+    The controller uses an interpolated gain at once; the interpolated
+    gains of a run are certified in bulk, every BLOCK_ROWS steps and before
+    the run ends or raises, and the first one that fails raises as if it
+    had been certified on its own tick.
 
     A `writer` (`logfork.ForkedLog`) provides the row table (`table(shape)`)
     and is told that the rows below a watermark are final (`publish(k)`,
@@ -323,7 +329,10 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
     block of at most `block` rows.  The pending rows leave the memory of
     the next read step open: it projects with a margin and is checked
     against the exact projection when its block settles; a run that fails
-    that check raises _Unverified.  Stops and errors come in step order."""
+    that check raises _Unverified.  The off-grid gains the controller uses
+    wait in a queue, and certify_ticks() certifies them in one stacked call
+    before every stop and error and every BLOCK_ROWS steps.  Stops and
+    errors come in step order."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -376,9 +385,9 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
 
     shape = (n_steps + 1, len(CSV_COLUMNS))
     rows = np.empty(shape) if writer is None else writer.table(shape)
-    # the last step, or the next step that tells the writer which rows are final
-    # once they pass the next CSV block boundary, block_end
-    check = n_steps if writer is None else min(BLOCK_ROWS, n_steps)
+    # the next step that certifies the queued gains and tells the writer which
+    # rows are final once they pass the next CSV block boundary, block_end
+    check = min(BLOCK_ROWS, n_steps)
     block_end = CSV_BLOCK_ROWS
     odometer = 0.0
     stop_reason = "t_end"
@@ -397,6 +406,27 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
     pending = None          # first row whose projection waits for settle()
     last_s = proj.s         # foot of the newest row projected at once
     written = -1
+    ticks = []              # (step, v, k) of the interpolated gains not yet certified
+    queued_v = math.nan     # the speed of the last one queued
+    failed = None           # the step of the tick whose gain failed certification
+
+    def certify_ticks(before: float) -> None:
+        """Certify the queued gains of the ticks before step `before` in one
+        stacked call and empty the queue, later ticks included; raise the
+        first failing tick's NumericalError, its step in `failed`."""
+        nonlocal failed
+        todo = [tick for tick in ticks if tick[0] < before]
+        ticks.clear()
+        if not todo:
+            return
+        model, sp, dt = gains.model, gains.params, gains.dt
+        try:
+            certify(model, [k for _, _, k in todo], [v for _, v, _ in todo], sp, dt)
+        except NumericalError:
+            for step, v, k in todo:   # the first tick whose gain fails on its own
+                failed = step
+                certify(model, k, v, sp, dt)
+            raise
 
     def settle(b: int) -> SimLog | None:
         """Project the pending rows up to b from the foot of the row before
@@ -419,6 +449,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
         blk[:, _PROJ] = feet[:, :m].T
         blk[:, _E_Y_DOT] = blk[:, _VY] + blk[:, _V] * feet[2, :m]
         blk[:, _E_PSI_DOT] = blk[:, _YAW_RATE] - blk[:, _V] * feet[3, :m]
+        if len(ends) or lost is not None:
+            certify_ticks(a + m)   # the ticks before the row that ends the run
         if len(ends):
             return SimLog(rows[:a + m], stop_reason="path_end", seed=cfg.seed)
         if lost is not None:
@@ -449,14 +481,21 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                 yaw_m = yaw_ch.latest()
                 steer_m = steer_ch.latest()
 
+                if cfg.controller == "dynamic_lqr":
+                    check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
+                k = gains.gain(v_m)
+                if isinstance(k, GainSet):
+                    k = k.k
+                elif v_m != queued_v:   # interpolated: certify_ticks() certifies it
+                    queued_v = v_m
+                    ticks.append((step, v_m, k))
                 if cfg.controller == "kinematic_ff_fb":
                     meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
-                    u = kinematic_controller(meas_proj, v_m, gains, p)
+                    u = kinematic_controller(meas_proj, v_m, k, p)
                 else:
-                    check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                     err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
                                      e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                    u = dynamic_controller(err, v_m, gains, proj.kappa, p)
+                    u = dynamic_controller(err, v_m, k, proj.kappa, p)
                 delta_cmd = u.delta
                 saturated = abs(delta_cmd) >= p.max_steer - 1e-12
                 cmd_buffer.append(delta_cmd)
@@ -492,8 +531,9 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
             if step >= check:
                 if step == n_steps:
                     break
+                certify_ticks(step + 1)
                 final = step + 1 if pending is None else pending   # settle() starts at pending
-                if final >= block_end:
+                if writer is not None and final >= block_end:
                     writer.publish(final)
                     block_end = final - final % CSV_BLOCK_ROWS + CSV_BLOCK_ROWS
                 check = min(step + BLOCK_ROWS, n_steps)
@@ -528,18 +568,29 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                 prev_s = last_s - length if closed and last_s >= end_s else last_s
                 proj = project(path, pose, prev_s=prev_s)
             last_s = proj.s
-    except Exception:
-        # a pending row may end the run or be lost before this error
-        if pending is not None and written >= pending:
-            log = settle(written)
+    except _Unverified:   # run_scenario redoes the run whole, with a fresh queue
+        raise
+    except Exception as e:
+        # a queued gain may fail before this error; then, up to the first
+        # error, a pending row may end the run or be lost
+        error = e
+        if failed is None:
+            try:
+                certify_ticks(math.inf)
+            except NumericalError as c:
+                error = c
+        end = written if failed is None else failed - 1
+        if pending is not None and end >= pending:
+            log = settle(end)
             if log is not None:
                 return log
-        raise
+        raise error
 
     if pending is not None:
         log = settle(step)
         if log is not None:
             return log
+    certify_ticks(math.inf)
     return SimLog(rows[:step + 1], stop_reason=stop_reason, seed=cfg.seed)
 
 

@@ -233,6 +233,17 @@ class TestSimulate:
         assert "vehicle lost" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("speed", [1e155, 1e200, 1e300])
+    def test_speed_past_the_float_range_squared_is_a_lost_vehicle(self, tmp_path, capsys,
+                                                                  speed):
+        # the batch projection's pow(v, 2) used to raise OverflowError
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path, speed=speed)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "vehicle lost" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_noisy_speed_reading_past_the_float_range_runs(self, tmp_path):
         # readings of about 1e200 m/s square past the float range: variance 0
         out = tmp_path / "o"
@@ -501,6 +512,26 @@ class TestForkedLog:
         assert main(["simulate", str(write_circle_config(tmp_path, **overrides)),
                      "--out", str(out)]) == code
         assert message in capsys.readouterr().err
+        assert len(forks) == children and forks.all_reaped()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, children", [(2, 1), (1, 0)])
+    def test_a_gain_failing_its_certificate_writes_nothing_and_reaps_the_child(
+            self, tmp_path, monkeypatch, capsys, forks, cpus, children):
+        # certified at 2 and 14 m/s, the gain interpolated from about 2.52 m/s
+        # up fails (at 2.52 s, row 2520): the queued gains are certified after the
+        # child started
+        (tmp_path / "gains.csv").write_text("v,k1,k2,k3,k4,dt\n"
+                                            "2.0,5.361,1.639,0.392,-0.409,0.02\n"
+                                            "14.0,2.704,0.789,3.078,0.73,0.02\n")
+        cfg = write_circle_config(tmp_path, model="dynamic", controller="dynamic_lqr",
+                                  speed=[[0.0, 2.0], [2.5, 2.0], [3.0, 3.0]], t_end=5.0,
+                                  gains={"csv": "gains.csv"})
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 4
+        assert "dynamic gain at v=2.5200000000000005 fails certification" in \
+            capsys.readouterr().err
         assert len(forks) == children and forks.all_reaped()
         assert not out.exists()
 

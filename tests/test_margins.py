@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from steerkit import NumericalError
-from steerkit.lqr import LqrWeights, design_dynamic, design_kinematic, discrete_error_model
+from steerkit.lqr import LqrWeights, build_schedule, certify, design_dynamic, design_kinematic, \
+    discrete_error_model
 from steerkit.margins import FreqResponse, compute_margins, default_grid, loop_response
-from steerkit.numkit import StateSpace
+from steerkit.numkit import StateSpace, expm, mat_solve, solve_dare
 
 # frozen after the first verified computation (default sedan, v=10, dt=0.02,
 # equal weights, 400-point grid)
@@ -77,6 +78,33 @@ class TestBatchedSolveOracle:
         fr1 = loop_response(sysd, gs, grid)
         assert np.array_equal(fr.mag_db, fr1.mag_db)
         assert np.array_equal(fr.phase_deg, fr1.phase_deg)
+
+
+class TestStackedSolvesUnderNumpy1Dispatch:
+    """Every solve of a stack (expm's, the Riccati doubling's, the gain's and
+    the residual's through mat_solve) reads alike under numpy 1.x's dispatch."""
+
+    def test_schedules_certificates_and_stacks_bit_equal(self, params, monkeypatch):
+        grid = np.linspace(1.0, 15.0, 15)
+        rng = np.random.default_rng(3)
+
+        def run():
+            out = []
+            for model, n in (("kinematic", 2), ("dynamic", 4)):
+                sched = build_schedule(grid, model, params, LqrWeights((1.0,) * n, 1.0), 0.02)
+                out += [g.k for g in sched.gains] + [[g.closed_loop_radius for g in sched.gains]]
+                mid = 0.5 * (grid[1:] + grid[:-1])
+                k = [sched.gain(v) for v in mid]
+                out.append([g.closed_loop_radius for g in certify(model, k, mid, params, 0.02)])
+            a = rng.standard_normal((5, 3, 3)) * np.array([0.1, 1.0, 8.0, 30.0, 2.0])[:, None, None]
+            out += [expm(a), mat_solve(a, np.ones((3, 2))), mat_solve(a, np.ones((5, 3, 1))),
+                    solve_dare(0.3 * a, np.ones((3, 1)), np.eye(3), np.eye(1))]
+            return [np.asarray(x, dtype=float).tobytes() for x in out]
+
+        want = run()
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        rng = np.random.default_rng(3)
+        assert run() == want
 
 
 class TestLoopResponse:

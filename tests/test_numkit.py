@@ -125,7 +125,8 @@ class TestSolveDare:
 
     def test_non_finite_residual_fails_gate(self, monkeypatch):
         # an overflowed residual (inf - inf) is nan, and nan > bound is False
-        monkeypatch.setattr(numkit, "dare_residual", lambda *args: math.nan)
+        monkeypatch.setattr(numkit, "dare_residual",
+                            lambda a, *args: np.full(a.shape[:-2], math.nan))
         one = np.array([[1.0]])
         with pytest.raises(NumericalError):
             solve_dare(one, one, one, one)

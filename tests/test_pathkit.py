@@ -407,6 +407,20 @@ class TestProjectRun:
         feet, lost = project_run(path, x, y, psi, prev_s, seam)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
 
+    @pytest.mark.parametrize("far", [1e154, 1.4e154, 1e200, -1e300])
+    def test_a_pose_whose_distance_squares_past_the_float_range_is_lost(self, far):
+        # pow(v, 2) raises OverflowError past about 1.34e154: the poses before
+        # it keep their exact feet, and it is lost as project finds it
+        path = ORACLE_PATHS["line"]
+        x, y, psi = path.x[100:110].copy(), path.y[100:110] + 0.3, path.psi[100:110].copy()
+        x[6] = far
+        prev_s = float(path.s[99])
+        want, error = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s,
+                                         np.inf)
+        feet, lost = project_run(path, x, y, psi, prev_s)
+        assert len(want) == 6 and "vehicle lost" in error
+        assert [tuple(f) for f in feet.T.tolist()] == want and str(lost) == error
+
     def test_vector_wrap_is_wrap_angle(self):
         # project_run wraps with np.fmod, which is exact like math.fmod
         a = np.concatenate((np.random.default_rng(5).uniform(-40.0, 40.0, 20000),

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from steerkit import pathbatch, simkit
 from steerkit.curvkit import KfState, ackermann_curvature, differential_sample, kf_step
-from steerkit.lqr import GainSchedule, GainSet, LqrWeights, build_schedule
+from steerkit.lqr import GainSchedule, GainSet, LqrWeights, build_schedule, certify
 from steerkit.models import ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
 from steerkit.pathkit import PathProjection, gen_path, load_recorded, project
@@ -95,12 +95,12 @@ def per_step_run_scenario(cfg, gains, p):
             steer_m = steer_ch.latest()
             if cfg.controller == "kinematic_ff_fb":
                 u = kinematic_controller(PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa),
-                                         v_m, gains, p)
+                                         v_m, gains.lookup(v_m).k, p)
             else:
                 check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                 err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
                                  e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                u = dynamic_controller(err, v_m, gains, proj.kappa, p)
+                u = dynamic_controller(err, v_m, gains.lookup(v_m).k, proj.kappa, p)
             delta_cmd = u.delta
             saturated = abs(delta_cmd) >= p.max_steer - 1e-12
             cmd_buffer.append(delta_cmd)
@@ -151,6 +151,14 @@ SCHEDULES = {
                        closed_loop_radius=0.999999) for v in LIMP_SPEEDS],
         dt=0.02, model="kinematic", params=P),
 }
+
+# certified at its two grid speeds, but a gain interpolated between about
+# 2.52 and 11.85 m/s fails certification
+BREAKING = GainSchedule(
+    speeds=np.array([2.0, 14.0]),
+    gains=certify("dynamic", [[5.361, 1.639, 0.392, -0.409], [2.704, 0.789, 3.078, 0.73]],
+                  [2.0, 14.0], P, 0.02),
+    dt=0.02, model="dynamic", params=P)
 
 
 def _recorded():
@@ -273,3 +281,61 @@ class TestRunScenarioOracle:
                           SCHEDULES["kinematic"])
         assert blocks == [simkit.BLOCK_ROWS, 1]
         assert got == outcome(per_step_run_scenario, cfg, SCHEDULES["kinematic"])
+
+
+def _limp_run(speed, offset):
+    return ScenarioConfig(path=PATHS["line"], speed=speed, t_end=6.0, initial_offset=offset)
+
+
+def _breaking_run(speed):
+    # a speed channel quantized to 2 m/s reads 0 below 1 m/s, at the dynamic
+    # guard, and 4 m/s from 3 m/s up, where the interpolated gain fails
+    return ScenarioConfig(path=PATHS["line"], model="dynamic", controller="dynamic_lqr",
+                          speed=speed, t_end=2.0,
+                          sensors={"speed": SensorConfig(quantization_step=2.0)})
+
+
+class TestCertificationOrder:
+    """run_scenario certifies the interpolated gains in bulk; the first that
+    fails raises as the per-tick certificate did, unless a stop or an error
+    of an earlier step came first.  The events fall between two bulk
+    certifications, so the order is the queue's to keep."""
+
+    @pytest.mark.parametrize("block", [simkit.BLOCK_ROWS, 64, 7])
+    @pytest.mark.parametrize("cfg, gains, first", [
+        # off the limp grid on row 560, lost between read steps on row 564,
+        # before the next read step (580) and, with blocks of 7 or 64 rows,
+        # after a bulk certification (567 or 576) that finds the failing gain
+        (_limp_run([(0.0, 9.0), (0.559, 9.0), (0.56, 9.5)], (45.0, 1.4)), "limp",
+         "fails certification"),
+        (_limp_run([(0.0, 9.0), (0.61, 9.0), (0.62, 9.5)], (45.0, 1.4)), "limp",
+         "vehicle lost"),
+        # off the limp grid at 4.4 s, at the path end on row 4423
+        (_limp_run([(0.0, 9.0), (4.39, 9.0), (4.4, 9.5)], (0.0, 0.0)), "limp",
+         "fails certification"),
+        (_limp_run([(0.0, 9.0), (4.43, 9.0), (4.44, 9.5)], (0.0, 0.0)), "limp", "path_end"),
+        # a failing gain at 1.0 s, the speed reading at the guard at 1.26 s
+        (_breaking_run([(0.0, 2.0), (0.98, 2.0), (1.0, 3.5), (1.2, 3.5), (1.25, 0.9)]),
+         "breaking", "fails certification"),
+        (_breaking_run([(0.0, 2.0), (0.98, 2.0), (1.0, 0.9), (1.2, 0.9), (1.25, 3.5)]),
+         "breaking", "sensors.speed reading at t=1 s"),
+    ])
+    def test_the_first_event_in_step_order(self, block, cfg, gains, first):
+        gains = BREAKING if gains == "breaking" else SCHEDULES[gains]
+        want = outcome(per_step_run_scenario, cfg, gains)
+        assert first in want[1]
+        with mock.patch.object(simkit, "BLOCK_ROWS", block):
+            assert outcome(lambda c, g, p: run_scenario(c, g, params=p), cfg, gains) == want
+
+    def test_a_constant_off_grid_speed_certifies_once(self):
+        cfg = ScenarioConfig(path=PATHS["lane_change"], speed=7.5, t_end=3.0)
+        calls = []
+        real = simkit.certify
+
+        def counted(model, k, v, p, dt):
+            calls.append(np.ravel(v).tolist())
+            return real(model, k, v, p, dt)
+
+        with mock.patch.object(simkit, "certify", counted):
+            run_scenario(cfg, SCHEDULES["kinematic"], params=P)
+        assert calls == [[7.5]]

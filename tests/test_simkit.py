@@ -86,46 +86,50 @@ class TestRk4:
 class TestKinematicController:
     def test_on_path_straight(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule, params)
+                                 kinematic_schedule.lookup(5.0).k, params)
         assert u.delta == 0.0
 
     def test_pure_feedforward_on_circle(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.02), 10.0,
-                                 kinematic_schedule, params)
+                                 kinematic_schedule.lookup(10.0).k, params)
         assert u.delta == pytest.approx(math.atan(0.02 * params.wheelbase), abs=1e-15)
 
     def test_left_offset_steers_right(self, params, kinematic_schedule):
         k1 = kinematic_schedule.lookup(5.0).k[0]
         u = kinematic_controller(PathProjection(0.0, 0.3, 0.0, 0.0), 5.0,
-                                 kinematic_schedule, params)
+                                 kinematic_schedule.lookup(5.0).k, params)
         assert u.delta == pytest.approx(-0.3 * k1, abs=1e-12)
         assert u.delta < 0.0
 
     def test_clamps_at_max_steer(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 10.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule, params)
+                                 kinematic_schedule.lookup(5.0).k, params)
         assert u.delta == -params.max_steer
 
 
 class TestDynamicController:
     def test_zero_error_zero_curvature(self, params, dynamic_schedule):
-        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, dynamic_schedule, 0.0, params)
+        k = dynamic_schedule.lookup(10.0).k
+        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.0, params)
         assert u.delta == 0.0
 
     def test_pure_feedforward(self, params, dynamic_schedule):
-        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, dynamic_schedule, 0.02, params)
+        k = dynamic_schedule.lookup(10.0).k
+        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.02, params)
         assert u.delta == pytest.approx(math.atan(0.054), abs=1e-15)
 
     def test_feedback_linearity_before_clamp(self, params, dynamic_schedule):
         e1 = ErrorState(0.1, 0.01, 0.02, 0.001)
         e2 = ErrorState(0.2, 0.02, 0.04, 0.002)
-        u1 = dynamic_controller(e1, 10.0, dynamic_schedule, 0.0, params)
-        u2 = dynamic_controller(e2, 10.0, dynamic_schedule, 0.0, params)
+        k = dynamic_schedule.lookup(10.0).k
+        u1 = dynamic_controller(e1, 10.0, k, 0.0, params)
+        u2 = dynamic_controller(e2, 10.0, k, 0.0, params)
         assert u2.delta == pytest.approx(2.0 * u1.delta, abs=1e-12)
 
     def test_speed_guard(self, params, dynamic_schedule):
         with pytest.raises(ValueError):
-            dynamic_controller(ErrorState(0, 0, 0, 0), 0.3, dynamic_schedule, 0.0, params)
+            dynamic_controller(ErrorState(0, 0, 0, 0), 0.3, dynamic_schedule.gains[0].k, 0.0,
+                               params)
 
 
 class TestScenarioConfig:
