@@ -50,6 +50,7 @@ from .numkit import CSV_BLOCK_ROWS, write_float_csv
 from .svgplot import Panel, Series
 
 SCHEMA_VERSION = 1
+MAX_GRID_SPEEDS = 1000   # speeds of one design grid, all designed at once
 
 EXIT_OK = 0
 EXIT_SIM = 2
@@ -127,9 +128,14 @@ def _vehicle_file(path: str | None) -> VehicleParams:
 
 def _speed_grid(spec, source: str) -> np.ndarray:
     """The one grid rule: [lo, hi, n] with an integer n spaces n speeds, any
-    other list lists them; every speed must be finite."""
+    other list lists them; every speed must be finite, and there are at most
+    MAX_GRID_SPEEDS of them."""
     _require(isinstance(spec, list), f"'{source}' must be a list")
-    if len(spec) == 3 and isinstance(spec[2], int) and not isinstance(spec[2], bool):
+    spaced = len(spec) == 3 and isinstance(spec[2], int) and not isinstance(spec[2], bool)
+    count = spec[2] if spaced else len(spec)
+    _require(count <= MAX_GRID_SPEEDS,
+             f"{source} has {count} speeds, more than the {MAX_GRID_SPEEDS} a grid may have")
+    if spaced:
         grid = np.linspace(_number(spec[0], f"{source}[0]"), _number(spec[1], f"{source}[1]"),
                            spec[2])
     else:
@@ -147,8 +153,11 @@ def _weights(entry, model: str, source: str = "'weights.q'") -> lqr.LqrWeights:
     q, r = entry.get("q"), entry.get("r", 1.0)
     _require(isinstance(q, list) and len(q) == n,
              f"{source} needs {n} state weights for the {model} model")
-    return lqr.LqrWeights(q_diag=tuple(_number(v, f"weights.q[{i}]") for i, v in enumerate(q)),
-                          r=_number(r, "weights.r"))
+    q_diag = tuple(_number(v, f"weights.q[{i}]") for i, v in enumerate(q))
+    try:
+        return lqr.LqrWeights(q_diag=q_diag, r=_number(r, "weights.r"))
+    except ValueError as e:
+        raise ConfigError(f"bad weights ({source}): {e}") from e
 
 
 def _designed(designer, *args, **kwargs):
@@ -250,7 +259,7 @@ def _schedule_from_config(cfg: dict, p: VehicleParams, model: str, control_dt: f
         return schedule
     grid = _speed_grid(entry.get("grid", [1.0, 15.0, 15]), "gains.grid")
     weights = _weights(entry.get("weights"), model)
-    lqr.check_control_dt(control_dt)
+    lqr.check_control_dt(control_dt, " (control_dt)")
     return _designed(lqr.build_schedule, grid, model, p, weights, dt=control_dt)
 
 
@@ -639,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     des = command("design", cmd_design, "design a speed-scheduled gain table", lqr_flags)
     des.add_argument("params", help="vehicle params JSON")
-    des.add_argument("--grid", type=_flag(_grid_flag, "lo:hi:n or v1,v2,... of finite speeds"),
+    des.add_argument("--grid", type=_flag(_grid_flag, f"lo:hi:n or v1,v2,... of at most "
+                                                      f"{MAX_GRID_SPEEDS} finite speeds"),
                      default="1:15:15", help="lo:hi:n or comma list [1:15:15]")
 
     cur = command("curvature", cmd_curvature, "three-source curvature analysis of a recorded log")
@@ -650,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                   lqr_flags)
     mar.add_argument("params", help="vehicle params JSON")
     mar.add_argument("--speed", type=_SPEED, required=True, help="design speed m/s")
-    mar.add_argument("--points", type=_flag(int, "an integer >= 2", lambda n: n >= 2),
+    mar.add_argument("--points", type=_flag(int, f"an integer in [2, {margins.MAX_GRID_POINTS}]",
+                                            lambda n: 2 <= n <= margins.MAX_GRID_POINTS),
                      default=margins.DEFAULT_GRID_POINTS,
                      help=f"frequency grid size [{margins.DEFAULT_GRID_POINTS}]")
 

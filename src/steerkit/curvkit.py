@@ -15,16 +15,19 @@ is no measurement and the value holds the last one."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 MIN_CURVATURE_SPEED = 0.5
 MIN_COS_HEADING = 0.05
 
-# Filter defaults: steering channel is coarse but steady (low-resolution CAN
+# Filter defaults: the estimate starts at zero curvature with a wide
+# variance; q_process is the random-walk intensity ((1/m)^2 per second).
+# The steering channel is coarse but steady (low-resolution CAN
 # measurement); the yaw-rate channel is clean at speed but noisy near zero,
 # so its variance is scaled by 1/v^2 at use sites.
+INITIAL_KAPPA = 0.0
+INITIAL_VARIANCE = 1e-2
 DEFAULT_Q_PROCESS = 1e-6
 DEFAULT_R_ACKERMANN = 4e-6
 DEFAULT_R_DIFFERENTIAL = 1e-4
@@ -43,18 +46,12 @@ def ackermann_curvature(delta, wheelbase: float):
     return float(out) if out.ndim == 0 else out
 
 
-def feedforward_steer(kappa, wheelbase: float, max_steer: float | None = None):
-    """Steering angle tracking curvature kappa: atan(kappa * L).
-
-    Exact inverse of ackermann_curvature.  With max_steer given, the
-    result is clamped; callers needing the saturation fact should compare
-    against the bound themselves.
-    """
+def feedforward_steer(kappa, wheelbase: float):
+    """Steering angle tracking curvature kappa: atan(kappa * L), the exact
+    inverse of ackermann_curvature; the controllers clamp it to max_steer."""
     if not isinstance(kappa, float):
         kappa = np.asarray(kappa, dtype=float)
     out = np.arctan(kappa * wheelbase)
-    if max_steer is not None:
-        out = np.clip(out, -max_steer, max_steer)
     return float(out) if out.ndim == 0 else out
 
 
@@ -96,7 +93,7 @@ def differential_sample(psi, psi_dot, v, held: float = 0.0):
     if isinstance(psi, float) and isinstance(psi_dot, float) and isinstance(v, float):
         if not v >= MIN_CURVATURE_SPEED:
             return float(held), False
-        if not abs(np.cos(psi)) >= MIN_COS_HEADING:
+        if not (abs(psi) < math.inf and abs(np.cos(psi)) >= MIN_COS_HEADING):   # cos(inf) is NaN
             psi = 0.0
         return differential_curvature(psi, psi_dot, v), True
     psi, psi_dot, v = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (psi, psi_dot, v)))
@@ -108,25 +105,6 @@ def differential_sample(psi, psi_dot, v, held: float = 0.0):
     kappa[valid] = differential_curvature(psi[valid], psi_dot[valid], v[valid])
     last = np.maximum.accumulate(np.where(valid, np.arange(len(psi)), -1))
     return np.where(last >= 0, kappa[last], float(held)), valid
-
-
-@dataclass(frozen=True)
-class KfState:
-    """Scalar random-walk Kalman filter state for fused curvature.
-
-    q_process is the random-walk intensity ((1/m)^2 per second); r_ack and
-    r_diff are the default per-source measurement variances.
-    """
-
-    kappa_hat: float = 0.0
-    p: float = 1e-2
-    q_process: float = DEFAULT_Q_PROCESS
-    r_ack: float = DEFAULT_R_ACKERMANN
-    r_diff: float = DEFAULT_R_DIFFERENTIAL
-
-    def __post_init__(self):
-        if self.p <= 0 or self.q_process <= 0 or self.r_ack <= 0 or self.r_diff <= 0:
-            raise ValueError("variance parameters must be positive")
 
 
 def kf_step(kappa: float, p: float, q_step: float, z_ack: float | None, r_ack: float,
@@ -150,22 +128,23 @@ def kf_step(kappa: float, p: float, q_step: float, z_ack: float | None, r_ack: f
 def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):
     """Ackermann, differential and fused curvature arrays of a recorded log.
 
-    Both sources are evaluated vectorized, then a default KfState filter
-    runs `kf_step` per sample: the step is the timestamp difference floored
-    at 1e-6 s (1e-3 s first) and the differential variance r_diff / max(v, 0.5)^2.
+    Both sources are evaluated vectorized, then the filter with the
+    module's default constants runs `kf_step` per sample: the step is the
+    timestamp difference floored at 1e-6 s (1e-3 s first) and the
+    differential variance DEFAULT_R_DIFFERENTIAL / max(v, 0.5)^2.
     """
     t = np.asarray(t, dtype=float)
     ka = np.asarray(ackermann_curvature(steer, wheelbase), dtype=float)
     kd, valid = differential_sample(psi, yaw_rate, speed)
-    st = KfState()
     dt = np.concatenate(([1e-3], np.maximum(np.diff(t), 1e-6)))
-    q_step = st.q_process * dt
-    r_diff = st.r_diff / np.maximum(speed, 0.5) ** 2
+    q_step = DEFAULT_Q_PROCESS * dt
+    with np.errstate(over="ignore"):   # a square past the float range gives r_diff 0
+        r_diff = DEFAULT_R_DIFFERENTIAL / np.maximum(speed, 0.5) ** 2
     fused = np.empty(len(t))
-    kappa, p = st.kappa_hat, st.p
+    kappa, p = INITIAL_KAPPA, INITIAL_VARIANCE
     for i, (q, za, zd, ok, rd) in enumerate(zip(q_step.tolist(), ka.tolist(), kd.tolist(),
                                                  valid.tolist(), r_diff.tolist())):
-        kappa, p = kf_step(kappa, p, q, za, st.r_ack, zd if ok else None, rd)
+        kappa, p = kf_step(kappa, p, q, za, DEFAULT_R_ACKERMANN, zd if ok else None, rd)
         fused[i] = kappa
     return ka, kd, fused
 

@@ -16,7 +16,7 @@ alone, and the first speed that fails raises its own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,8 +184,7 @@ class GainSchedule:
     ones, unchanged); between grid points the gain entries are
     interpolated.  `gain` gives that gain as it is, an interpolated one not
     yet certified; `lookup` certifies an interpolated gain against the model
-    at its speed, and keeps the last one, so repeated lookups at one speed
-    certify once.  A non-finite speed is a ValueError.
+    at its speed.  A non-finite speed is a ValueError.
     """
 
     speeds: np.ndarray
@@ -193,7 +192,6 @@ class GainSchedule:
     dt: float
     model: str
     params: VehicleParams
-    _last: GainSet | None = field(default=None, repr=False, compare=False)
 
     def gain(self, v: float) -> GainSet | np.ndarray:
         """The designed GainSet that applies at speed v, or, between grid
@@ -216,13 +214,7 @@ class GainSchedule:
         gain = self.gain(v)
         if isinstance(gain, GainSet):
             return gain
-        # one read of the memo: a concurrent lookup can only replace it whole
-        last = self._last
-        if last is not None and last.v == float(v):
-            return last
-        gs = certify(self.model, gain, float(v), self.params, self.dt)
-        self._last = gs
-        return gs
+        return certify(self.model, gain, float(v), self.params, self.dt)
 
 
 def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,

@@ -16,6 +16,7 @@ import numpy as np
 from .numkit import StateSpace
 
 DEFAULT_GRID_POINTS = 400
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,6 @@ class FreqResponse:
     omegas: np.ndarray
     mag_db: np.ndarray
     phase_deg: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if not (len(self.omegas) == len(self.mag_db) == len(self.phase_deg)):
@@ -86,7 +86,7 @@ def loop_response(sys: StateSpace, k, omegas) -> FreqResponse:
     values = np.array([krow @ xi for xi in x], dtype=complex)  # x @ krow rounds differently
     mag_db = 20.0 * np.log10(np.abs(values))
     phase_deg = np.degrees(np.unwrap(np.angle(values)))
-    return FreqResponse(omegas=omegas, mag_db=mag_db, phase_deg=phase_deg, dt=sys.dt)
+    return FreqResponse(omegas=omegas, mag_db=mag_db, phase_deg=phase_deg)
 
 
 def _crossings(xgrid: np.ndarray, f: np.ndarray, g: np.ndarray) -> list[tuple[float, float]]:

@@ -292,7 +292,7 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
         ]
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
-    return StateSpace.built(a, b)
+    return StateSpace(a, b)
 
 
 def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
@@ -326,7 +326,7 @@ def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarra
         raise ValueError(f"the dynamic model of {p} is not finite")
     disturbance = np.zeros(vx.shape + (4, 1))
     disturbance[..., 1, 0], disturbance[..., 3, 0] = a24 - vx, a44
-    return StateSpace.built(a, b), disturbance
+    return StateSpace(a, b), disturbance
 
 
 def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
@@ -341,4 +341,4 @@ def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:
         raise ValueError("wheelbase must be > 0")
     a = np.array([[0.0, v], [0.0, 0.0]])
     b = np.array([[0.0], [v / wheelbase]])
-    return StateSpace.built(a, b)
+    return StateSpace(a, b)

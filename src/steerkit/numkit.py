@@ -10,12 +10,11 @@ product of the flattened item, as `np.linalg.norm(x, "fro")` takes it.
 A stack that fails raises what its first failing item raises alone.
 
 Everything here is a pure function: inputs are validated, never mutated,
-and all entries must be finite.  Linear solves and the eigenvalues of
-larger matrices come from numpy.linalg.  Written here, sized for the 2-
-and 4-state vehicle models: the matrix exponential (no scipy), Higham's
-scaling-and-squaring method with the degree-13 Pade approximant; the
-zero-order hold `c2d` on top of it; the spectral radius, closed form from
-trace and determinant for a 2x2 matrix; and the doubling Riccati solver.
+and all entries must be finite.  Linear solves and eigenvalues come from
+numpy.linalg.  Written here, sized for the 2- and 4-state vehicle models:
+the matrix exponential (no scipy), Higham's scaling-and-squaring method
+with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
+it; and the doubling Riccati solver.
 `write_float_csv` is the one writer of the tool's float tables, and
 `write_csv_rows` its row formatter.
 """
@@ -73,7 +72,8 @@ def _fro(m: np.ndarray) -> np.ndarray:
     """Frobenius norm per item, as np.linalg.norm(item, "fro") computes it:
     the square root of the flattened item's dot product with itself."""
     flat = np.ascontiguousarray(m).reshape(m.shape[:-2] + (1, -1))
-    return np.sqrt((flat @ _t(flat))[..., 0, 0])
+    with np.errstate(over="ignore"):   # a norm past the float range is inf
+        return np.sqrt((flat @ _t(flat))[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,6 @@ class StateSpace:
             raise ValueError("dt must be >= 0")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-
-    @classmethod
-    def built(cls, A: np.ndarray, B: np.ndarray, dt: float = 0.0) -> "StateSpace":
-        """A model from float64 arrays that steerkit built itself (A square,
-        B with as many rows): stored as given, without __post_init__'s checks."""
-        sys = object.__new__(cls)
-        object.__setattr__(sys, "A", A)
-        object.__setattr__(sys, "B", B)
-        object.__setattr__(sys, "dt", dt)
-        return sys
 
     @property
     def n_states(self) -> int:
@@ -175,7 +165,7 @@ def c2d(sys: StateSpace, dt: float) -> StateSpace:
     aug[..., :n, :n] = sys.A
     aug[..., :n, n:] = sys.B
     phi = expm(aug * dt)
-    return StateSpace.built(phi[..., :n, :n], phi[..., :n, n:], dt)
+    return StateSpace(phi[..., :n, :n], phi[..., :n, n:], dt)
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,11 +247,12 @@ def _doubling(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.
     eye = np.eye(a.shape[-1])
     ak = a
     g = b @ mat_solve(r, _t(b))
-    h = 0.5 * (q + _t(q))
-    x = np.empty_like(h)
     items = np.arange(len(a))   # the items still iterating
-    # divergence for unstabilizable pairs is caught by the finite check
+    # divergence for unstabilizable pairs, and a Q past the float range, are
+    # caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (q + _t(q))
+        x = np.empty_like(h)
         for _ in range(DARE_MAX_ITER):
             w = eye + g @ h
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ak))):
@@ -297,23 +288,9 @@ def _doubling(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.
 
 
 def spectral_radius(a: np.ndarray):
-    """Largest eigenvalue modulus: a float, or an array of them for a stack.
-
-    A 2x2 matrix [[p, q], [r, s]] has eigenvalues h +- sqrt(disc) with
-    half-trace h = (p + s) / 2 and disc = ((p - s) / 2)^2 + q r; a complex
-    pair has modulus sqrt(h^2 - disc), the square root of the determinant.
-    Larger matrices use numpy's LAPACK eigenvalue solver.  The radius is NaN
-    or inf when the 2x2 arithmetic overflows.
-    """
-    m = _square(a, "A")
-    if m.shape[-1] != 2:
-        rho = np.abs(np.linalg.eigvals(m)).max(axis=-1)
-    else:
-        p, q, r, s = (m[..., i, j] for i in (0, 1) for j in (0, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            h, d = 0.5 * (p + s), 0.5 * (p - s)
-            disc = d * d + q * r
-            rho = np.where(disc < 0.0, np.sqrt(h * h - disc), np.abs(h) + np.sqrt(disc))
+    """Largest eigenvalue modulus from numpy's LAPACK eigenvalue solver: a
+    float, or an array of them for a stack."""
+    rho = np.abs(np.linalg.eigvals(_square(a, "A"))).max(axis=-1)
     return float(rho) if rho.ndim == 0 else rho
 
 

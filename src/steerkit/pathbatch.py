@@ -115,10 +115,11 @@ def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
         end = min(rows, r + max(1, RUN_TABLE_CELLS // widest))
         hi = _window(s_list, mem + 1.0 + 1.5 * (travel[end - 1] - travel[r]))[1]
         d2 = path.x[lo:hi] - x[r:end, None]
-        d2 *= d2
         dy = path.y[lo:hi] - y[r:end, None]
-        dy *= dy
-        d2 += dy
+        with np.errstate(over="ignore"):   # inf past the float range: lost
+            d2 *= d2
+            dy *= dy
+            d2 += dy
         k = d2.argmin(axis=1)
         near[r:end] = d2[np.arange(end - r), k]
         i[r:end] = k + lo

@@ -22,6 +22,7 @@ from .numkit import write_float_csv
 RECORDED_COLUMNS = ("t", "X", "Y", "psi", "yaw_rate", "speed", "steer")
 
 MAX_SPACING = 0.5
+MAX_PATH_SAMPLES = 200_000   # samples of one path: 20 km at 0.1 m
 DEFAULT_KAPPA_BOUND = 0.75   # 1/m, ~1/(0.5 L) for a mid-size wheelbase
 HEADING_CONSISTENCY_TOL = 0.05
 PROJECT_HORIZON = 50.0   # m, a pose farther than this from every sample is lost
@@ -30,6 +31,7 @@ PROJECT_WINDOW = 30.0    # m of arc ahead of the previous foot point (a fifth be
 # to min(CAP, 1.5 v + 1); that grid ascends, as build_schedule needs, while v/2 < CAP
 SMOOTH_GRID_FLOOR, SMOOTH_GRID_CAP = 0.6, 29.0
 SMOOTH_SPEED_LIMIT = 2.0 * SMOOTH_GRID_CAP
+SMOOTH_SPACING = 0.25   # m between the samples of a smoothed path
 
 
 class PathProjection(NamedTuple):
@@ -77,6 +79,10 @@ class RefPath:
             arr.setflags(write=False)
         # float lists of the frozen columns, for project's per-sample scalar reads
         self._lists = tuple(arr.tolist() for arr in (self.s, self.x, self.y, self.psi, self.kappa))
+        # a pose outside this box is beyond the horizon from every sample; inside
+        # it, project's squared distances stay in the float range
+        self._box = (self.x.min().item() - PROJECT_HORIZON, self.x.max().item() + PROJECT_HORIZON,
+                     self.y.min().item() - PROJECT_HORIZON, self.y.max().item() + PROJECT_HORIZON)
 
     def _check_consistency(self, kappa_bound: float) -> None:
         if np.max(np.abs(self.kappa)) > kappa_bound + 1e-12:
@@ -131,6 +137,14 @@ def profile_curvature(kind: str, x: np.ndarray, length: float, offset: float) ->
     return ddy / (1.0 + dy**2) ** 1.5
 
 
+def _check_samples(what: str, length: float, spacing: float) -> None:
+    """Raise ValueError unless `length` m at `spacing` m, a finite span, takes
+    at most MAX_PATH_SAMPLES samples."""
+    if not length / spacing < MAX_PATH_SAMPLES:
+        raise ValueError(f"{what} of {length:g} m at {spacing:g} m spacing needs more than "
+                         f"{MAX_PATH_SAMPLES:,} samples")
+
+
 def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
     """Generate an analytic reference path sampled at ~uniform arc length.
 
@@ -150,6 +164,7 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
         length = float(params.get("length", 100.0))
         if length <= spacing:
             raise ValueError("line length must exceed spacing")
+        _check_samples("line path", length, spacing)
         heading = float(params.get("heading", 0.0))
         x0, y0 = float(params.get("x0", 0.0)), float(params.get("y0", 0.0))
         n = int(math.floor(length / spacing)) + 1
@@ -182,6 +197,7 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
         heading = float(params.get("heading", 0.0))
         x0, y0 = float(params.get("x0", 0.0)), float(params.get("y0", 0.0))
         total = radius * arc
+        _check_samples("circle path", total, spacing)
         n = max(2, int(math.ceil(total / spacing)) + 1)
         s = np.linspace(0.0, total, n)
         theta = sign * s / radius
@@ -207,6 +223,7 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
         if offset == 0.0:
             raise ValueError("offset must be nonzero")
         x0, y0 = float(params.get("x0", 0.0)), float(params.get("y0", 0.0))
+        _check_samples(f"{kind} path", length, spacing)
         # arc length by fine trapezoid quadrature, then uniform-s sample points
         fine = np.linspace(0.0, length, max(2000, 20 * int(length / spacing)))
         _, dy_f, _ = _lateral_profile(kind, fine, length, offset)
@@ -229,7 +246,9 @@ def _resample(x: np.ndarray, y: np.ndarray, spacing: float):
     kept-sample mask and arc length, then the resampled path."""
     keep = np.concatenate(([True], np.hypot(np.diff(x), np.diff(y)) > 1e-9))
     x, y = x[keep], y[keep]
-    s_raw = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
+    with np.errstate(over="ignore"):   # an arc length past the float range fails the check
+        s_raw = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
+    _check_samples("recorded path", s_raw[-1], spacing)
     n = max(2, int(math.ceil(s_raw[-1] / spacing)) + 1)
     s = np.linspace(0.0, s_raw[-1], n)
     xr = np.interp(s, s_raw, x)
@@ -241,8 +260,7 @@ def _resample(x: np.ndarray, y: np.ndarray, spacing: float):
     return keep, s_raw, s, xr, yr, psi
 
 
-def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25,
-                  kappa_bound: float = DEFAULT_KAPPA_BOUND) -> RefPath:
+def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25) -> RefPath:
     """Build a RefPath from recorded pose samples.
 
     Positions are deduplicated and resampled to uniform arc length.
@@ -250,7 +268,7 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     (raw heading channels are noisy at parking speeds).  Curvature is
     initialized from the yaw-rate/speed differential estimate when both
     channels are present (`curvkit.differential_sample`), otherwise
-    from heading finite differences, and clipped to the drivable bound.
+    from heading finite differences, and clipped to DEFAULT_KAPPA_BOUND.
     The result is not strict-validated: smooth it before control use.
     """
     t = np.asarray(t, dtype=float)
@@ -280,7 +298,7 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
         kappa[0] = dpsi[0] / step
         kappa[-1] = dpsi[-1] / step
 
-    kappa = np.clip(kappa, -kappa_bound, kappa_bound)
+    kappa = np.clip(kappa, -DEFAULT_KAPPA_BOUND, DEFAULT_KAPPA_BOUND)
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=kappa, strict=False)
 
 
@@ -305,11 +323,15 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     self-near paths; that memory is caller-owned state.  With margin > 0
     the memory is only known to lie within prev_s +- margin: the result is
     the one that every such memory gives, or None where they may differ.
-    The nearest sample is a numpy argmin over the window; everything after
-    it reads the path's float lists.
+    A pose outside the path's bounding box widened by PROJECT_HORIZON is
+    lost at once.  The nearest sample is a numpy argmin over the window;
+    everything after it reads the path's float lists.
     """
     s, x, y, psi, kappa = path._lists
     px, py = pose.x, pose.y
+    x_lo, x_hi, y_lo, y_hi = path._box
+    if px < x_lo or px > x_hi or py < y_lo or py > y_hi:
+        raise _lost(px, py)
     n = len(s)
     if prev_s is None:
         lo, hi = 0, n
@@ -443,14 +465,11 @@ def _data_row(path, line: str, n_cols: int) -> list[float]:
         raise ValueError(f"{path}: non-numeric cell ({e})") from e
 
 
-def write_recorded_csv(path, t, x, y, psi, yaw_rate=None, speed=None, steer=None) -> None:
-    """Write arrays in the recorded-log CSV schema with repr-exact floats."""
-    cols = {"t": t, "X": x, "Y": y, "psi": psi}
-    for name, val in (("yaw_rate", yaw_rate), ("speed", speed), ("steer", steer)):
-        if val is not None:
-            cols[name] = val
+def write_recorded_csv(path, t, x, y, psi, speed) -> None:
+    """Write a path as a recorded-log CSV (t, X, Y, psi, speed) with
+    repr-exact floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_float_csv(f, cols, list(cols.values()))
+        write_float_csv(f, ("t", "X", "Y", "psi", "speed"), (t, x, y, psi, speed))
 
 
 def position_noise_estimate(path: RefPath) -> float:
@@ -470,15 +489,14 @@ def position_noise_estimate(path: RefPath) -> float:
     return float(np.sqrt(np.mean(rx**2 + ry**2) / 1.5))
 
 
-def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0,
-                    spacing: float = 0.25, window_m: float | None = None) -> RefPath:
+def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
     """Smooth a rough recorded path by driving the closed-loop kinematic model along it.
 
     The raw geometry is first averaged over a noise-scaled window so the
     feedforward stays sane, then the simulated vehicle tracks it gently
     (soft gains, slow actuator) at speed v from the path's start pose.
-    The vehicle trajectory, resampled to uniform arc length, is the
-    smoothed path.  Feasibility is guaranteed by construction: curvature
+    The vehicle trajectory, resampled to SMOOTH_SPACING, is the smoothed
+    path.  Feasibility is guaranteed by construction: curvature
     comes from the actual steering angle, so |kappa| <= tan(max_steer)/L.
     Raises SimulationError if tracking diverges beyond 5 m, which marks
     the raw path as unusable.
@@ -489,9 +507,7 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0,
     v = float(v)
     if not 0.0 < v < SMOOTH_SPEED_LIMIT:
         raise ValueError(f"smoothing speed must be in (0, {SMOOTH_SPEED_LIMIT:g}) m/s, got {v}")
-    if window_m is None:
-        window_m = min(12.0, max(1.0, 40.0 * position_noise_estimate(path)))
-    ref = _condition_for_tracking(path, window_m)
+    ref = _condition_for_tracking(path, min(12.0, max(1.0, 40.0 * position_noise_estimate(path))))
     grid = np.linspace(max(SMOOTH_GRID_FLOOR, 0.5 * v), min(SMOOTH_GRID_CAP, 1.5 * v + 1.0), 4)
     # deliberately soft loop: the vehicle must not follow what noise remains
     # after conditioning, so high control weight and a slow linear actuator
@@ -513,9 +529,9 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0,
     if e_max > 5.0:
         raise SimulationError(f"smoothing run diverged: max |e_y| = {e_max:.2f} m > 5 m")
 
-    step = max(1, int(round(spacing / (v * cfg.sim_dt) / 4)))
+    step = max(1, int(round(SMOOTH_SPACING / (v * cfg.sim_dt) / 4)))
     xs, ys = log.x[::step], log.y[::step]
     kap = np.tan(log.delta_act[::step]) / p.wheelbase
-    keep, s_raw, s, xr, yr, psi_d = _resample(xs, ys, spacing)
+    keep, s_raw, s, xr, yr, psi_d = _resample(xs, ys, SMOOTH_SPACING)
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=np.interp(s, s_raw, kap[keep]),
                    kappa_bound=math.tan(p.max_steer) / p.wheelbase + 1e-9)

@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import NumericalError, SimulationError
-from .curvkit import KfState, ackermann_curvature, differential_sample, feedforward_steer, \
-    kf_step
+from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENTIAL, \
+    INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
+    feedforward_steer, kf_step
 from .lqr import GainSchedule, GainSet, certify
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
@@ -132,6 +133,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.controller not in ("kinematic_ff_fb", "dynamic_lqr"):
             raise ValueError(f"unknown controller {self.controller!r}")
+        if not all(map(math.isfinite, self.initial_offset)):
+            raise ValueError(f"initial_offset must be finite, got {list(self.initial_offset)}")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.seed < 0:
@@ -181,7 +184,7 @@ class ScenarioConfig:
         rate = (default_sensors() | self.sensors)[name].rate_hz
         if rate is None:
             return self.control_every
-        ratio = 1.0 / (rate * self.sim_dt)
+        ratio = 1.0 / rate / self.sim_dt   # inf, not a ZeroDivisionError, for a tiny rate
         steps = _whole_steps(ratio)
         if steps is None and ratio < 1.0:
             raise ValueError(f"sensors.{name}: rate_hz {rate:g} is above the sim rate "
@@ -212,7 +215,6 @@ class SimLog:
 
     rows: np.ndarray
     stop_reason: str = "t_end"
-    seed: int = 0
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached for non-fields only; "rows" is no column, so no recursion
@@ -235,7 +237,8 @@ def kinematic_controller(proj: PathProjection, v: float, k: np.ndarray,
 
     delta = clamp(-k1 e_y - k2 e_psi + atan(kappa L), +-max_steer)
     """
-    delta_fb = -k[0] * proj.e_y - k[1] * proj.e_psi
+    k1, k2 = k.tolist()   # float arithmetic: a reading past the float range gives inf silently
+    delta_fb = -k1 * proj.e_y - k2 * proj.e_psi
     delta = delta_fb + feedforward_steer(proj.kappa, p.wheelbase)
     return ControlInput(v=v, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
 
@@ -265,7 +268,10 @@ class _Channel:
         if self.noise_std > 0:
             v += self.noise_std * self.rng.standard_normal()
         if self.q > 0:
-            v = round(v / self.q) * self.q
+            try:
+                v = round(v / self.q) * self.q
+            except OverflowError:   # a step below v's own float resolution changes nothing
+                pass
         self.buffer.append(v)
 
     def latest(self) -> float:
@@ -379,8 +385,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
     saturated = False
     wheelbase = p.wheelbase
 
-    kf = KfState()
-    kappa_fused, kf_p, q_step = kf.kappa_hat, kf.p, kf.q_process * cfg.control_dt
+    kappa_fused, kf_p, q_step = INITIAL_KAPPA, INITIAL_VARIANCE, DEFAULT_Q_PROCESS * cfg.control_dt
     kappa_ack = kappa_diff = 0.0
 
     shape = (n_steps + 1, len(CSV_COLUMNS))
@@ -447,12 +452,13 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
             raise _Unverified
         blk = blk[:m]
         blk[:, _PROJ] = feet[:, :m].T
-        blk[:, _E_Y_DOT] = blk[:, _VY] + blk[:, _V] * feet[2, :m]
-        blk[:, _E_PSI_DOT] = blk[:, _YAW_RATE] - blk[:, _V] * feet[3, :m]
+        with np.errstate(over="ignore", invalid="ignore"):   # as a read row's float arithmetic
+            blk[:, _E_Y_DOT] = blk[:, _VY] + blk[:, _V] * feet[2, :m]
+            blk[:, _E_PSI_DOT] = blk[:, _YAW_RATE] - blk[:, _V] * feet[3, :m]
         if len(ends) or lost is not None:
             certify_ticks(a + m)   # the ticks before the row that ends the run
         if len(ends):
-            return SimLog(rows[:a + m], stop_reason="path_end", seed=cfg.seed)
+            return SimLog(rows[:a + m], stop_reason="path_end")
         if lost is not None:
             raise lost
         return None
@@ -501,13 +507,18 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                 cmd_buffer.append(delta_cmd)
 
                 # curvature estimators run alongside the controller
-                kappa_ack = ackermann_curvature(steer_m, wheelbase)
+                try:
+                    kappa_ack = ackermann_curvature(steer_m, wheelbase)
+                except ValueError as e:
+                    raise ValueError(f"sensors.steer reading {steer_m:g} rad at t={t:g} s: {e}") \
+                        from None
                 kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
                 try:
-                    r_diff = kf.r_diff / v_m**2
+                    r_diff = DEFAULT_R_DIFFERENTIAL / v_m**2
                 except OverflowError:   # float ** raises where v_m^2 passes the float range
                     r_diff = 0.0        # r_diff / inf
-                kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
+                kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack,
+                                            DEFAULT_R_ACKERMANN,
                                             kappa_diff if diff_ok else None, r_diff)
 
             target = cmd_buffer[0]
@@ -591,7 +602,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
         if log is not None:
             return log
     certify_ticks(math.inf)
-    return SimLog(rows[:step + 1], stop_reason=stop_reason, seed=cfg.seed)
+    return SimLog(rows[:step + 1], stop_reason=stop_reason)
 
 
 def compute_metrics(log: SimLog) -> dict:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, PANEL_HEIGHT = 820, 300   # px of the chart, and of each panel in it
+TICKS = 5                        # a linear axis gets about this many ticks
 
 
 @dataclass
@@ -19,7 +21,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str = ""
-    color: str | None = None
     dash: str | None = None
 
 
@@ -46,10 +47,10 @@ def _finite(x, y):
     return x[ok], y[ok]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
@@ -65,20 +66,20 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def render(panels: list[Panel], out_path, width: int = 820, panel_height: int = 300) -> None:
+def render(panels: list[Panel], out_path) -> None:
     """Write the panels stacked vertically into one SVG file."""
     ml, mr, mt, mb = 70, 20, 34, 46
-    total_h = panel_height * len(panels)
+    total_h = PANEL_HEIGHT * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{total_h}" '
-        f'viewBox="0 0 {width} {total_h}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{total_h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{total_h}" '
+        f'viewBox="0 0 {WIDTH} {total_h}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{total_h}" fill="white"/>',
     ]
     for pi, panel in enumerate(panels):
-        oy = pi * panel_height
-        px0, px1 = ml, width - mr
-        py0, py1 = oy + mt, oy + panel_height - mb
+        oy = pi * PANEL_HEIGHT
+        px0, px1 = ml, WIDTH - mr
+        py0, py1 = oy + mt, oy + PANEL_HEIGHT - mb
 
         data = [_finite(s.x, s.y) for s in panel.series]
         xs = np.concatenate([d[0] for d in data if len(d[0])] or [np.array([0.0, 1.0])])
@@ -156,7 +157,7 @@ def render(panels: list[Panel], out_path, width: int = 820, panel_height: int = 
                 x, y = x[keep], y[keep]
             if len(x) == 0:
                 continue
-            color = s.color or PALETTE[si % len(PALETTE)]
+            color = PALETTE[si % len(PALETTE)]
             step = max(1, len(x) // 4000)
             # tx and ty on the whole slice, in their operation order
             x, y = x[::step], y[::step]

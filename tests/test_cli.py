@@ -754,6 +754,9 @@ class TestExitCodes:
         (["design", SEDAN, "--dt", "nan"], "--dt"),
         (["design", SEDAN, "--dt=--"], "--dt"),
         (["design", SEDAN, "--grid", "nan,3"], "--grid"),
+        (["design", SEDAN, "--grid", "1:15:100000000000"], "--grid"),
+        (["design", SEDAN, "--grid", "1:15:1001"], "at most 1000 finite speeds"),
+        (["design", SEDAN, "--weights", "1,1:0"], "--weights"),
         (["design", SEDAN, "--bogus"], "--bogus"),
         (["design", SEDAN, "--model", "foo"], "--model"),
         (["margins", SEDAN], "--speed"),
@@ -761,6 +764,7 @@ class TestExitCodes:
         (["margins", SEDAN, "--speed", "10", "--points", "abc"], "--points"),
         (["margins", SEDAN, "--speed", "10", "--points", "0"], "--points"),
         (["margins", SEDAN, "--speed", "10", "--points", "1"], "--points"),
+        (["margins", SEDAN, "--speed", "10", "--points", "100000000000"], "--points"),
         (["smooth", PARKING_PATH, "--speed", "nan"], "--speed"),
         (["smooth", PARKING_PATH, "--speed", "inf"], "--speed"),
     ])
@@ -793,8 +797,63 @@ class TestExitCodes:
         cfg = write_circle_config(tmp_path, control_dt=0.2)
         out = tmp_path / "o"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 3
-        assert "control period" in capsys.readouterr().err
+        assert "control period 0.2 s (control_dt)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gains": {"grid": [1.0, 15.0, 10**11]}}, "gains.grid has 100000000000 speeds"),
+        ({"gains": {"grid": [1.0 + 0.01 * i for i in range(1001)]}}, "gains.grid has 1001"),
+        ({"path": {"kind": "circle", "radius": 1e308}}, "more than 200,000 samples"),
+        ({"path": {"kind": "circle", "radius": math.nan}}, "more than 200,000 samples"),
+        ({"path": {"kind": "line", "length": 1e5}}, "more than 200,000 samples"),
+        ({"initial_offset": [math.nan, 0.0]}, "initial_offset must be finite"),
+        ({"sensors": {"heading": {"rate_hz": 5e-324}}}, "sensors.heading"),
+        ({"t_end": 1.0, "sensors": {"steer": {"noise_std": 1e308}}}, "sensors.steer reading"),
+    ])
+    def test_hostile_config_value_exit_3_naming_it(self, tmp_path, capsys, overrides,
+                                                   message):
+        out = tmp_path / "o"
+        assert main(["simulate", str(write_circle_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sensors", [{"speed": {"quantization_step": 5e-324}},
+                                         {"heading": {"noise_std": 1e308}}])
+    def test_extreme_sensor_values_run(self, tmp_path, sensors):
+        # a quantization step below a reading's float resolution leaves it as it is;
+        # a heading reading past the float range saturates the steer
+        cfg = write_circle_config(tmp_path, t_end=1.0, sensors=sensors)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
+
+    def test_recorded_path_too_long_to_sample_exit_3(self, tmp_path, capsys):
+        log = write_drive_log(tmp_path, n=40)
+        lines = log.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "1e10"
+        lines[5] = ",".join(cells)
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["smooth", str(log), "--out", str(out)]) == 3
+        assert "recorded path of 2e+10 m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "{config}"], 2),
+        (["design", SEDAN, "--weights", "1e308,1e308"], 4),
+    ])
+    def test_overflow_leaves_one_stderr_line(self, tmp_path, argv, code):
+        # numpy's RuntimeWarnings would print before the steerkit: line; run in a
+        # fresh process, since pytest's capture keeps warnings off stderr
+        config = write_circle_config(tmp_path, speed=1e200)
+        argv = [a.format(config=config) for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "steerkit.cli", *argv,
+                               "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("steerkit: "), done.stderr
 
 
 class TestConfigNumbers:

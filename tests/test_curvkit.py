@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from steerkit.curvkit import (
-    MIN_COS_HEADING, MIN_CURVATURE_SPEED, KfState, ackermann_curvature, curvature_series,
-    differential_curvature, differential_sample, feedforward_steer, kf_step,
+    DEFAULT_Q_PROCESS as Q, DEFAULT_R_ACKERMANN as R_ACK, DEFAULT_R_DIFFERENTIAL as R_DIFF,
+    INITIAL_KAPPA, INITIAL_VARIANCE, MIN_COS_HEADING, MIN_CURVATURE_SPEED, ackermann_curvature,
+    curvature_series, differential_curvature, differential_sample, feedforward_steer, kf_step,
     kf_steady_state_variance,
 )
 
@@ -55,9 +56,6 @@ class TestFeedforwardSteer:
             assert feedforward_steer(ackermann_curvature(d, 2.7), 2.7) == pytest.approx(
                 d, abs=1e-12)
 
-    def test_clamping(self):
-        assert feedforward_steer(10.0, 2.7, max_steer=0.6) == 0.6
-
 
 class TestDifferentialCurvature:
     def test_zero_yaw_rate(self):
@@ -86,32 +84,23 @@ class TestDifferentialCurvature:
             differential_curvature(1.56, 0.1, 10.0)
 
 
-class TestKfState:
-    def test_variance_must_be_positive(self):
-        for field in ("p", "q_process", "r_ack", "r_diff"):
-            with pytest.raises(ValueError):
-                KfState(**{field: 0.0})
-
-
 class TestKfUpdate:
     """The filter cycle, kf_step, on floats."""
 
     def test_pure_prediction_grows_variance(self):
-        st = KfState(kappa_hat=0.01, p=1e-4)
-        kappa, p = st.kappa_hat, st.p
+        kappa, p = 0.01, 1e-4
         for _ in range(10):
-            kappa, p = kf_step(kappa, p, st.q_process * 0.02, None, st.r_ack, None, st.r_diff)
+            kappa, p = kf_step(kappa, p, Q * 0.02, None, R_ACK, None, R_DIFF)
         assert kappa == 0.01
-        assert p == pytest.approx(1e-4 + 10 * st.q_process * 0.02, abs=1e-15)
+        assert p == pytest.approx(1e-4 + 10 * Q * 0.02, abs=1e-15)
 
     def test_converges_to_constant(self):
-        st = KfState(kappa_hat=0.0, p=1.0)
         c = 0.02
-        kappa, p = st.kappa_hat, st.p
+        kappa, p = 0.0, 1.0
         for _ in range(4000):
-            kappa, p = kf_step(kappa, p, st.q_process * 0.02, c, st.r_ack, c, st.r_diff)
+            kappa, p = kf_step(kappa, p, Q * 0.02, c, R_ACK, c, R_DIFF)
         assert kappa == pytest.approx(c, abs=1e-9)
-        expected_p = kf_steady_state_variance(st.q_process * 0.02, (st.r_ack, st.r_diff))
+        expected_p = kf_steady_state_variance(Q * 0.02, (R_ACK, R_DIFF))
         assert p == pytest.approx(expected_p, rel=1e-6)
 
     def test_steady_state_matches_closed_form(self):
@@ -121,18 +110,16 @@ class TestKfUpdate:
             two_sensor_steady_state(q_step, r1, r2), rel=1e-9)
 
     def test_update_order_insensitive(self):
-        st = KfState(kappa_hat=0.003, p=5e-4)
-        q_step = st.q_process * 0.02
-        ab = kf_step(st.kappa_hat, st.p, q_step, 0.021, 4e-6, 0.018, 1e-4)
-        ba = kf_step(st.kappa_hat, st.p, q_step, 0.018, 1e-4, 0.021, 4e-6)
+        q_step = Q * 0.02
+        ab = kf_step(0.003, 5e-4, q_step, 0.021, 4e-6, 0.018, 1e-4)
+        ba = kf_step(0.003, 5e-4, q_step, 0.018, 1e-4, 0.021, 4e-6)
         assert ab[0] == pytest.approx(ba[0], abs=1e-12)
         assert ab[1] == pytest.approx(ba[1], abs=1e-12)
 
     def test_rejects_bad_dt(self):
-        st = KfState()
         for dt in (0.0, -0.02, math.nan):
             with pytest.raises(ValueError):
-                kf_step(st.kappa_hat, st.p, st.q_process * dt, None, st.r_ack, None, st.r_diff)
+                kf_step(INITIAL_KAPPA, INITIAL_VARIANCE, Q * dt, None, R_ACK, None, R_DIFF)
 
     def test_fusion_beats_single_sources(self):
         # matched-model Monte Carlo: random-walk truth, two noisy sensors
@@ -172,12 +159,10 @@ class TestKfUpdate:
         diff_src = true
         ack_src = np.concatenate([np.zeros(lag), true[:-lag]])
         # comparable source weights and a fast filter keep its own lag small
-        st = KfState(kappa_hat=0.0, p=1e-2, q_process=1e-4, r_ack=1e-4, r_diff=1e-4)
-        kappa, p = st.kappa_hat, st.p
+        kappa, p = 0.0, 1e-2
         fused = np.empty(n)
         for i in range(n):
-            kappa, p = kf_step(kappa, p, st.q_process * dt, ack_src[i], st.r_ack,
-                               diff_src[i], st.r_diff)
+            kappa, p = kf_step(kappa, p, 1e-4 * dt, ack_src[i], 1e-4, diff_src[i], 1e-4)
             fused[i] = kappa
 
         def first_down_crossing(sig, start):
@@ -212,21 +197,19 @@ class TestDifferentialSample:
 class TestKfStep:
     def test_matches_scalar_kalman_cycle_bit_for_bit(self):
         # predict, then one scalar update per present measurement, in source order
-        st = KfState(kappa_hat=0.003, p=5e-4)
-        q_step = st.q_process * 0.02
+        q_step = Q * 0.02
         for z_ack, z_diff in ((0.021, 0.018), (0.021, None), (None, 0.018), (None, None)):
-            kappa, p = st.kappa_hat, st.p + q_step
+            kappa, p = 0.003, 5e-4 + q_step
             for z, r in ((z_ack, 4e-6), (z_diff, 1e-4)):
                 if z is not None:
                     gain = p / (p + r)
                     kappa, p = kappa + gain * (z - kappa), (1.0 - gain) * p
-            assert kf_step(st.kappa_hat, st.p, q_step, z_ack, 4e-6, z_diff, 1e-4) == (kappa, p)
+            assert kf_step(0.003, 5e-4, q_step, z_ack, 4e-6, z_diff, 1e-4) == (kappa, p)
 
 
 def reference_series(t, steer, psi, yaw, v, wheelbase):
     """Per-sample loop: the heading/speed rule, then one kf_step per sample."""
-    st = KfState()
-    kappa, p = st.kappa_hat, st.p
+    kappa, p = INITIAL_KAPPA, INITIAL_VARIANCE
     ka = np.array([ackermann_curvature(d, wheelbase) for d in steer])
     kd = np.zeros(len(t))
     fused = np.zeros(len(t))
@@ -238,8 +221,8 @@ def reference_series(t, steer, psi, yaw, v, wheelbase):
         else:
             kd[i] = kd[i - 1] if i else 0.0
         dt = max(t[i] - t[i - 1], 1e-6) if i else 1e-3
-        kappa, p = kf_step(kappa, p, st.q_process * dt, ka[i], st.r_ack,
-                           kd[i] if ok else None, st.r_diff / max(v[i], 0.5) ** 2)
+        kappa, p = kf_step(kappa, p, Q * dt, ka[i], R_ACK,
+                           kd[i] if ok else None, R_DIFF / max(v[i], 0.5) ** 2)
         fused[i] = kappa
     return ka, kd, fused
 
@@ -303,11 +286,10 @@ class TestFloatPathsMatchArrayPaths:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kappa=hst.one_of(finite, hst.sampled_from([math.nan, math.inf, -0.0])),
-           wheelbase=hst.floats(0.5, 5.0),
-           max_steer=hst.one_of(hst.none(), hst.floats(0.01, 1.5)))
-    def test_feedforward(self, kappa, wheelbase, max_steer):
-        _same(lambda: feedforward_steer(kappa, wheelbase, max_steer),
-              lambda: feedforward_steer(np.array(kappa), wheelbase, max_steer))
+           wheelbase=hst.floats(0.5, 5.0))
+    def test_feedforward(self, kappa, wheelbase):
+        _same(lambda: feedforward_steer(kappa, wheelbase),
+              lambda: feedforward_steer(np.array(kappa), wheelbase))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(psi=angles, psi_dot=finite, v=speeds)

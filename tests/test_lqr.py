@@ -196,11 +196,6 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"non-finite speed {v}"):
             kinematic_schedule.lookup(v)
 
-    def test_lookup_caches(self, kinematic_schedule):
-        a = kinematic_schedule.lookup(7.3)
-        b = kinematic_schedule.lookup(7.3)
-        assert a is b
-
     @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
     def test_interpolated_gains_stable_at_fine_resolution(self, params, model,
                                                           kinematic_schedule, dynamic_schedule):
@@ -316,24 +311,8 @@ class TestCertify:
         with pytest.raises(NumericalError, match="fails certification"):
             certify(model, gs.k, 5.0, params, 0.02)
 
-    @pytest.mark.parametrize("k, radius", [([1e306, 1e306], math.inf),
-                                           ([-1e306, 1e306], math.nan)])
-    def test_overflowing_kinematic_loop_fails_closed(self, params, k, radius):
-        # finite gains whose 2x2 loop overflows the trace/determinant arithmetic
-        sysd = discrete_error_model("kinematic", 5.0, params, 0.02)
-        rho = spectral_radius(sysd.A - np.outer(sysd.B[:, 0], k))
-        assert rho == radius or (math.isnan(rho) and math.isnan(radius))
+    @pytest.mark.parametrize("k", [[1e306, 1e306], [-1e306, 1e306]])
+    def test_overflowing_kinematic_loop_fails_closed(self, params, k):
+        # finite gains whose loop entries are near the float range
         with pytest.raises(NumericalError, match="fails certification"):
             certify("kinematic", k, 5.0, params, 0.02)
-
-
-class TestScheduleIsolation:
-    def test_new_instance_has_empty_cache(self, params):
-        a = build_schedule([2.0, 4.0], "kinematic", params, EQUAL, 0.02)
-        b = build_schedule([2.0, 4.0], "kinematic", params, EQUAL, 0.02)
-        assert isinstance(a, GainSchedule)
-        assert a._last is None and b._last is None
-        gs = a.lookup(3.0)
-        assert a._last is gs
-        assert b._last is None
-        assert b.lookup(3.0) is not gs

@@ -194,8 +194,7 @@ class TestComputeMargins:
             assert rep.pm is not None and rep.pm > 0.0
 
     def test_empty_response_rejected(self):
-        fr = FreqResponse(omegas=np.array([]), mag_db=np.array([]), phase_deg=np.array([]),
-                          dt=0.01)
+        fr = FreqResponse(omegas=np.array([]), mag_db=np.array([]), phase_deg=np.array([]))
         with pytest.raises(ValueError):
             compute_margins(fr)
 
@@ -204,7 +203,7 @@ class TestComputeMargins:
         omegas = np.array([0.1, 1.0, 10.0, 100.0])
         mag = np.array([5.0, -1.0, 2.0, -3.0])
         phase = np.array([-100.0, -120.0, -140.0, -160.0])
-        rep = compute_margins(FreqResponse(omegas=omegas, mag_db=mag, phase_deg=phase, dt=0.01))
+        rep = compute_margins(FreqResponse(omegas=omegas, mag_db=mag, phase_deg=phase))
         assert rep.multiple_crossings
         assert rep.pm is not None
         # worst case is the smallest entry of pm candidates

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from steerkit import pathbatch, simkit
-from steerkit.curvkit import KfState, ackermann_curvature, differential_sample, kf_step
+from steerkit.curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENTIAL, \
+    INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, kf_step
 from steerkit.lqr import GainSchedule, GainSet, LqrWeights, build_schedule, certify
 from steerkit.models import ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
@@ -64,8 +65,7 @@ def per_step_run_scenario(cfg, gains, p):
     delta_act = delta_cmd = cfg.initial_steer
     saturated = False
 
-    kf = KfState()
-    kappa_fused, kf_p, q_step = kf.kappa_hat, kf.p, kf.q_process * cfg.control_dt
+    kappa_fused, kf_p, q_step = INITIAL_KAPPA, INITIAL_VARIANCE, DEFAULT_Q_PROCESS * cfg.control_dt
     kappa_ack = kappa_diff = 0.0
 
     rows = np.empty((n_steps + 1, len(CSV_COLUMNS)))
@@ -106,8 +106,9 @@ def per_step_run_scenario(cfg, gains, p):
             cmd_buffer.append(delta_cmd)
             kappa_ack = ackermann_curvature(steer_m, p.wheelbase)
             kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
-            kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, kf.r_ack,
-                                        kappa_diff if diff_ok else None, kf.r_diff / v_m**2)
+            kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, DEFAULT_R_ACKERMANN,
+                                        kappa_diff if diff_ok else None,
+                                        DEFAULT_R_DIFFERENTIAL / v_m**2)
 
         target = cmd_buffer[0]
         if max_move is None:
@@ -133,7 +134,7 @@ def per_step_run_scenario(cfg, gains, p):
             prev_s -= path.length
         proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)
 
-    return SimLog(rows[:step + 1], stop_reason=stop_reason, seed=cfg.seed)
+    return SimLog(rows[:step + 1], stop_reason=stop_reason)
 
 
 P = VehicleParams()

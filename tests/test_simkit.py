@@ -429,13 +429,13 @@ class TestSimLog:
         # a log with no table yet (as copy and pickle make one) fails cleanly, not by recursion
         with pytest.raises(AttributeError):
             object.__new__(SimLog).e_y
-        assert log.stop_reason == "t_end" and log.seed == 0
+        assert log.stop_reason == "t_end"
 
     def test_copy_and_pickle_round_trip(self):
-        log = SimLog(synthetic_log(np.linspace(0.2, 0.0, 5)).rows, stop_reason="path_end", seed=7)
+        log = SimLog(synthetic_log(np.linspace(0.2, 0.0, 5)).rows, stop_reason="path_end")
         for clone in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
             assert np.array_equal(clone.rows, log.rows)
-            assert clone.stop_reason == "path_end" and clone.seed == 7
+            assert clone.stop_reason == "path_end"
             assert np.array_equal(clone.e_y, log.e_y)
 
     def test_synthetic_log_builds_a_table(self):

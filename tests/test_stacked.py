@@ -99,12 +99,7 @@ def oracle_solve_dare(a, b, q, r):
 
 
 def oracle_radius(m):
-    if m.shape[0] != 2:
-        return float(np.abs(np.linalg.eigvals(m)).max())
-    (p, q), (r, s) = m.tolist()
-    h, d = 0.5 * (p + s), 0.5 * (p - s)
-    disc = d * d + q * r
-    return math.sqrt(h * h - disc) if disc < 0.0 else abs(h) + math.sqrt(disc)
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 def oracle_zoh(model, v, p, dt):
@@ -346,9 +341,8 @@ class TestRadiusStack:
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8),
            scale=st.sampled_from([1.0, 1e150, 1e300]))
     def test_items_equal_the_oracle(self, n, seed, count, scale):
-        # 2x2 items overflow the trace/determinant arithmetic at 1e150 and up
+        # items near the float range go through LAPACK's balancing and scaling
         m = np.random.default_rng(seed).standard_normal((count, n, n)) * scale
-        assume(n == 2 or scale == 1.0)
         got = spectral_radius(m)
         assert bits(got) == bits([oracle_radius(item) for item in m])
         assert spectral_radius(m[0]) == got[0] or math.isnan(got[0])
