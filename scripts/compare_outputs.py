@@ -9,8 +9,9 @@ simulations), then this script's `seam` plan, each plan in one fresh
 process that imports steerkit from that side's `src/`.  The `seam` plan
 simulates what no benchmark plan covers: closed circles that pass their
 seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720 degrees run past
-its second lap), and a noisy dynamic run with a speed table and a
-rate-limited actuator that ends at its path end.  The inputs come from
+its second lap), a noisy dynamic run with a speed table and a
+rate-limited actuator that ends at its path end, and a noisy lap of the
+closed circle with delayed sensor channels and a delayed actuator.  The inputs come from
 NEW_ROOT (its `bench/workloads.py` and its shipped configs) for both
 sides, so only the program differs.
 
@@ -118,7 +119,7 @@ def _src_lines(root: Path) -> int:
 
 
 def _seam_plan(new_root: Path, work: Path) -> dict:
-    """The closed-circle and path-end simulations, written from the shipped configs."""
+    """The closed-circle, path-end and delay simulations, written from the shipped configs."""
     configs = new_root / "src" / "steerkit" / "configs"
     work.mkdir(parents=True, exist_ok=True)
     c10, c3 = (json.loads((configs / f"{name}.json").read_text(encoding="utf-8"))
@@ -133,8 +134,14 @@ def _seam_plan(new_root: Path, work: Path) -> dict:
                         "speed": {"noise_std": 0.05}},
                actuator={"rate_limit": 0.5},
                gains={"grid": [1.0, 15.0, 15], "weights": {"q": [1, 1, 1, 1], "r": 1.0}})
+    delayed = dict(c10, seed=5, actuator={"delay_steps": 5},
+                   sensors={"lateral": {"noise_std": 0.02, "delay_steps": 3},
+                            "heading": {"noise_std": 0.002, "delay_steps": 1},
+                            "yaw_rate": {"noise_std": 0.005, "rate_hz": 200.0,
+                                         "delay_steps": 2}})
     commands = []
-    for name, cfg in (("c10_360", c10), ("c3_720", c3), ("path_end", end)):
+    for name, cfg in (("c10_360", c10), ("c3_720", c3), ("path_end", end),
+                      ("delayed", delayed)):
         (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
         commands.append({"name": name, "argv": ["simulate", str(work / f"{name}.json"),
                                                 "--out", str(work / "out" / name)]})

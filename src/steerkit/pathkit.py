@@ -159,6 +159,14 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
     """
     if not (0.01 < spacing <= MAX_SPACING):
         raise ValueError(f"spacing must be in (0.01, {MAX_SPACING}]")
+    reads = {"line": {"length", "heading"}, "lane_change": {"length", "offset"},
+             "s_curve": {"length", "offset"},
+             "circle": {"radius", "arc_deg", "arc_rad", "direction", "heading", "wheelbase"}}
+    if kind not in reads:
+        raise ValueError(f"unknown path kind {kind!r}")
+    unknown = set(params) - reads[kind] - {"x0", "y0"}
+    if unknown:
+        raise ValueError(f"unknown {kind}-path keys {sorted(unknown)}")
 
     if kind == "line":
         length = float(params.get("length", 100.0))
@@ -236,8 +244,6 @@ def gen_path(kind: str, spacing: float = 0.1, **params) -> RefPath:
         y, dy, ddy = _lateral_profile(kind, xs, length, offset)
         kappa = ddy / (1.0 + dy**2) ** 1.5
         return RefPath(s=s, x=x0 + xs, y=y0 + y, psi=np.arctan(dy), kappa=kappa)
-
-    raise ValueError(f"unknown path kind {kind!r}")
 
 
 def _resample(x: np.ndarray, y: np.ndarray, spacing: float):

@@ -23,12 +23,12 @@ from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENT
 from .lqr import GainSchedule, GainSet, certify
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
-from .numkit import CSV_BLOCK_ROWS, write_csv_rows
+from .numkit import write_csv_rows
 from .pathbatch import project_run
 from .pathkit import PathProjection, RefPath, project
 
 SETTLE_BAND = 0.05  # m, |e_y| band used for settle metrics
-BLOCK_ROWS = 480    # rows whose logged-only projections are settled in one batch, at most
+BLOCK_ROWS = 480    # rows that may wait before a read step makes them final
 
 CSV_COLUMNS = (
     "t", "x", "y", "psi", "vy", "yaw_rate", "odometer",
@@ -43,7 +43,7 @@ MAX_LOG_ROWS = 5_000_000           # rows of one run's log: 800 MB of row table
 _S, _VY, _YAW_RATE, _V, _E_Y_DOT, _E_PSI_DOT = (CSV_COLUMNS.index(c) for c in (
     "s", "vy", "yaw_rate", "v_cmd", "e_y_dot", "e_psi_dot"))
 _PROJ = [CSV_COLUMNS.index(c) for c in ("s", "e_y", "e_psi", "kappa_path")]
-# the projection a deferred row carries until its block settles
+# the projection a waiting row carries until a flush projects it
 _UNSETTLED = PathProjection(math.nan, math.nan, math.nan, math.nan)
 
 
@@ -259,7 +259,8 @@ class _Channel:
     def __init__(self, cfg: SensorConfig, period: int, initial: float, rng):
         self.period = period
         self.noise_std, self.q = cfg.noise_std, cfg.quantization_step
-        self.buffer = deque([initial] * (cfg.delay_steps + 1), maxlen=cfg.delay_steps + 1)
+        self.buffer = deque(maxlen=cfg.delay_steps + 1)
+        self.initial = initial
         self.rng = rng
 
     def maybe_sample(self, step: int, v: float) -> None:
@@ -275,7 +276,8 @@ class _Channel:
         self.buffer.append(v)
 
     def latest(self) -> float:
-        return self.buffer[0]
+        """The sample delay_steps samples back; the initial value until there is one."""
+        return self.buffer[0] if len(self.buffer) == self.buffer.maxlen else self.initial
 
 
 class _Unverified(Exception):
@@ -297,15 +299,15 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     initial_steer that is not finite or exceeds max_steer.
 
     The controller uses an interpolated gain at once; the interpolated
-    gains of a run are certified in bulk, every BLOCK_ROWS steps and before
-    the run ends or raises, and the first one that fails raises as if it
-    had been certified on its own tick.
+    gains of a run are certified in bulk each time rows are made final (by
+    the first read step once BLOCK_ROWS rows are not, and before the run
+    ends or raises), and the first one that fails raises as if it had been
+    certified on its own tick.
 
     A `writer` (`logfork.ForkedLog`) provides the row table (`table(shape)`)
-    and is told that the rows below a watermark are final (`publish(k)`,
-    checked every BLOCK_ROWS steps and sent once k passes a CSV_BLOCK_ROWS
-    boundary), then the log's length (`finish(n)`); a rerun first abandons
-    the first table (`abort()`).
+    and is told, each time rows are made final, that the rows below that
+    watermark are (`publish(k)`), then the log's length (`finish(n)`); a
+    rerun first abandons the first table (`abort()`).
     """
     p = params if params is not None else VehicleParams()
     if not abs(cfg.initial_steer) <= p.max_steer:
@@ -316,29 +318,31 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     if cfg.controller == "kinematic_ff_fb" and len(gains.gains[0].k) != 2:
         raise ValueError("kinematic_ff_fb controller needs a 2-state gain schedule")
     try:
-        log = _run(cfg, gains, p, BLOCK_ROWS, writer)
+        log = _run(cfg, gains, p, True, writer)
     except _Unverified:
         if writer is not None:
             writer.abort()
-        log = _run(cfg, gains, p, 1, writer)
+        log = _run(cfg, gains, p, False, writer)
     if writer is not None:
         writer.finish(len(log))
     return log
 
 
-def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
+def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: bool,
          writer) -> SimLog:
-    """run_scenario's loop.  Every step where the controller runs or the
-    heading or lateral channel samples projects its pose at once; with
-    block > 1 the other steps' projections, which only the log reads, wait
-    in the row table and are settled by one `pathbatch.project_run` call per
-    block of at most `block` rows.  The pending rows leave the memory of
-    the next read step open: it projects with a margin and is checked
-    against the exact projection when its block settles; a run that fails
-    that check raises _Unverified.  The off-grid gains the controller uses
-    wait in a queue, and certify_ticks() certifies them in one stacked call
-    before every stop and error and every BLOCK_ROWS steps.  Stops and
-    errors come in step order."""
+    """run_scenario's loop.  Every read step, where the controller runs or
+    the heading or lateral channel samples, projects its pose at once; when
+    `deferred` the other steps' projections, which only the log reads, wait
+    in the row table.  One watermark, `done`, marks the rows that are final,
+    and flush(end) alone moves it: one `pathbatch.project_run` call projects
+    the waiting rows, the queued off-grid gains are certified in one stacked
+    call, and the writer is told.  A read step after waiting rows projects
+    with a margin around a memory it cannot know yet and is checked against
+    the exact projection when its rows are flushed; a run that fails that
+    check raises _Unverified.  A read step flushes when BLOCK_ROWS rows are
+    not final, when its margin projection is undecided, and near a closed
+    path's seam; the end of the run and every error flush first, so that
+    stops and errors come in step order."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -378,7 +382,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                                                   yaw_ch)))
 
     act = cfg.actuator
-    cmd_buffer = deque([cfg.initial_steer] * (act.delay_steps + 1), maxlen=act.delay_steps + 1)
+    cmd_buffer = deque(maxlen=act.delay_steps + 1)
+    target = cfg.initial_steer   # the delayed command; the start steer until the buffer fills
     lag_alpha = 1.0 - math.exp(-cfg.sim_dt / act.lag_tau) if act.lag_tau > 0 else 1.0
     max_move = None if act.rate_limit is None else act.rate_limit * cfg.sim_dt
     delta_act = delta_cmd = cfg.initial_steer
@@ -390,60 +395,54 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
 
     shape = (n_steps + 1, len(CSV_COLUMNS))
     rows = np.empty(shape) if writer is None else writer.table(shape)
-    # the next step that certifies the queued gains and tells the writer which
-    # rows are final once they pass the next CSV block boundary, block_end
-    check = min(BLOCK_ROWS, n_steps)
-    block_end = CSV_BLOCK_ROWS
     odometer = 0.0
-    stop_reason = "t_end"
     end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
     sim_dt, closed, length = cfg.sim_dt, path.closed, path.length
+    seam = end_s if closed else math.inf   # a memory at or past it wraps
 
-    # read steps: every step where a projection feeds the loop
+    # read steps: every step where a projection feeds the loop; rows wait
+    # only between read steps more than one step apart
     read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every) \
-        if block > 1 else 1
-    # how far the foot may move between read steps, and over a block, with
-    # slack; the first is checked by settle(), the second keeps a block off
-    # a closed path's seam, where the memory wraps
-    travel = 2.0 * max(speeds) * sim_dt
-    reach = 1.0 + travel * read_every
-    seam_reach = reach + travel * block
-    pending = None          # first row whose projection waits for settle()
-    last_s = proj.s         # foot of the newest row projected at once
+        if deferred else 1
+    # how far the foot may move between read steps, with slack: the margin
+    # of a read step's memory, which must stay off the seam, where it wraps
+    reach = 1.0 + 2.0 * max(speeds) * sim_dt * read_every
+    done = 1                # rows below done are final; row 0 is projected at once
+    last_s = proj.s         # foot of the newest read row
     written = -1
     ticks = []              # (step, v, k) of the interpolated gains not yet certified
     queued_v = math.nan     # the speed of the last one queued
-    failed = None           # the step of the tick whose gain failed certification
 
     def certify_ticks(before: float) -> None:
         """Certify the queued gains of the ticks before step `before` in one
-        stacked call and empty the queue, later ticks included; raise the
-        first failing tick's NumericalError, its step in `failed`."""
-        nonlocal failed
+        stacked call and drop them from the queue; raise the first failing
+        tick's NumericalError, with the queue as it was."""
         todo = [tick for tick in ticks if tick[0] < before]
-        ticks.clear()
         if not todo:
             return
         model, sp, dt = gains.model, gains.params, gains.dt
         try:
             certify(model, [k for _, _, k in todo], [v for _, v, _ in todo], sp, dt)
         except NumericalError:
-            for step, v, k in todo:   # the first tick whose gain fails on its own
-                failed = step
+            for _, v, k in todo:   # the first tick whose gain fails on its own
                 certify(model, k, v, sp, dt)
             raise
+        del ticks[:len(todo)]
 
-    def settle(b: int) -> SimLog | None:
-        """Project the pending rows up to b from the foot of the row before
-        them, check the read rows among them against the projections the
-        loop used, and fill their projection columns.  Return the log ended
-        at the first row that reaches the path end, or None; raise the
-        first lost row's SimulationError."""
-        nonlocal pending
-        a, pending = pending, None
-        blk = rows[a:b + 1]
+    def flush(end: int) -> SimLog | None:
+        """Make rows [done, end) final.  Project the waiting rows from the
+        foot of the row before them, check the read rows among them against
+        the projections the loop used, fill their projection columns, and
+        certify the ticks before the first row that reaches the path end or
+        is lost, or else before end.  Then return the log ended at that
+        path-end row, raise the lost row's SimulationError, or publish end.
+        One that raises leaves `done` and the failing tick, so called again
+        it raises the same error."""
+        nonlocal done
+        a = done if read_every > 1 else end   # no row waits for a projection
+        blk = rows[a:end]
         feet, lost = project_run(path, *blk[:, 1:4].T,   # x, y, psi
-                                 rows[a - 1, _S].item(), end_s)
+                                 rows[a - 1, _S].item(), seam)
         ends = () if closed else np.flatnonzero(feet[0] >= end_s)
         m = int(ends[0]) + 1 if len(ends) else feet.shape[1]
         reads = slice(-a % read_every, m, read_every)
@@ -455,12 +454,14 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
         with np.errstate(over="ignore", invalid="ignore"):   # as a read row's float arithmetic
             blk[:, _E_Y_DOT] = blk[:, _VY] + blk[:, _V] * feet[2, :m]
             blk[:, _E_PSI_DOT] = blk[:, _YAW_RATE] - blk[:, _V] * feet[3, :m]
-        if len(ends) or lost is not None:
-            certify_ticks(a + m)   # the ticks before the row that ends the run
+        certify_ticks(a + m)
         if len(ends):
             return SimLog(rows[:a + m], stop_reason="path_end")
         if lost is not None:
             raise lost
+        done = end
+        if writer is not None:
+            writer.publish(end)
         return None
 
     try:
@@ -505,6 +506,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                 delta_cmd = u.delta
                 saturated = abs(delta_cmd) >= p.max_steer - 1e-12
                 cmd_buffer.append(delta_cmd)
+                if len(cmd_buffer) == cmd_buffer.maxlen:
+                    target = cmd_buffer[0]
 
                 # curvature estimators run alongside the controller
                 try:
@@ -521,7 +524,6 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                                             DEFAULT_R_ACKERMANN,
                                             kappa_diff if diff_ok else None, r_diff)
 
-            target = cmd_buffer[0]
             if max_move is None:
                 delta_act = delta_act + lag_alpha * (target - delta_act)
             else:
@@ -534,20 +536,11 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
                           yaw_rate - v * q.kappa, q.kappa, kappa_ack, kappa_diff, kappa_fused)
             written = step
 
-            if proj is not None and proj.s >= end_s and not closed:
-                if pending is not None:
-                    return settle(step)   # this row or an earlier one ends the run
-                stop_reason = "path_end"
-                break
-            if step >= check:
-                if step == n_steps:
-                    break
-                certify_ticks(step + 1)
-                final = step + 1 if pending is None else pending   # settle() starts at pending
-                if writer is not None and final >= block_end:
-                    writer.publish(final)
-                    block_end = final - final % CSV_BLOCK_ROWS + CSV_BLOCK_ROWS
-                check = min(step + BLOCK_ROWS, n_steps)
+            at_end = proj is not None and proj.s >= end_s and not closed
+            if at_end or step == n_steps:
+                log = flush(step + 1)   # a waiting row may reach the path end first
+                return log if log is not None else \
+                    SimLog(rows[:step + 1], stop_reason="path_end" if at_end else "t_end")
             if kinematic:
                 w, w_speed = kinematic_yaw_rate(v, delta_act, p), v
                 state = kinematic_step(state, v, delta_act, sim_dt, p, w)
@@ -556,53 +549,35 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, block: int,
             odometer += v * sim_dt
 
             nxt = step + 1
-            near_seam = closed and last_s + seam_reach >= end_s
-            if nxt % read_every and not near_seam:
-                proj = None
-                if pending is None:
-                    pending = nxt
+            proj = None
+            if nxt % read_every:
                 continue
             pose = Pose(state[0], state[1], state[2])
-            proj = None
-            if pending is not None and nxt - pending < block and not near_seam:
+            if read_every > 1 and nxt - done < BLOCK_ROWS and last_s + reach < seam:
                 try:
                     proj = project(path, pose, prev_s=last_s, margin=reach)
                 except SimulationError:
                     pass
             if proj is None:
-                if pending is not None:
-                    log = settle(step)
+                if read_every > 1 or nxt - done >= BLOCK_ROWS:
+                    log = flush(nxt)
                     if log is not None:
                         return log
                     last_s = rows[step, _S].item()
                 # start and end coincide on a closed path; wrap the search memory
-                prev_s = last_s - length if closed and last_s >= end_s else last_s
-                proj = project(path, pose, prev_s=prev_s)
+                proj = project(path, pose, prev_s=last_s - length if last_s >= seam else last_s)
             last_s = proj.s
     except _Unverified:   # run_scenario redoes the run whole, with a fresh queue
         raise
-    except Exception as e:
-        # a queued gain may fail before this error; then, up to the first
-        # error, a pending row may end the run or be lost
-        error = e
-        if failed is None:
-            try:
-                certify_ticks(math.inf)
-            except NumericalError as c:
-                error = c
-        end = written if failed is None else failed - 1
-        if pending is not None and end >= pending:
-            log = settle(end)
-            if log is not None:
-                return log
-        raise error
-
-    if pending is not None:
-        log = settle(step)
+    except Exception:
+        # the rows before the error are made final first: one of them may end
+        # the run or be lost, or a queued gain fail; then the failing step's
+        # own tick is certified
+        log = flush(written + 1)
         if log is not None:
             return log
-    certify_ticks(math.inf)
-    return SimLog(rows[:step + 1], stop_reason=stop_reason)
+        certify_ticks(math.inf)
+        raise
 
 
 def compute_metrics(log: SimLog) -> dict:

@@ -2,19 +2,24 @@
 
 Each example changes one thing in a valid input (a gain-table cell, row or
 dt, one of `design`'s --grid, --weights and --dt, one vehicle key, one
-`simulate` config key, one of `margins`' --speed, --points and --dt, or a
-cell, row or column of a small recorded log for `curvature` and `smooth`)
-to a hostile value, runs `cli.main` on it and checks the contract: the
-exit code is 0, 2, 3 or 4, nothing escapes as a traceback, a failed
-command (exit 3 or 4) leaves no output directory, an exit-3 message names
-what was changed, and steerkit's code raises no numpy RuntimeWarning.
-`simulate` runs last at most 2 s of simulated time.
+key of a kinematic or dynamic `simulate` config, one of `margins`'
+--speed, --points and --dt, or a cell, row or column of a small recorded
+log for `curvature` and `smooth`) to a hostile value, runs `cli.main` on
+it and checks the contract: the exit code is 0, 2, 3 or 4, nothing
+escapes as a traceback, a failed command (exit 3 or 4) leaves no output
+directory, an exit-3 message names what was changed, and steerkit's code
+raises no numpy RuntimeWarning.  `simulate` runs last at most 2 s of
+simulated time.  A delay of 10**9 steps also runs in a process whose
+address space is capped at 1.5 GB.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import traceback
 import warnings
@@ -84,9 +89,10 @@ def gain_table_edits(draw):
 
 SIM_BASE = {"schema_version": 1, "path": {"kind": "circle", "radius": 30.0, "arc_deg": 60.0},
             "speed": 8.0, "t_end": 0.5}
+SIM_BASES = [SIM_BASE, SIM_BASE | {"model": "dynamic", "controller": "dynamic_lqr"}]
 SIM_KEYS = ["path.kind", "path.radius", "path.arc_deg", "path.spacing", "path.direction",
-            "speed", "speed table", "sensors", "actuator", "initial_offset", "initial_offset.i",
-            "t_end", "sim_dt", "control_dt"]
+            "path.bogus", "model", "controller", "seed", "speed", "speed table", "sensors",
+            "actuator", "initial_offset", "initial_offset.i", "t_end", "sim_dt", "control_dt"]
 CHANNELS = ["lateral", "heading", "yaw_rate", "steer", "speed"]
 SENSOR_FIELDS = ["noise_std", "quantization_step", "rate_hz", "delay_steps"]
 ACTUATOR_FIELDS = ["lag_tau", "delay_steps", "rate_limit"]
@@ -96,9 +102,10 @@ ACTUATOR_FIELDS = ["lag_tau", "delay_steps", "rate_limit"]
 def sim_config_edits(draw):
     """One changed `simulate` config key: the config, and what an exit-3
     message must name."""
-    cfg = json.loads(json.dumps(SIM_BASE))
+    cfg = json.loads(json.dumps(draw(st.sampled_from(SIM_BASES))))
     key = draw(st.sampled_from(SIM_KEYS))
-    value = draw(st.sampled_from(VALUES + [0.002, 2, -3, "line", "s_curve", "right", "up"]))
+    value = draw(st.sampled_from(VALUES + [0.002, 2, -3, 10**9, "line", "s_curve", "right",
+                                           "up", "kinematic", "dynamic", "dynamic_lqr"]))
     names = [re.escape(key.split(".")[0])]
     if key.startswith("path."):
         cfg["path"][key[5:]] = value
@@ -121,6 +128,8 @@ def sim_config_edits(draw):
         cfg[key] = value
     if key in ("t_end", "sim_dt", "control_dt"):
         names = ["t_end", "sim_dt", "control_dt"]
+    if key in ("model", "controller"):   # a mismatch of the two may name either
+        names = ["model", "controller"]
     return cfg, names
 
 
@@ -278,3 +287,19 @@ class TestHostileInputs:
             (d / "drive.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
             code, err = _run([command, str(d / "drive.csv")], d / "o")
             _check(code, err, d / "o", names + ["drive.csv"])
+
+
+def test_a_huge_delay_runs_in_a_capped_address_space(tmp_path):
+    # a delay buffer sized by delay_steps up front would need 8 GB here
+    cfg = SIM_BASE | {"actuator": {"delay_steps": 10**9},
+                      "sensors": {"lateral": {"delay_steps": 10**9}}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20)); "
+            "from steerkit.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, "simulate", str(tmp_path / "run.json"),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode in (0, 2), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr

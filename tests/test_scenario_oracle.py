@@ -233,7 +233,7 @@ def outcome(run, cfg, gains):
 class TestRunScenarioOracle:
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(scenario=scenarios(), block=st.sampled_from([simkit.BLOCK_ROWS, 7, 64]),
+    @given(scenario=scenarios(), block=st.sampled_from([simkit.BLOCK_ROWS, 64, 20, 7, 1]),
            cells=st.sampled_from([pathbatch.RUN_TABLE_CELLS, 1500]))
     def test_rows_stop_and_errors_equal_the_per_step_loop(self, scenario, block, cells):
         cfg, gains = scenario
@@ -268,9 +268,9 @@ class TestRunScenarioOracle:
         blocks = []
         run = simkit._run
 
-        def spy(cfg, gains, p, block, writer):
-            blocks.append(block)
-            return run(cfg, gains, p, block, writer)
+        def spy(cfg, gains, p, deferred, writer):
+            blocks.append(deferred)
+            return run(cfg, gains, p, deferred, writer)
 
         def skewed(path, pose, prev_s=None, margin=0.0):
             proj = project(path, pose, prev_s, margin)
@@ -280,7 +280,7 @@ class TestRunScenarioOracle:
                 mock.patch.object(simkit, "project", skewed):
             got = outcome(lambda c, g, p: run_scenario(c, g, params=p), cfg,
                           SCHEDULES["kinematic"])
-        assert blocks == [simkit.BLOCK_ROWS, 1]
+        assert blocks == [True, False]
         assert got == outcome(per_step_run_scenario, cfg, SCHEDULES["kinematic"])
 
 
@@ -296,13 +296,18 @@ def _breaking_run(speed):
                           sensors={"speed": SensorConfig(quantization_step=2.0)})
 
 
+def _dynamic_run(table, t_end, **sensors):
+    return ScenarioConfig(path=PATHS["line"], model="dynamic", controller="dynamic_lqr",
+                          speed=table, t_end=t_end, sensors=sensors)
+
+
 class TestCertificationOrder:
     """run_scenario certifies the interpolated gains in bulk; the first that
     fails raises as the per-tick certificate did, unless a stop or an error
     of an earlier step came first.  The events fall between two bulk
     certifications, so the order is the queue's to keep."""
 
-    @pytest.mark.parametrize("block", [simkit.BLOCK_ROWS, 64, 7])
+    @pytest.mark.parametrize("block", [simkit.BLOCK_ROWS, 64, 20, 7, 1])
     @pytest.mark.parametrize("cfg, gains, first", [
         # off the limp grid on row 560, lost between read steps on row 564,
         # before the next read step (580) and, with blocks of 7 or 64 rows,
@@ -320,6 +325,15 @@ class TestCertificationOrder:
          "breaking", "fails certification"),
         (_breaking_run([(0.0, 2.0), (0.98, 2.0), (1.0, 0.9), (1.2, 0.9), (1.25, 3.5)]),
          "breaking", "sensors.speed reading at t=1 s"),
+        # at the path end on row 4423, between read steps, before the speed
+        # reading of the next one (4440) is at the guard
+        (_dynamic_run([(0.0, 9.0), (4.424, 9.0), (4.43, 0.9)], 6.0,
+                      speed=SensorConfig(quantization_step=2.0)), "dynamic", "path_end"),
+        # a gain off the grid on the tick at 0.24 s fails before that tick's
+        # steer reading, past the tangent singularity, raises; the gain of
+        # the tick at 0 s passes
+        (_dynamic_run([(0.0, 2.3), (0.23, 2.3), (0.24, 3.5)], 2.0,
+                      steer=SensorConfig(noise_std=0.8)), "breaking", "fails certification"),
     ])
     def test_the_first_event_in_step_order(self, block, cfg, gains, first):
         gains = BREAKING if gains == "breaking" else SCHEDULES[gains]
