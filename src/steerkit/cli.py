@@ -253,10 +253,7 @@ def _schedule_from_config(cfg: dict, p: VehicleParams, model: str, control_dt: f
         path = base / entry["csv"]
         _require(path.exists(), f"gain table {path} not found")
         with open(path, encoding="utf-8") as f:
-            schedule = lqr.load_gain_csv(f, p)
-        _require(schedule.dt == control_dt, f"gain table {path} has dt {schedule.dt} s, "
-                 f"the config's control_dt is {control_dt} s")
-        return schedule
+            return lqr.load_gain_csv(f, p)
     grid = _speed_grid(entry.get("grid", [1.0, 15.0, 15]), "gains.grid")
     weights = _weights(entry.get("weights"), model)
     lqr.check_control_dt(control_dt, " (control_dt)")
@@ -264,46 +261,47 @@ def _schedule_from_config(cfg: dict, p: VehicleParams, model: str, control_dt: f
 
 
 def _scenario_from_config(cfg: dict, config_path: Path):
-    unknown = set(cfg) - _SIM_KEYS
-    _require(not unknown, f"unknown config keys {sorted(unknown)}")
+    """The scenario, gain schedule and vehicle of a simulate config.  The
+    scenario gets only the keys the config sets, so ScenarioConfig owns the
+    defaults of the others."""
     base = config_path.parent
-    p = _build(VehicleParams, cfg.get("vehicle", {}), "vehicle")
-    model = cfg.get("model", "kinematic")
-    controller = cfg.get("controller",
-                         "kinematic_ff_fb" if model == "kinematic" else "dynamic_lqr")
-    path = _build_path(cfg.get("path"), base)
-    speed = cfg.get("speed", 10.0)
-    if isinstance(speed, list):
-        _require(all(isinstance(k, list) and len(k) == 2 for k in speed),
-                 "'speed' table must be [[t, v], ...]")
-        speed = [(_number(t, f"speed[{i}][0]"), _number(v, f"speed[{i}][1]"))
-                 for i, (t, v) in enumerate(speed)]
-    else:
-        speed = _number(speed, "speed")
-    offset = cfg.get("initial_offset", [0.0, 0.0])
-    _require(isinstance(offset, list) and len(offset) == 2, "'initial_offset' must be [e_y, e_psi]")
-    control_dt = _number(cfg.get("control_dt", lqr.DEFAULT_CONTROL_DT), "control_dt")
-    sensors = simkit.default_sensors()
-    table = cfg.get("sensors", {})
-    _require(isinstance(table, dict), "'sensors' must be an object")
-    for name, entry in table.items():
-        _require(name in sensors, f"unknown sensor channel {name!r}")
-        sensors[name] = _build(simkit.SensorConfig, entry, f"sensors.{name}")
-    try:
+    try:   # ConfigError included: every message names the file
+        unknown = set(cfg) - _SIM_KEYS
+        _require(not unknown, f"unknown config keys {sorted(unknown)}")
+        p = _build(VehicleParams, cfg.get("vehicle", {}), "vehicle")
+        model = cfg.get("model", simkit.ScenarioConfig.model)
+        controller = "kinematic_ff_fb" if model == "kinematic" else "dynamic_lqr"
+        given = {"model": model, "controller": cfg.get("controller", controller),
+                 "path": _build_path(cfg.get("path"), base)}
+        speed = cfg.get("speed")
+        if isinstance(speed, list):
+            _require(all(isinstance(k, list) and len(k) == 2 for k in speed),
+                     "'speed' table must be [[t, v], ...]")
+            given["speed"] = [(_number(t, f"speed[{i}][0]"), _number(v, f"speed[{i}][1]"))
+                              for i, (t, v) in enumerate(speed)]
+        elif "speed" in cfg:
+            given["speed"] = _number(speed, "speed")
+        if "initial_offset" in cfg:
+            offset = cfg["initial_offset"]
+            _require(isinstance(offset, list) and len(offset) == 2,
+                     "'initial_offset' must be [e_y, e_psi]")
+            given["initial_offset"] = tuple(_number(v, f"initial_offset[{i}]")
+                                            for i, v in enumerate(offset))
+        for key in ("t_end", "sim_dt", "control_dt", "seed"):
+            if key in cfg:
+                given[key] = _number(cfg[key], key, integer=key == "seed")
+        sensors = simkit.default_sensors()
+        table = cfg.get("sensors", {})
+        _require(isinstance(table, dict), "'sensors' must be an object")
+        for name, entry in table.items():
+            _require(name in sensors, f"unknown sensor channel {name!r}")
+            sensors[name] = _build(simkit.SensorConfig, entry, f"sensors.{name}")
         scenario = simkit.ScenarioConfig(
-            path=path, model=model, controller=controller, speed=speed,
-            t_end=_number(cfg.get("t_end", 60.0), "t_end"),
-            sim_dt=_number(cfg.get("sim_dt", 0.001), "sim_dt"),
-            control_dt=control_dt,
-            initial_offset=tuple(_number(v, f"initial_offset[{i}]")
-                                 for i, v in enumerate(offset)),
-            sensors=sensors,
-            actuator=_build(simkit.ActuatorConfig, cfg.get("actuator", {}), "actuator"),
-            seed=_number(cfg.get("seed", 0), "seed", integer=True),
-        )
-    except ValueError as e:  # ConfigError included: every message names the file
+            sensors=sensors, actuator=_build(simkit.ActuatorConfig, cfg.get("actuator", {}),
+                                             "actuator"), **given)
+    except ValueError as e:
         raise ConfigError(f"{config_path}: {e}") from e
-    schedule = _schedule_from_config(cfg, p, model, control_dt, base)
+    schedule = _schedule_from_config(cfg, p, model, scenario.control_dt, base)
     return scenario, schedule, p
 
 
@@ -457,7 +455,7 @@ def cmd_simulate(args, out: OutputDir) -> str:
     for _, _, member_out in members:
         out.path(f"{member_out.root.name}/manifest.json")
     out.manifest("simulate-sweep", config_path,
-                 _number(cfg.get("seed", 0), "seed", integer=True))
+                 _number(cfg.get("seed", simkit.ScenarioConfig.seed), "seed", integer=True))
     return f"sweep complete: {len(values)} runs in {out.root}"
 
 
@@ -523,7 +521,8 @@ def cmd_margins(args, out: OutputDir) -> str:
     if args.verify:
         return out.verify(Path(args.params))
     speed, dt = args.speed, args.dt
-    _require(speed <= 30.0, f"--speed {speed} outside the valid design range")
+    _require(speed <= lqr.DESIGN_SPEED_RANGE[1],
+             f"--speed {speed} outside the valid design range")
     try:
         if args.model == "dynamic":
             check_dynamic_speed(speed, " (--speed)")

@@ -131,7 +131,7 @@ def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):
     Both sources are evaluated vectorized, then the filter with the
     module's default constants runs `kf_step` per sample: the step is the
     timestamp difference floored at 1e-6 s (1e-3 s first) and the
-    differential variance DEFAULT_R_DIFFERENTIAL / max(v, 0.5)^2.
+    differential variance DEFAULT_R_DIFFERENTIAL / max(v, MIN_CURVATURE_SPEED)^2.
     """
     t = np.asarray(t, dtype=float)
     ka = np.asarray(ackermann_curvature(steer, wheelbase), dtype=float)
@@ -139,7 +139,7 @@ def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):
     dt = np.concatenate(([1e-3], np.maximum(np.diff(t), 1e-6)))
     q_step = DEFAULT_Q_PROCESS * dt
     with np.errstate(over="ignore"):   # a square past the float range gives r_diff 0
-        r_diff = DEFAULT_R_DIFFERENTIAL / np.maximum(speed, 0.5) ** 2
+        r_diff = DEFAULT_R_DIFFERENTIAL / np.maximum(speed, MIN_CURVATURE_SPEED) ** 2
     fused = np.empty(len(t))
     kappa, p = INITIAL_KAPPA, INITIAL_VARIANCE
     for i, (q, za, zd, ok, rd) in enumerate(zip(q_step.tolist(), ka.tolist(), kd.tolist(),

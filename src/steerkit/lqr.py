@@ -27,6 +27,7 @@ from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, wri
 CERT_MARGIN = 1e-6
 DEFAULT_CONTROL_DT = 0.02  # 50 Hz steering command rate
 CONTROL_DT_RANGE = (0.001, 0.1)  # s, a designable control period has lo < dt <= hi
+DESIGN_SPEED_RANGE = (0.5, 30.0)  # m/s, a design grid lies within [lo, hi]
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,
     """Design certified gains at every grid speed, all in one stacked design.
 
     The grid must be ascending with at least two points inside
-    [0.5, 30] m/s.  Any single failed design aborts the build, with the
+    DESIGN_SPEED_RANGE.  Any single failed design aborts the build, with the
     error of the first speed that fails.
     """
     speeds = np.asarray(speeds, dtype=float)
@@ -230,9 +231,10 @@ def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,
         raise ValueError("speed grid needs at least two points")
     if np.any(np.diff(speeds) <= 0):
         raise ValueError("speed grid must be strictly ascending")
-    if speeds[0] < 0.5 or speeds[-1] > 30.0:
-        bad = speeds[0] if speeds[0] < 0.5 else speeds[-1]
-        raise ValueError(f"grid speed {bad} m/s outside the designable range [0.5, 30]")
+    lo, hi = DESIGN_SPEED_RANGE
+    if speeds[0] < lo or speeds[-1] > hi:
+        bad = speeds[0] if speeds[0] < lo else speeds[-1]
+        raise ValueError(f"grid speed {bad} m/s outside the designable range [{lo:g}, {hi:g}]")
     if designer not in ("kinematic", "dynamic"):
         raise ValueError(f"unknown designer {designer!r}")
     design = design_kinematic if designer == "kinematic" else design_dynamic

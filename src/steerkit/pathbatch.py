@@ -19,7 +19,7 @@ import numpy as np
 
 from . import SimulationError
 from .models import Pose
-from .pathkit import PROJECT_HORIZON, PROJECT_WINDOW, RefPath, _lost, _window, project
+from .pathkit import PROJECT_HORIZON, PROJECT_WINDOW, RefPath, _lost, _memory, _window, project
 
 RUN_TABLE_CELLS = 1 << 15   # float64 cells of one project_run distance table: 256 KiB
 
@@ -28,14 +28,6 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     """models.wrap_angle per element (fmod is exact, so np.fmod is math.fmod)."""
     w = np.fmod(a + math.pi, 2.0 * math.pi)
     return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
-
-
-def _square(v: float) -> float:
-    """v ** 2, or inf where float ** overflows and raises."""
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
 
 
 def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -48,16 +40,13 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
     im, ip = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
     s0, s1, s2 = s[im], s[i], s[ip]
     # Python's float ** 2, as in project: libm's pow(v, 2) and v * v differ
-    # in the last bit for some v
+    # in the last bit for some v; within the horizon no square overflows
     terms = np.concatenate((x[im] - px, y[im] - py, x[i] - px, y[i] - py, x[ip] - px,
                             y[ip] - py, s1 - s0, s1 - s2))
-    try:
-        sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms))
-    except OverflowError:   # a pose over 1e154 m off its nearest sample: lost
-        sq = np.fromiter(map(_square, terms.tolist()), float, len(terms))
-    sq = sq.reshape(8, -1)
+    sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms)).reshape(8, -1)
     f0, f1, f2 = sq[0] + sq[1], sq[2] + sq[3], sq[4] + sq[5]
-    with np.errstate(divide="ignore", invalid="ignore"):   # inf - inf for a lost pose
+    # a degenerate parabola (im == i or ip == i) has a zero denominator
+    with np.errstate(divide="ignore", invalid="ignore"):
         denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
         vertex = s1 - 0.5 * (sq[6] * (f1 - f2) - sq[7] * (f1 - f0)) / denom
     s_star = np.where(np.abs(denom) < 1e-30, s1, vertex)
@@ -77,29 +66,23 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
 
 
 def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
-                prev_s: float, seam: float = math.inf) -> tuple[np.ndarray, SimulationError | None]:
+                prev_s: float) -> tuple[np.ndarray, SimulationError | None]:
     """Project the consecutive poses (x, y, psi) of one run, each with the
     previous pose's foot as its memory (prev_s, the foot before the run,
-    for the first); on a closed path a memory at or past `seam` is moved
-    back by the path length.
+    for the first), which project wraps on a closed path.
 
     Returns the (4, m) array of rows s, e_y, e_psi, kappa that project gives
     pose by pose, and None; or, when pose m is lost, the rows before it and
     that pose's SimulationError.  The nearest samples come from distance
     tables over chunks of poses, each over a sample range meant to hold
-    the chunk's windows.  Each pose then checks, in order, that the window
-    of its predecessor's foot lies inside its chunk's range and holds its
-    nearest sample; from the first pose that fails, project runs pose by
-    pose.
+    the chunk's windows; a pose beyond the horizon from its nearest sample
+    there is lost, and only the poses before the first lost one get feet.
+    Each pose up to that one then checks, in order, that the window of its
+    predecessor's foot lies inside its chunk's range and holds its nearest
+    sample; from the first pose that fails, project runs pose by pose.
     """
     s_list = path._lists[0]
     rows, n = len(x), len(s_list)
-    length = path.length if path.closed else 0.0
-    seam = seam if path.closed else math.inf
-
-    def memory(foot: float) -> float:
-        return foot - length if foot >= seam else foot
-
     travel = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
     i = np.empty(rows, dtype=np.intp)
     near = np.empty(rows)
@@ -109,7 +92,7 @@ def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
         # a chunk's range: the windows of memories from 1 m behind its anchor
         # (prev_s, then the sample nearest the previous chunk's last pose) to
         # 1 m plus 1.5 times its poses' travel ahead, in RUN_TABLE_CELLS cells
-        mem = memory(ahead)
+        mem = _memory(path, ahead)
         lo = _window(s_list, mem - 1.0)[0]
         widest = _window(s_list, mem + 1.0 + 1.5 * (travel[-1] - travel[r]))[1] - lo
         end = min(rows, r + max(1, RUN_TABLE_CELLS // widest))
@@ -126,24 +109,25 @@ def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
         bounds[:, r:end] = ((lo,), (hi,))
         ahead = s_list[lo + k[-1]]
         r = end
-    feet = _feet(path, i, x, y, psi)
-    mems = np.concatenate(((prev_s,), feet[0, :-1]))
-    mems = np.where(mems >= seam, mems - length, mems)
+    lost = np.flatnonzero(np.sqrt(near) > PROJECT_HORIZON)
+    m = int(lost[0]) if len(lost) else rows
+    feet = np.empty((4, rows))
+    feet[:, :m] = _feet(path, i[:m], x[:m], y[:m], psi[:m])
+    # the memories of the poses up to the first lost one
+    mems = _memory(path, np.concatenate(((prev_s,), feet[0, :m])))[:rows]
+    c = len(mems)
     w_lo = np.maximum(np.searchsorted(path.s, mems - 0.2 * PROJECT_WINDOW) - 1, 0)
     w_hi = np.minimum(np.searchsorted(path.s, mems + PROJECT_WINDOW) + 2, n)
-    exact = (bounds[0] <= w_lo) & (w_hi <= bounds[1]) & (w_lo <= i) & (i < w_hi)
-    lost = np.sqrt(near) > PROJECT_HORIZON
-    stop = np.flatnonzero(~exact | lost)
-    if not len(stop):
-        return feet, None
-    r = int(stop[0])
-    if exact[r]:  # the first lost pose
-        return feet[:, :r], _lost(float(x[r]), float(y[r]))
+    exact = (bounds[0, :c] <= w_lo) & (w_hi <= bounds[1, :c]) & (w_lo <= i[:c]) & (i[:c] < w_hi)
+    fails = np.flatnonzero(~exact)
+    if not len(fails):
+        return (feet, None) if m == rows else (feet[:, :m], _lost(float(x[m]), float(y[m])))
     # from the first pose whose check fails on, pose by pose
+    r = int(fails[0])
     prev = float(feet[0, r - 1]) if r else prev_s
     for xr, yr, psir in zip(x[r:].tolist(), y[r:].tolist(), psi[r:].tolist()):
         try:
-            feet[:, r] = proj = project(path, Pose(xr, yr, psir), memory(prev))
+            feet[:, r] = proj = project(path, Pose(xr, yr, psir), prev)
         except SimulationError as e:
             return feet[:, :r], e
         prev = proj.s

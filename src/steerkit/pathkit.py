@@ -77,6 +77,9 @@ class RefPath:
             self._check_consistency(kappa_bound)
         for arr in (self.s, self.x, self.y, self.psi, self.kappa):
             arr.setflags(write=False)
+        self.length = (self.s[-1] - self.s[0]).item()
+        # where an open path ends and a closed path's search memory wraps (_memory)
+        self.end_s = (self.s[-1] - 2.0 * ds.max()).item()
         # float lists of the frozen columns, for project's per-sample scalar reads
         self._lists = tuple(arr.tolist() for arr in (self.s, self.x, self.y, self.psi, self.kappa))
         # a pose outside this box is beyond the horizon from every sample; inside
@@ -99,10 +102,6 @@ class RefPath:
 
     def __len__(self) -> int:
         return len(self.s)
-
-    @property
-    def length(self) -> float:
-        return float(self.s[-1] - self.s[0])
 
 
 def _smoothstep(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,6 +313,12 @@ def _window(s: list[float], prev_s: float) -> tuple[int, int]:
             min(len(s), bisect_left(s, prev_s + PROJECT_WINDOW) + 2))
 
 
+def _memory(path: RefPath, prev_s):
+    """The search memory of the foot prev_s (a float or an array): on a closed
+    path, whose end meets its start, one at or past end_s moves back a lap."""
+    return prev_s - path.length * (prev_s >= path.end_s) if path.closed else prev_s
+
+
 def _lost(px: float, py: float) -> SimulationError:
     return SimulationError(f"pose ({px:.1f}, {py:.1f}) is beyond the {PROJECT_HORIZON} m "
                            "horizon: vehicle lost")
@@ -326,9 +331,11 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     The foot point comes from quadratic interpolation of the squared
     distance around the nearest sample.  Passing the previous projection's
     arc length restricts the search window, preventing backward jumps on
-    self-near paths; that memory is caller-owned state.  With margin > 0
-    the memory is only known to lie within prev_s +- margin: the result is
-    the one that every such memory gives, or None where they may differ.
+    self-near paths; that memory is caller-owned state, and on a closed
+    path one at or past end_s moves back by the path length (_memory).
+    With margin > 0 the memory is only known to lie within prev_s +- margin:
+    the result is the one that every such memory gives, or None where they
+    may differ, as on a closed path once prev_s + margin reaches end_s.
     A pose outside the path's bounding box widened by PROJECT_HORIZON is
     lost at once.  The nearest sample is a numpy argmin over the window;
     everything after it reads the path's float lists.
@@ -342,9 +349,11 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     if prev_s is None:
         lo, hi = 0, n
     elif margin:
+        if path.closed and prev_s + margin >= path.end_s:
+            return None
         lo, hi = _window(s, prev_s - margin)[0], _window(s, prev_s + margin)[1]
     else:
-        lo, hi = _window(s, prev_s)
+        lo, hi = _window(s, _memory(path, prev_s))
     # d2 = dx * dx + dy * dy over the window, in place
     d2 = path.x[lo:hi] - px
     d2 *= d2
@@ -508,7 +517,7 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
     the raw path as unusable.
     """
     from . import simkit
-    from .lqr import LqrWeights, build_schedule
+    from .lqr import DEFAULT_CONTROL_DT, LqrWeights, build_schedule
 
     v = float(v)
     if not 0.0 < v < SMOOTH_SPEED_LIMIT:
@@ -517,7 +526,8 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
     grid = np.linspace(max(SMOOTH_GRID_FLOOR, 0.5 * v), min(SMOOTH_GRID_CAP, 1.5 * v + 1.0), 4)
     # deliberately soft loop: the vehicle must not follow what noise remains
     # after conditioning, so high control weight and a slow linear actuator
-    schedule = build_schedule(grid, "kinematic", p, LqrWeights(q_diag=(1.0, 1.0), r=100.0), dt=0.02)
+    schedule = build_schedule(grid, "kinematic", p, LqrWeights(q_diag=(1.0, 1.0), r=100.0),
+                              dt=DEFAULT_CONTROL_DT)
     cfg = simkit.ScenarioConfig(
         path=ref,
         model="kinematic",

@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import NumericalError, SimulationError
+from . import SimulationError
 from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENTIAL, \
     INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
     feedforward_steer, kf_step
-from .lqr import GainSchedule, GainSet, certify
+from .lqr import DEFAULT_CONTROL_DT, GainSchedule, GainSet, certify
 from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
     dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import write_csv_rows
@@ -121,7 +121,7 @@ class ScenarioConfig:
     speed: float | Sequence[tuple[float, float]] = 10.0
     t_end: float = 60.0
     sim_dt: float = 0.001
-    control_dt: float = 0.02
+    control_dt: float = DEFAULT_CONTROL_DT
     initial_offset: tuple[float, float] = (0.0, 0.0)
     initial_steer: float = 0.0
     sensors: dict[str, SensorConfig] = field(default_factory=default_sensors)
@@ -296,7 +296,8 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     limit.  Raises SimulationError when the vehicle leaves the projection
     horizon or the state goes non-finite, NumericalError when a gain the
     controller used fails certification, and ValueError for an
-    initial_steer that is not finite or exceeds max_steer.
+    initial_steer that is not finite or exceeds max_steer or a schedule
+    whose dt is not the scenario's control_dt.
 
     The controller uses an interpolated gain at once; the interpolated
     gains of a run are certified in bulk each time rows are made final (by
@@ -306,7 +307,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
 
     A `writer` (`logfork.ForkedLog`) provides the row table (`table(shape)`)
     and is told, each time rows are made final, that the rows below that
-    watermark are (`publish(k)`), then the log's length (`finish(n)`); a
+    watermark are (`publish(k)`), then the log's row count (`finish(n)`); a
     rerun first abandons the first table (`abort()`).
     """
     p = params if params is not None else VehicleParams()
@@ -317,6 +318,9 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
         raise ValueError("dynamic_lqr controller needs a 4-state gain schedule")
     if cfg.controller == "kinematic_ff_fb" and len(gains.gains[0].k) != 2:
         raise ValueError("kinematic_ff_fb controller needs a 2-state gain schedule")
+    if gains.dt != cfg.control_dt:   # its off-grid gains are certified at gains.dt
+        raise ValueError(f"gain schedule has dt {gains.dt} s, the scenario's control_dt is "
+                         f"{cfg.control_dt} s")
     try:
         log = _run(cfg, gains, p, True, writer)
     except _Unverified:
@@ -340,9 +344,9 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
     with a margin around a memory it cannot know yet and is checked against
     the exact projection when its rows are flushed; a run that fails that
     check raises _Unverified.  A read step flushes when BLOCK_ROWS rows are
-    not final, when its margin projection is undecided, and near a closed
-    path's seam; the end of the run and every error flush first, so that
-    stops and errors come in step order."""
+    not final, and when its margin projection is undecided, as it is where
+    a closed path's end meets its start; the end of the run and every error
+    flush first, so that stops and errors come in step order."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -396,16 +400,15 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
     shape = (n_steps + 1, len(CSV_COLUMNS))
     rows = np.empty(shape) if writer is None else writer.table(shape)
     odometer = 0.0
-    end_s = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
-    sim_dt, closed, length = cfg.sim_dt, path.closed, path.length
-    seam = end_s if closed else math.inf   # a memory at or past it wraps
+    end_s = math.inf if path.closed else path.end_s   # a closed path has no end
+    sim_dt = cfg.sim_dt
 
     # read steps: every step where a projection feeds the loop; rows wait
     # only between read steps more than one step apart
     read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every) \
         if deferred else 1
     # how far the foot may move between read steps, with slack: the margin
-    # of a read step's memory, which must stay off the seam, where it wraps
+    # of a read step's memory
     reach = 1.0 + 2.0 * max(speeds) * sim_dt * read_every
     done = 1                # rows below done are final; row 0 is projected at once
     last_s = proj.s         # foot of the newest read row
@@ -420,13 +423,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
         todo = [tick for tick in ticks if tick[0] < before]
         if not todo:
             return
-        model, sp, dt = gains.model, gains.params, gains.dt
-        try:
-            certify(model, [k for _, _, k in todo], [v for _, v, _ in todo], sp, dt)
-        except NumericalError:
-            for _, v, k in todo:   # the first tick whose gain fails on its own
-                certify(model, k, v, sp, dt)
-            raise
+        certify(gains.model, [k for _, _, k in todo], [v for _, v, _ in todo], gains.params,
+                gains.dt)
         del ticks[:len(todo)]
 
     def flush(end: int) -> SimLog | None:
@@ -442,8 +440,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
         a = done if read_every > 1 else end   # no row waits for a projection
         blk = rows[a:end]
         feet, lost = project_run(path, *blk[:, 1:4].T,   # x, y, psi
-                                 rows[a - 1, _S].item(), seam)
-        ends = () if closed else np.flatnonzero(feet[0] >= end_s)
+                                 rows[a - 1, _S].item())
+        ends = np.flatnonzero(feet[0] >= end_s)
         m = int(ends[0]) + 1 if len(ends) else feet.shape[1]
         reads = slice(-a % read_every, m, read_every)
         if not np.array_equal(blk[reads][:, _PROJ].view(np.uint64),
@@ -536,7 +534,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
                           yaw_rate - v * q.kappa, q.kappa, kappa_ack, kappa_diff, kappa_fused)
             written = step
 
-            at_end = proj is not None and proj.s >= end_s and not closed
+            at_end = proj is not None and proj.s >= end_s
             if at_end or step == n_steps:
                 log = flush(step + 1)   # a waiting row may reach the path end first
                 return log if log is not None else \
@@ -553,7 +551,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
             if nxt % read_every:
                 continue
             pose = Pose(state[0], state[1], state[2])
-            if read_every > 1 and nxt - done < BLOCK_ROWS and last_s + reach < seam:
+            if read_every > 1 and nxt - done < BLOCK_ROWS:
                 try:
                     proj = project(path, pose, prev_s=last_s, margin=reach)
                 except SimulationError:
@@ -564,8 +562,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
                     if log is not None:
                         return log
                     last_s = rows[step, _S].item()
-                # start and end coincide on a closed path; wrap the search memory
-                proj = project(path, pose, prev_s=last_s - length if last_s >= seam else last_s)
+                proj = project(path, pose, prev_s=last_s)
             last_s = proj.s
     except _Unverified:   # run_scenario redoes the run whole, with a fresh queue
         raise

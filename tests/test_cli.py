@@ -278,6 +278,19 @@ class TestSimulate:
         assert "seed" in err and str(cfg) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"path": {"kind": "line", "bogus": 1}}, "unknown line-path keys ['bogus']"),
+        ({"path": {"kind": "circle", "radius": 3.0}}, "radius 3.0 below drivable minimum"),
+        ({"vehicle": {"bogus": 1}}, "unknown vehicle keys ['bogus']"),
+        ({"sensors": {"lateral": {"bogus": 1}}}, "unknown sensors.lateral keys ['bogus']"),
+    ])
+    def test_every_config_error_names_the_file(self, tmp_path, capsys, overrides, message):
+        cfg = write_circle_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert f"steerkit: {cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("channel, rate, message", [
         ("yaw_rate", 300.0, "whole number of sim_dt"),
         ("speed", 5000.0, "above the sim rate"),

@@ -197,9 +197,17 @@ class TestProject:
 
 
 
+def oracle_end_s(path):
+    """Where an open path ends and a closed path's memory wraps: 2 samples
+    before the last one."""
+    return float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+
+
 def numpy_project(path, pose, prev_s=None):
     """The numpy-scalar projection that `project` replaced, kept as its oracle."""
     n = len(path)
+    if prev_s is not None and path.closed and prev_s >= oracle_end_s(path):
+        prev_s -= path.length
     if prev_s is None:
         lo, hi = 0, n
     else:
@@ -316,6 +324,44 @@ class TestProjectOracle:
             project(path, pose, prev_s)
 
 
+class TestPathEnd:
+    """The path owns where it ends and where a closed path's memory wraps."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
+    def test_end_s_is_two_samples_before_the_last(self, name):
+        path = ORACLE_PATHS[name]
+        assert path.end_s == oracle_end_s(path) and type(path.end_s) is float
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(past=st.floats(0.0, 3.0), back=st.integers(0, 40), d=st.floats(-2.0, 2.0))
+    def test_closed_memory_at_or_past_end_s_wraps(self, past, back, d):
+        # start and end coincide: a memory at or past end_s searches as the
+        # same memory one path length back
+        path = ORACLE_PATHS["closed_circle"]
+        i = (len(path) - 1 - back) % len(path)
+        psi = float(path.psi[i])
+        pose = Pose(float(path.x[i]) - d * math.sin(psi), float(path.y[i]) + d * math.cos(psi),
+                    psi)
+        memory = path.end_s + past
+        assert bits(project(path, pose, memory)) == bits(project(path, pose,
+                                                                 memory - path.length))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(ORACLE_PATHS)), margin=st.floats(0.01, 2.0),
+           near_end=st.booleans(), frac=st.floats(0.0, 1.0), ds=st.floats(-3.0, 3.0))
+    def test_margin_is_undecided_exactly_near_a_closed_path_end(self, name, margin, near_end,
+                                                                frac, ds):
+        path = ORACLE_PATHS[name]
+        prev_s = path.end_s + ds if near_end else frac * float(path.s[-1])
+        # the pose sits on the sample nearest the memory, inside every window
+        i = int(np.argmin(np.abs(path.s - prev_s)))
+        pose = Pose(float(path.x[i]), float(path.y[i]), float(path.psi[i]))
+        proj = project(path, pose, prev_s, margin)
+        assert (proj is None) == (path.closed and prev_s + margin >= path.end_s)
+        if proj is not None:
+            assert bits(proj) == bits(project(path, pose, prev_s))
+
+
 def sequential_project(path, x, y, psi, prev_s, seam):
     """project_run's contract spelled out: project pose by pose, each with the
     previous foot as its memory, wrapped by the path length at the seam of a
@@ -358,7 +404,7 @@ def pose_runs(draw):
     y = path.y[idx] + lateral * np.cos(psi) + rng.normal(0.0, 0.02, rows)
     heading = psi + draw(st.floats(-1.0, 1.0)) + rng.normal(0.0, 0.05, rows).cumsum()
     prev_s = float(path.s[i0]) + draw(st.floats(-3.0, 3.0))
-    seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+    seam = oracle_end_s(path)
     return path, x, y, heading, prev_s, seam
 
 
@@ -372,7 +418,7 @@ class TestProjectRun:
         want, error = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s,
                                          seam)
         with mock.patch.object(pathbatch, "RUN_TABLE_CELLS", cells):
-            feet, lost = project_run(path, x, y, psi, prev_s, seam)
+            feet, lost = project_run(path, x, y, psi, prev_s)
         assert [tuple(f) for f in feet.T.tolist()] == want
         assert np.array(want).reshape(-1, 4).tobytes() == np.ascontiguousarray(feet.T).tobytes()
         assert (None if lost is None else str(lost)) == error
@@ -383,12 +429,12 @@ class TestProjectRun:
         # lie at the path start, away from the samples nearest the end
         path = ORACLE_PATHS["closed_circle"]
         n = len(path)
-        seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+        seam = oracle_end_s(path)
         idx = (n - start + np.arange(60)) % n
         x, y, psi = path.x[idx] + 0.01, path.y[idx] + 0.02, path.psi[idx]
         prev_s = float(path.s[n - start - 1])
         want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
-        feet, lost = project_run(path, x, y, psi, prev_s, seam)
+        feet, lost = project_run(path, x, y, psi, prev_s)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
         assert min(f[0] for f in want) == 0.0 and max(f[0] for f in want) >= seam
 
@@ -397,20 +443,21 @@ class TestProjectRun:
         # far inside a bend the foot moves 20 times as fast as the pose; a
         # run that backs up moves its foot behind the range it starts in
         path = ORACLE_PATHS["closed_circle"]
-        seam = float(path.s[-1]) - 2.0 * float(np.max(np.diff(path.s)))
+        seam = oracle_end_s(path)
         idx = (1500 + advance * np.arange(300)) % len(path)
         lateral = inside / float(path.kappa[0])
         psi = path.psi[idx]
         x, y = path.x[idx] - lateral * np.sin(psi), path.y[idx] + lateral * np.cos(psi)
         prev_s = float(path.s[1500 - np.sign(advance)])
         want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
-        feet, lost = project_run(path, x, y, psi, prev_s, seam)
+        feet, lost = project_run(path, x, y, psi, prev_s)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
 
     @pytest.mark.parametrize("far", [1e154, 1.4e154, 1e200, -1e300])
     def test_a_pose_whose_distance_squares_past_the_float_range_is_lost(self, far):
-        # pow(v, 2) raises OverflowError past about 1.34e154: the poses before
-        # it keep their exact feet, and it is lost as project finds it
+        # pow(v, 2) would raise OverflowError past about 1.34e154, but the pose
+        # is lost before any foot is computed: the poses before it keep their
+        # exact feet, and it is lost as project finds it
         path = ORACLE_PATHS["line"]
         x, y, psi = path.x[100:110].copy(), path.y[100:110] + 0.3, path.psi[100:110].copy()
         x[6] = far

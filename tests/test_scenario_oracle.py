@@ -104,7 +104,11 @@ def per_step_run_scenario(cfg, gains, p):
             delta_cmd = u.delta
             saturated = abs(delta_cmd) >= p.max_steer - 1e-12
             cmd_buffer.append(delta_cmd)
-            kappa_ack = ackermann_curvature(steer_m, p.wheelbase)
+            try:
+                kappa_ack = ackermann_curvature(steer_m, p.wheelbase)
+            except ValueError as e:
+                raise ValueError(f"sensors.steer reading {steer_m:g} rad at t={t:g} s: {e}") \
+                    from None
             kappa_diff, diff_ok = differential_sample(e_psi_m, yaw_m, v_m, kappa_diff)
             kappa_fused, kf_p = kf_step(kappa_fused, kf_p, q_step, kappa_ack, DEFAULT_R_ACKERMANN,
                                         kappa_diff if diff_ok else None,
@@ -334,6 +338,11 @@ class TestCertificationOrder:
         # the tick at 0 s passes
         (_dynamic_run([(0.0, 2.3), (0.23, 2.3), (0.24, 3.5)], 2.0,
                       steer=SensorConfig(noise_std=0.8)), "breaking", "fails certification"),
+        # that steer reading at 0.24 s raises before the gain of the next
+        # tick, at 0.26 s, fails
+        (_dynamic_run([(0.0, 2.3), (0.25, 2.3), (0.26, 3.5)], 2.0,
+                      steer=SensorConfig(noise_std=0.8)), "breaking",
+         "sensors.steer reading -1.86002 rad at t=0.24 s"),
     ])
     def test_the_first_event_in_step_order(self, block, cfg, gains, first):
         gains = BREAKING if gains == "breaking" else SCHEDULES[gains]

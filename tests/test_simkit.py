@@ -8,6 +8,7 @@ import pytest
 
 from steerkit import SimulationError
 from steerkit.curvkit import MIN_COS_HEADING
+from steerkit.lqr import LqrWeights, build_schedule
 from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, \
     kinematic_derivative, kinematic_step, pfaffian_residuals
 from steerkit.pathkit import PathProjection, gen_path
@@ -340,7 +341,16 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(path=path), dynamic_schedule, params=params)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.61])
+    def test_schedule_dt_must_be_control_dt(self, params):
+        # its off-grid gains would be certified against the wrong period
+        path = gen_path("line", spacing=0.1, length=150.0)
+        schedule = build_schedule(np.arange(1.0, 16.0, 1.0), "kinematic", params,
+                                  LqrWeights((1.0, 1.0), 1.0), dt=0.1)
+        with pytest.raises(ValueError, match="gain schedule has dt 0.1 s, the scenario's "
+                                             "control_dt is 0.02 s"):
+            run_scenario(ScenarioConfig(path=path, t_end=10.0), schedule, params=params)
+
+    @pytest.mark.parametrize("bad",[math.nan, math.inf, -math.inf, 1.0, -0.61])
     def test_bad_initial_steer_rejected(self, params, kinematic_schedule, dynamic_schedule, bad):
         # NaN used to fail in the steer quantizer; 1.0 rad ran silently past max_steer
         path = gen_path("line", spacing=0.1, length=30.0)
