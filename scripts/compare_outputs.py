@@ -5,15 +5,19 @@
 Each root is a repository checkout (the directory holding `src/` and
 `bench/`).  Both sides run the benchmark's `track` plan and its `desk` plan
 for every listed seed (design, margins, curvature and the `dyn`/`kin`
-simulations), then this script's `seam` plan, each plan in one fresh
-process that imports steerkit from that side's `src/`.  The `seam` plan
-simulates what no benchmark plan covers: closed circles that pass their
-seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720 degrees run past
-its second lap), a noisy dynamic run with a speed table and a
+simulations), then this script's `seam` and `long` plans, each plan in one
+fresh process that imports steerkit from that side's `src/`.  The `seam`
+plan simulates what no benchmark plan covers: closed circles that pass
+their seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720 degrees run
+past its second lap), a noisy dynamic run with a speed table and a
 rate-limited actuator that ends at its path end, and a noisy lap of the
-closed circle with delayed sensor channels and a delayed actuator.  The inputs come from
-NEW_ROOT (its `bench/workloads.py` and its shipped configs) for both
-sides, so only the program differs.
+closed circle with delayed sensor channels and a delayed actuator.  The
+`long` plan is one large run: `circle_3ms` on the closed 360-degree circle
+for 500 s, 500,001 rows.  For it the script also prints each side's peak
+resident set (of its plan process) and the memory the command took beyond
+the row table, as (peak - peak after import) / (rows x 160 B).
+The inputs come from NEW_ROOT (its `bench/workloads.py` and its shipped
+configs) for both sides, so only the program differs.
 
 The summary line also gives each root's `src/steerkit/*.py` line count
 (as `wc -l` counts it).  The script reports, and exits 1 on, any
@@ -35,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -47,18 +52,31 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set in kB: VmHWM where /proc has it,
+    since RUSAGE_SELF's ru_maxrss also keeps the peak of the process that
+    spawned it (exec carries it over); else ru_maxrss."""
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/self/status").read_text(encoding="ascii").splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _run_plan(src: str, plan_file: str) -> None:
-    """Child mode: run a plan's commands through cli.main, print one JSON list."""
+    """Child mode: run a plan's commands through cli.main, print one JSON
+    object: their results, and the peak RSS after import and at the end."""
     sys.path.insert(0, src)
     from steerkit import cli
 
+    imported_kb = _peak_rss_kb()
     results = []
     for cmd in json.loads(Path(plan_file).read_text(encoding="utf-8"))["commands"]:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = cli.main(cmd["argv"])
         results.append({"name": cmd["name"], "rc": rc, "stdout": buf.getvalue()})
-    print(json.dumps(results))
+    print(json.dumps({"runs": results, "rss_kb": [imported_kb, _peak_rss_kb()]}))
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -148,6 +166,28 @@ def _seam_plan(new_root: Path, work: Path) -> dict:
     return {"commands": commands}
 
 
+def _long_plan(new_root: Path, work: Path) -> dict:
+    """circle_3ms on the closed circle for 500 s: one 500,001-row simulate."""
+    work.mkdir(parents=True, exist_ok=True)
+    cfg = json.loads((new_root / "src" / "steerkit" / "configs" / "circle_3ms.json")
+                     .read_text(encoding="utf-8"))
+    cfg["path"]["arc_deg"] = 360.0
+    cfg["t_end"] = 500.0
+    (work / "long.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return {"commands": [{"name": "long", "argv": ["simulate", str(work / "long.json"),
+                                                   "--out", str(work / "out" / "long")]}]}
+
+
+def _memory(plan_dir: Path, rss_kb: list[int]) -> str:
+    """The long plan's peak RSS and its memory beyond the row table."""
+    with open(plan_dir / "out" / "long" / "log.csv", "rb") as f:
+        rows = sum(1 for _ in f) - 2   # the comment and header lines
+    imported, peak = (kb / 1024.0 for kb in rss_kb)
+    return (f"peak RSS {peak:.1f} MB, {imported:.1f} MB after import, "
+            f"(peak - import) / table = {(peak - imported) / (rows * 160 / 2**20):.2f} "
+            f"({rows:,} rows x 160 B)")
+
+
 def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) -> dict:
     """Run every plan on one side; key -> {stdout lines, exit codes, digests}."""
     sys.path.insert(0, str(new_root / "bench"))
@@ -157,19 +197,22 @@ def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) 
     for workload, seed in plans:
         key = f"{workload}-{seed}"
         plan_dir = work / key
-        plan = _seam_plan(new_root, plan_dir) if workload == "seam" else \
+        own = {"seam": _seam_plan, "long": _long_plan}.get(workload)
+        plan = own(new_root, plan_dir) if own else \
             workloads.generate(workload, seed, new_root, plan_dir)
         plan_file = plan_dir / "plan.json"
         plan_file.write_text(json.dumps({"commands": plan["commands"]}), encoding="utf-8")
         proc = subprocess.run([sys.executable, __file__, "--child", str(root / "src"),
                                str(plan_file)], capture_output=True, text=True, check=True)
-        runs = json.loads(proc.stdout.splitlines()[-1])
+        child = json.loads(proc.stdout.splitlines()[-1])
         record[key] = {
             "runs": [(r["name"], r["rc"], r["stdout"].replace(str(work), "<work>"))
-                     for r in runs],
+                     for r in child["runs"]],
             "digests": _digests(plan_dir / "out"),
             "out": plan_dir / "out",
         }
+        if workload == "long":
+            record[key]["memory"] = _memory(plan_dir, child["rss_kb"])
         print(f"  {root.name}: {key} done, {len(record[key]['digests'])} artifacts",
               file=sys.stderr)
     return record
@@ -186,7 +229,7 @@ def main(argv=None) -> int:
     ap.add_argument("--desk-seeds", type=_seeds, default=_seeds("0-7"))
     args = ap.parse_args(argv)
 
-    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds] + [("seam", 0)]
+    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds] + [("seam", 0), ("long", 0)]
     new_root = args.new_root.resolve()
     old = _side(args.old_root.resolve(), new_root, (args.work / "old").resolve(), plans)
     new = _side(new_root, new_root, (args.work / "new").resolve(), plans)
@@ -214,6 +257,8 @@ def main(argv=None) -> int:
         artifacts += len(a)
     for line in failures:
         print(f"DIFF {line}")
+    for side, record in (("old", old), ("new", new)):
+        print(f"long plan, {side}: {record['long-0']['memory']}")
     print(f"{len(plans)} plans, {artifacts} artifacts compared, {len(failures)} differences "
           f"(largest numeric: {largest[0]:.3g} absolute, {largest[1]:.3g} relative); "
           f"src/steerkit/*.py lines: {_src_lines(args.old_root)} old, "

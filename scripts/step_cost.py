@@ -16,8 +16,9 @@ alternating from round to round.  The process imports steerkit from that
 side's `src/`, builds each case's scenario and gain schedule, then times
 one `run_scenario` call per case.  A case's cost is that wall time over
 the log's rows (one row per sim step), in microseconds; the script prints
-the best over the rounds for each side, then one JSON line with every
-round's values.
+the best and the median over the rounds for each side with their new/old
+ratios (one fast round decides a best, so compare medians), then one JSON
+line with the bests, the medians and every round's values.
 
 With --commands each round starts one fresh process per side and case,
 which times one whole command through `cli.main` (into a scratch directory
@@ -160,12 +161,17 @@ def main(argv=None) -> int:
 
     best = {side: {name: min(r[name][0] for r in runs) for name, _ in cases}
             for side, runs in rounds.items()}
-    print(f"{'case':<14}{'rows':>8}{'old us/step':>14}{'new us/step':>14}{'new/old':>9}")
+    median = {side: {name: statistics.median(r[name][0] for r in runs) for name, _ in cases}
+              for side, runs in rounds.items()}
+    print(f"{'case':<14}{'rows':>8}{'old best':>10}{'new best':>10}{'new/old':>9}"
+          f"{'old med':>10}{'new med':>10}{'new/old':>9}   (us per step)")
     for name, _ in cases:
-        old, new = best["old"][name], best["new"][name]
-        print(f"{name:<14}{rounds['new'][0][name][1]:>8}{old:>14.2f}{new:>14.2f}"
-              f"{new / old:>9.3f}")
+        ob, nb, om, nm = best["old"][name], best["new"][name], median["old"][name], \
+            median["new"][name]
+        print(f"{name:<14}{rounds['new'][0][name][1]:>8}{ob:>10.2f}{nb:>10.2f}{nb / ob:>9.3f}"
+              f"{om:>10.2f}{nm:>10.2f}{nm / om:>9.3f}")
     print(json.dumps({"unit": "us per sim step", "best_of": args.rounds, "best": best,
+                      "median": median,
                       "rounds": {side: [{k: round(v[0], 3) for k, v in r.items()} for r in runs]
                                  for side, runs in rounds.items()}}))
     return 0

@@ -521,8 +521,9 @@ def cmd_margins(args, out: OutputDir) -> str:
     if args.verify:
         return out.verify(Path(args.params))
     speed, dt = args.speed, args.dt
-    _require(speed <= lqr.DESIGN_SPEED_RANGE[1],
-             f"--speed {speed} outside the valid design range")
+    lo, hi = lqr.DESIGN_SPEED_RANGE
+    _require(lo <= speed <= hi,
+             f"--speed {speed} outside the valid design range [{lo:g}, {hi:g}] m/s")
     try:
         if args.model == "dynamic":
             check_dynamic_speed(speed, " (--speed)")

@@ -12,6 +12,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -359,14 +360,14 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
 
     n_steps = cfg.log_rows - 1
     times = np.arange(n_steps + 1) * cfg.sim_dt
-    speeds = cfg.speed_at(times).tolist()
+    speeds = cfg.speed_at(times)
     # the solver's psi stays unwrapped; only the Pose handed to project wraps it
     kinematic = cfg.model == "kinematic"
     state = (x0, y0, heading0) if kinematic else (x0, y0, heading0, 0.0, 0.0)
     w = w_speed = math.nan   # the kinematic yaw rate of the last plant step, and its speed
     if not kinematic:
-        v_min = min(speeds)
-        check_dynamic_speed(v_min, f" (speed command at t={times[speeds.index(v_min)]:g} s)")
+        i = int(np.argmin(speeds))   # the first step at the slowest command
+        check_dynamic_speed(speeds[i].item(), f" (speed command at t={times[i]:g} s)")
 
     control_every = cfg.control_every
     sensors = default_sensors() | cfg.sensors
@@ -379,7 +380,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
     # on every step where one of them is due
     heading_ch = channel("heading", proj.e_psi)
     lateral_ch = channel("lateral", proj.e_y)
-    speed_ch = channel("speed", speeds[0])
+    speed_ch = channel("speed", speeds[0].item())
     steer_ch = channel("steer", cfg.initial_steer)
     yaw_ch = channel("yaw_rate", 0.0)
     offer_every = math.gcd(*(ch.period for ch in (heading_ch, lateral_ch, speed_ch, steer_ch,
@@ -409,7 +410,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
         if deferred else 1
     # how far the foot may move between read steps, with slack: the margin
     # of a read step's memory
-    reach = 1.0 + 2.0 * max(speeds) * sim_dt * read_every
+    reach = 1.0 + 2.0 * speeds.max().item() * sim_dt * read_every
     done = 1                # rows below done are final; row 0 is projected at once
     last_s = proj.s         # foot of the newest read row
     written = -1
@@ -462,8 +463,12 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
             writer.publish(end)
         return None
 
+    # the schedule as floats, one block at a time: no per-step list of the run
+    schedule = chain.from_iterable(
+        zip(range(b, b + BLOCK_ROWS), times[b:b + BLOCK_ROWS].tolist(),
+            speeds[b:b + BLOCK_ROWS].tolist()) for b in range(0, n_steps + 1, BLOCK_ROWS))
     try:
-        for step, (t, v) in enumerate(zip(times.tolist(), speeds)):
+        for step, t, v in schedule:
             if kinematic:
                 vy = 0.0
                 # the last plant step's rate, unless the speed has changed since

@@ -7,6 +7,7 @@ computed here beyond axis scaling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,26 +41,60 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _finite(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ok = np.isfinite(x) & np.isfinite(y)
-    return x[ok], y[ok]
+def _limits(lo: float, hi: float) -> tuple[float, float]:
+    """An axis's limits for data from lo to hi.  An empty span widens to
+    [lo, lo + 1], or, where lo + 1 rounds to lo, to the one float step
+    between lo and its neighbour toward zero."""
+    if not hi <= lo:
+        return lo, hi
+    if lo + 1.0 > lo:
+        return lo, lo + 1.0
+    near = math.nextafter(lo, 0.0)
+    return min(lo, near), max(lo, near)
+
+
+def _frac(v, lo: float, hi: float):
+    """Where v (a float or an array) lies between an axis's limits, as
+    (v - lo) / (hi - lo); taken on halves where the span overflows."""
+    if hi - lo == math.inf:
+        v, lo, hi = v * 0.5, lo * 0.5, hi * 0.5
+    return (v - lo) / (hi - lo)
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """About TICKS ticks at the multiples of a 1-2-5 step in [lo, hi], for
+    finite limits lo < hi.  The step is at least the smallest float, and the
+    ticks end before one that is not finite or that the step cannot move."""
     raw = (hi - lo) / TICKS
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
+    if raw == math.inf:   # the span overflows: take it on halves
+        raw = (hi * 0.5 - lo * 0.5) / TICKS * 2.0
+    tiny = math.ulp(0.0)
+    raw = max(raw, tiny)
+    mag = max(10.0 ** math.floor(math.log10(raw)), tiny)
+    step = min((s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw), default=raw)
     first = math.ceil(lo / step) * step
     out = []
     t = first
-    while t <= hi + 1e-12 * step:
+    while math.isfinite(t) and t <= hi + 1e-12 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            break
         t += step
     return out
+
+
+def _extent(a: np.ndarray, where: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a where `where` holds; (inf, -inf) where it holds nowhere."""
+    return (float(np.min(a, where=where, initial=math.inf)),
+            float(np.max(a, where=where, initial=-math.inf)))
+
+
+def _decimated(x: np.ndarray, y: np.ndarray, drawn: np.ndarray):
+    """Copies of every step-th drawn point of a series, step = the drawn
+    points // 4000 (at least 1)."""
+    keep = np.flatnonzero(drawn)
+    keep = keep[::max(1, len(keep) // 4000)]
+    return x[keep], y[keep]
 
 
 def _fmt(v: float) -> str:
@@ -81,32 +116,45 @@ def render(panels: list[Panel], out_path) -> None:
         px0, px1 = ml, WIDTH - mr
         py0, py1 = oy + mt, oy + PANEL_HEIGHT - mb
 
-        data = [_finite(s.x, s.y) for s in panel.series]
-        xs = np.concatenate([d[0] for d in data if len(d[0])] or [np.array([0.0, 1.0])])
-        ys = np.concatenate([d[1] for d in data if len(d[1])] or [np.array([0.0, 1.0])])
+        # each series' drawn points: finite x and y, and x > 0 on a log axis;
+        # y spans every finite point, x the drawn ones
+        data = []
+        xlo = ylo = math.inf
+        xhi = yhi = -math.inf
+        for s in panel.series:
+            x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+            drawn = np.isfinite(x)
+            drawn &= np.isfinite(y)
+            lo, hi = _extent(y, drawn)
+            ylo, yhi = min(ylo, lo), max(yhi, hi)
+            if panel.logx:
+                drawn &= x > 0
+            lo, hi = _extent(x, drawn)
+            xlo, xhi = min(xlo, lo), max(xhi, hi)
+            data.append((x, y, drawn))
+        if ylo > yhi:       # no finite point: the unit square (its x > 0 part on a log axis)
+            xlo, xhi, ylo, yhi = (1.0 if panel.logx else 0.0), 1.0, 0.0, 1.0
+        elif xlo > xhi:     # a log axis with no x > 0
+            xlo, xhi = 0.1, 1.0
         if panel.logx:
-            xs = xs[xs > 0]
-            if len(xs) == 0:
-                xs = np.array([0.1, 1.0])
-            xlo, xhi = math.log10(xs.min()), math.log10(xs.max())
-        else:
-            xlo, xhi = float(xs.min()), float(xs.max())
-        for v, _ in panel.hlines:
-            ys = np.append(ys, v)
-        ylo, yhi = float(ys.min()), float(ys.max())
-        if xhi <= xlo:
-            xhi = xlo + 1.0
-        if yhi <= ylo:
-            yhi = ylo + 1.0
-        pad = 0.05 * (yhi - ylo)
-        ylo, yhi = ylo - pad, yhi + pad
+            xlo, xhi = math.log10(xlo), math.log10(xhi)
+        if panel.hlines:
+            ys = [ylo, yhi] + [v for v, _ in panel.hlines]
+            ylo, yhi = float(np.min(ys)), float(np.max(ys))
+        xlo, xhi = _limits(xlo, xhi)
+        ylo, yhi = _limits(ylo, yhi)
+        pad = 0.05 * (yhi - ylo)   # inf where the span overflows: y then spans every float
+        top = sys.float_info.max
+        ylo, yhi = max(ylo - pad, -top), min(yhi + pad, top)
+
+        def sx(v):   # v on the x axis' scale (log10 x on a log axis)
+            return px0 + _frac(v, xlo, xhi) * (px1 - px0)
 
         def tx(x):
-            v = math.log10(x) if panel.logx else x
-            return px0 + (v - xlo) / (xhi - xlo) * (px1 - px0)
+            return sx(math.log10(x) if panel.logx else x)
 
         def ty(y):
-            return py1 - (y - ylo) / (yhi - ylo) * (py1 - py0)
+            return py1 - _frac(y, ylo, yhi) * (py1 - py0)
 
         parts.append(f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" height="{py1 - py0}" '
                      'fill="none" stroke="#444"/>')
@@ -116,7 +164,7 @@ def render(panels: list[Panel], out_path) -> None:
 
         if panel.logx:
             xticks = [10.0**d for d in range(math.floor(xlo), math.ceil(xhi) + 1)
-                      if xlo <= d <= xhi]
+                      if xlo <= d <= xhi and d <= sys.float_info.max_10_exp]
         else:
             xticks = _ticks(xlo, xhi)
         for t in xticks:
@@ -150,21 +198,14 @@ def render(panels: list[Panel], out_path) -> None:
             if label:
                 parts.append(f'<text x="{px0 + 5}" y="{yy - 4:.1f}" fill="#555">{escape(label)}</text>')
 
-        for si, s in enumerate(panel.series):
-            x, y = data[si]
-            if panel.logx:
-                keep = x > 0
-                x, y = x[keep], y[keep]
+        for si, (s, (x, y, drawn)) in enumerate(zip(panel.series, data)):
+            x, y = _decimated(x, y, drawn)
             if len(x) == 0:
                 continue
             color = PALETTE[si % len(PALETTE)]
-            step = max(1, len(x) // 4000)
-            # tx and ty on the whole slice, in their operation order
-            x, y = x[::step], y[::step]
             if panel.logx:
                 x = np.array(list(map(math.log10, x.tolist())))
-            px = px0 + (x - xlo) / (xhi - xlo) * (px1 - px0)
-            py = py1 - (y - ylo) / (yhi - ylo) * (py1 - py0)
+            px, py = sx(x), ty(y)   # tx and ty on the whole slice, in their operation order
             pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -696,6 +696,20 @@ class TestMargins:
         assert main(["margins", str(CONFIGS / "sedan.json"), "--speed", "0",
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("speed", ["0.01", "0.49", "30.5"])
+    def test_speed_outside_the_design_range_exit_3(self, tmp_path, capsys, speed):
+        out = tmp_path / "o"
+        assert main(["margins", str(CONFIGS / "sedan.json"), "--speed", speed,
+                     "--out", str(out)]) == 3
+        assert f"--speed {float(speed)} outside the valid design range [0.5, 30] m/s" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_speed_at_the_design_range_ends_runs(self, tmp_path):
+        for speed in ("0.5", "30"):
+            assert main(["margins", str(CONFIGS / "sedan.json"), "--speed", speed,
+                         "--out", str(tmp_path / speed)]) == 0
+
     def test_dynamic_speed_at_guard_exit_3(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["margins", str(CONFIGS / "sedan.json"), "--model", "dynamic",

@@ -289,6 +289,23 @@ class TestHostileInputs:
             _check(code, err, d / "o", names + ["drive.csv"])
 
 
+def test_curvature_of_yaw_rates_at_the_float_range(tmp_path):
+    # yaw rates of +-1.7e308 rad/s at 1 m/s: the plotted curvature spans more
+    # than the float range, which the plot's axis must still draw
+    t = np.arange(40) * 0.1
+    cols = {"t": t, "X": t, "Y": np.zeros(40), "psi": np.zeros(40),
+            "yaw_rate": np.where(np.arange(40) % 2, 1.7e308, -1.7e308),
+            "speed": np.ones(40), "steer": np.full(40, 0.1)}
+    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in zip(*(
+        c.tolist() for c in cols.values()))]
+    (tmp_path / "drive.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = _run(["curvature", str(tmp_path / "drive.csv")], tmp_path / "o")
+    _check(code, err, tmp_path / "o", ["drive.csv"])
+    assert code == 0, err
+    svg = (tmp_path / "o" / "plots" / "curvature.svg").read_text(encoding="utf-8")
+    assert not re.search(r"\b(nan|inf)\b", svg)
+
+
 def test_a_huge_delay_runs_in_a_capped_address_space(tmp_path):
     # a delay buffer sized by delay_steps up front would need 8 GB here
     cfg = SIM_BASE | {"actuator": {"delay_steps": 10**9},

@@ -2,6 +2,7 @@ import copy
 import io
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,24 @@ class TestRunScenario:
         assert lines[0].startswith("#")
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(log)
+
+    def test_traced_peak_is_the_table_and_the_schedule(self, params, kinematic_schedule):
+        # a 100,001-row table whose path ends after about 3,000 steps: what a run
+        # allocates up front shows at a tracing cost of a few thousand steps
+        cfg = ScenarioConfig(path=gen_path("line", spacing=0.1, length=30.0), speed=10.0,
+                             t_end=100.0)
+        tracemalloc.start()
+        try:
+            log = run_scenario(cfg, kinematic_schedule, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.stop_reason == "path_end" and len(log) < 5000
+        rows = cfg.log_rows
+        # the times and the speed command as float64 arrays, and one block's
+        # projection; no per-step Python list
+        assert peak <= rows * (ROW_BYTES + 16) + 2 * 2**20, \
+            f"{(peak - rows * ROW_BYTES) / 2**20:.2f} MB traced beyond the table"
 
     def test_dynamic_speed_dip_rejected_before_the_first_step(self, params, dynamic_schedule):
         # the dip comes 4 s into the run; the whole commanded table is checked up front
