@@ -5,17 +5,18 @@
 Each root is a repository checkout (the directory holding `src/` and
 `bench/`).  Both sides run the benchmark's `track` plan and its `desk` plan
 for every listed seed (design, margins, curvature and the `dyn`/`kin`
-simulations), then this script's `seam` and `long` plans, each plan in one
-fresh process that imports steerkit from that side's `src/`.  The `seam`
-plan simulates what no benchmark plan covers: closed circles that pass
-their seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720 degrees run
-past its second lap), a noisy dynamic run with a speed table and a
-rate-limited actuator that ends at its path end, and a noisy lap of the
-closed circle with delayed sensor channels and a delayed actuator.  The
+simulations), then this script's `seam`, `long` and `inputs` plans, each
+plan in one fresh process that imports steerkit from that side's `src/`.
+The `seam` plan simulates what no benchmark plan covers: closed circles
+that pass their seam (`circle_10ms` at 360 degrees, `circle_3ms` at 720
+degrees run past its second lap), a noisy dynamic run with a speed table
+and a rate-limited actuator that ends at its path end, and a noisy lap of
+the closed circle with delayed sensor channels and a delayed actuator.  The
 `long` plan is one large run: `circle_3ms` on the closed 360-degree circle
-for 500 s, 500,001 rows.  For it the script also prints each side's peak
+for 500 s, 500,001 rows; for it the script also prints each side's peak
 resident set (of its plan process) and the memory the command took beyond
-the row table, as (peak - peak after import) / (rows x 160 B).
+the row table, as (peak - peak after import) / (rows x 160 B).  The
+`inputs` plan reads every kind of input file (`_inputs_plan`).
 The inputs come from NEW_ROOT (its `bench/workloads.py` and its shipped
 configs) for both sides, so only the program differs.
 
@@ -178,6 +179,72 @@ def _long_plan(new_root: Path, work: Path) -> dict:
                                                    "--out", str(work / "out" / "long")]}]}
 
 
+def _drive_log() -> list[str]:
+    """A 30 s drive on a 50 m left arc at 8 m/s, 600 rows, in the recorded-log schema."""
+    t = np.arange(600) * 0.05
+    theta = 8.0 * t / 50.0
+    cols = (t, 50.0 * np.sin(theta), 50.0 * (1.0 - np.cos(theta)),
+            np.arctan2(np.sin(theta), np.cos(theta)), np.full(600, 8.0 / 50.0),
+            np.full(600, 8.0), np.full(600, float(np.arctan(2.7 / 50.0))))
+    return ["t,X,Y,psi,yaw_rate,speed,steer"] + [",".join(map(repr, row)) for row in
+                                                 zip(*(c.tolist() for c in cols))]
+
+
+def _inputs_plan(new_root: Path, work: Path) -> dict:
+    """Every input file kind through the input layer: `design` writes both gain
+    tables, which `simulate` loads into `circle_10ms` (5 s) through
+    `"gains": {"csv": ...}`; `curvature` and `smooth` read a recorded log with
+    comment and blank lines and CRLF line ends; and malformed recorded logs
+    and gain tables (a short row, a non-numeric cell, a NaN, an unknown
+    column, a mixed dt) fail, compared by exit code and stdout."""
+    configs = new_root / "src" / "steerkit" / "configs"
+    work.mkdir(parents=True, exist_ok=True)
+    out = work / "out"
+    commands = []
+    for model, controller, q in (("kinematic", "kinematic_ff_fb", "1,1"),
+                                 ("dynamic", "dynamic_lqr", "1,1,1,1")):
+        commands.append({"name": f"design_{model}",
+                         "argv": ["design", str(configs / "sedan.json"), "--model", model,
+                                  "--weights", q, "--out", str(out / f"design_{model}")]})
+        cfg = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
+        cfg.update(model=model, controller=controller, t_end=5.0,
+                   gains={"csv": str(out / f"design_{model}" / "gains.csv")})
+        (work / f"table_{model}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        commands.append({"name": f"table_{model}",
+                         "argv": ["simulate", str(work / f"table_{model}.json"),
+                                  "--out", str(out / f"table_{model}")]})
+    lines = _drive_log()
+    odd = ["# recorded on a test track", ""] + lines[:300] + ["  # lap marker", "\t"] + \
+        lines[300:]
+    (work / "crlf.csv").write_bytes("\r\n".join(odd + [""]).encode())
+    for command in ("curvature", "smooth"):
+        commands.append({"name": f"crlf_{command}",
+                         "argv": [command, str(work / "crlf.csv"),
+                                  "--out", str(out / f"crlf_{command}")]})
+    faults = {"short": lambda row: row.rsplit(",", 1)[0], "text": lambda row: "x" + row,
+              "nan": lambda row: "nan" + row[row.index(","):]}
+    logs = {name: lines[:100] + [fault(lines[100])] + lines[101:]
+            for name, fault in faults.items()}
+    logs["column"] = [lines[0] + ",altitude"] + [row + ",0.0" for row in lines[1:]]
+    tables = {name: ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", fault("4.0,0.9,2.4,0.02")]
+              for name, fault in faults.items()}
+    tables["mixed"] = ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", "4.0,0.9,2.4,0.05"]
+    for name, rows in logs.items():
+        (work / f"log_{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        commands.append({"name": f"log_{name}",
+                         "argv": ["curvature", str(work / f"log_{name}.csv"),
+                                  "--out", str(out / f"log_{name}")]})
+    for name, rows in tables.items():
+        (work / f"gains_{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
+        cfg.update(t_end=1.0, gains={"csv": str(work / f"gains_{name}.csv")})
+        (work / f"gains_{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        commands.append({"name": f"gains_{name}",
+                         "argv": ["simulate", str(work / f"gains_{name}.json"),
+                                  "--out", str(out / f"gains_{name}")]})
+    return {"commands": commands}
+
+
 def _memory(plan_dir: Path, rss_kb: list[int]) -> str:
     """The long plan's peak RSS and its memory beyond the row table."""
     with open(plan_dir / "out" / "long" / "log.csv", "rb") as f:
@@ -197,7 +264,7 @@ def _side(root: Path, new_root: Path, work: Path, plans: list[tuple[str, int]]) 
     for workload, seed in plans:
         key = f"{workload}-{seed}"
         plan_dir = work / key
-        own = {"seam": _seam_plan, "long": _long_plan}.get(workload)
+        own = {"seam": _seam_plan, "long": _long_plan, "inputs": _inputs_plan}.get(workload)
         plan = own(new_root, plan_dir) if own else \
             workloads.generate(workload, seed, new_root, plan_dir)
         plan_file = plan_dir / "plan.json"
@@ -229,7 +296,8 @@ def main(argv=None) -> int:
     ap.add_argument("--desk-seeds", type=_seeds, default=_seeds("0-7"))
     args = ap.parse_args(argv)
 
-    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds] + [("seam", 0), ("long", 0)]
+    plans = [("track", 0)] + [("desk", s) for s in args.desk_seeds] + \
+        [("seam", 0), ("long", 0), ("inputs", 0)]
     new_root = args.new_root.resolve()
     old = _side(args.old_root.resolve(), new_root, (args.work / "old").resolve(), plans)
     new = _side(new_root, new_root, (args.work / "new").resolve(), plans)

@@ -15,12 +15,9 @@ grid count, delay_steps); anything else is exit 3 naming the key.
 
 `simulate --sweep` runs its members in forked worker processes where there
 are several usable CPUs (`_run_sweep`); the artifacts are those of a serial run.
-Outside a sweep worker, `simulate` formats log.csv in a forked child while
-the run goes on (`logfork.ForkedLog`, chosen by `_log_writer`) where there
-are two usable CPUs, `fork`, no other thread and at least one CSV block of
-rows; the child writes an unnamed temporary file, which is copied to
-log.csv only after the run has returned, and a child that fails leaves the
-log to be formatted serially, with the same bytes.
+Outside a sweep worker, `simulate` may format log.csv in a forked child
+while the run goes on (`_log_writer` says where, `logfork` how); a child
+that fails leaves the log to be formatted serially, with the same bytes.
 
 Every successful command writes its artifacts through one OutputDir, whose
 manifest.json records the tool version, the sha256 of the primary input
@@ -34,11 +31,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ import numpy as np
 from . import NumericalError, SimulationError, __version__
 from . import curvkit, lqr, margins, pathkit, simkit, svgplot
 from .models import VehicleParams, check_dynamic_speed
-from .numkit import CSV_BLOCK_ROWS, write_float_csv
+from .numkit import CSV_BLOCK_ROWS, read_input, write_float_csv
 from .svgplot import Panel, Series
 
 SCHEMA_VERSION = 1
@@ -77,20 +76,24 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: malformed JSON ({e})") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    """The one reader of JSON files: configs, vehicle files and manifests."""
+    data = _json(read_input(path), path)
+    _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
+    _require(data.get("schema_version") == SCHEMA_VERSION, f"{path}: schema_version must be "
+             f"{SCHEMA_VERSION}, got {data.get('schema_version')!r}")
     return data
+
+
+def _json(text: str, source):
+    """JSON whose objects name each key once (json.loads would keep the last)."""
+    def distinct(pairs: list) -> dict:
+        twice = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        _require(not twice, f"repeated key {', '.join(map(repr, twice))}")
+        return dict(pairs)
+    try:
+        return json.loads(text, object_pairs_hook=distinct)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{source}: malformed JSON ({e})") from e
 
 
 def _number(value, key: str, integer: bool = False, optional: bool = False):
@@ -208,8 +211,7 @@ class OutputDir:
 
     def verify(self, input_path: Path) -> str:
         mpath = self.root / "manifest.json"
-        _require(mpath.exists(), f"no manifest to verify at {mpath}")
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        manifest = _read_json(mpath)
         _require(manifest.get("input_sha256") == _sha256(input_path),
                  f"config drift detected: {input_path} no longer matches manifest")
         missing = [a for a in manifest.get("artifacts", []) if not (self.root / a).exists()]
@@ -250,10 +252,8 @@ def _schedule_from_config(cfg: dict, p: VehicleParams, model: str, control_dt: f
     entry = cfg.get("gains", {})
     _require(isinstance(entry, dict), "'gains' must be an object")
     if "csv" in entry:
-        path = base / entry["csv"]
-        _require(path.exists(), f"gain table {path} not found")
-        with open(path, encoding="utf-8") as f:
-            return lqr.load_gain_csv(f, p)
+        _require(isinstance(entry["csv"], str), "'gains.csv' must be a file name")
+        return lqr.load_gain_csv(io.StringIO(read_input(base / entry["csv"])), p)
     grid = _speed_grid(entry.get("grid", [1.0, 15.0, 15]), "gains.grid")
     weights = _weights(entry.get("weights"), model)
     lqr.check_control_dt(control_dt, " (control_dt)")
@@ -373,9 +373,8 @@ def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
 def _sweep_flag(text: str):
     """--sweep key=v1,v2,...: the dotted key and the (text, JSON value) pairs."""
     key, _, values = text.partition("=")
-    if not values:
-        raise ValueError("no values")
-    return key, [(raw, json.loads(raw)) for raw in values.split(",")]
+    _require(values != "", "no values")
+    return key, [(raw, _json(raw, "--sweep")) for raw in values.split(",")]
 
 
 def _set_dotted(cfg: dict, key: str, value) -> None:
@@ -569,8 +568,9 @@ def cmd_smooth(args, out: OutputDir) -> str:
     raw = pathkit.load_recorded(cols["t"], cols["X"], cols["Y"], cols["psi"],
                                 yaw_rate=cols.get("yaw_rate"), speed=cols.get("speed"))
     smooth = pathkit.smooth_recorded(raw, p, v=speed)
-    pathkit.write_recorded_csv(out.path("smoothed.csv"), smooth.s / speed, smooth.x, smooth.y,
-                               smooth.psi, speed=np.full(len(smooth), speed))
+    with out.open("smoothed.csv") as f:   # in the recorded-log format
+        write_float_csv(f, ("t", "X", "Y", "psi", "speed"), (smooth.s / speed, smooth.x,
+                        smooth.y, smooth.psi, np.full(len(smooth), speed)))
     svgplot.render([
         Panel(series=[Series(raw.x, raw.y, label="raw"),
                       Series(smooth.x, smooth.y, label="smoothed")],

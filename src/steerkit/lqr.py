@@ -22,7 +22,8 @@ import numpy as np
 
 from . import NumericalError
 from .models import VehicleParams, error_dynamics_matrices
-from .numkit import StateSpace, c2d, mat_solve, solve_dare, spectral_radius, write_float_csv
+from .numkit import (StateSpace, c2d, mat_solve, read_csv_table, solve_dare, spectral_radius,
+                     write_float_csv)
 
 CERT_MARGIN = 1e-6
 DEFAULT_CONTROL_DT = 0.02  # 50 Hz steering command rate
@@ -252,54 +253,33 @@ def save_gain_csv(schedule: GainSchedule, fobj) -> None:
 
 
 def load_gain_csv(fobj, p: VehicleParams) -> GainSchedule:
-    """Rebuild a schedule from a gain table; every cell must be finite, every
-    dt in CONTROL_DT_RANGE and the same, and the speeds ascending, and every
-    row is re-certified, all in one stacked call.  The first row that fails
-    raises, with its line named where the input is at fault."""
-    rows, where = [], []   # the rows, and "gain table line N (text)" of each
-    header = None
-    for lineno, line in enumerate(fobj, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = [c.strip() for c in cells]
-            n = len(header) - 2
-            if header[0] != "v" or header[-1] != "dt" or n not in (2, 4) or \
-                    header[1 : 1 + n] != [f"k{i + 1}" for i in range(n)]:
-                raise ValueError(f"unexpected gain table header {header!r}")
-            continue
-        at = f"gain table line {lineno} ({line!r})"
-        if len(cells) != len(header):
-            raise ValueError(f"{at} has {len(cells)} cells, the header has {len(header)}")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise ValueError(f"{at} has a non-numeric cell") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{at} has a non-finite cell")
-        check_control_dt(row[-1], f" on gain table line {lineno}")
-        rows.append(row)
-        where.append(at)
-    if not rows:
-        raise ValueError("gain table is empty")
-    model = "kinematic" if n == 2 else "dynamic"
-    dt = rows[0][-1]
-    for row, at in zip(rows, where):
-        if row[-1] != dt:
-            raise ValueError(f"{at} has dt {row[-1]} after {dt}: the table mixes control periods")
-    for prev, row, at in zip(rows, rows[1:], where[1:]):
-        if not row[0] > prev[0]:
-            raise ValueError(f"{at} has speed {row[0]} after {prev[0]}: speeds must be ascending")
-    speeds = np.array([row[0] for row in rows])
+    """Rebuild a schedule from a gain table, an open text file that
+    `numkit.read_csv_table` reads: every dt in CONTROL_DT_RANGE and the same,
+    the speeds ascending, every row re-certified in one stacked call.  The
+    first row that fails raises, naming its line where the input is at fault."""
+    def check(header):
+        if header not in (["v", "k1", "k2", "dt"], ["v", "k1", "k2", "k3", "k4", "dt"]):
+            raise ValueError(f"unexpected gain table header {header!r}")
+
+    header, table, at = read_csv_table(fobj.read(), "gain table", check)
+    model = "kinematic" if len(header) == 4 else "dynamic"
+    speeds, dts = table[:, 0].tolist(), table[:, -1].tolist()
+    dt = dts[0]
+    for i, (v, row_dt) in enumerate(zip(speeds, dts)):   # the first faulty row raises
+        check_control_dt(row_dt, f" on {at(i)}")
+        if row_dt != dt:
+            raise ValueError(f"{at(i)} has dt {row_dt} after {dt}: the table mixes control periods")
+        if i and not v > speeds[i - 1]:
+            raise ValueError(f"{at(i)} has speed {v} after {speeds[i - 1]}: "
+                             "speeds must be ascending")
+    k = table[:, 1:-1]
     try:
-        gains = certify(model, [row[1:-1] for row in rows], speeds, p, dt)
+        gains = certify(model, k, table[:, 0], p, dt)
     except ValueError:
-        for row, at in zip(rows, where):   # the first row that fails on its own
+        for i, v in enumerate(speeds):   # the first row that fails on its own
             try:
-                certify(model, row[1:-1], row[0], p, dt)
+                certify(model, k[i], v, p, dt)
             except ValueError as e:
-                raise ValueError(f"{at}: {e}") from None
+                raise ValueError(f"{at(i)}: {e}") from None
         raise
-    return GainSchedule(speeds=speeds, gains=gains, dt=dt, model=model, params=p)
+    return GainSchedule(speeds=table[:, 0].copy(), gains=gains, dt=dt, model=model, params=p)

@@ -16,12 +16,15 @@ the matrix exponential (no scipy), Higham's scaling-and-squaring method
 with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
 it; and the doubling Riccati solver.
 `write_float_csv` is the one writer of the tool's float tables, and
-`write_csv_rows` its row formatter.
+`write_csv_rows` its row formatter; `read_input` opens every input file,
+and `read_csv_table` is the one reader of the tables `write_float_csv` writes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,3 +330,61 @@ def write_csv_rows(fobj, table: np.ndarray) -> None:
     for i in range(0, len(table), CSV_BLOCK_ROWS):
         cells = [_column_reprs(col) for col in table[i:i + CSV_BLOCK_ROWS].T]
         fobj.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def read_input(path) -> str:
+    """An input file's text: UTF-8, line ends read as text mode reads them.
+    A file that cannot be opened or decoded is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
+
+
+def read_csv_table(text: str, source: str, check_header):
+    """The one reader of the CSV dialect `write_float_csv` writes: lines end
+    at \\n, stripped blank and '#' lines are skipped, the first line left is
+    a header of distinct names (stripped) that `check_header` may reject by
+    raising, and each later one a row of as many cells, each a finite float
+    by `float()`.  The first fault in file order raises, a row's as
+    "<source> line N ('<text>') has ...".  Returns the header, the (rows,
+    columns) array and `at(i)`, that "<source> line N ('<text>')" of row i."""
+    lines = [ln.strip() for ln in text.split("\n")]
+    kept = np.flatnonzero([ln[:1] not in ("", "#") for ln in lines])   # the header and rows
+    if not len(kept):
+        raise ValueError(f"{source} is empty")
+
+    def at(i: int) -> str:   # the header is row -1
+        return f"{source} line {kept[i + 1] + 1} ({lines[kept[i + 1]]!r})"
+
+    header = [c.strip() for c in lines[kept[0]].split(",")]
+    twice = [name for name, count in Counter(header).items() if count > 1]
+    if twice:
+        raise ValueError(f"{at(-1)} has the column {twice[0]!r} twice")
+    check_header(header)
+    rows = [lines[n] for n in kept[1:].tolist()]
+    if not rows:
+        raise ValueError(f"{source} has no data rows")
+    # numpy's C parser where it reads all rows (comments=None: the '#' rule above
+    # is the only one); it strips \x1c-\x1f around a cell, where float() fails
+    table = np.empty((0, 0))
+    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] == len(header) and np.isfinite(table).all():
+        return header, table, at
+    # else row by row, which names the first faulty row and reads what only
+    # float() takes (underscores, non-ASCII digits and spaces)
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{at(i)} has {len(cells)} cells, the header has {len(header)}")
+        try:
+            rows[i] = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"{at(i)} has a non-numeric cell") from None
+        for name, value in zip(header, rows[i]):
+            if not math.isfinite(value):
+                raise ValueError(f"{at(i)} has a non-finite cell ({name})")
+    return header, np.array(rows), at

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import SimulationError
 from .curvkit import differential_sample
 from .models import VehicleParams, Pose, wrap_angle
-from .numkit import write_float_csv
+from .numkit import read_csv_table, read_input
 
 RECORDED_COLUMNS = ("t", "X", "Y", "psi", "yaw_rate", "speed", "steer")
 
@@ -430,61 +429,18 @@ def _condition_for_tracking(path: RefPath, window_m: float) -> RefPath:
 
 
 def read_recorded_csv(path) -> dict[str, np.ndarray]:
-    """Read a recorded-log CSV: header t,X,Y,psi[,yaw_rate,speed,steer].
+    """One array per column of a recorded-log CSV, read by `read_csv_table`: header
+    t,X,Y,psi[,yaw_rate,speed,steer] in any order, SI units and radians."""
+    def check(header):
+        unknown = set(header) - set(RECORDED_COLUMNS)
+        if unknown:
+            raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
+        for col in ("t", "X", "Y", "psi"):
+            if col not in header:
+                raise ValueError(f"{path}: missing required channel '{col}'")
 
-    UTF-8, '#' comment lines allowed, SI units and radians throughout;
-    every cell must be finite.  Returns one array per present column.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ValueError(f"cannot read {path}: {e}") from e
-    rows = [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty log")
-    header = [c.strip() for c in rows[0].split(",")]
-    unknown = set(header) - set(RECORDED_COLUMNS)
-    if unknown:
-        raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
-    for col in ("t", "X", "Y", "psi"):
-        if col not in header:
-            raise ValueError(f"{path}: missing required channel '{col}'")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    # numpy's C parser on the kept rows (comments=None: the '#' rule above is the
-    # only one); it strips the separator \x1f around a cell, which float() rejects
-    arr = None
-    if "\x1f" not in text:
-        try:
-            arr = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if arr is None or arr.shape[1] != len(header):
-        # row by row: names the first bad row, and reads what only float() takes
-        # (underscores, non-ASCII digits and spaces)
-        arr = np.asarray([_data_row(path, ln, len(header)) for ln in rows[1:]])
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        raise ValueError(f"{path}: non-finite {header[bad[0][1]]} in data row {bad[0][0] + 1}")
-    return {name: arr[:, i] for i, name in enumerate(header)}
-
-
-def _data_row(path, line: str, n_cols: int) -> list[float]:
-    cells = line.split(",")
-    if len(cells) != n_cols:
-        raise ValueError(f"{path}: row has {len(cells)} cells, header has {n_cols}")
-    try:
-        return [float(c) for c in cells]
-    except ValueError as e:
-        raise ValueError(f"{path}: non-numeric cell ({e})") from e
-
-
-def write_recorded_csv(path, t, x, y, psi, speed) -> None:
-    """Write a path as a recorded-log CSV (t, X, Y, psi, speed) with
-    repr-exact floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_float_csv(f, ("t", "X", "Y", "psi", "speed"), (t, x, y, psi, speed))
+    header, table, _ = read_csv_table(read_input(path), str(path), check)
+    return {name: table[:, i] for i, name in enumerate(header)}
 
 
 def position_noise_estimate(path: RefPath) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -658,7 +659,7 @@ class TestCurvature:
         assert "steer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("col, cell, message", [
-        (4, "nan", "non-finite yaw_rate in data row 5"),
+        (4, "nan", r"drive\.csv line 6 \('[^']*,nan,[^']*'\) has a non-finite cell \(yaw_rate\)"),
         (6, "1.6", "pi/2 tangent singularity"),
     ])
     def test_bad_cell_exit_3(self, tmp_path, capsys, col, cell, message):
@@ -669,7 +670,7 @@ class TestCurvature:
         lines[5] = ",".join(cells)
         log.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["curvature", str(log), "--out", str(tmp_path / "o")]) == 3
-        assert message in capsys.readouterr().err
+        assert re.search(message, capsys.readouterr().err)
 
     def test_empty_log_exit_3(self, tmp_path):
         file = tmp_path / "empty.csv"
@@ -995,3 +996,110 @@ class TestFlagProperties:
                 argv.append(f"{flag}={value}")
         with tempfile.TemporaryDirectory() as d:
             assert main(argv + ["--out", str(Path(d) / "o")]) in (0, 3, 4)
+
+
+def _bad_byte(file: Path) -> None:
+    """Put one 0xff byte, never valid UTF-8, in the middle of the file."""
+    data = file.read_bytes()
+    file.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+
+
+class TestInputFiles:
+    """Every input file is opened and decoded in numkit.read_input, every CSV
+    read by numkit.read_csv_table and every JSON file by cli._read_json: a
+    fault is exit 3 naming the file, and for a CSV row also the line."""
+
+    def test_gain_table_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "tables").mkdir()
+        cfg = write_circle_config(tmp_path, gains={"csv": "tables"})
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'tables'}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_gain_table_name_must_be_a_string(self, tmp_path, capsys):
+        cfg = write_circle_config(tmp_path, gains={"csv": 5})
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "gains.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top level must be a JSON object"),
+        ("not json", "malformed JSON"),
+        ('{"schema_version": 1, "artifacts": [], "artifacts": []}', "repeated key 'artifacts'"),
+    ])
+    def test_bad_manifest_under_verify(self, tmp_path, capsys, text, message):
+        cfg = write_circle_config(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["simulate", str(cfg), "--out", str(out), "--verify"]) == 3
+        err = capsys.readouterr().err
+        assert str(out / "manifest.json") in err and message in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_non_utf8_inputs(self, tmp_path, capsys):
+        designed = tmp_path / "d"
+        assert main(["design", SEDAN, "--out", str(designed)]) == 0
+        log, car, table = tmp_path / "drive.csv", tmp_path / "car.json", designed / "gains.csv"
+        write_drive_log(tmp_path, n=100)
+        car.write_text(Path(SEDAN).read_text(encoding="utf-8"), encoding="utf-8")
+        for file in (log, car, table):
+            _bad_byte(file)
+        cfg = write_circle_config(tmp_path, gains={"csv": str(table)})
+        for argv, file in ((["smooth", str(log)], log), (["design", str(car)], car),
+                           (["simulate", str(cfg)], table)):
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert f"cannot read {file}: 'utf-8' codec can't decode byte 0xff" in err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, column", [("curvature", "t"), ("smooth", "speed")])
+    def test_repeated_csv_column(self, tmp_path, capsys, command, column):
+        log = write_drive_log(tmp_path, n=100)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        log.write_text("\n".join([lines[0] + f",{column}"] + [ln + ",77.0" for ln in lines[1:]])
+                       + "\n", encoding="utf-8")
+        assert main([command, str(log), "--out", str(tmp_path / "o")]) == 3
+        assert f"{log} line 1 ('{lines[0]},{column}') has the column '{column}' twice" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("row, fault", [
+        ("1.0,2.0,3.0", "has 3 cells, the header has 4"),
+        ("1.0,2.0,x,0.0", "has a non-numeric cell"),
+        ("1.0,2.0,inf,0.0", "has a non-finite cell (Y)"),
+    ])
+    def test_recorded_row_faults_name_the_file_line(self, tmp_path, capsys, row, fault):
+        log = tmp_path / "short.csv"
+        rows = [f"{0.1 * i!r},{0.5 * i!r},0.0,0.0" for i in range(20)]
+        rows[7] = row
+        log.write_text("# a drive\nt,X,Y,psi\n\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["smooth", str(log), "--out", str(tmp_path / "o")]) == 3
+        assert f"{log} line 11 ('{row}') {fault}" in capsys.readouterr().err
+
+    def test_comments_blank_lines_and_crlf_read_as_plain_lines(self, tmp_path):
+        plain = write_drive_log(tmp_path, n=200)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        odd = tmp_path / "odd.csv"
+        odd.write_bytes("\r\n".join(["# recorded on a test track", "", lines[0], "  # x,1"]
+                                    + lines[1:100] + ["", "\t"] + lines[100:]).encode())
+        for log, out in ((plain, "a"), (odd, "b")):
+            assert main(["curvature", str(log), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / "curvature.csv").read_bytes() == \
+            (tmp_path / "b" / "curvature.csv").read_bytes()
+
+    @pytest.mark.parametrize("vehicle", ['{"m": -5.0, "m": 1500.0}', '{"m": 1500.0, "m": -5.0}'])
+    def test_repeated_json_key(self, tmp_path, capsys, vehicle):
+        car = tmp_path / "car.json"
+        car.write_text(f'{{"schema_version": 1, "vehicle": {vehicle}}}', encoding="utf-8")
+        assert main(["design", str(car), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{car}: malformed JSON (repeated key 'm')" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"schema_version": 1, "path": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                       encoding="utf-8")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert f"{cfg}: malformed JSON" in capsys.readouterr().err

@@ -8,7 +8,12 @@ log for `curvature` and `smooth`) to a hostile value, runs `cli.main` on
 it and checks the contract: the exit code is 0, 2, 3 or 4, nothing
 escapes as a traceback, a failed command (exit 3 or 4) leaves no output
 directory, an exit-3 message names what was changed, and steerkit's code
-raises no numpy RuntimeWarning.  `simulate` runs last at most 2 s of
+raises no numpy RuntimeWarning.  File-level changes go through the same
+contract, the message naming the file: a gain table that is a directory,
+missing or not UTF-8; a recorded log with a repeated column, a byte that is
+not UTF-8, CRLF line ends or comment and blank lines (the last two read as
+the plain log); a vehicle file with a repeated key or a byte that is not
+UTF-8; and a manifest that is not a JSON object under --verify.  `simulate` runs last at most 2 s of
 simulated time.  A delay of 10**9 steps also runs in a process whose
 address space is capped at 1.5 GB.
 """
@@ -26,11 +31,13 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from steerkit.cli import main
 from steerkit.lqr import LqrWeights, build_schedule, save_gain_csv
 from steerkit.models import VehicleParams
+from test_cli import _artifacts
 
 SEDAN = {"m": 1500.0, "iz": 3000.0, "lf": 1.2, "lr": 1.5, "caf": 60000.0, "car": 60000.0,
          "max_steer": 0.6}
@@ -179,6 +186,57 @@ def recorded_log_edits(draw):
     return lines, [header[j], "timestamps", "samples", "displacement", "channel"]
 
 
+FILE_EDITS = ["gains directory", "gains missing", "gains 0xff", "log repeated column",
+              "log 0xff", "log crlf", "log comments", "json repeated key", "json 0xff"]
+
+
+def _with_ff(text: str, at: int) -> bytes:
+    """The UTF-8 text with one 0xff byte, never valid UTF-8, inserted at the
+    at/59 fraction of it."""
+    data = text.encode()
+    k = 1 + at * (len(data) - 2) // 59
+    return data[:k] + b"\xff" + data[k:]
+
+
+def _file_case(d: Path, edit: str, model: str, command: str, at: int):
+    """Write the inputs of one file-level edit into d: the argv, the input file
+    an exit-3 message must name, and the exit code the edit must give."""
+    subject, _, change = edit.partition(" ")
+    if subject == "gains":
+        table = "\n".join(TABLES[model]) + "\n"
+        if change == "directory":
+            (d / "gains.csv").mkdir()
+        elif change == "0xff":
+            (d / "gains.csv").write_bytes(_with_ff(table, at))
+        cfg = {"schema_version": 1, "model": model,
+               "controller": "kinematic_ff_fb" if model == "kinematic" else "dynamic_lqr",
+               "path": {"kind": "circle", "radius": 50.0, "arc_deg": 90.0},
+               "speed": 6.0, "t_end": 0.5, "gains": {"csv": "gains.csv"}}
+        (d / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+        return ["simulate", str(d / "run.json")], d / "gains.csv", 3
+    if subject == "log":
+        lines = list(RECORDED)
+        if change == "repeated column":
+            name = lines[0].split(",")[at % 7]
+            lines = [lines[0] + f",{name}"] + [line + ",1.0" for line in lines[1:]]
+        elif change == "comments":
+            for i in sorted({at, (7 * at) % 60, 59 - at}, reverse=True):
+                lines.insert(i, ["# note", "", "  #x,1", "\t"][i % 4])
+        text = ("\r\n" if change == "crlf" else "\n").join(lines) + "\n"
+        data = _with_ff(text, at) if change == "0xff" else text.encode()
+        (d / "drive.csv").write_bytes(data)
+        return [command, str(d / "drive.csv")], d / "drive.csv", \
+            0 if change in ("crlf", "comments") else 3
+    text = json.dumps({"schema_version": 1, "vehicle": SEDAN})
+    if change == "repeated key":
+        key = sorted(SEDAN)[at % len(SEDAN)]
+        text = text[:-2] + f', "{key}": {SEDAN[key]}}}}}'
+    (d / "car.json").write_bytes(_with_ff(text, at) if change == "0xff" else text.encode())
+    argv = ["design", str(d / "car.json"), "--model", model, "--grid", "2:14:4"] \
+        if command == "curvature" else ["margins", str(d / "car.json"), "--speed", "8.5"]
+    return argv, d / "car.json", 3
+
+
 def _run(argv, out: Path):
     """main's exit code and stderr; an exception escaping main, or a numpy
     RuntimeWarning raised in steerkit's code, fails the test."""
@@ -287,6 +345,38 @@ class TestHostileInputs:
             (d / "drive.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
             code, err = _run([command, str(d / "drive.csv")], d / "o")
             _check(code, err, d / "o", names + ["drive.csv"])
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edit=st.sampled_from(FILE_EDITS), model=st.sampled_from(sorted(TABLES)),
+           command=st.sampled_from(["curvature", "smooth"]), at=st.integers(0, 59))
+    def test_input_files(self, edit, model, command, at):
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            argv, file, expected = _file_case(d, edit, model, command, at)
+            code, err = _run(argv, d / "o")
+            _check(code, err, d / "o", [re.escape(str(file))])
+            assert code == expected, err
+            if edit in ("log crlf", "log comments"):   # read as the plain log is
+                (d / "drive.csv").write_text("\n".join(RECORDED) + "\n", encoding="utf-8")
+                assert _run(argv, d / "plain") == (0, "")
+                assert _artifacts(d / "o") == _artifacts(d / "plain")
+
+    @pytest.mark.parametrize("text", ["[]", "not json", "{", '{"schema_version": 1} x',
+                                      '{"schema_version": 1, "seed": 1, "seed": 1}', "\xff"])
+    @pytest.mark.parametrize("command", ["simulate", "design"])
+    def test_manifests_under_verify(self, tmp_path, text, command):
+        (tmp_path / "car.json").write_text(json.dumps({"schema_version": 1, "vehicle": SEDAN}))
+        (tmp_path / "run.json").write_text(json.dumps(SIM_BASE), encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(text.encode("latin-1"))
+        argv = [command, str(tmp_path / ("run.json" if command == "simulate" else "car.json")),
+                "--verify"]
+        code, err = _run(argv, out)
+        assert code == 3 and "Traceback" not in err, err
+        assert str(out / "manifest.json") in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_curvature_of_yaw_rates_at_the_float_range(tmp_path):

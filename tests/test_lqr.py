@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steerkit import NumericalError, lqr
 from steerkit.lqr import (
@@ -10,6 +11,8 @@ from steerkit.lqr import (
     design_kinematic, discrete_error_model, load_gain_csv, save_gain_csv,
 )
 from steerkit.numkit import spectral_radius
+from test_cli_fuzz import TABLES
+from test_pathkit import _ODD_CELLS
 
 EQUAL = LqrWeights((1.0, 1.0), 1.0)
 EQUAL4 = LqrWeights((1.0, 1.0, 1.0, 1.0), 1.0)
@@ -276,6 +279,134 @@ class TestGainCsv:
         text = f"v,k1,k2,dt\n5.0,0.9,2.4,0.02\n6.0,0.8,2.2,{dt}\n"
         with pytest.raises(ValueError, match=f"control period {dt} s on gain table line 3"):
             load_gain_csv(io.StringIO(text), params)
+
+
+def linewise_load_gain_csv(fobj, p) -> GainSchedule:
+    """The line-by-line gain-table loader that the shared CSV reader replaced, kept
+    as the oracle, with the reader's message forms: every fault of the reader (a
+    repeated column, cell counts, numbers, finite cells) is found in file order
+    before the table's own dt and speed rules, which then go row by row."""
+    rows, where = [], []   # the rows, and "gain table line N ('text')" of each
+    header = None
+    for lineno, line in enumerate(fobj, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = [c.strip() for c in cells]
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise ValueError(f"gain table line {lineno} ({line!r}) has the column "
+                                     f"{name!r} twice")
+            n = len(header) - 2
+            if header[0] != "v" or header[-1] != "dt" or n not in (2, 4) or \
+                    header[1 : 1 + n] != [f"k{i + 1}" for i in range(n)]:
+                raise ValueError(f"unexpected gain table header {header!r}")
+            continue
+        at = f"gain table line {lineno} ({line!r})"
+        if len(cells) != len(header):
+            raise ValueError(f"{at} has {len(cells)} cells, the header has {len(header)}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"{at} has a non-numeric cell") from None
+        for name, value in zip(header, row):
+            if not math.isfinite(value):
+                raise ValueError(f"{at} has a non-finite cell ({name})")
+        rows.append(row)
+        where.append(at)
+    if header is None:
+        raise ValueError("gain table is empty")
+    if not rows:
+        raise ValueError("gain table has no data rows")
+    model = "kinematic" if n == 2 else "dynamic"
+    dt = rows[0][-1]
+    for i, (row, at) in enumerate(zip(rows, where)):
+        lqr.check_control_dt(row[-1], f" on {at}")
+        if row[-1] != dt:
+            raise ValueError(f"{at} has dt {row[-1]} after {dt}: the table mixes control periods")
+        if i and not row[0] > rows[i - 1][0]:
+            raise ValueError(f"{at} has speed {row[0]} after {rows[i - 1][0]}: "
+                             "speeds must be ascending")
+    speeds = np.array([row[0] for row in rows])
+    try:
+        gains = certify(model, [row[1:-1] for row in rows], speeds, p, dt)
+    except ValueError:
+        for row, at in zip(rows, where):   # the first row that fails on its own
+            try:
+                certify(model, row[1:-1], row[0], p, dt)
+            except ValueError as e:
+                raise ValueError(f"{at}: {e}") from None
+        raise
+    return GainSchedule(speeds=speeds, gains=gains, dt=dt, model=model, params=p)
+
+
+_TABLE_HEADERS = ["v,k1,k1,dt", "v,k1,k2,dt,dt", "v,k2,k1,dt", "v,k1,k2,k3,k4,dt",
+                  " v , k1,k2 ,dt", "v,k1,k2,k3,k4,dt,v", "dt,k1,k2,v"]
+
+
+@st.composite
+def gain_table_text(draw) -> str:
+    """A designed gain table with up to three edits: an odd or non-finite cell, a
+    short or long row, an out-of-range or mixed dt, descending speeds, gains that
+    fail their certificate, another header, a dropped row, a comment or blank
+    line; joined by one line end."""
+    lines = list(TABLES[draw(st.sampled_from(sorted(TABLES)))])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["odd", "nonfinite", "short", "long", "dt", "mixed", "mixed",
+                                     "descend", "unstable", "header", "drop", "comment",
+                                     "blank"]))
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        cells = lines[i].split(",")
+        if kind in ("odd", "nonfinite"):
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(
+                _ODD_CELLS if kind == "odd" else ["nan", "-inf", "1e400", "Infinity"]))
+            lines[i] = ",".join(cells)
+        elif kind in ("short", "long"):
+            lines[i] = ",".join(cells[:-1]) if kind == "short" else lines[i] + ",1.0"
+        elif kind in ("dt", "mixed"):
+            dt = draw(st.sampled_from(["0.5", "0.001", "0.0", "-0.02", "0.05", "0.1", "0.02"]))
+            for j in range(1, len(lines)) if kind == "dt" else [i]:
+                lines[j] = ",".join(lines[j].split(",")[:-1] + [dt])
+        elif kind == "unstable":
+            lines[i] = ",".join(cells[:1] + ["-1.0"] * (len(cells) - 2) + cells[-1:])
+        elif kind == "descend" and 1 <= i < len(lines) - 1:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from(_TABLE_HEADERS))
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind in ("comment", "blank"):
+            lines.insert(i, draw(st.sampled_from(["# note", "  #x,1", "#v,k1,k2,dt"]
+                                                 if kind == "comment" else ["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _loaded(loader, text: str, p):
+    """What a loader makes of the text read in text mode: the schedule's bytes, or
+    the error's type and message."""
+    try:
+        s = loader(io.StringIO(text, newline=None), p)
+    except (ValueError, NumericalError) as e:
+        return type(e).__name__, str(e)
+    return s.model, s.dt, s.speeds.tobytes(), [(g.v, g.dt, g.k.tobytes(), g.closed_loop_radius)
+                                               for g in s.gains]
+
+
+class TestGainTableOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=gain_table_text())
+    def test_matches_linewise_loader(self, params, text):
+        assert _loaded(load_gain_csv, text, params) == \
+            _loaded(linewise_load_gain_csv, text, params)
+
+    @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+    def test_designed_table_loads_as_the_oracle(self, params, model):
+        text = "\n".join(TABLES[model]) + "\n"
+        outcome = _loaded(load_gain_csv, text, params)
+        assert outcome[0] == model and outcome == _loaded(linewise_load_gain_csv, text, params)
 
 
 class TestCertify:

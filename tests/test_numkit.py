@@ -1,6 +1,8 @@
 import io
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,3 +298,97 @@ class TestWriteFloatCsv:
         buf = io.StringIO()
         numkit.write_float_csv(buf, ["b", "x"], [np.array([True, True, False]), [1, 1, 2]])
         assert buf.getvalue() == "b,x\n1.0,1.0\n1.0,1.0\n0.0,2.0\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3,
+               -2.5, 1e16, 1e308, -1e308, 1.7976931348623157e308]
+
+
+def _read_back(table: np.ndarray, extra: str = "") -> np.ndarray:
+    """write_float_csv, then read_csv_table on its text with `extra` appended."""
+    buf = io.StringIO()
+    numkit.write_float_csv(buf, [f"c{j}" for j in range(table.shape[1])], [table])
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        header, data, _ = numkit.read_csv_table(buf.getvalue() + extra, "t.csv", lambda h: None)
+    assert loadtxt.call_count == 1 and header == [f"c{j}" for j in range(table.shape[1])]
+    return data
+
+
+class TestCsvRoundTrip:
+    """write_float_csv -> read_csv_table is bit-exact on numpy's parser and on
+    the row-by-row path, which a `1_0` cell (float() reads it, numpy does not)
+    forces."""
+
+    def test_one_one_zero_cell_forces_the_row_path(self):
+        with pytest.raises(ValueError):
+            np.loadtxt(["1_0,2"], delimiter=",", comments=None)
+        assert float("1_0") == 10.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)
+                        | st.sampled_from(EDGE_FLOATS)))
+    def test_bit_exact_on_both_paths(self, table):
+        assert _read_back(table).tobytes() == table.tobytes()
+        forced = _read_back(table, ",".join(["1_0"] * table.shape[1]) + "\n")
+        assert forced[:-1].tobytes() == table.tobytes() and np.all(forced[-1] == 10.0)
+
+    def test_edge_floats(self):
+        table = np.array(EDGE_FLOATS).reshape(-1, 1) * np.array([1.0, -1.0])
+        assert _read_back(table).tobytes() == table.tobytes()
+        assert _read_back(table, "1_0,1_0\n")[:-1].tobytes() == table.tobytes()
+
+
+class TestReadInput:
+    def test_line_ends_read_as_text_mode_reads_them(self, tmp_path):
+        file = tmp_path / "a.csv"
+        file.write_bytes(b"a\r\nb\rc\nd\x0be\x1cf\xc2\x85g\xe2\x80\xa8h")
+        assert numkit.read_input(file) == "a\nb\nc\nd\x0be\x1cf\x85g\u2028h"
+
+    @pytest.mark.parametrize("make", ["missing", "directory", "not utf-8"])
+    def test_unreadable_file_names_the_path(self, tmp_path, make):
+        file = tmp_path / "in.csv"
+        if make == "directory":
+            file.mkdir()
+        elif make == "not utf-8":
+            file.write_bytes(b"t,X\n1,\xff\n")
+        with pytest.raises(ValueError, match=f"^cannot read {re.escape(str(file))}: "):
+            numkit.read_input(file)
+
+
+class TestReadCsvTable:
+    @pytest.mark.parametrize("text, message", [
+        ("", "t.csv is empty"),
+        ("# only\n\n  \n", "t.csv is empty"),
+        ("a,b\n# none\n", "t.csv has no data rows"),
+        ("# c\na, b ,a\n1,2,3\n", "t.csv line 2 ('a, b ,a') has the column 'a' twice"),
+        ("a,b\n1,nan\nx,1\n", "t.csv line 2 ('1,nan') has a non-finite cell (b)"),
+        ("a,b\n1,2\n\n1\n1,nan\n", "t.csv line 4 ('1') has 1 cells, the header has 2"),
+        ("a,b\n1,2\n1,\x1f2\n", "t.csv line 3 ('1,\\x1f2') has a non-numeric cell"),
+    ])
+    def test_first_fault_in_file_order(self, text, message):
+        with pytest.raises(ValueError) as e:
+            numkit.read_csv_table(text, "t.csv", lambda h: None)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("cell", ["{}2", "2{}", "2{}5"])
+    def test_ascii_separators_are_cell_text(self, sep, cell):
+        # numpy's parser strips them around a cell and float() does not, and
+        # text mode does not end a line at them (str.splitlines() does); a
+        # line's own ends are stripped like any whitespace
+        text = "a,b,c\n1,2,3\n1," + cell.format(sep) + ",3\n"
+        with pytest.raises(ValueError, match=r"^t\.csv line 3 \(.*\) has a non-numeric cell$"):
+            numkit.read_csv_table(text, "t.csv", lambda h: None)
+
+    def test_header_rule_runs_before_any_row(self):
+        def rule(header):
+            raise ValueError(f"bad header {header}")
+
+        with pytest.raises(ValueError, match=r"bad header \['a', 'b'\]"):
+            numkit.read_csv_table("a,b\n1\n", "t.csv", rule)
+
+    def test_at_names_the_file_line_of_a_data_row(self):
+        _, data, at = numkit.read_csv_table("# c\nv,w\n\n1,2\n3,4\n", "t.csv", lambda h: None)
+        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert (at(0), at(1)) == ("t.csv line 4 ('1,2')", "t.csv line 5 ('3,4')")

@@ -527,44 +527,54 @@ class TestLoadRecorded:
 def rowwise_read_recorded_csv(path) -> dict[str, np.ndarray]:
     """The row-by-row recorded-log reader that numpy's parser replaced, kept as the oracle."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+        # read_text reads line ends as text mode does; a line ends at \n only
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from e
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1)
+            if ln.strip() and not ln.strip().startswith("#")]
     if not rows:
-        raise ValueError(f"{path}: empty log")
-    header = [c.strip() for c in rows[0].split(",")]
+        raise ValueError(f"{path} is empty")
+    header = [c.strip() for c in rows[0][1].split(",")]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"{path} line {rows[0][0]} ({rows[0][1]!r}) has the column "
+                             f"{name!r} twice")
     unknown = set(header) - set(RECORDED_COLUMNS)
     if unknown:
         raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
     for col in ("t", "X", "Y", "psi"):
         if col not in header:
             raise ValueError(f"{path}: missing required channel '{col}'")
+    if len(rows) == 1:
+        raise ValueError(f"{path} has no data rows")
     data = []
-    for ln in rows[1:]:
+    for n, ln in rows[1:]:
+        at = f"{path} line {n} ({ln!r})"
         cells = ln.split(",")
         if len(cells) != len(header):
-            raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
+            raise ValueError(f"{at} has {len(cells)} cells, the header has {len(header)}")
         try:
             data.append([float(c) for c in cells])
-        except ValueError as e:
-            raise ValueError(f"{path}: non-numeric cell ({e})") from e
-    if not data:
-        raise ValueError(f"{path}: no data rows")
+        except ValueError:
+            raise ValueError(f"{at} has a non-numeric cell") from None
+        for name, value in zip(header, data[-1]):
+            if not math.isfinite(value):
+                raise ValueError(f"{at} has a non-finite cell ({name})")
     arr = np.asarray(data)
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        raise ValueError(f"{path}: non-finite {header[bad[0][1]]} in data row {bad[0][0] + 1}")
     return {name: arr[:, i] for i, name in enumerate(header)}
 
 
 # cells numpy's parser and float() might read differently: spaces, underscores,
-# non-ASCII digits and spaces, the ASCII separators, signs, specials, garbage
+# non-ASCII digits and spaces, the ASCII separators, signs, specials, garbage;
+# and characters where str.splitlines() splits a line and text mode does not
 _ODD_CELLS = ["", " ", " 1.5", "2.5 ", "\t3", "1_0", "\u0661\u0662", "\uff11", "\u20071",
               "1\x1f", "\x1f1", "\x0c1", "+1", "-0.0", "1.", ".5", "1e", "1e5", "1E-3",
-              "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "1,5", "#", "1#2", '"1"']
+              "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "1,5", "#", "1#2", '"1"',
+              "1\x0b2", "1\x1c", "\x1e#", "\x85", "1\u2028", "\u20292"]
 _HEADERS = ["t,X,Y,psi", "t,X,Y,psi,yaw_rate,speed,steer", " t , X ,Y,psi,speed",
-            "psi,t,Y,X,steer"] * 3 + ["t,X,Y", "t,X,Y,psi,altitude", "t,X,Y,psi,speed,"]
+            "psi,t,Y,X,steer"] * 3 + ["t,X,Y", "t,X,Y,psi,altitude", "t,X,Y,psi,speed,",
+                                      "t,X,Y,psi,t", "t,X,Y,psi,speed, speed"]
 
 
 @st.composite
@@ -592,7 +602,8 @@ def recorded_log_text(draw) -> str:
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
     if draw(st.booleans()):
         lines.insert(0, "# steerkit log")
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + \
+        draw(st.sampled_from(["", "\n"]))
 
 
 def _outcome(reader, file: Path):
