@@ -29,8 +29,10 @@ difference in:
     except `manifest.json`, which records per-run paths.
 For each artifact whose sha256 differs, the DIFF line also gives the
 largest absolute and relative difference over its numeric cells (a CSV,
-cell by cell) or numeric leaves (a JSON file, leaf by leaf); the summary
-line gives the largest of those over every differing artifact.
+cell by cell) or numeric leaves (a JSON file, leaf by leaf), and for a CSV
+the first and last data row (0 for the first row after the header) with a
+differing cell; the summary line gives the largest differences over every
+differing artifact.
 """
 
 from __future__ import annotations
@@ -115,10 +117,11 @@ def _numbers(path: Path) -> dict | None:
     return None
 
 
-def _numeric_diff(old: Path, new: Path) -> tuple[float, float] | None:
+def _numeric_diff(old: Path, new: Path) -> tuple[float, float, str] | None:
     """(largest absolute, largest relative) difference over the numeric
-    entries both files hold at the same place; None when a file is neither
-    CSV nor JSON or the two hold numbers at different places."""
+    entries both files hold at the same place, and for a CSV the data rows
+    from the first to the last that differ ("" for a JSON file); None when a
+    file is neither CSV nor JSON or the two hold numbers at different places."""
     a, b = _numbers(old), _numbers(new)
     if a is None or b is None or a.keys() != b.keys() or not a:
         return None
@@ -130,7 +133,11 @@ def _numeric_diff(old: Path, new: Path) -> tuple[float, float] | None:
         rel = np.where(same, 0.0, diff / np.where(scale > 0, scale, 1.0))
     diff[np.isnan(diff)] = np.inf
     rel[np.isnan(rel)] = np.inf
-    return float(diff.max()), float(rel.max())
+    rows = ""
+    if old.suffix == ".csv" and not same.all():
+        differ = [i - 1 for (i, _), s in zip(a, same.tolist()) if not s]   # row 0: the header
+        rows = f"; data rows {min(differ)} to {max(differ)} differ"
+    return float(diff.max()), float(rel.max()), rows
 
 
 def _src_lines(root: Path) -> int:
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
                 continue
             largest = [max(largest[0], nums[0]), max(largest[1], nums[1])]
             failures.append(f"{key}: {name} differs (largest difference {nums[0]:.3g} "
-                            f"absolute, {nums[1]:.3g} relative)")
+                            f"absolute, {nums[1]:.3g} relative{nums[2]})")
         artifacts += len(a)
     for line in failures:
         print(f"DIFF {line}")

@@ -35,6 +35,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import threading
 from collections import Counter
@@ -77,10 +78,15 @@ def _require(cond: bool, msg: str) -> None:
 
 def _read_json(path: Path) -> dict:
     """The one reader of JSON files: configs, vehicle files and manifests."""
-    data = _json(read_input(path), path)
-    _require(isinstance(data, dict), f"{path}: top level must be a JSON object")
-    _require(data.get("schema_version") == SCHEMA_VERSION, f"{path}: schema_version must be "
-             f"{SCHEMA_VERSION}, got {data.get('schema_version')!r}")
+    return _checked(_json(read_input(path), path), path)
+
+
+def _checked(data, source) -> dict:
+    """data, a JSON object of this schema version from a file or a --sweep."""
+    _require(isinstance(data, dict), f"{source}: top level must be a JSON object")
+    version = data.get("schema_version")
+    _require(version == SCHEMA_VERSION and not isinstance(version, bool),
+             f"{source}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
     return data
 
 
@@ -212,9 +218,12 @@ class OutputDir:
     def verify(self, input_path: Path) -> str:
         mpath = self.root / "manifest.json"
         manifest = _read_json(mpath)
+        artifacts = manifest.get("artifacts", [])
+        _require(isinstance(artifacts, list) and all(isinstance(a, str) for a in artifacts),
+                 f"{mpath}: artifacts must be a list of file names")
         _require(manifest.get("input_sha256") == _sha256(input_path),
                  f"config drift detected: {input_path} no longer matches manifest")
-        missing = [a for a in manifest.get("artifacts", []) if not (self.root / a).exists()]
+        missing = [a for a in artifacts if not (self.root / a).exists()]
         _require(not missing, f"manifest artifacts missing: {missing}")
         return f"manifest verified: {mpath}"
 
@@ -401,7 +410,11 @@ def _set_dotted(cfg: dict, key: str, value) -> None:
 
 
 def _sweep_member(member: tuple) -> None:
-    _run_one_simulation(*member)
+    """Run one sweep member; an input error names the member's --sweep value."""
+    try:
+        _run_one_simulation(*member[:3])
+    except (ValueError, KeyError, IndexError) as e:
+        raise ConfigError(f"{member[3]}: {e}") from e
 
 
 def _sweep_worker() -> None:
@@ -448,10 +461,18 @@ def cmd_simulate(args, out: OutputDir) -> str:
     for i, (raw, val) in enumerate(values):
         sub = json.loads(json.dumps(cfg))
         _set_dotted(sub, key, val)
+        _checked(sub, f"{config_path} with --sweep {key}={raw}")
         name = f"{i:02d}_{key.replace('.', '_')}_{raw}".replace("/", "_").replace(" ", "")
-        members.append((sub, config_path, OutputDir(out.root / name)))
-    _run_sweep(members)
-    for _, _, member_out in members:
+        members.append((sub, config_path, OutputDir(out.root / name), f"--sweep {key}={raw}"))
+    made = [out.root] if not out.root.exists() else \
+        [m.root for _, _, m, _ in members if not m.root.exists()]
+    try:
+        _run_sweep(members)
+    except BaseException:   # a failed sweep leaves no directory it made
+        for d in made:
+            shutil.rmtree(d, ignore_errors=True)
+        raise
+    for _, _, member_out, _ in members:
         out.path(f"{member_out.root.name}/manifest.json")
     out.manifest("simulate-sweep", config_path,
                  _number(cfg.get("seed", simkit.ScenarioConfig.seed), "seed", integer=True))

@@ -33,7 +33,7 @@ _TOKEN = 8  # bytes of one signed little-endian token
 
 
 class ForkedLog:
-    """Row tables whose final rows a forked child formats; one child at a time."""
+    """A run's row table, whose final rows a forked child formats."""
 
     def __init__(self):
         self.pid = None

@@ -1,13 +1,13 @@
-"""Exact batch projection of a run's poses onto a path.
+"""Exact batch projection of poses onto a path.
 
-`project_run` gives, for a run of consecutive poses, what `pathkit.project`
-gives pose by pose with each pose's memory taken from the previous foot,
-to the bit.  The simulator projects the steps whose projection only its
-log reads through it, in blocks; its distance tables replace one numpy
-call per pose.  It is a module of its own because, without a bytecode
-cache, the interpreter compiles each imported module whole, and the
-memory that takes grows with the module: in `pathkit` this code raised
-the peak resident set of every command by about 0.4 MB.
+`project_run` gives, for poses that each carry their own search memory,
+what `pathkit.project` gives pose by pose, to the bit.  The simulator
+projects the steps whose projection only its log reads through it, in
+blocks; its distance tables replace one numpy call per pose.  It is a
+module of its own because, without a bytecode cache, the interpreter
+compiles each imported module whole, and the memory that takes grows with
+the module: in `pathkit` this code raised the peak resident set of every
+command by about 0.4 MB.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import SimulationError
 from .models import Pose
-from .pathkit import PROJECT_HORIZON, PROJECT_WINDOW, RefPath, _lost, _memory, _window, project
+from .pathkit import PROJECT_HORIZON, PROJECT_WINDOW, RefPath, _lost, _memory, project
 
 RUN_TABLE_CELLS = 1 << 15   # float64 cells of one project_run distance table: 256 KiB
 
@@ -66,37 +66,28 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
 
 
 def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
-                prev_s: float) -> tuple[np.ndarray, SimulationError | None]:
-    """Project the consecutive poses (x, y, psi) of one run, each with the
-    previous pose's foot as its memory (prev_s, the foot before the run,
-    for the first), which project wraps on a closed path.
+                prev_s: np.ndarray) -> tuple[np.ndarray, SimulationError | None]:
+    """Project the poses (x, y, psi), each with its own memory prev_s[r].
 
     Returns the (4, m) array of rows s, e_y, e_psi, kappa that project gives
-    pose by pose, and None; or, when pose m is lost, the rows before it and
-    that pose's SimulationError.  The nearest samples come from distance
-    tables over chunks of poses, each over a sample range meant to hold
-    the chunk's windows; a pose beyond the horizon from its nearest sample
-    there is lost, and only the poses before the first lost one get feet.
-    Each pose up to that one then checks, in order, that the window of its
-    predecessor's foot lies inside its chunk's range and holds its nearest
-    sample; from the first pose that fails, project runs pose by pose.
-    """
-    s_list = path._lists[0]
-    rows, n = len(x), len(s_list)
-    travel = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
-    i = np.empty(rows, dtype=np.intp)
-    near = np.empty(rows)
-    bounds = np.empty((2, rows), dtype=np.intp)
-    r, ahead = 0, prev_s
+    pose by pose, and None; or, when pose m is the first lost one, the rows
+    before it and that pose's SimulationError.  The nearest samples come
+    from distance tables over chunks of poses, each over the union of its
+    poses' windows in at most RUN_TABLE_CELLS cells (one pose at least).  A
+    pose whose nearest sample there lies outside its own window is
+    projected by project alone."""
+    rows, n = len(x), len(path)
+    mems = _memory(path, prev_s)
+    w_lo = np.maximum(np.searchsorted(path.s, mems - 0.2 * PROJECT_WINDOW) - 1, 0)
+    w_hi = np.minimum(np.searchsorted(path.s, mems + PROJECT_WINDOW) + 2, n)
+    i, near = np.empty(rows, dtype=np.intp), np.empty(rows)
+    r = 0
     while r < rows:
-        # a chunk's range: the windows of memories from 1 m behind its anchor
-        # (prev_s, then the sample nearest the previous chunk's last pose) to
-        # 1 m plus 1.5 times its poses' travel ahead, in RUN_TABLE_CELLS cells
-        mem = _memory(path, ahead)
-        lo = _window(s_list, mem - 1.0)[0]
-        widest = _window(s_list, mem + 1.0 + 1.5 * (travel[-1] - travel[r]))[1] - lo
-        end = min(rows, r + max(1, RUN_TABLE_CELLS // widest))
-        hi = _window(s_list, mem + 1.0 + 1.5 * (travel[end - 1] - travel[r]))[1]
+        # the longest chunk from r whose windows' union fits the table
+        lo = np.minimum.accumulate(w_lo[r:r + RUN_TABLE_CELLS])
+        hi = np.maximum.accumulate(w_hi[r:r + RUN_TABLE_CELLS])
+        c = max(1, np.count_nonzero((hi - lo) * np.arange(1, len(lo) + 1) <= RUN_TABLE_CELLS))
+        lo, hi, end = lo[c - 1], hi[c - 1], r + c
         d2 = path.x[lo:hi] - x[r:end, None]
         dy = path.y[lo:hi] - y[r:end, None]
         with np.errstate(over="ignore"):   # inf past the float range: lost
@@ -104,32 +95,21 @@ def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
             dy *= dy
             d2 += dy
         k = d2.argmin(axis=1)
-        near[r:end] = d2[np.arange(end - r), k]
+        near[r:end] = d2[np.arange(c), k]
         i[r:end] = k + lo
-        bounds[:, r:end] = ((lo,), (hi,))
-        ahead = s_list[lo + k[-1]]
         r = end
-    lost = np.flatnonzero(np.sqrt(near) > PROJECT_HORIZON)
+    own = (w_lo <= i) & (i < w_hi)
+    lost = np.flatnonzero(own & (np.sqrt(near) > PROJECT_HORIZON))
     m = int(lost[0]) if len(lost) else rows
-    feet = np.empty((4, rows))
-    feet[:, :m] = _feet(path, i[:m], x[:m], y[:m], psi[:m])
-    # the memories of the poses up to the first lost one
-    mems = _memory(path, np.concatenate(((prev_s,), feet[0, :m])))[:rows]
-    c = len(mems)
-    w_lo = np.maximum(np.searchsorted(path.s, mems - 0.2 * PROJECT_WINDOW) - 1, 0)
-    w_hi = np.minimum(np.searchsorted(path.s, mems + PROJECT_WINDOW) + 2, n)
-    exact = (bounds[0, :c] <= w_lo) & (w_hi <= bounds[1, :c]) & (w_lo <= i[:c]) & (i[:c] < w_hi)
-    fails = np.flatnonzero(~exact)
-    if not len(fails):
-        return (feet, None) if m == rows else (feet[:, :m], _lost(float(x[m]), float(y[m])))
-    # from the first pose whose check fails on, pose by pose
-    r = int(fails[0])
-    prev = float(feet[0, r - 1]) if r else prev_s
-    for xr, yr, psir in zip(x[r:].tolist(), y[r:].tolist(), psi[r:].tolist()):
+    error = _lost(float(x[m]), float(y[m])) if len(lost) else None
+    feet = np.empty((4, m))
+    for r in np.flatnonzero(~own[:m]).tolist():
         try:
-            feet[:, r] = proj = project(path, Pose(xr, yr, psir), prev)
+            feet[:, r] = project(path, Pose(float(x[r]), float(y[r]), float(psi[r])),
+                                 float(prev_s[r]))
         except SimulationError as e:
-            return feet[:, :r], e
-        prev = proj.s
-        r += 1
-    return feet, None
+            m, error = r, e
+            break
+    ok = np.flatnonzero(own[:m])
+    feet[:, ok] = _feet(path, i[ok], x[ok], y[ok], psi[ok])
+    return feet[:, :m], error

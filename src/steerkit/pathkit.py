@@ -25,7 +25,7 @@ MAX_PATH_SAMPLES = 200_000   # samples of one path: 20 km at 0.1 m
 DEFAULT_KAPPA_BOUND = 0.75   # 1/m, ~1/(0.5 L) for a mid-size wheelbase
 HEADING_CONSISTENCY_TOL = 0.05
 PROJECT_HORIZON = 50.0   # m, a pose farther than this from every sample is lost
-PROJECT_WINDOW = 30.0    # m of arc ahead of the previous foot point (a fifth behind)
+PROJECT_WINDOW = 30.0    # m of arc ahead of the search memory (a fifth behind)
 # a smoothing run at speed v designs its gains on 4 speeds from max(FLOOR, v/2)
 # to min(CAP, 1.5 v + 1); that grid ascends, as build_schedule needs, while v/2 < CAP
 SMOOTH_GRID_FLOOR, SMOOTH_GRID_CAP = 0.6, 29.0
@@ -306,12 +306,6 @@ def load_recorded(t, x, y, psi, yaw_rate=None, speed=None, spacing: float = 0.25
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=kappa, strict=False)
 
 
-def _window(s: list[float], prev_s: float) -> tuple[int, int]:
-    """Sample range [lo, hi) that project searches for the memory prev_s."""
-    return (max(0, bisect_left(s, prev_s - 0.2 * PROJECT_WINDOW) - 1),
-            min(len(s), bisect_left(s, prev_s + PROJECT_WINDOW) + 2))
-
-
 def _memory(path: RefPath, prev_s):
     """The search memory of the foot prev_s (a float or an array): on a closed
     path, whose end meets its start, one at or past end_s moves back a lap."""
@@ -323,8 +317,7 @@ def _lost(px: float, py: float) -> SimulationError:
                            "horizon: vehicle lost")
 
 
-def project(path: RefPath, pose: Pose, prev_s: float | None = None,
-            margin: float = 0.0) -> PathProjection | None:
+def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProjection:
     """Project a pose onto the path: foot point, signed lateral and heading error.
 
     The foot point comes from quadratic interpolation of the squared
@@ -332,9 +325,6 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     arc length restricts the search window, preventing backward jumps on
     self-near paths; that memory is caller-owned state, and on a closed
     path one at or past end_s moves back by the path length (_memory).
-    With margin > 0 the memory is only known to lie within prev_s +- margin:
-    the result is the one that every such memory gives, or None where they
-    may differ, as on a closed path once prev_s + margin reaches end_s.
     A pose outside the path's bounding box widened by PROJECT_HORIZON is
     lost at once.  The nearest sample is a numpy argmin over the window;
     everything after it reads the path's float lists.
@@ -345,14 +335,11 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     if px < x_lo or px > x_hi or py < y_lo or py > y_hi:
         raise _lost(px, py)
     n = len(s)
-    if prev_s is None:
-        lo, hi = 0, n
-    elif margin:
-        if path.closed and prev_s + margin >= path.end_s:
-            return None
-        lo, hi = _window(s, prev_s - margin)[0], _window(s, prev_s + margin)[1]
-    else:
-        lo, hi = _window(s, _memory(path, prev_s))
+    lo, hi = 0, n
+    if prev_s is not None:   # the search window of the memory
+        mem = _memory(path, prev_s)
+        lo, hi = (max(0, bisect_left(s, mem - 0.2 * PROJECT_WINDOW) - 1),
+                  min(n, bisect_left(s, mem + PROJECT_WINDOW) + 2))
     # d2 = dx * dx + dy * dy over the window, in place
     d2 = path.x[lo:hi] - px
     d2 *= d2
@@ -361,8 +348,6 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None,
     d2 += dy
     k = int(d2.argmin())
     i = lo + k
-    if margin and not _window(s, prev_s + margin)[0] <= i < _window(s, prev_s - margin)[1]:
-        return None
     if math.sqrt(d2[k]) > PROJECT_HORIZON:
         raise _lost(px, py)
 

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import SimulationError
 from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENTIAL, \
     INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
     feedforward_steer, kf_step
@@ -281,11 +280,6 @@ class _Channel:
         return self.buffer[0] if len(self.buffer) == self.buffer.maxlen else self.initial
 
 
-class _Unverified(Exception):
-    """A read step's projection, taken while its memory was still pending,
-    is not the one the exact memory gives."""
-
-
 def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
                  params: VehicleParams | None = None, writer=None) -> SimLog:
     """Run one closed-loop scenario and return its log.
@@ -304,12 +298,13 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     gains of a run are certified in bulk each time rows are made final (by
     the first read step once BLOCK_ROWS rows are not, and before the run
     ends or raises), and the first one that fails raises as if it had been
-    certified on its own tick.
+    certified on its own tick.  Each step's pose is projected with the foot
+    of the last read step before it as its search memory (`_run`); row 0
+    searches the whole path.
 
     A `writer` (`logfork.ForkedLog`) provides the row table (`table(shape)`)
     and is told, each time rows are made final, that the rows below that
-    watermark are (`publish(k)`), then the log's row count (`finish(n)`); a
-    rerun first abandons the first table (`abort()`).
+    watermark are (`publish(k)`), then the log's row count (`finish(n)`).
     """
     p = params if params is not None else VehicleParams()
     if not abs(cfg.initial_steer) <= p.max_steer:
@@ -322,32 +317,23 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     if gains.dt != cfg.control_dt:   # its off-grid gains are certified at gains.dt
         raise ValueError(f"gain schedule has dt {gains.dt} s, the scenario's control_dt is "
                          f"{cfg.control_dt} s")
-    try:
-        log = _run(cfg, gains, p, True, writer)
-    except _Unverified:
-        if writer is not None:
-            writer.abort()
-        log = _run(cfg, gains, p, False, writer)
+    log = _run(cfg, gains, p, writer)
     if writer is not None:
         writer.finish(len(log))
     return log
 
 
-def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: bool,
-         writer) -> SimLog:
+def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> SimLog:
     """run_scenario's loop.  Every read step, where the controller runs or
-    the heading or lateral channel samples, projects its pose at once; when
-    `deferred` the other steps' projections, which only the log reads, wait
-    in the row table.  One watermark, `done`, marks the rows that are final,
-    and flush(end) alone moves it: one `pathbatch.project_run` call projects
-    the waiting rows, the queued off-grid gains are certified in one stacked
-    call, and the writer is told.  A read step after waiting rows projects
-    with a margin around a memory it cannot know yet and is checked against
-    the exact projection when its rows are flushed; a run that fails that
-    check raises _Unverified.  A read step flushes when BLOCK_ROWS rows are
-    not final, and when its margin projection is undecided, as it is where
-    a closed path's end meets its start; the end of the run and every error
-    flush first, so that stops and errors come in step order."""
+    the heading or lateral channel samples, projects its pose at once; the
+    other steps' projections, which only the log reads, wait in the row
+    table.  Every step's memory is the foot of the last read step before
+    it.  One watermark, `done`, marks the rows that are final, and
+    flush(end) alone moves it: one `pathbatch.project_run` call projects the
+    waiting rows, the queued off-grid gains are certified in one stacked
+    call, and the writer is told.  The first read step once BLOCK_ROWS rows
+    are not final flushes; the end of the run and every error flush first,
+    so that stops and errors come in step order."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -406,13 +392,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
 
     # read steps: every step where a projection feeds the loop; rows wait
     # only between read steps more than one step apart
-    read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every) \
-        if deferred else 1
-    # how far the foot may move between read steps, with slack: the margin
-    # of a read step's memory
-    reach = 1.0 + 2.0 * speeds.max().item() * sim_dt * read_every
+    read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every)
     done = 1                # rows below done are final; row 0 is projected at once
-    last_s = proj.s         # foot of the newest read row
     written = -1
     ticks = []              # (step, v, k) of the interpolated gains not yet certified
     queued_v = math.nan     # the speed of the last one queued
@@ -429,25 +410,20 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
         del ticks[:len(todo)]
 
     def flush(end: int) -> SimLog | None:
-        """Make rows [done, end) final.  Project the waiting rows from the
-        foot of the row before them, check the read rows among them against
-        the projections the loop used, fill their projection columns, and
-        certify the ticks before the first row that reaches the path end or
-        is lost, or else before end.  Then return the log ended at that
-        path-end row, raise the lost row's SimulationError, or publish end.
-        One that raises leaves `done` and the failing tick, so called again
-        it raises the same error."""
+        """Make rows [done, end) final.  Project the waiting rows, each from
+        the foot of the last read row before it, fill their projection
+        columns, and certify the ticks before the first row that reaches the
+        path end or is lost, or else before end.  Then return the log ended
+        at that path-end row, raise the lost row's SimulationError, or
+        publish end.  One that raises leaves `done` and the failing tick, so
+        called again it raises the same error."""
         nonlocal done
         a = done if read_every > 1 else end   # no row waits for a projection
         blk = rows[a:end]
         feet, lost = project_run(path, *blk[:, 1:4].T,   # x, y, psi
-                                 rows[a - 1, _S].item())
+                                 rows[np.arange(a - 1, end - 1) // read_every * read_every, _S])
         ends = np.flatnonzero(feet[0] >= end_s)
         m = int(ends[0]) + 1 if len(ends) else feet.shape[1]
-        reads = slice(-a % read_every, m, read_every)
-        if not np.array_equal(blk[reads][:, _PROJ].view(np.uint64),
-                              feet[:, reads].T.view(np.uint64)):
-            raise _Unverified
         blk = blk[:m]
         blk[:, _PROJ] = feet[:, :m].T
         with np.errstate(over="ignore", invalid="ignore"):   # as a read row's float arithmetic
@@ -555,22 +531,12 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, deferred: b
             proj = None
             if nxt % read_every:
                 continue
-            pose = Pose(state[0], state[1], state[2])
-            if read_every > 1 and nxt - done < BLOCK_ROWS:
-                try:
-                    proj = project(path, pose, prev_s=last_s, margin=reach)
-                except SimulationError:
-                    pass
-            if proj is None:
-                if read_every > 1 or nxt - done >= BLOCK_ROWS:
-                    log = flush(nxt)
-                    if log is not None:
-                        return log
-                    last_s = rows[step, _S].item()
-                proj = project(path, pose, prev_s=last_s)
-            last_s = proj.s
-    except _Unverified:   # run_scenario redoes the run whole, with a fresh queue
-        raise
+            if nxt - done >= BLOCK_ROWS:
+                log = flush(nxt)
+                if log is not None:
+                    return log
+            proj = project(path, Pose(state[0], state[1], state[2]),
+                           prev_s=rows[nxt - read_every, _S].item())
     except Exception:
         # the rows before the error are made final first: one of them may end
         # the run or be lost, or a queued gain fail; then the failing step's

