@@ -8,10 +8,11 @@ the designer rejects, from `design` and a `simulate` config alike).
 
 Flags are typed when parsed: `--dt` must lie in lqr.CONTROL_DT_RANGE
 (0.001 < dt <= 0.1 s; a config that designs its gains is held to it too),
-speeds must be positive and finite, `--points` an integer >= 2 and
-`--grid` speeds finite.  Every number in a config file is a JSON number
-(never a bool, null or string), an integer where one is meant (seed,
-grid count, delay_steps); anything else is exit 3 naming the key.
+speeds must be positive and finite, `--points` an integer in
+[2, margins.MAX_GRID_POINTS] and `--grid` speeds finite.  Every number in
+a config file is a JSON number (never a bool, null or string), an integer
+where one is meant (seed, grid count, delay_steps); anything else is exit 3
+naming the key.  An output directory that cannot be made is exit 3 too.
 
 `simulate --sweep` runs its members in forked worker processes where there
 are several usable CPUs (`_run_sweep`); the artifacts are those of a serial run.
@@ -187,9 +188,13 @@ class OutputDir:
         self.artifacts: list[str] = []
 
     def path(self, name: str) -> Path:
-        """Record artifact `name` (relative to the root) and return its path, parent made."""
+        """Record artifact `name` (relative to the root) and return its path,
+        parent made; a parent that cannot be made is an input error naming it."""
         file = self.root / name
-        file.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            file.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot write {file}: {e}") from e
         self.artifacts.append(name)
         return file
 

@@ -148,29 +148,3 @@ def curvature_series(t, steer, psi, yaw_rate, speed, wheelbase: float):
         fused[i] = kappa
     return ka, kd, fused
 
-
-def kf_steady_state_variance(q_step: float, variances: tuple[float, ...]) -> float:
-    """Closed-form steady-state posterior variance of the scalar filter.
-
-    q_step is the per-cycle process noise (q_process * dt); variances are
-    the per-cycle measurement variances applied sequentially.  Solves the
-    fixed point p = update(p + q_step) by bisection; used as the
-    independent oracle for the fusion tests.
-    """
-    if q_step <= 0 or any(r <= 0 for r in variances):
-        raise ValueError("noise parameters must be positive")
-
-    def cycle(p: float) -> float:
-        p = p + q_step
-        for r in variances:
-            p = p * r / (p + r)
-        return p
-
-    lo, hi = 0.0, q_step + max(variances)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cycle(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

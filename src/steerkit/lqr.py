@@ -185,8 +185,8 @@ class GainSchedule:
     On and outside the grid the designed gains apply (outside, the end
     ones, unchanged); between grid points the gain entries are
     interpolated.  `gain` gives that gain as it is, an interpolated one not
-    yet certified; `lookup` certifies an interpolated gain against the model
-    at its speed.  A non-finite speed is a ValueError.
+    yet certified: a run certifies the rows it uses with `certify`, in bulk.
+    A non-finite speed is a ValueError.
     """
 
     speeds: np.ndarray
@@ -211,12 +211,6 @@ class GainSchedule:
             return self.gains[i]
         a = (v - s[i]) / (s[i + 1] - s[i])
         return self.gains[i].k + a * (self.gains[i + 1].k - self.gains[i].k)
-
-    def lookup(self, v: float) -> GainSet:
-        gain = self.gain(v)
-        if isinstance(gain, GainSet):
-            return gain
-        return certify(self.model, gain, float(v), self.params, self.dt)
 
 
 def build_schedule(speeds, designer: str, p: VehicleParams, w: LqrWeights,

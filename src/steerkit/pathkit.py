@@ -129,12 +129,6 @@ def _lateral_profile(kind: str, xs: np.ndarray, length: float, offset: float):
     return y, dy, ddy
 
 
-def profile_curvature(kind: str, x: np.ndarray, length: float, offset: float) -> np.ndarray:
-    """Analytic curvature of a lateral-profile path at longitudinal positions x."""
-    _, dy, ddy = _lateral_profile(kind, np.asarray(x, dtype=float), length, offset)
-    return ddy / (1.0 + dy**2) ** 1.5
-
-
 def _check_samples(what: str, length: float, spacing: float) -> None:
     """Raise ValueError unless `length` m at `spacing` m, a finite span, takes
     at most MAX_PATH_SAMPLES samples."""
@@ -464,6 +458,16 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
     if not 0.0 < v < SMOOTH_SPEED_LIMIT:
         raise ValueError(f"smoothing speed must be in (0, {SMOOTH_SPEED_LIMIT:g}) m/s, got {v}")
     ref = _condition_for_tracking(path, min(12.0, max(1.0, 40.0 * position_noise_estimate(path))))
+    t_end = 1.2 * ref.length / v + 30.0
+    sim_dt, budget = simkit.ScenarioConfig.sim_dt, simkit.MAX_LOG_ROWS
+    ratio = t_end / sim_dt
+    if not ratio < math.inf or round(ratio) + 1 > budget:   # rows as ScenarioConfig counts them
+        slowest = 1.2 * ref.length / ((budget - 1) * sim_dt - 30.0)
+        step = 10.0 ** (math.floor(math.log10(slowest)) - 3)
+        slowest = math.ceil(slowest / step) * step   # rounded up to 4 digits
+        raise ValueError(f"smoothing speed {v:g} m/s is too slow for the {ref.length:.1f} m "
+                         f"path it tracks: the run would log more than the budget of "
+                         f"{budget:,} rows; the slowest speed it allows is {slowest:.4g} m/s")
     grid = np.linspace(max(SMOOTH_GRID_FLOOR, 0.5 * v), min(SMOOTH_GRID_CAP, 1.5 * v + 1.0), 4)
     # deliberately soft loop: the vehicle must not follow what noise remains
     # after conditioning, so high control weight and a slow linear actuator
@@ -474,7 +478,7 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
         model="kinematic",
         controller="kinematic_ff_fb",
         speed=v,
-        t_end=1.2 * ref.length / v + 30.0,
+        t_end=t_end,
         initial_offset=(0.0, 0.0),
         initial_steer=float(np.clip(math.atan(ref.kappa[0] * p.wheelbase),
                                     -p.max_steer, p.max_steer)),

@@ -813,6 +813,11 @@ class TestExitCodes:
         (["margins", SEDAN, "--speed", "10", "--points", "100000000000"], "--points"),
         (["smooth", PARKING_PATH, "--speed", "nan"], "--speed"),
         (["smooth", PARKING_PATH, "--speed", "inf"], "--speed"),
+        # the smoothing run lasts 1.2 L / v + 30 s: the speed is the cause, not t_end
+        (["smooth", PARKING_PATH, "--speed", "0.001"], "smoothing speed 0.001 m/s is too slow "
+         "for the 28.9 m path it tracks: the run would log more than the budget of 5,000,000 "
+         "rows; the slowest speed it allows is 0.006974 m/s"),
+        (["smooth", PARKING_PATH, "--speed", "1e-300"], "smoothing speed 1e-300 m/s is too slow"),
     ])
     def test_bad_flag_exit_3(self, tmp_path, capsys, argv, named):
         out = tmp_path / "o"
@@ -1121,3 +1126,40 @@ class TestInputFiles:
                        encoding="utf-8")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert f"{cfg}: malformed JSON" in capsys.readouterr().err
+
+
+class TestOutputDirs:
+    """An output directory that cannot be made is exit 3 naming the path: no
+    traceback, no directory made and no forked child left."""
+
+    @pytest.mark.parametrize("argv, env, written", [
+        (["margins", SEDAN, "--speed", "10", "--out", "afile"], None, "afile/bode.csv"),
+        (["design", SEDAN], "afile", "afile/design/gains.csv"),
+        (["simulate", str(CONFIGS / "circle_10ms.json"), "--out", "afile/y"], None,
+         "afile/y/log.csv"),
+    ])
+    def test_a_file_in_the_way(self, tmp_path, monkeypatch, capsys, forks, argv, env, written):
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("STEERKIT_OUT", env)
+        _usable_cpus(monkeypatch, 2)
+        Path("afile").write_text("kept", encoding="utf-8")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {written}: " in err and "Traceback" not in err
+        assert forks.all_reaped()
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert Path("afile").read_text(encoding="utf-8") == "kept"
+
+    def test_a_sweep_member_name_too_long(self, tmp_path, capsys, forks, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        zeros = "0." + "0" * 300
+        out = tmp_path / "o"
+        assert main(["simulate", str(CONFIGS / "parking.json"), "--out", str(out),
+                     "--sweep", f"initial_offset.0={zeros}"]) == 3
+        err = capsys.readouterr().err
+        member = out / f"00_initial_offset_0_{zeros}"
+        assert err.startswith(f"steerkit: --sweep initial_offset.0={zeros}: cannot write {member}")
+        assert "Traceback" not in err
+        assert forks.all_reaped()
+        assert not out.exists()

