@@ -12,7 +12,7 @@ speeds must be positive and finite, `--points` an integer in
 [2, margins.MAX_GRID_POINTS] and `--grid` speeds finite.  Every number in
 a config file is a JSON number (never a bool, null or string), an integer
 where one is meant (seed, grid count, delay_steps); anything else is exit 3
-naming the key.  An output directory that cannot be made is exit 3 too.
+naming the key.  An artifact that cannot be written is exit 3 naming it.
 
 `simulate --sweep` runs its members in forked worker processes where there
 are several usable CPUs (`_run_sweep`); the artifacts are those of a serial run.
@@ -20,16 +20,18 @@ Outside a sweep worker, `simulate` may format log.csv in a forked child
 while the run goes on (`_log_writer` says where, `logfork` how); a child
 that fails leaves the log to be formatted serially, with the same bytes.
 
-Every successful command writes its artifacts through one OutputDir, whose
+Every command writes its artifacts through one OutputDir, whose
 manifest.json records the tool version, the sha256 of the primary input
-and exactly the artifacts written.  Re-running with --verify checks the
-stored hash against the input and flags drift.  STEERKIT_OUT overrides
-the default output root.
+and exactly the artifacts written; a command that fails removes the
+directories it made.  Re-running with --verify checks the stored hash
+against the input and flags drift, and makes nothing.  STEERKIT_OUT
+overrides the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -179,34 +181,51 @@ def _designed(designer, *args, **kwargs):
         raise NumericalError(f"design failed: {e}") from e
 
 
-class OutputDir:
-    """One command's output directory.  Every artifact is written through it
-    and recorded, and manifest.json lists exactly the recorded artifacts."""
+class OutputDir(contextlib.AbstractContextManager):
+    """One command's output directory: the only code that makes a directory or
+    opens an artifact for writing, as UTF-8 text with \\n line ends; an OSError
+    on the way is a ConfigError "cannot write <path>" (`_failing`).  Each
+    artifact is recorded once, where first recorded; manifest.json lists those
+    recorded before it.  A failed `with` block removes the directories made."""
 
     def __init__(self, root: Path):
         self.root = root
         self.artifacts: list[str] = []
+        self.made: list[Path] = []
 
-    def path(self, name: str) -> Path:
-        """Record artifact `name` (relative to the root) and return its path,
-        parent made; a parent that cannot be made is an input error naming it."""
-        file = self.root / name
-        try:
-            file.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"cannot write {file}: {e}") from e
-        self.artifacts.append(name)
+    def __exit__(self, kind, *_) -> None:
+        for d in self.made if kind else ():
+            shutil.rmtree(d, ignore_errors=True)
+
+    def record(self, name: str) -> Path:
+        """Record artifact `name` and make its directory; its path."""
+        self.artifacts += [] if name in self.artifacts else [name]
+        with _failing(self.root / name) as file:
+            self._make(file.parent)
         return file
 
+    @contextlib.contextmanager
     def open(self, name: str):
-        return _text_file(self.path(name))
+        """Artifact `name`, recorded and open for writing."""
+        with _failing(self.record(name)) as file, \
+                open(file, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+
+    def write(self, name: str, text: str) -> None:
+        with self.open(name) as f:
+            f.write(text)
 
     def json(self, name: str, payload: dict) -> None:
-        with self.open(name) as f:
-            f.write(json.dumps(payload, indent=2) + "\n")
+        self.write(name, json.dumps(payload, indent=2) + "\n")
+
+    def _make(self, d: Path) -> None:
+        if not d.is_dir():
+            self._make(d.parent)
+            d.mkdir(exist_ok=True)
+            self.made.append(d)
 
     def manifest(self, command: str, input_path: Path, seed) -> None:
-        manifest = {
+        self.json("manifest.json", {
             "tool": "steerkit",
             "version": __version__,
             "schema_version": SCHEMA_VERSION,
@@ -215,10 +234,8 @@ class OutputDir:
             "input_sha256": _sha256(input_path),
             "seed": seed,
             "out_dir": str(self.root),
-            "artifacts": self.artifacts,
-        }
-        with _text_file(self.root / "manifest.json") as f:
-            f.write(json.dumps(manifest, indent=2) + "\n")
+            "artifacts": list(self.artifacts),
+        })
 
     def verify(self, input_path: Path) -> str:
         mpath = self.root / "manifest.json"
@@ -233,8 +250,14 @@ class OutputDir:
         return f"manifest verified: {mpath}"
 
 
-def _text_file(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextlib.contextmanager
+def _failing(file: Path):
+    """An OSError from making, opening, writing or closing `file` is an input
+    error naming it."""
+    try:
+        yield file
+    except OSError as e:
+        raise ConfigError(f"cannot write {file}: {e}") from e
 
 
 # ---------------------------------------------------------------- simulate
@@ -319,15 +342,15 @@ def _scenario_from_config(cfg: dict, config_path: Path):
     return scenario, schedule, p
 
 
-def _render_curvature(file: Path, t, ka, kd, fused, *extra: Series) -> None:
+def _render_curvature(t, ka, kd, fused, *extra: Series) -> str:
     """Curvature plot: the three sources (plus extra series), then a zoom near zero."""
     sources = (("ackermann", ka), ("differential", kd), ("fused", fused))
-    svgplot.render([
+    return svgplot.render([
         Panel(series=[Series(t, k, label=name) for name, k in sources] + list(extra),
               title="Curvature sources", xlabel="t [s]", ylabel="kappa [1/m]"),
         Panel(series=[Series(t, np.clip(k, -5e-3, 5e-3), label=name) for name, k in sources],
               title="Near zero (clipped +-0.005)", xlabel="t [s]", ylabel="kappa [1/m]"),
-    ], file)
+    ])
 
 
 _in_sweep_worker = False   # set in the --sweep worker processes
@@ -352,31 +375,31 @@ def _log_writer(scenario: simkit.ScenarioConfig):
 
 def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
     scenario, schedule, p = _scenario_from_config(cfg, config_path)
+    out.record("log.csv")   # first in the manifest and its directory made now; written last
     writer = _log_writer(scenario)
     try:
         log = simkit.run_scenario(scenario, schedule, params=p, writer=writer)
-        log_file = out.path("log.csv")   # first in the manifest, written last
         metrics = simkit.compute_metrics(log)
         out.json("metrics.json", {**metrics, "stop_reason": log.stop_reason,
                                   "seed": scenario.seed, "schema_version": SCHEMA_VERSION})
         with out.open("gains.csv") as f:
             lqr.save_gain_csv(schedule, f)
         path = scenario.path
-        svgplot.render([Panel(series=[Series(path.x, path.y, label="reference"),
-                                      Series(log.x, log.y, label="vehicle", dash="5,3")],
-                              title="Trajectory", xlabel="X [m]", ylabel="Y [m]")],
-                       out.path("plots/trajectory.svg"))
-        svgplot.render([
+        out.write("plots/trajectory.svg", svgplot.render([
+            Panel(series=[Series(path.x, path.y, label="reference"),
+                          Series(log.x, log.y, label="vehicle", dash="5,3")],
+                  title="Trajectory", xlabel="X [m]", ylabel="Y [m]")]))
+        out.write("plots/error_vs_s.svg", svgplot.render([
             Panel(series=[Series(log.s, log.e_y)], title="Lateral error",
                   xlabel="s [m]", ylabel="e_y [m]", hlines=[(0.0, "")]),
             Panel(series=[Series(log.s, np.degrees(log.e_psi))], title="Heading error",
                   xlabel="s [m]", ylabel="e_psi [deg]", hlines=[(0.0, "")]),
-        ], out.path("plots/error_vs_s.svg"))
-        _render_curvature(out.path("plots/curvature.svg"), log.t, log.kappa_ack,
-                          log.kappa_diff, log.kappa_fused,
-                          Series(log.t, log.kappa_path, label="path", dash="2,2"))
-        if writer is None or not writer.commit(log_file):
-            with _text_file(log_file) as f:
+        ]))
+        out.write("plots/curvature.svg", _render_curvature(
+            log.t, log.kappa_ack, log.kappa_diff, log.kappa_fused,
+            Series(log.t, log.kappa_path, label="path", dash="2,2")))
+        with out.open("log.csv") as f:   # the child's bytes are this dialect's
+            if writer is None or not writer.commit(f.buffer):
                 log.to_csv(f)
     finally:
         if writer is not None:
@@ -415,9 +438,11 @@ def _set_dotted(cfg: dict, key: str, value) -> None:
 
 
 def _sweep_member(member: tuple) -> None:
-    """Run one sweep member; an input error names the member's --sweep value."""
+    """Run one sweep member, which removes the directories it made if it fails;
+    an input error names the member's --sweep value."""
     try:
-        _run_one_simulation(*member[:3])
+        with member[2]:
+            _run_one_simulation(*member[:3])
     except (ValueError, KeyError, IndexError) as e:
         raise ConfigError(f"{member[3]}: {e}") from e
 
@@ -464,21 +489,17 @@ def cmd_simulate(args, out: OutputDir) -> str:
     key, values = args.sweep
     members = []
     for i, (raw, val) in enumerate(values):
+        label = f"--sweep {key}={raw}"
         sub = json.loads(json.dumps(cfg))
         _set_dotted(sub, key, val)
-        _checked(sub, f"{config_path} with --sweep {key}={raw}")
+        _checked(sub, f"{config_path} with {label}")
         name = f"{i:02d}_{key.replace('.', '_')}_{raw}".replace("/", "_").replace(" ", "")
-        members.append((sub, config_path, OutputDir(out.root / name), f"--sweep {key}={raw}"))
-    made = [out.root] if not out.root.exists() else \
-        [m.root for _, _, m, _ in members if not m.root.exists()]
-    try:
-        _run_sweep(members)
-    except BaseException:   # a failed sweep leaves no directory it made
-        for d in made:
-            shutil.rmtree(d, ignore_errors=True)
-        raise
-    for _, _, member_out, _ in members:
-        out.path(f"{member_out.root.name}/manifest.json")
+        try:   # the member directories are made here, so a failed sweep removes them
+            root = out.record(f"{name}/manifest.json").parent
+        except ConfigError as e:
+            raise ConfigError(f"{label}: {e}") from e
+        members.append((sub, config_path, OutputDir(root), label))
+    _run_sweep(members)
     out.manifest("simulate-sweep", config_path,
                  _number(cfg.get("seed", simkit.ScenarioConfig.seed), "seed", integer=True))
     return f"sweep complete: {len(values)} runs in {out.root}"
@@ -509,12 +530,12 @@ def cmd_design(args, out: OutputDir) -> str:
     with out.open("gains.csv") as f:
         lqr.save_gain_csv(schedule, f)
     karr = np.array([g.k for g in schedule.gains])
-    svgplot.render([Panel(
+    out.write("plots/gains_vs_speed.svg", svgplot.render([Panel(
         series=[Series(schedule.speeds, karr[:, i], label=f"k{i + 1}")
                 for i in range(karr.shape[1])],
         title=f"Feedback gains vs speed ({args.model})",
         xlabel="v [m/s]", ylabel="gain",
-    )], out.path("plots/gains_vs_speed.svg"))
+    )]))
     out.manifest("design", Path(args.params), None)
     return f"designed {len(schedule.gains)} gain sets: {out.root / 'gains.csv'}"
 
@@ -534,7 +555,7 @@ def cmd_curvature(args, out: OutputDir) -> str:
                                              cols["speed"], p.wheelbase)
     with out.open("curvature.csv") as f:
         write_float_csv(f, ("t", "kappa_ack", "kappa_diff", "kappa_fused"), (t, ka, kd, fused))
-    _render_curvature(out.path("plots/curvature.svg"), t, ka, kd, fused)
+    out.write("plots/curvature.svg", _render_curvature(t, ka, kd, fused))
     out.manifest("curvature", log_path, None)
     return f"curvature analysis complete: {out.root / 'curvature.csv'}"
 
@@ -568,14 +589,14 @@ def cmd_margins(args, out: OutputDir) -> str:
                               "schema_version": SCHEMA_VERSION})
     vlines = [(report.gm_freq, "gm")] if report.gm_freq else []
     vlines += [(report.pm_freq, "pm")] if report.pm_freq else []
-    svgplot.render([
+    out.write("plots/bode.svg", svgplot.render([
         Panel(series=[Series(fr.omegas, fr.mag_db)], title=f"Loop magnitude (v={speed} m/s)",
               xlabel="omega [rad/s]", ylabel="|L| [dB]", logx=True,
               hlines=[(0.0, "0 dB")], vlines=vlines),
         Panel(series=[Series(fr.omegas, fr.phase_deg)], title="Loop phase",
               xlabel="omega [rad/s]", ylabel="phase [deg]", logx=True,
               hlines=[(-180.0, "-180")], vlines=vlines),
-    ], out.path("plots/bode.svg"))
+    ]))
     out.manifest("margins", Path(args.params), None)
     gm_txt = "inf" if math.isinf(report.gm) else f"{report.gm:.2f}"
     pm_txt = "undefined" if report.pm is None else f"{report.pm:.1f} deg"
@@ -597,14 +618,14 @@ def cmd_smooth(args, out: OutputDir) -> str:
     with out.open("smoothed.csv") as f:   # in the recorded-log format
         write_float_csv(f, ("t", "X", "Y", "psi", "speed"), (smooth.s / speed, smooth.x,
                         smooth.y, smooth.psi, np.full(len(smooth), speed)))
-    svgplot.render([
+    out.write("plots/smooth.svg", svgplot.render([
         Panel(series=[Series(raw.x, raw.y, label="raw"),
                       Series(smooth.x, smooth.y, label="smoothed")],
               title="Path", xlabel="X [m]", ylabel="Y [m]"),
         Panel(series=[Series(raw.s, raw.kappa, label="raw"),
                       Series(smooth.s, smooth.kappa, label="smoothed")],
               title="Curvature before/after", xlabel="s [m]", ylabel="kappa [1/m]"),
-    ], out.path("plots/smooth.svg"))
+    ]))
     out.manifest("smooth", path_csv, None)
     return f"smoothed path written: {out.root / 'smoothed.csv'}"
 
@@ -705,7 +726,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         root = Path(args.out) if args.out else \
             Path(os.environ.get("STEERKIT_OUT", "steerkit_out")) / args.command
-        print(args.func(args, OutputDir(root)))
+        with OutputDir(root) as out:
+            print(args.func(args, out))
         return EXIT_OK
     except SimulationError as e:
         return _fail(EXIT_SIM, str(e))

@@ -10,10 +10,11 @@ formats each whole CSV_BLOCK_ROWS block below the watermark, the rest once
 the length is known, and leaves through `os._exit` (0 once the file is
 complete), so it never flushes inherited stdio or runs atexit handlers.
 
-The parent copies the file to its destination only in `commit`, after the
-run has returned; a run that fails writes nothing.  `abort` kills and reaps
-a child still running, and may be called on any path.  The bytes equal
-`SimLog.to_csv`'s: same head, same blocks, same cell reprs.
+The file is scratch space, not an artifact: only `commit`, after the run
+has returned, copies it into the artifact its caller opened, so a run that
+fails writes nothing.  `abort` kills and reaps a child still running, and
+may be called on any path.  The bytes equal `SimLog.to_csv`'s: same head,
+same blocks, same cell reprs.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class ForkedLog:
         self._close_pipe()
 
     def commit(self, file) -> bool:
-        """Wait for the child and copy its file to `file`; False when there is
-        no child or it did not exit 0, and nothing is written then."""
+        """Wait for the child and copy its file into the binary file `file`;
+        False when there is no child or it did not exit 0, and nothing is written then."""
         if self.pid is None:
             return False
         _, status = os.waitpid(self.pid, 0)
@@ -87,8 +88,7 @@ class ForkedLog:
         if status != 0:
             return False
         self.tmp.seek(0)
-        with open(file, "wb") as f:
-            shutil.copyfileobj(self.tmp, f)
+        shutil.copyfileobj(self.tmp, file)
         return True
 
     def abort(self) -> None:

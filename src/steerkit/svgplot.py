@@ -1,7 +1,8 @@
 """Minimal SVG line charts: no plotting dependency, valid XML, diff-able output.
 
 Plots are pure views of data that is always co-emitted as CSV; nothing is
-computed here beyond axis scaling.
+computed here beyond axis scaling, and nothing is written: `render` returns
+the SVG text, which the caller writes as an artifact.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def render(panels: list[Panel], out_path) -> None:
-    """Write the panels stacked vertically into one SVG file."""
+def render(panels: list[Panel]) -> str:
+    """The SVG text of the panels stacked vertically in one chart."""
     ml, mr, mt, mb = 70, 20, 34, 46
     total_h = PANEL_HEIGHT * len(panels)
     parts = [
@@ -217,5 +218,4 @@ def render(panels: list[Panel], out_path) -> None:
                 parts.append(f'<text x="{px1 - 85}" y="{ly}">{escape(s.label)}</text>')
 
     parts.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

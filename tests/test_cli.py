@@ -390,7 +390,7 @@ class TestSweepWorkers:
         # into an existing output directory: only the member directories the
         # sweep made go, its other content and an older member directory stay
         def run(cfg, config_path, out):
-            out.path("log.csv").write_text("new")
+            out.write("log.csv", "new")
             if cfg["seed"] == 2:
                 raise ConfigError("member 2 failed")
 
@@ -409,7 +409,7 @@ class TestSweepWorkers:
     def test_members_run_in_workers_where_there_are_several_cpus_and_members(
             self, tmp_path, monkeypatch, cpus, members, in_workers):
         def run(cfg, config_path, out):  # inherited by the forked workers
-            out.path("pid").write_text(str(os.getpid()))
+            out.write("pid", str(os.getpid()))
 
         monkeypatch.setattr(cli, "_run_one_simulation", run)
         _usable_cpus(monkeypatch, cpus)
@@ -1128,9 +1128,14 @@ class TestInputFiles:
         assert f"{cfg}: malformed JSON" in capsys.readouterr().err
 
 
+def _directories(root: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*") if p.is_dir())
+
+
 class TestOutputDirs:
-    """An output directory that cannot be made is exit 3 naming the path: no
-    traceback, no directory made and no forked child left."""
+    """An output directory or artifact that cannot be made or written is exit 3
+    naming the path: no traceback, no forked child left, and no directory that
+    the command made is left behind."""
 
     @pytest.mark.parametrize("argv, env, written", [
         (["margins", SEDAN, "--speed", "10", "--out", "afile"], None, "afile/bode.csv"),
@@ -1139,6 +1144,13 @@ class TestOutputDirs:
          "afile/y/log.csv"),
     ])
     def test_a_file_in_the_way(self, tmp_path, monkeypatch, capsys, forks, argv, env, written):
+        runs, run_scenario = [], simkit.run_scenario
+
+        def recorded(*args, **kwargs):   # simulate must find out before it runs
+            runs.append(args)
+            return run_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(simkit, "run_scenario", recorded)
         monkeypatch.chdir(tmp_path)
         if env is not None:
             monkeypatch.setenv("STEERKIT_OUT", env)
@@ -1147,14 +1159,50 @@ class TestOutputDirs:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"cannot write {written}: " in err and "Traceback" not in err
-        assert forks.all_reaped()
+        assert not runs and not forks
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert Path("afile").read_text(encoding="utf-8") == "kept"
 
-    def test_a_sweep_member_name_too_long(self, tmp_path, capsys, forks, monkeypatch):
+    @pytest.mark.parametrize("command, artifact, cpus, children", [
+        ("design", "gains.csv", 2, 0),
+        ("design", "plots/gains_vs_speed.svg", 2, 0),
+        ("design", "manifest.json", 2, 0),
+        ("margins", "bode.csv", 2, 0),
+        ("margins", "margins.json", 2, 0),
+        ("margins", "plots/bode.svg", 2, 0),
+        ("curvature", "curvature.csv", 2, 0),
+        ("smooth", "smoothed.csv", 2, 0),
+        ("simulate", "metrics.json", 2, 1),
+        ("simulate", "plots/error_vs_s.svg", 2, 1),
+        ("simulate", "log.csv", 1, 0),   # formatted after the run
+        ("simulate", "log.csv", 2, 1),   # formatted by the forked writer
+        ("sweep", "00_seed_1/log.csv", 2, 2),
+    ])
+    def test_a_directory_in_the_way(self, tmp_path, monkeypatch, capsys, forks, command,
+                                    artifact, cpus, children):
+        cfg = str(write_circle_config(tmp_path, t_end=3.0))
+        argv = {"design": ["design", SEDAN], "margins": ["margins", SEDAN, "--speed", "10"],
+                "curvature": ["curvature", str(write_drive_log(tmp_path))],
+                "smooth": ["smooth", str(CONFIGS / "parking_path.csv")],
+                "simulate": ["simulate", cfg],
+                "sweep": ["simulate", cfg, "--sweep", "seed=1,2"]}[command]
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        before = _directories(tmp_path)
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {out / artifact}: " in err and "Traceback" not in err
+        assert len(forks) == children and forks.all_reaped()
+        assert _directories(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_sweep_member_name_too_long(self, tmp_path, capsys, forks, monkeypatch, existing):
         _usable_cpus(monkeypatch, 2)
         zeros = "0." + "0" * 300
         out = tmp_path / "o"
+        if existing:
+            out.mkdir()
         assert main(["simulate", str(CONFIGS / "parking.json"), "--out", str(out),
                      "--sweep", f"initial_offset.0={zeros}"]) == 3
         err = capsys.readouterr().err
@@ -1162,4 +1210,4 @@ class TestOutputDirs:
         assert err.startswith(f"steerkit: --sweep initial_offset.0={zeros}: cannot write {member}")
         assert "Traceback" not in err
         assert forks.all_reaped()
-        assert not out.exists()
+        assert _directories(tmp_path) == ([out] if existing else [])

@@ -1,5 +1,6 @@
 import ast
 import fnmatch
+import re
 import sys
 from pathlib import Path
 
@@ -128,3 +129,92 @@ def test_the_reachability_scan_finds_what_is_unreached(tmp_path):
         "    return UNUSED\n", encoding="utf-8")
     assert _unreached(tmp_path) == ["cli.orphan", "model.Plant.spare", "model.TABLE",
                                     "model.UNUSED", "model.dead_chain", "model.dead_leaf"]
+
+
+MAKERS = {"mkdir", "makedirs", "write_text", "write_bytes"}
+TEMP_FILES = {"logfork._format"}   # the forked log child's unnamed temporary file
+
+
+def _mode(call: ast.Call):
+    """The mode of an `open` call, or None: the `mode` keyword, else the
+    second argument, or the first where it reads as a mode (`path.open("w")`)."""
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    first = call.args[0] if call.args else None
+    if not modes and isinstance(first, ast.Constant) and isinstance(first.value, str) \
+            and re.fullmatch(r"[rwabxt+]+", first.value):
+        modes = [first]
+    return (modes or call.args[1:2] or [None])[0]
+
+
+def _writes(call: ast.Call) -> bool:
+    """A call that makes a directory or opens a file for writing: one of
+    MAKERS, or an `open` whose mode writes, appends or creates (w, a, x, +);
+    a mode that is not a string written in the code counts as writing."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in MAKERS:
+        return True
+    mode = _mode(call) if name == "open" else None
+    if mode is None:
+        return False
+    written = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not written or bool(set(mode.value) & set("wax+"))
+
+
+def _writers(package: Path) -> list[str]:
+    """The code of `package` outside cli.OutputDir and TEMP_FILES that writes
+    (`_writes`), as `module`, `module.name` or `module.Class.name`."""
+    found = set()
+    for file in sorted(package.glob("*.py")):
+        module = file.stem
+        for node in ast.parse(file.read_text(encoding="utf-8")).body:
+            name = f"{module}.{node.name}" if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                else module
+            units = [(name, node)]
+            if isinstance(node, ast.ClassDef):
+                units = [(f"{name}.{item.name}" if isinstance(item, ast.FunctionDef) else name,
+                          item) for item in node.body]
+            found |= {unit for unit, code in units for call in ast.walk(code)
+                      if isinstance(call, ast.Call) and _writes(call)}
+    return sorted(n for n in found
+                  if n.split(".")[:2] != ["cli", "OutputDir"] and n not in TEMP_FILES)
+
+
+def test_only_outputdir_writes():
+    """cli.OutputDir is the only code in src/ that makes an output directory
+    or opens a file for writing, so every artifact gets its dialect, its
+    failure message, its manifest entry and its cleanup."""
+    writers = _writers(PACKAGE)
+    assert not writers, f"write outside cli.OutputDir: {writers}"
+
+
+def test_the_writer_scan_finds_every_writer(tmp_path):
+    """The scan flags a writing mode given as a keyword, as the second or
+    (`path.open`) the first argument or unknown, a directory made and a file
+    written at module level or in another class, and passes reads,
+    cli.OutputDir and the log child's temporary file."""
+    (tmp_path / "cli.py").write_text(
+        "import os\n"
+        "class OutputDir:\n"
+        "    def open(self, f):\n"
+        "        os.makedirs(f.parent, exist_ok=True)\n"
+        "        return open(f, 'w')\n"
+        "class OutputDirs:\n"
+        "    def save(self, p):\n"
+        "        return p.open('x+b')\n"
+        "def read(f, p, out):\n"
+        "    return open(f).read() + open(f, 'rb').read() + p.open().read() + out.open('a.csv')\n"
+        "def append(f):\n"
+        "    return open(f, mode='a')\n"
+        "def made(p):\n"
+        "    p.mkdir()\n"
+        "def raw(p, flags):\n"
+        "    return os.open(p, flags)\n"
+        "LOG = open('log.txt', 'w')\n", encoding="utf-8")
+    (tmp_path / "logfork.py").write_text(
+        "def _format(fd):\n"
+        "    return open(fd, 'w')\n"
+        "def copy(p):\n"
+        "    p.write_bytes(b'')\n", encoding="utf-8")
+    assert _writers(tmp_path) == ["cli", "cli.OutputDirs.save", "cli.append", "cli.made",
+                                  "cli.raw", "logfork.copy"]
