@@ -22,9 +22,9 @@ that fails leaves the log to be formatted serially, with the same bytes.
 
 Every command writes its artifacts through one OutputDir, whose
 manifest.json records the tool version, the sha256 of the primary input
-and exactly the artifacts written; a command that fails removes the
-directories it made.  Re-running with --verify checks the stored hash
-against the input and flags drift, and makes nothing.  STEERKIT_OUT
+and exactly the artifacts written; a failed command leaves every file as
+it was (see `OutputDir`).  Re-running with --verify checks the stored
+hash against the input and flags drift, and makes nothing.  STEERKIT_OUT
 overrides the default output root.
 """
 
@@ -40,6 +40,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
@@ -183,32 +184,50 @@ def _designed(designer, *args, **kwargs):
 
 class OutputDir(contextlib.AbstractContextManager):
     """One command's output directory: the only code that makes a directory or
-    opens an artifact for writing, as UTF-8 text with \\n line ends; an OSError
-    on the way is a ConfigError "cannot write <path>" (`_failing`).  Each
-    artifact is recorded once, where first recorded; manifest.json lists those
-    recorded before it.  A failed `with` block removes the directories made."""
+    writes an artifact, as UTF-8 text with \\n line ends, into a hidden stage
+    that the `with` block moves into place, manifest.json last, only if it
+    succeeds, and removes on any exit (a process killed outright leaves it).
+    An OSError on the way, a failed move included, is a ConfigError "cannot
+    write <path>".  Each artifact is recorded once, where first recorded;
+    manifest.json lists those recorded before it."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, stage: Path | None = None):
         self.root = root
+        self.stage = stage   # made by the first record, in root's nearest existing directory
         self.artifacts: list[str] = []
-        self.made: list[Path] = []
 
     def __exit__(self, kind, *_) -> None:
-        for d in self.made if kind else ():
-            shutil.rmtree(d, ignore_errors=True)
+        if self.stage is None:
+            return
+        try:   # bottom up: each manifest.json after its directory's artifacts
+            for folder, _, names in os.walk(self.stage, topdown=False) if kind is None else ():
+                for name in sorted(names, key="manifest.json".__eq__):
+                    with _failing(self.root / os.path.relpath(folder, self.stage) / name) as file:
+                        file.parent.mkdir(parents=True, exist_ok=True)
+                        os.replace(Path(folder, name), file)
+        finally:
+            shutil.rmtree(self.stage, ignore_errors=True)
 
     def record(self, name: str) -> Path:
-        """Record artifact `name` and make its directory; its path."""
+        """Record artifact `name`, refused where a directory stands at its path
+        or a file at one of its directories'; the path it is staged at."""
         self.artifacts += [] if name in self.artifacts else [name]
         with _failing(self.root / name) as file:
-            self._make(file.parent)
-        return file
+            there = next(d for d in file.parents if d.exists())
+            _require(not file.is_dir(), f"cannot write {file}: it is a directory")
+            _require(there.is_dir(), f"cannot write {file}: {there} is not a directory")
+            if self.stage is None:
+                base = next(d for d in (self.root, *self.root.parents) if d.exists())
+                self.stage = Path(tempfile.mkdtemp(prefix=".steerkit-", dir=base))
+            staged = self.stage / name
+            staged.parent.mkdir(parents=True, exist_ok=True)
+        return staged
 
     @contextlib.contextmanager
     def open(self, name: str):
         """Artifact `name`, recorded and open for writing."""
-        with _failing(self.record(name)) as file, \
-                open(file, "w", encoding="utf-8", newline="\n") as f:
+        with _failing(self.root / name), \
+                open(self.record(name), "w", encoding="utf-8", newline="\n") as f:
             yield f
 
     def write(self, name: str, text: str) -> None:
@@ -217,12 +236,6 @@ class OutputDir(contextlib.AbstractContextManager):
 
     def json(self, name: str, payload: dict) -> None:
         self.write(name, json.dumps(payload, indent=2) + "\n")
-
-    def _make(self, d: Path) -> None:
-        if not d.is_dir():
-            self._make(d.parent)
-            d.mkdir(exist_ok=True)
-            self.made.append(d)
 
     def manifest(self, command: str, input_path: Path, seed) -> None:
         self.json("manifest.json", {
@@ -252,12 +265,11 @@ class OutputDir(contextlib.AbstractContextManager):
 
 @contextlib.contextmanager
 def _failing(file: Path):
-    """An OSError from making, opening, writing or closing `file` is an input
-    error naming it."""
+    """An OSError on the way to `file` is an input error naming it."""
     try:
         yield file
     except OSError as e:
-        raise ConfigError(f"cannot write {file}: {e}") from e
+        raise ConfigError(f"cannot write {file}: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------- simulate
@@ -361,8 +373,8 @@ def _usable_cpus() -> int:
         os.cpu_count() or 1
 
 
-def _log_writer(scenario: simkit.ScenarioConfig):
-    """A `logfork.ForkedLog` where log.csv can be formatted on a second CPU
+def _log_writer(scenario: simkit.ScenarioConfig, file: Path):
+    """A `logfork.ForkedLog` that formats log.csv into `file` on a second CPU
     while the run goes on: outside a --sweep worker, with two usable CPUs,
     `fork` and no other thread to fork with, and a log of at least one CSV
     block; else None, and the log is formatted after the run."""
@@ -370,13 +382,12 @@ def _log_writer(scenario: simkit.ScenarioConfig):
             or not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     from .logfork import ForkedLog
-    return ForkedLog()
+    return ForkedLog(file)
 
 
 def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
     scenario, schedule, p = _scenario_from_config(cfg, config_path)
-    out.record("log.csv")   # first in the manifest and its directory made now; written last
-    writer = _log_writer(scenario)
+    writer = _log_writer(scenario, out.record("log.csv"))   # listed first, written last
     try:
         log = simkit.run_scenario(scenario, schedule, params=p, writer=writer)
         metrics = simkit.compute_metrics(log)
@@ -398,8 +409,8 @@ def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
         out.write("plots/curvature.svg", _render_curvature(
             log.t, log.kappa_ack, log.kappa_diff, log.kappa_fused,
             Series(log.t, log.kappa_path, label="path", dash="2,2")))
-        with out.open("log.csv") as f:   # the child's bytes are this dialect's
-            if writer is None or not writer.commit(f.buffer):
+        if writer is None or not writer.done():   # no whole log from the child
+            with out.open("log.csv") as f:
                 log.to_csv(f)
     finally:
         if writer is not None:
@@ -438,11 +449,9 @@ def _set_dotted(cfg: dict, key: str, value) -> None:
 
 
 def _sweep_member(member: tuple) -> None:
-    """Run one sweep member, which removes the directories it made if it fails;
-    an input error names the member's --sweep value."""
+    """Run one sweep member; an input error names its --sweep value."""
     try:
-        with member[2]:
-            _run_one_simulation(*member[:3])
+        _run_one_simulation(*member[:3])
     except (ValueError, KeyError, IndexError) as e:
         raise ConfigError(f"{member[3]}: {e}") from e
 
@@ -494,11 +503,11 @@ def cmd_simulate(args, out: OutputDir) -> str:
         _set_dotted(sub, key, val)
         _checked(sub, f"{config_path} with {label}")
         name = f"{i:02d}_{key.replace('.', '_')}_{raw}".replace("/", "_").replace(" ", "")
-        try:   # the member directories are made here, so a failed sweep removes them
-            root = out.record(f"{name}/manifest.json").parent
+        try:   # each member stages in the sweep's stage, which commits them all
+            stage = out.record(f"{name}/manifest.json").parent
         except ConfigError as e:
             raise ConfigError(f"{label}: {e}") from e
-        members.append((sub, config_path, OutputDir(root), label))
+        members.append((sub, config_path, OutputDir(out.root / name, stage), label))
     _run_sweep(members)
     out.manifest("simulate-sweep", config_path,
                  _number(cfg.get("seed", simkit.ScenarioConfig.seed), "seed", integer=True))
@@ -727,7 +736,8 @@ def main(argv=None) -> int:
         root = Path(args.out) if args.out else \
             Path(os.environ.get("STEERKIT_OUT", "steerkit_out")) / args.command
         with OutputDir(root) as out:
-            print(args.func(args, out))
+            summary = args.func(args, out)
+        print(summary)   # only once every artifact is in place
         return EXIT_OK
     except SimulationError as e:
         return _fail(EXIT_SIM, str(e))

@@ -245,8 +245,8 @@ def kinematic_controller(proj: PathProjection, v: float, k: np.ndarray,
 
 def dynamic_controller(err: ErrorState, vx: float, k: np.ndarray,
                        kappa: float, p: VehicleParams) -> ControlInput:
-    """Full error-state feedback through the gain row k plus Ackermann
-    feedforward."""
+    """Feedback through the gain row k plus Ackermann feedforward, on the measured
+    e_y, e_psi and vx and on e_y_dot, e_psi_dot from the true vy and yaw rate."""
     check_dynamic_speed(vx)
     delta_fb = -float(k @ err.as_array())
     delta = delta_fb + feedforward_steer(kappa, p.wheelbase)

@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import math
 import multiprocessing
@@ -314,6 +316,7 @@ class TestSimulate:
         data["seed"] = 7
         cfg.write_text(json.dumps(data))
         assert main(["simulate", str(cfg), "--out", str(out), "--verify"]) == 3
+        assert not _stages(out)
 
     def test_env_output_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STEERKIT_OUT", str(tmp_path / "envroot"))
@@ -326,6 +329,17 @@ def _artifacts(out: Path) -> dict[str, bytes]:
     """Every file under out but manifest.json (which records the paths), by relative path."""
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "manifest.json"}
+
+
+def _tree(root: Path) -> dict[str, str | None]:
+    """Every entry under root by relative path: a file's sha256, None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else
+            hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.rglob("*"))}
+
+
+def _stages(root: Path) -> list[Path]:
+    """The staging directories left in root or in its parent."""
+    return sorted(root.glob(".steerkit-*")) + sorted(root.parent.glob(".steerkit-*"))
 
 
 def _usable_cpus(monkeypatch, cpus: int) -> None:
@@ -387,8 +401,8 @@ class TestSweepWorkers:
         assert not multiprocessing.active_children()
 
     def test_a_failed_sweep_keeps_what_was_there_before(self, tmp_path, monkeypatch):
-        # into an existing output directory: only the member directories the
-        # sweep made go, its other content and an older member directory stay
+        # into an existing output directory: the members that ran are not moved
+        # into place, so an older member directory and the other content stay as they were
         def run(cfg, config_path, out):
             out.write("log.csv", "new")
             if cfg["seed"] == 2:
@@ -398,11 +412,12 @@ class TestSweepWorkers:
         _usable_cpus(monkeypatch, 1)
         out = tmp_path / "o"
         (out / "01_seed_1").mkdir(parents=True)
+        (out / "01_seed_1" / "log.csv").write_text("old")
         (out / "keep.txt").write_text("old")
+        before = _tree(out)
         assert main(["simulate", str(write_circle_config(tmp_path)), "--out", str(out),
                      "--sweep", "seed=0,1,2"]) == 3
-        assert sorted(p.name for p in out.iterdir()) == ["01_seed_1", "keep.txt"]
-        assert (out / "01_seed_1" / "log.csv").read_text() == "new"
+        assert _tree(out) == before
 
     @pytest.mark.parametrize("cpus, members, in_workers", [(1, 3, False), (2, 1, False),
                                                           (2, 3, True)])
@@ -582,7 +597,7 @@ class TestForkedLog:
         with pytest.raises(KeyboardInterrupt):
             main(["simulate", str(write_circle_config(tmp_path, t_end=5.0)), "--out", str(out)])
         assert len(forks) == 1 and forks.all_reaped()
-        assert not out.exists()
+        assert not out.exists() and not _stages(out)
 
 
 class TestDesign:
@@ -1134,8 +1149,8 @@ def _directories(root: Path) -> list[Path]:
 
 class TestOutputDirs:
     """An output directory or artifact that cannot be made or written is exit 3
-    naming the path: no traceback, no forked child left, and no directory that
-    the command made is left behind."""
+    naming the path: no traceback, no forked child left, and nothing that was
+    there before changed, nothing made and no stage left."""
 
     @pytest.mark.parametrize("argv, env, written", [
         (["margins", SEDAN, "--speed", "10", "--out", "afile"], None, "afile/bode.csv"),
@@ -1175,7 +1190,7 @@ class TestOutputDirs:
         ("simulate", "metrics.json", 2, 1),
         ("simulate", "plots/error_vs_s.svg", 2, 1),
         ("simulate", "log.csv", 1, 0),   # formatted after the run
-        ("simulate", "log.csv", 2, 1),   # formatted by the forked writer
+        ("simulate", "log.csv", 2, 0),   # refused before the forked writer starts
         ("sweep", "00_seed_1/log.csv", 2, 2),
     ])
     def test_a_directory_in_the_way(self, tmp_path, monkeypatch, capsys, forks, command,
@@ -1211,3 +1226,65 @@ class TestOutputDirs:
         assert "Traceback" not in err
         assert forks.all_reaped()
         assert _directories(tmp_path) == ([out] if existing else [])
+
+    @pytest.mark.parametrize("case", ["design directory", "simulate directory", "margins file",
+                                      "sweep member name too long", "sweep member failing"])
+    def test_a_failed_rerun_changes_nothing(self, tmp_path, monkeypatch, capsys, forks, case):
+        # each failing command runs over an earlier successful run whose
+        # artifacts it would change: it has other flags or a changed config
+        _usable_cpus(monkeypatch, 2)
+        cfg = str(write_circle_config(tmp_path, t_end=2.5))
+        zeros = "0." + "0" * 300
+        out = tmp_path / "o"
+        first, again, in_the_way, message = {
+            "design directory": (["design", SEDAN], ["design", SEDAN, "--grid", "2:10:5"],
+                                 "manifest.json", f"cannot write {out / 'manifest.json'}: "),
+            "simulate directory": (["simulate", cfg], ["simulate", cfg], "plots/error_vs_s.svg",
+                                   f"cannot write {out / 'plots/error_vs_s.svg'}: "),
+            "margins file": (["margins", SEDAN, "--speed", "10"],
+                             ["margins", SEDAN, "--speed", "12"], "plots",
+                             f"cannot write {out / 'plots/bode.svg'}: "),
+            "sweep member name too long": (
+                ["simulate", cfg, "--sweep", "initial_offset.0=0.1"],
+                ["simulate", cfg, "--sweep", f"initial_offset.0=0.1,{zeros}"], None,
+                f"cannot write {out / f'01_initial_offset_0_{zeros}'}/manifest.json: "),
+            "sweep member failing": (["simulate", cfg, "--sweep", "seed=0,1"],
+                                     ["simulate", cfg, "--sweep", "seed=0,1,-1"], None,
+                                     "--sweep seed=-1: "),
+        }[case]
+        assert main(first + ["--out", str(out)]) == 0
+        write_circle_config(tmp_path, t_end=3.0)
+        if in_the_way == "plots":   # a file where a directory of artifacts was
+            for svg in (out / "plots").iterdir():
+                svg.unlink()
+            (out / "plots").rmdir()
+            (out / "plots").write_text("in the way", encoding="utf-8")
+        elif in_the_way is not None:   # a directory where an artifact was
+            (out / in_the_way).unlink()
+            (out / in_the_way).mkdir()
+        before, siblings = _tree(out), sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(again + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert forks.all_reaped()
+        assert _tree(out) == before
+        assert sorted(tmp_path.iterdir()) == siblings and not _stages(out)
+
+    def test_a_move_that_fails_is_exit_3_with_nothing_on_stdout(self, tmp_path, monkeypatch,
+                                                                capsys):
+        replace = os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        out = tmp_path / "o"
+        assert main(["design", SEDAN, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {out / 'manifest.json'}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not (out / "manifest.json").exists() and not _stages(out)

@@ -31,12 +31,15 @@ def serial_bytes(rows: np.ndarray) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def committed(writer: ForkedLog, tmp: Path) -> bytes:
-    file = tmp / "log.csv"
-    with open(file, "wb") as f:
-        assert writer.commit(f)
+def committed(writer: ForkedLog) -> bytes:
+    assert writer.done()
     writer.abort()
-    return file.read_bytes()
+    return writer.path.read_bytes()
+
+
+def _size(file: Path) -> int:
+    """The bytes the child has written to file so far (0 before it opens it)."""
+    return file.stat().st_size if file.exists() else 0
 
 
 @st.composite
@@ -79,8 +82,8 @@ class TestForkedBytes:
         # rows past the watermark hold a sentinel until they are published,
         # so a child that formats a row too early writes the sentinel
         want, n, marks = table
-        writer = ForkedLog()
         with recorded_forks() as forks, tempfile.TemporaryDirectory() as tmp:
+            writer = ForkedLog(Path(tmp) / "log.csv")
             if rerun:   # a table abandoned by abort(), then a fresh one
                 first = writer.table(want.shape)
                 first[:] = 7.77
@@ -95,12 +98,12 @@ class TestForkedBytes:
                 # before the next rows are written
                 whole = len(serial_bytes(want[:k - k % CSV_BLOCK_ROWS]))
                 deadline = time.monotonic() + 10.0
-                while k >= CSV_BLOCK_ROWS and os.fstat(writer.tmp.fileno()).st_size < whole:
+                while k >= CSV_BLOCK_ROWS and _size(writer.path) < whole:
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
             rows[:n] = want[:n]
             writer.finish(n)
-            got = committed(writer, Path(tmp))
+            got = committed(writer)
         assert got == serial_bytes(want[:n])
         assert len(forks) == 1 + rerun and forks.all_reaped()
 
@@ -111,20 +114,20 @@ class TestForkedBytes:
         path = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=270.0)
         cfg = ScenarioConfig(path=path, speed=10.0, t_end=(rows - 1) * 0.001,
                              initial_offset=(0.3, 0.05))
-        writer = ForkedLog()
+        writer = ForkedLog(tmp_path / "log.csv")
         log = run_scenario(cfg, kinematic_schedule, params=params, writer=writer)
         assert len(log) == rows and log.stop_reason == "t_end"
-        assert committed(writer, tmp_path) == serial_bytes(
+        assert committed(writer) == serial_bytes(
             run_scenario(cfg, kinematic_schedule, params=params).rows)
         assert len(forks) == 1 and forks.all_reaped()
 
     def test_path_end_truncates_the_log(self, params, kinematic_schedule, forks, tmp_path):
         cfg = ScenarioConfig(path=gen_path("line", spacing=0.1, length=45.0), speed=10.0,
                              t_end=8.0, initial_offset=(0.4, 0.0))
-        writer = ForkedLog()
+        writer = ForkedLog(tmp_path / "log.csv")
         log = run_scenario(cfg, kinematic_schedule, params=params, writer=writer)
         assert log.stop_reason == "path_end" and CSV_BLOCK_ROWS < len(log) < cfg.log_rows
-        assert committed(writer, tmp_path) == serial_bytes(log.rows)
+        assert committed(writer) == serial_bytes(log.rows)
         assert forks.all_reaped()
 
     @settings(max_examples=20, deadline=None, derandomize=True,
@@ -142,12 +145,11 @@ class TestForkedBytes:
         for snap in writer.snaps:
             assert snap.tobytes() == final[:len(snap)].tobytes()
 
-    def test_no_child_means_no_commit(self):
-        writer = ForkedLog()
+    def test_no_child_means_no_commit(self, tmp_path):
+        writer = ForkedLog(tmp_path / "log.csv")
         with mock.patch.object(os, "fork", side_effect=OSError("no processes")):
             rows = writer.table((3, len(CSV_COLUMNS)))
         rows[:] = 1.0
         writer.finish(3)
-        file = io.BytesIO()
-        assert not writer.commit(file)
-        assert not file.getvalue()
+        assert not writer.done()
+        assert not writer.path.exists()

@@ -131,8 +131,13 @@ def test_the_reachability_scan_finds_what_is_unreached(tmp_path):
                                     "model.UNUSED", "model.dead_chain", "model.dead_leaf"]
 
 
-MAKERS = {"mkdir", "makedirs", "write_text", "write_bytes"}
-TEMP_FILES = {"logfork._format"}   # the forked log child's unnamed temporary file
+MAKERS = {"mkdir", "makedirs", "write_text", "write_bytes", "replace", "rename", "mkdtemp",
+          "rmtree"}
+TEMP_FILES = {"logfork._format"}   # the forked log child, which writes the staged log.csv
+
+
+def _text(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
 def _mode(call: ast.Call):
@@ -140,25 +145,25 @@ def _mode(call: ast.Call):
     second argument, or the first where it reads as a mode (`path.open("w")`)."""
     modes = [k.value for k in call.keywords if k.arg == "mode"]
     first = call.args[0] if call.args else None
-    if not modes and isinstance(first, ast.Constant) and isinstance(first.value, str) \
-            and re.fullmatch(r"[rwabxt+]+", first.value):
+    if not modes and _text(first) and re.fullmatch(r"[rwabxt+]+", first.value):
         modes = [first]
     return (modes or call.args[1:2] or [None])[0]
 
 
 def _writes(call: ast.Call) -> bool:
-    """A call that makes a directory or opens a file for writing: one of
-    MAKERS, or an `open` whose mode writes, appends or creates (w, a, x, +);
-    a mode that is not a string written in the code counts as writing."""
+    """A call that makes, moves or removes a file or directory, or opens a file
+    for writing: one of MAKERS, or an `open` whose mode writes, appends or
+    creates (w, a, x, +); a mode that is not a string written in the code
+    counts as writing.  A `replace` of string literals edits text
+    (`str.replace`), so a move between two literal names is not seen."""
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name in MAKERS:
-        return True
+        return not (name == "replace" and call.args and all(map(_text, call.args)))
     mode = _mode(call) if name == "open" else None
     if mode is None:
         return False
-    written = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-    return not written or bool(set(mode.value) & set("wax+"))
+    return not _text(mode) or bool(set(mode.value) & set("wax+"))
 
 
 def _writers(package: Path) -> list[str]:
@@ -182,22 +187,25 @@ def _writers(package: Path) -> list[str]:
 
 def test_only_outputdir_writes():
     """cli.OutputDir is the only code in src/ that makes an output directory
-    or opens a file for writing, so every artifact gets its dialect, its
-    failure message, its manifest entry and its cleanup."""
+    or opens, moves or removes a file for writing, so every artifact gets its
+    dialect, its failure message, its manifest entry and its stage."""
     writers = _writers(PACKAGE)
     assert not writers, f"write outside cli.OutputDir: {writers}"
 
 
 def test_the_writer_scan_finds_every_writer(tmp_path):
     """The scan flags a writing mode given as a keyword, as the second or
-    (`path.open`) the first argument or unknown, a directory made and a file
-    written at module level or in another class, and passes reads,
-    cli.OutputDir and the log child's temporary file."""
+    (`path.open`) the first argument or unknown, a directory made, a file
+    moved (`os.replace`, `Path.rename`), a temporary directory made and a tree
+    removed, and a file written at module level or in another class, and
+    passes reads, text replaced, cli.OutputDir and the log child."""
     (tmp_path / "cli.py").write_text(
-        "import os\n"
+        "import os, shutil, tempfile\n"
         "class OutputDir:\n"
         "    def open(self, f):\n"
         "        os.makedirs(f.parent, exist_ok=True)\n"
+        "        os.replace(tempfile.mkdtemp(), f)\n"
+        "        shutil.rmtree(f.parent)\n"
         "        return open(f, 'w')\n"
         "class OutputDirs:\n"
         "    def save(self, p):\n"
@@ -210,6 +218,16 @@ def test_the_writer_scan_finds_every_writer(tmp_path):
         "    p.mkdir()\n"
         "def raw(p, flags):\n"
         "    return os.open(p, flags)\n"
+        "def moved(a, b):\n"
+        "    os.replace(a, b)\n"
+        "def renamed(p, q):\n"
+        "    return p.rename(q)\n"
+        "def staged():\n"
+        "    return tempfile.mkdtemp(prefix='.x-')\n"
+        "def removed(d):\n"
+        "    shutil.rmtree(d, ignore_errors=True)\n"
+        "def escaped(text):\n"
+        "    return text.replace('&', '&amp;').replace(' ', '')\n"
         "LOG = open('log.txt', 'w')\n", encoding="utf-8")
     (tmp_path / "logfork.py").write_text(
         "def _format(fd):\n"
@@ -217,4 +235,5 @@ def test_the_writer_scan_finds_every_writer(tmp_path):
         "def copy(p):\n"
         "    p.write_bytes(b'')\n", encoding="utf-8")
     assert _writers(tmp_path) == ["cli", "cli.OutputDirs.save", "cli.append", "cli.made",
-                                  "cli.raw", "logfork.copy"]
+                                  "cli.moved", "cli.raw", "cli.removed", "cli.renamed",
+                                  "cli.staged", "logfork.copy"]
