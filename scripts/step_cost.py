@@ -15,26 +15,33 @@ Every round starts one fresh process per side, the side that goes first
 alternating from round to round.  The process imports steerkit from that
 side's `src/`, builds each case's scenario and gain schedule, then times
 one `run_scenario` call per case.  A case's cost is that wall time over
-the log's rows (one row per sim step), in microseconds; the script prints
-the best and the median over the rounds for each side with their new/old
-ratios (one fast round decides a best, so compare medians), then one JSON
-line with the bests, the medians and every round's values.
+the log's rows (one row per sim step), in microseconds.
 
 With --commands each round starts one fresh process per side and case,
 which times one whole command through `cli.main` (into a scratch directory
 under --work): a `simulate` command per case above (set-up, run, log.csv,
 metrics and plots), then the `desk` plan's four `design` commands of the
 same seed (both models, two weight sets each; gain design, gains.csv and
-the plot).  It reports the command's wall time in seconds and its peak
-resident set in MB, both of its own (RUSAGE_SELF) and of the children it
-waited for (RUSAGE_CHILDREN, such as a forked log.csv formatter).  The
-script prints the best and the median time per side and the largest peak
-RSS of each kind.
+the plot).  It reports the command's wall time in seconds, the time of it
+spent in `logfork.ForkedLog.done` (the wait for the forked log.csv
+formatter), and its peak resident set in MB, both of its own (VmHWM where
+/proc has it: RUSAGE_SELF also keeps the peak of the process that spawned
+it) and of the children it waited for (RUSAGE_CHILDREN, such as that
+formatter).
+
+For each case the script prints each side's quartiles over the rounds
+(q1, median, q3), the new/old ratio of the medians, how many rounds the new
+side wins (its value below the old side's of the same round), and whether
+the claim rule holds: at least 9 rounds in 10 won, and the old median
+above the new one by more than the old side's interquartile range; with
+--commands also the largest peak RSS of each kind.  Then one JSON line
+with the summary and every round's values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import statistics
@@ -44,6 +51,33 @@ import time
 from pathlib import Path
 
 SHIPPED = ("circle_10ms", "circle_3ms", "parking")
+
+
+def _pairs(old: list[float], new: list[float]) -> dict:
+    """Each side's quartiles (q1, median, q3) over rounds paired by index, the
+    rounds the new side wins (lower is better) and whether the claim rule
+    holds: wins in at least 9 of 10 rounds, and a median gap wider than the
+    old side's interquartile range."""
+    q = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+         for side, v in (("old", old), ("new", new))}
+    wins = sum(n < o for o, n in zip(old, new))
+    return {"old": q["old"], "new": q["new"], "wins": wins, "rounds": len(old),
+            "claim_met": wins >= 0.9 * len(old) and
+            q["old"][1] - q["new"][1] > q["old"][2] - q["old"][0]}
+
+
+def _report(unit: str, rows: list[tuple[str, list[float], list[float], str]]) -> dict:
+    """Print one line per (case, old rounds, new rounds, extra text); return
+    the _pairs of each case."""
+    print(f"{'case':<20}{'old q1':>9}{'old med':>9}{'old q3':>9}{'new q1':>9}{'new med':>9}"
+          f"{'new q3':>9}{'new/old':>8}{'wins':>7}  claim   ({unit})")
+    out = {}
+    for name, old, new, extra in rows:
+        pr = out[name] = _pairs(old, new)
+        print(f"{name:<20}" + "".join(f"{v:>9.3f}" for v in pr["old"] + pr["new"])
+              + f"{pr['new'][1] / pr['old'][1]:>8.3f}{pr['wins']:>4}/{pr['rounds']:<3}"
+              f"{'  met' if pr['claim_met'] else '  not met'}{extra}")
+    return out
 
 
 def _time_cases(src: str, cases: list[list[str]]) -> None:
@@ -62,20 +96,39 @@ def _time_cases(src: str, cases: list[list[str]]) -> None:
     print(json.dumps(out))
 
 
-def _time_command(src: str, argv: str, out: str) -> None:
-    """Child mode: print [seconds, self peak RSS MB, children peak RSS MB]
-    of one command, argv a JSON list without --out."""
-    sys.path.insert(0, src)
-    from steerkit import cli
+def _self_peak_mb() -> float:
+    """This process's peak resident set: VmHWM where /proc has it, else ru_maxrss."""
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/self/status").read_text(encoding="ascii").splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
+
+def _time_command(src: str, argv: str, out: str) -> None:
+    """Child mode: print [seconds, self peak RSS MB, children peak RSS MB,
+    seconds in ForkedLog.done] of one command, argv a JSON list without --out."""
+    sys.path.insert(0, src)
+    from steerkit import cli, logfork
+
+    waited, done = [0.0], logfork.ForkedLog.done
+
+    def timed_done(writer):
+        t = time.perf_counter()
+        try:
+            return done(writer)
+        finally:
+            waited[0] += time.perf_counter() - t
+
+    logfork.ForkedLog.done = timed_done
     argv = json.loads(argv)
     t0 = time.perf_counter()
     rc = cli.main(argv + ["--out", out])
     elapsed = time.perf_counter() - t0
     if rc != 0:
         raise SystemExit(f"{' '.join(argv)} exited {rc}")
-    print(json.dumps([elapsed] + [resource.getrusage(who).ru_maxrss / 1024.0
-                                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
+    print(json.dumps([elapsed, _self_peak_mb(),
+                      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0] + waited))
 
 
 def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
@@ -90,21 +143,18 @@ def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
                 runs[side][name].append(json.loads(proc.stdout.splitlines()[-1]))
         print(f"  round {i + 1}/{rounds} done", file=sys.stderr)
 
-    summary = {side: {name: {"best_s": min(r[0] for r in rs),
-                             "median_s": statistics.median(r[0] for r in rs),
-                             "self_rss_mb": max(r[1] for r in rs),
-                             "children_rss_mb": max(r[2] for r in rs)}
-                      for name, rs in by_case.items()} for side, by_case in runs.items()}
-    print(f"{'case':<20}{'old best s':>11}{'new best s':>11}{'old med s':>10}{'new med s':>10}"
-          f"{'new/old':>8}{'self MB old/new':>18}{'child MB old/new':>18}")
-    for name, _ in cases:
-        o, n = summary["old"][name], summary["new"][name]
-        print(f"{name:<20}{o['best_s']:>11.3f}{n['best_s']:>11.3f}{o['median_s']:>10.3f}"
-              f"{n['median_s']:>10.3f}{n['median_s'] / o['median_s']:>8.3f}"
-              f"{o['self_rss_mb']:>9.1f}/{n['self_rss_mb']:<8.1f}"
-              f"{o['children_rss_mb']:>9.1f}/{n['children_rss_mb']:<8.1f}")
+    peak = {side: {name: {"self_rss_mb": max(r[1] for r in rs),
+                          "children_rss_mb": max(r[2] for r in rs)}
+                   for name, rs in by_case.items()} for side, by_case in runs.items()}
+    summary = _report("s per command; median s in done(), peak MB self, children old/new", [
+        (name, [r[0] for r in runs["old"][name]], [r[0] for r in runs["new"][name]],
+         "  done " + "/".join(f"{statistics.median(r[3] for r in runs[side][name]):.3f}"
+                             for side in ("old", "new")) +
+         f"  self {peak['old'][name]['self_rss_mb']:.1f}/{peak['new'][name]['self_rss_mb']:.1f}"
+         f"  children {peak['old'][name]['children_rss_mb']:.1f}/"
+         f"{peak['new'][name]['children_rss_mb']:.1f}") for name, _ in cases])
     print(json.dumps({"unit": "s per command; MB", "rounds": rounds,
-                      "summary": summary, "runs": runs}))
+                      "summary": summary, "peak_rss": peak, "runs": runs}))
 
 
 def _cases(new_root: Path, desk_seed: int, work: Path) -> tuple[list[list[str]], list]:
@@ -159,21 +209,12 @@ def main(argv=None) -> int:
             rounds[side].append(json.loads(proc.stdout.splitlines()[-1]))
         print(f"  round {i + 1}/{args.rounds} done", file=sys.stderr)
 
-    best = {side: {name: min(r[name][0] for r in runs) for name, _ in cases}
-            for side, runs in rounds.items()}
-    median = {side: {name: statistics.median(r[name][0] for r in runs) for name, _ in cases}
-              for side, runs in rounds.items()}
-    print(f"{'case':<14}{'rows':>8}{'old best':>10}{'new best':>10}{'new/old':>9}"
-          f"{'old med':>10}{'new med':>10}{'new/old':>9}   (us per step)")
-    for name, _ in cases:
-        ob, nb, om, nm = best["old"][name], best["new"][name], median["old"][name], \
-            median["new"][name]
-        print(f"{name:<14}{rounds['new'][0][name][1]:>8}{ob:>10.2f}{nb:>10.2f}{nb / ob:>9.3f}"
-              f"{om:>10.2f}{nm:>10.2f}{nm / om:>9.3f}")
-    print(json.dumps({"unit": "us per sim step", "best_of": args.rounds, "best": best,
-                      "median": median,
-                      "rounds": {side: [{k: round(v[0], 3) for k, v in r.items()} for r in runs]
-                                 for side, runs in rounds.items()}}))
+    summary = _report("us per sim step", [
+        (name, [r[name][0] for r in rounds["old"]], [r[name][0] for r in rounds["new"]],
+         f"  {rounds['new'][0][name][1]} rows") for name, _ in cases])
+    print(json.dumps({"unit": "us per sim step", "rounds": args.rounds, "summary": summary,
+                      "runs": {side: [{k: round(v[0], 3) for k, v in r.items()} for r in runs]
+                               for side, runs in rounds.items()}}))
     return 0
 
 

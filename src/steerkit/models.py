@@ -145,23 +145,34 @@ def dynamic_step(state, vx: float, delta: float, dt: float, p: VehicleParams) ->
     dY = vx sin(psi) + vy cos(psi), dpsi = r, dvy = (fyf + fyr) / m - vx r
     and dr = (lf fyf - lr fyr) / iz.  vy is the body-frame lateral velocity
     at the CoG and r the yaw rate.  The leading 2 caf and -2 car, which
-    Python evaluates first anyway, are hoisted.  No steer check: the tire
-    model has no tan."""
+    Python evaluates first anyway, are hoisted.  The four stages (dX, dY,
+    dvy, dr at the stage's psi, vy and r) are written out, each in the same
+    expression order.  No steer check: the tire model has no tan."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, y, psi, vy, r = state
     lf, lr, m, iz, cf, cr = p.lf, p.lr, p.m, p.iz, 2.0 * p.caf, -2.0 * p.car
     cos, sin, h = math.cos, math.sin, 0.5 * dt
 
-    def rates(psi, vy, r):  # dX, dY, dvy, dr
-        co, si = cos(psi), sin(psi)
-        f, g = cf * (delta - (vy + lf * r) / vx), cr * (vy - lr * r) / vx
-        return vx * co - vy * si, vx * si + vy * co, (f + g) / m - vx * r, (lf * f - lr * g) / iz
-
-    x1, y1, v1, w1 = rates(psi, vy, r)
-    x2, y2, v2, w2 = rates(psi + h * r, vy + h * v1, r2 := r + h * w1)
-    x3, y3, v3, w3 = rates(psi + h * r2, vy + h * v2, r3 := r + h * w2)
-    x4, y4, v4, w4 = rates(psi + dt * r3, vy + dt * v3, r4 := r + dt * w3)
+    co, si = cos(psi), sin(psi)
+    f, g = cf * (delta - (vy + lf * r) / vx), cr * (vy - lr * r) / vx
+    x1, y1 = vx * co - vy * si, vx * si + vy * co
+    v1, w1 = (f + g) / m - vx * r, (lf * f - lr * g) / iz
+    ps, vs, r2 = psi + h * r, vy + h * v1, r + h * w1
+    co, si = cos(ps), sin(ps)
+    f, g = cf * (delta - (vs + lf * r2) / vx), cr * (vs - lr * r2) / vx
+    x2, y2 = vx * co - vs * si, vx * si + vs * co
+    v2, w2 = (f + g) / m - vx * r2, (lf * f - lr * g) / iz
+    ps, vs, r3 = psi + h * r2, vy + h * v2, r + h * w2
+    co, si = cos(ps), sin(ps)
+    f, g = cf * (delta - (vs + lf * r3) / vx), cr * (vs - lr * r3) / vx
+    x3, y3 = vx * co - vs * si, vx * si + vs * co
+    v3, w3 = (f + g) / m - vx * r3, (lf * f - lr * g) / iz
+    ps, vs, r4 = psi + dt * r3, vy + dt * v3, r + dt * w3
+    co, si = cos(ps), sin(ps)
+    f, g = cf * (delta - (vs + lf * r4) / vx), cr * (vs - lr * r4) / vx
+    x4, y4 = vx * co - vs * si, vx * si + vs * co
+    v4, w4 = (f + g) / m - vx * r4, (lf * f - lr * g) / iz
     c = dt / 6.0
     out = (x + c * (x1 + 2.0 * x2 + 2.0 * x3 + x4), y + c * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
            psi + c * (r + 2.0 * r2 + 2.0 * r3 + r4), vy + c * (v1 + 2.0 * v2 + 2.0 * v3 + v4),

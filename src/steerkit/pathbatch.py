@@ -65,6 +65,34 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
     return np.array((s_star, e_y, _wrap(_wrap(pose_psi) - psi_f), kappa_f))
 
 
+def _spans(path: RefPath, x: np.ndarray, y: np.ndarray, mems: np.ndarray, w_lo: np.ndarray,
+           w_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pose (x, y), the part [lo, hi) of its window [w_lo, w_hi) that
+    holds the window's first nearest sample: from the first to the last
+    path chunk (RefPath._chunks) in the window whose box bound
+    max(0, x0 - x, x - x1)**2 + max(0, y0 - y, y - y1)**2 is at most the
+    squared distance d2 of the window's sample at the pose's memory mems.
+    Rounding is monotone, so no sample's squared distance, computed as
+    project_run's tables compute it, lies below its chunk's bound, and
+    every sample nearer than d2, or as near, lies in a chunk kept."""
+    size, x0, x1, y0, y1 = path._chunks
+    j = np.clip(np.searchsorted(path.s, mems), w_lo, w_hi - 1)
+    c_lo, c_hi = w_lo // size, (w_hi - 1) // size + 1
+    c = c_lo[:, None] + np.arange((c_hi - c_lo).max(initial=1))
+    c_in = c < c_hi[:, None]
+    c = np.minimum(c, len(x0) - 1)
+    px, py = x[:, None], y[:, None]
+    with np.errstate(over="ignore"):   # inf past the float range, as in the tables
+        dx, dy = path.x[j] - x, path.y[j] - y
+        d2 = dx * dx + dy * dy
+        bx = np.maximum(np.maximum(x0[c] - px, px - x1[c]), 0.0)
+        by = np.maximum(np.maximum(y0[c] - py, py - y1[c]), 0.0)
+        keep = (bx * bx + by * by <= d2[:, None]) & c_in
+    first = keep.argmax(axis=1)
+    last = keep.shape[1] - keep[:, ::-1].argmax(axis=1)
+    return np.maximum(w_lo, (c_lo + first) * size), np.minimum(w_hi, (c_lo + last) * size)
+
+
 def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
                 prev_s: np.ndarray) -> tuple[np.ndarray, SimulationError | None]:
     """Project the poses (x, y, psi), each with its own memory prev_s[r].
@@ -73,19 +101,23 @@ def project_run(path: RefPath, x: np.ndarray, y: np.ndarray, psi: np.ndarray,
     pose by pose, and None; or, when pose m is the first lost one, the rows
     before it and that pose's SimulationError.  The nearest samples come
     from distance tables over chunks of poses, each over the union of its
-    poses' windows in at most RUN_TABLE_CELLS cells (one pose at least).  A
-    pose whose nearest sample there lies outside its own window is
-    projected by project alone."""
+    poses' spans (`_spans`, the part of a pose's window that holds its
+    nearest sample) in at most RUN_TABLE_CELLS cells (one pose at least).
+    The nearest sample of a union that contains a pose's span is, where it
+    lies in the pose's window, the window's first nearest; a pose whose
+    nearest sample there lies outside its own window is projected by
+    project alone."""
     rows, n = len(x), len(path)
     mems = _memory(path, prev_s)
     w_lo = np.maximum(np.searchsorted(path.s, mems - 0.2 * PROJECT_WINDOW) - 1, 0)
     w_hi = np.minimum(np.searchsorted(path.s, mems + PROJECT_WINDOW) + 2, n)
+    s_lo, s_hi = _spans(path, x, y, mems, w_lo, w_hi)
     i, near = np.empty(rows, dtype=np.intp), np.empty(rows)
     r = 0
     while r < rows:
-        # the longest chunk from r whose windows' union fits the table
-        lo = np.minimum.accumulate(w_lo[r:r + RUN_TABLE_CELLS])
-        hi = np.maximum.accumulate(w_hi[r:r + RUN_TABLE_CELLS])
+        # the longest chunk from r whose spans' union fits the table
+        lo = np.minimum.accumulate(s_lo[r:r + RUN_TABLE_CELLS])
+        hi = np.maximum.accumulate(s_hi[r:r + RUN_TABLE_CELLS])
         c = max(1, np.count_nonzero((hi - lo) * np.arange(1, len(lo) + 1) <= RUN_TABLE_CELLS))
         lo, hi, end = lo[c - 1], hi[c - 1], r + c
         d2 = path.x[lo:hi] - x[r:end, None]

@@ -26,6 +26,7 @@ DEFAULT_KAPPA_BOUND = 0.75   # 1/m, ~1/(0.5 L) for a mid-size wheelbase
 HEADING_CONSISTENCY_TOL = 0.05
 PROJECT_HORIZON = 50.0   # m, a pose farther than this from every sample is lost
 PROJECT_WINDOW = 30.0    # m of arc ahead of the search memory (a fifth behind)
+PROJECT_CHUNK = 32       # samples per box of RefPath._chunks
 # a smoothing run at speed v designs its gains on 4 speeds from max(FLOOR, v/2)
 # to min(CAP, 1.5 v + 1); that grid ascends, as build_schedule needs, while v/2 < CAP
 SMOOTH_GRID_FLOOR, SMOOTH_GRID_CAP = 0.6, 29.0
@@ -85,6 +86,11 @@ class RefPath:
         # it, project's squared distances stay in the float range
         self._box = (self.x.min().item() - PROJECT_HORIZON, self.x.max().item() + PROJECT_HORIZON,
                      self.y.min().item() - PROJECT_HORIZON, self.y.max().item() + PROJECT_HORIZON)
+        # the x and y bounds of each run of PROJECT_CHUNK samples, which
+        # pathbatch.project_run searches only where a pose may be nearest
+        starts = np.arange(0, n, PROJECT_CHUNK)
+        self._chunks = (PROJECT_CHUNK, *(f.reduceat(a, starts) for a in (self.x, self.y)
+                                         for f in (np.minimum, np.maximum)))
 
     def _check_consistency(self, kappa_bound: float) -> None:
         if np.max(np.abs(self.kappa)) > kappa_bound + 1e-12:

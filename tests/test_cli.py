@@ -533,7 +533,7 @@ class TestForkedLog:
         if failure == "killed":
             monkeypatch.setattr(logfork.ForkedLog, "table", failing)
         else:
-            monkeypatch.setattr(logfork, "_format", lambda rows, pipe, fd: 1)
+            monkeypatch.setattr(logfork, "_format", lambda *args: 1)
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(forks) == 1 and forks.all_reaped()
         assert _artifacts(tmp_path / "o") == _artifacts(tmp_path / "serial")

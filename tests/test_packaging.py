@@ -133,7 +133,9 @@ def test_the_reachability_scan_finds_what_is_unreached(tmp_path):
 
 MAKERS = {"mkdir", "makedirs", "write_text", "write_bytes", "replace", "rename", "mkdtemp",
           "rmtree"}
-TEMP_FILES = {"logfork._format"}   # the forked log child, which writes the staged log.csv
+# the forked log child, which writes the staged log.csv, and the run process,
+# which hands it blocks through files beside it
+TEMP_FILES = {"logfork._format", "logfork.ForkedLog._take"}
 
 
 def _text(node) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from steerkit import SimulationError, pathbatch
+from steerkit import SimulationError, pathbatch, pathkit
 from steerkit.models import Pose, wrap_angle
 from steerkit.pathbatch import RUN_TABLE_CELLS, project_run
 from steerkit.pathkit import (
@@ -277,6 +278,29 @@ def oracle_paths():
 ORACLE_PATHS = oracle_paths()
 
 
+def hairpin(spacing=0.1, leg=12.0, radius=1.5):
+    """Out along +x, a half turn left of `radius`, back along -x: every
+    window reaches both legs, 2 radii apart."""
+    s = np.arange(0.0, 2.0 * leg + math.pi * radius, spacing)
+    turn = np.clip((s - leg) / radius, 0.0, math.pi)
+    x = np.where(s < leg, s, leg + radius * np.sin(turn))
+    x = np.where(s > leg + math.pi * radius, leg - (s - leg - math.pi * radius), x)
+    y = radius - radius * np.cos(turn)
+    psi = np.array([wrap_angle(v) for v in turn.tolist()])
+    kappa = np.where((s > leg) & (s < leg + math.pi * radius), 1.0 / radius, 0.0)
+    return RefPath(s=s, x=x, y=y, psi=psi, kappa=kappa, strict=False)
+
+
+@functools.cache
+def chunked_paths(size):
+    """ORACLE_PATHS and the hairpin, built with path chunks of `size` samples."""
+    with mock.patch.object(pathkit, "PROJECT_CHUNK", size):
+        return {**oracle_paths(), "hairpin": hairpin()}
+
+
+CHUNK_SIZES = (1, 7, 32)
+
+
 def bits(proj):
     return tuple(float(v).hex() for v in proj)
 
@@ -366,15 +390,16 @@ def sequential_project(path, x, y, psi, prev_s, seam):
 
 @st.composite
 def pose_runs(draw):
-    """A vehicle-like run of poses near a path: it starts near a sample and
+    """A vehicle-like run of poses near a path, with path chunks of any of
+    CHUNK_SIZES samples: it starts near a sample and
     advances 0-3 samples per pose (past the seam of a closed path) with a
     drifting lateral offset, heading error and noise; a large offset can
     leave the horizon.  Each pose's memory is the arc length at the pose
     1, 5 or 20 poses back, as read steps hold it, shifted; some memories
     stray anywhere along the path, so that the pose's nearest sample in
     its chunk can lie outside its own window."""
-    name = draw(st.sampled_from(sorted(ORACLE_PATHS)))
-    path = ORACLE_PATHS[name]
+    paths = chunked_paths(draw(st.sampled_from(CHUNK_SIZES)))
+    path = paths[draw(st.sampled_from(sorted(paths)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(st.integers(1, 400))
     # anywhere, or close to the end: the end of an open path, the seam of a closed one
@@ -420,16 +445,89 @@ class TestProjectRun:
     def test_across_the_seam_of_a_closed_path(self, start):
         # the memory wraps once the foot passes the seam: the next windows
         # lie at the path start, away from the samples nearest the end
-        path = ORACLE_PATHS["closed_circle"]
+        for size in CHUNK_SIZES:
+            path = chunked_paths(size)["closed_circle"]
+            n = len(path)
+            seam = oracle_end_s(path)
+            idx = (n - start + np.arange(60)) % n
+            x, y, psi = path.x[idx] + 0.01, path.y[idx] + 0.02, path.psi[idx]
+            prev_s = path.s[(idx - 1) % n]   # the sample before each pose's
+            want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s,
+                                         seam)
+            feet, lost = project_run(path, x, y, psi, prev_s)
+            assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+            assert min(f[0] for f in want) == 0.0 and max(f[0] for f in want) >= seam
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("shift", [0.0, -2.0, 2.5])
+    def test_the_far_part_of_the_window_is_nearest(self, shift, size):
+        # on a hairpin the window of a memory on the way out reaches the way
+        # back: a pose on the way back whose memory lies across, on the way
+        # out, is nearest to samples far along its window from the memory
+        path = chunked_paths(size)["hairpin"]
         n = len(path)
-        seam = oracle_end_s(path)
-        idx = (n - start + np.arange(60)) % n
-        x, y, psi = path.x[idx] + 0.01, path.y[idx] + 0.02, path.psi[idx]
-        prev_s = path.s[(idx - 1) % n]   # the sample before each pose's
-        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, seam)
-        feet, lost = project_run(path, x, y, psi, prev_s)
+        pose_idx = n - 1 - np.arange(20, 100)
+        x, y = path.x[pose_idx] + 0.03, path.y[pose_idx] - 0.02
+        psi, prev_s = path.psi[pose_idx], path.s[n - 1 - pose_idx] + shift
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, np.inf)
+        with mock.patch.object(pathbatch, "project", wraps=project) as alone:
+            feet, lost = project_run(path, x, y, psi, prev_s)
         assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
-        assert min(f[0] for f in want) == 0.0 and max(f[0] for f in want) >= seam
+        assert alone.call_count == 0
+        # the feet lie on the pose's leg, not near the memory's
+        assert np.all(np.abs(np.array(want)[:, 0] - path.s[pose_idx]) < 0.2)
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("where", ["chunk_seam", "between_legs"])
+    def test_a_pose_equidistant_from_two_chunk_boxes(self, where, size):
+        # halfway between the last sample of a chunk and the first of the
+        # next, beside a line, where the two samples tie; or on the midline
+        # of the hairpin, as far from a chunk of the way out as from one of
+        # the way back: the first of the nearest samples gives the foot
+        if where == "chunk_seam":
+            path = chunked_paths(size)["line"]
+            cos, sin = math.cos(float(path.psi[0])), math.sin(float(path.psi[0]))
+            s = path.s[np.arange(2, 15) * size] - 0.05
+            x = float(path.x[0]) + s * cos - 0.4 * sin
+            y = float(path.y[0]) + s * sin + 0.4 * cos
+            psi, prev_s = np.full(len(s), float(path.psi[0])), s - 1.0
+        else:
+            path = chunked_paths(size)["hairpin"]
+            x = np.linspace(1.0, 11.0, 41)
+            y, psi, prev_s = np.full(41, 1.5), np.zeros(41), x - 0.5
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), prev_s, np.inf)
+        with mock.patch.object(pathbatch, "project", wraps=project) as alone, \
+                mock.patch.object(pathbatch, "RUN_TABLE_CELLS", 1):
+            feet, lost = project_run(path, x, y, psi, prev_s)
+        assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+        assert alone.call_count == 0
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_windows_that_start_and_end_mid_chunk(self, end, size):
+        # a pose behind its window's first sample or past its last is nearest
+        # to that sample, in a chunk the window only partly covers; the
+        # memories move the window's ends through every offset in a chunk
+        path = chunked_paths(size)["line"]
+        mems = 30.0 + 0.1 * np.arange(2 * size + 1)
+        w_lo = np.maximum(np.searchsorted(path.s, mems - 0.2 * PROJECT_WINDOW) - 1, 0)
+        w_hi = np.minimum(np.searchsorted(path.s, mems + PROJECT_WINDOW) + 2, len(path))
+        edge = w_lo if end == "start" else w_hi - 1
+        assert size == 1 or len(set((w_lo % size).tolist())) == size
+        step = -1.5 if end == "start" else 1.5
+        heading = float(path.psi[0])
+        s = path.s[edge] + step
+        x = path.x[0] + s * math.cos(heading) - 0.2 * math.sin(heading)
+        y = path.y[0] + s * math.sin(heading) + 0.2 * math.cos(heading)
+        psi = np.full(len(s), heading)
+        want, _ = sequential_project(path, x.tolist(), y.tolist(), psi.tolist(), mems, np.inf)
+        # a table per pose: its nearest sample is its span's
+        with mock.patch.object(pathbatch, "project", wraps=project) as alone, \
+                mock.patch.object(pathbatch, "RUN_TABLE_CELLS", 1):
+            feet, lost = project_run(path, x, y, psi, mems)
+        assert lost is None and [tuple(f) for f in feet.T.tolist()] == want
+        assert alone.call_count == 0
+        assert np.all(np.abs(np.array(want)[:, 0] - path.s[edge]) < 0.101)   # a sample at most
 
     @pytest.mark.parametrize("advance, inside", [(8, 0.95), (-3, 0.0)])
     def test_foot_leaving_the_range_the_poses_suggest(self, advance, inside):
