@@ -200,26 +200,41 @@ def _drive_log() -> list[str]:
 def _inputs_plan(new_root: Path, work: Path) -> dict:
     """Every input file kind through the input layer: `design` writes both gain
     tables, which `simulate` loads into `circle_10ms` (5 s) through
-    `"gains": {"csv": ...}`; `curvature` and `smooth` read a recorded log with
-    comment and blank lines and CRLF line ends; and malformed recorded logs
-    and gain tables (a short row, a non-numeric cell, a NaN, an unknown
-    column, a mixed dt) fail, compared by exit code and stdout."""
+    `"gains": {"csv": ...}`, each under its own model and under the other
+    one (the `controller` key naming the table's law); `curvature` and
+    `smooth` read a recorded log with comment and blank lines and CRLF line
+    ends; and malformed recorded logs and gain tables (a short row, a
+    non-numeric cell, a NaN, an unknown column, a mixed dt) and `controller`
+    keys that are not the gain table's law (named or by default) or no law
+    at all fail, compared by exit code and stdout."""
     configs = new_root / "src" / "steerkit" / "configs"
     work.mkdir(parents=True, exist_ok=True)
     out = work / "out"
     commands = []
-    for model, controller, q in (("kinematic", "kinematic_ff_fb", "1,1"),
-                                 ("dynamic", "dynamic_lqr", "1,1,1,1")):
+
+    def simulate(name: str, **changes) -> None:
+        cfg = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
+        cfg.update(changes)
+        cfg = {k: v for k, v in cfg.items() if v is not ...}   # ... drops a key
+        (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        commands.append({"name": name, "argv": ["simulate", str(work / f"{name}.json"),
+                                                "--out", str(out / name)]})
+
+    laws = {"kinematic": "kinematic_ff_fb", "dynamic": "dynamic_lqr"}
+    tables = {model: str(out / f"design_{model}" / "gains.csv") for model in laws}
+    for model, q in (("kinematic", "1,1"), ("dynamic", "1,1,1,1")):
         commands.append({"name": f"design_{model}",
                          "argv": ["design", str(configs / "sedan.json"), "--model", model,
                                   "--weights", q, "--out", str(out / f"design_{model}")]})
-        cfg = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
-        cfg.update(model=model, controller=controller, t_end=5.0,
-                   gains={"csv": str(out / f"design_{model}" / "gains.csv")})
-        (work / f"table_{model}.json").write_text(json.dumps(cfg), encoding="utf-8")
-        commands.append({"name": f"table_{model}",
-                         "argv": ["simulate", str(work / f"table_{model}.json"),
-                                  "--out", str(out / f"table_{model}")]})
+    for model, law in (("kinematic", "kinematic"), ("dynamic", "dynamic"),
+                       ("dynamic", "kinematic"), ("kinematic", "dynamic")):
+        simulate(f"table_{model}" if model == law else f"cross_{model}_{law}", model=model,
+                 controller=laws[law], t_end=5.0, gains={"csv": tables[law]})
+    simulate("law_mismatch", controller="dynamic_lqr", t_end=1.0)
+    simulate("law_default", model="dynamic", controller=..., t_end=1.0,
+             gains={"csv": tables["kinematic"]})
+    simulate("law_unknown", controller="pure_pursuit", t_end=1.0)
+    simulate("law_number", controller=2, t_end=1.0)
     lines = _drive_log()
     odd = ["# recorded on a test track", ""] + lines[:300] + ["  # lap marker", "\t"] + \
         lines[300:]
@@ -233,22 +248,17 @@ def _inputs_plan(new_root: Path, work: Path) -> dict:
     logs = {name: lines[:100] + [fault(lines[100])] + lines[101:]
             for name, fault in faults.items()}
     logs["column"] = [lines[0] + ",altitude"] + [row + ",0.0" for row in lines[1:]]
-    tables = {name: ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", fault("4.0,0.9,2.4,0.02")]
-              for name, fault in faults.items()}
-    tables["mixed"] = ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", "4.0,0.9,2.4,0.05"]
+    bad_tables = {name: ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", fault("4.0,0.9,2.4,0.02")]
+                  for name, fault in faults.items()}
+    bad_tables["mixed"] = ["v,k1,k2,dt", "2.0,0.9,2.4,0.02", "4.0,0.9,2.4,0.05"]
     for name, rows in logs.items():
         (work / f"log_{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         commands.append({"name": f"log_{name}",
                          "argv": ["curvature", str(work / f"log_{name}.csv"),
                                   "--out", str(out / f"log_{name}")]})
-    for name, rows in tables.items():
+    for name, rows in bad_tables.items():
         (work / f"gains_{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        cfg = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
-        cfg.update(t_end=1.0, gains={"csv": str(work / f"gains_{name}.csv")})
-        (work / f"gains_{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
-        commands.append({"name": f"gains_{name}",
-                         "argv": ["simulate", str(work / f"gains_{name}.json"),
-                                  "--out", str(out / f"gains_{name}")]})
+        simulate(f"gains_{name}", t_end=1.0, gains={"csv": str(work / f"gains_{name}.csv")})
     return {"commands": commands}
 
 

@@ -276,6 +276,8 @@ def _failing(file: Path):
 
 _SIM_KEYS = {"schema_version", "seed", "path", "vehicle", "model", "controller", "speed",
              "t_end", "sim_dt", "control_dt", "initial_offset", "gains", "sensors", "actuator"}
+# the config name of the steering law a gain schedule of each model runs
+_LAWS = {"kinematic": "kinematic_ff_fb", "dynamic": "dynamic_lqr"}
 
 
 def _build_path(entry, base: Path) -> pathkit.RefPath:
@@ -319,9 +321,10 @@ def _scenario_from_config(cfg: dict, config_path: Path):
         _require(not unknown, f"unknown config keys {sorted(unknown)}")
         p = _build(VehicleParams, cfg.get("vehicle", {}), "vehicle")
         model = cfg.get("model", simkit.ScenarioConfig.model)
-        controller = "kinematic_ff_fb" if model == "kinematic" else "dynamic_lqr"
-        given = {"model": model, "controller": cfg.get("controller", controller),
-                 "path": _build_path(cfg.get("path"), base)}
+        # the law runs from the gain row; the key, by default the model's law, checks it
+        law = cfg.get("controller", _LAWS["kinematic" if model == "kinematic" else "dynamic"])
+        _require(law in _LAWS.values(), f"unknown controller {law!r}")
+        given = {"model": model, "path": _build_path(cfg.get("path"), base)}
         speed = cfg.get("speed")
         if isinstance(speed, list):
             _require(all(isinstance(k, list) and len(k) == 2 for k in speed),
@@ -351,6 +354,8 @@ def _scenario_from_config(cfg: dict, config_path: Path):
     except ValueError as e:
         raise ConfigError(f"{config_path}: {e}") from e
     schedule = _schedule_from_config(cfg, p, model, scenario.control_dt, base)
+    _require(law == _LAWS[schedule.model], f"{config_path}: controller {law!r} is not the law "
+             f"of its {schedule.model} gain schedule, {_LAWS[schedule.model]!r}")
     return scenario, schedule, p
 
 

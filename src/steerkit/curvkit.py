@@ -48,7 +48,8 @@ def ackermann_curvature(delta, wheelbase: float):
 
 def feedforward_steer(kappa, wheelbase: float):
     """Steering angle tracking curvature kappa: atan(kappa * L), the exact
-    inverse of ackermann_curvature; the controllers clamp it to max_steer."""
+    inverse of ackermann_curvature; the steering law adds it to the feedback
+    and clamps the sum to max_steer."""
     if not isinstance(kappa, float):
         kappa = np.asarray(kappa, dtype=float)
     out = np.arctan(kappa * wheelbase)

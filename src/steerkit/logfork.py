@@ -6,22 +6,22 @@ cell where the child keeps the count of rows it has written.  The child,
 forked right after the table is made, appends the rows to `path` in order,
 one CSV_BLOCK_ROWS block at a time, as the run process tells it over a
 pipe of 8-byte tokens, each a row count or block number and a kind: rows
-[0, k) are final (and will not change), the log is rows [0, n), block b is
-claimed, block b's text is handed over.  The child writes each whole block
-below the final rows, the rest once the length is known, and leaves
-through `os._exit` (0 once the file is complete), so it never flushes
-inherited stdio or runs atexit handlers.
+[0, k) are final (and will not change), the log is rows [0, n), block b's
+text is handed over.  The child writes each whole block below the final
+rows, the rest once the length is known, and leaves through `os._exit` (0
+once the file is complete), so it never flushes inherited stdio or runs
+atexit handlers.
 
 The run process formats blocks too.  Whenever the child is two or more
 whole blocks behind, not counting the block it is writing (checked each
 time a block becomes final, and in `done` before the wait), the run
-process claims the newest final block, formats it into a handoff file
-beside `path` and hands it over, so the child still has a whole block to
-write before it needs the handoff.  The child, which looks for tokens
-before each block, copies a claimed block's handoff into place instead of
-formatting it.  `numkit.write_csv_rows` output does not depend on where a
-run of rows starts, so the bytes are the same whoever formats a block,
-and a claim the child sees too late only costs the run process its work.
+process formats the newest final block into a handoff file beside `path`,
+then hands it over with one token.  The child, which looks for tokens
+before each block, copies a block handed over by then into place, and
+formats any other itself.  `numkit.write_csv_rows` output does not depend
+on where a run of rows starts, so the bytes are the same whoever formats
+a block, and a handoff the child sees too late only costs the run process
+its work.
 
 `path` is where `cli.OutputDir` stages log.csv: the file is moved into
 place only if the whole command succeeds.  `done`, after the run, waits for
@@ -45,7 +45,7 @@ from .numkit import CSV_BLOCK_ROWS, write_csv_rows
 from .simkit import LOG_HEAD
 
 _TOKEN = 8  # bytes of one signed little-endian token: value * 4 + kind
-_FINAL, _LENGTH, _CLAIM, _HANDOFF = range(4)
+_FINAL, _LENGTH, _HANDOFF = range(3)
 _PART = CSV_BLOCK_ROWS // 4   # rows the run process formats at a time
 
 
@@ -56,7 +56,7 @@ class ForkedLog:
         self.path = path
         self.pid = None
         self.pipe = None
-        self.claimed: set[int] = set()   # blocks claimed, whose handoffs abort removes
+        self.handed: set[int] = set()   # blocks taken, whose handoffs abort removes
 
     def table(self, shape: tuple[int, int]) -> np.ndarray:
         """A fresh float64 row table in shared memory, with a child formatting
@@ -110,7 +110,7 @@ class ForkedLog:
             return False
         if self.n is not None:
             b = -(-self.n // CSV_BLOCK_ROWS)
-            while b > 0 and (b - 1 in self.claimed or self._take(b - 1, self.n)):
+            while b > 0 and (b - 1 in self.handed or self._take(b - 1, self.n)):
                 b -= 1
         self._close_pipe()
         if self.pid is None:   # stopped where a handoff could not be made
@@ -129,24 +129,21 @@ class ForkedLog:
         self._remove_handoffs()
 
     def _take(self, b: int, final: int) -> bool:
-        """Claim block b of the rows below `final`, format it into its handoff
-        and hand it over, if the child has two whole blocks before it still
-        to write: the one it may be writing and one more; True if the block
-        was handed over."""
+        """Format block b of the rows below `final` into its handoff and hand
+        it over, if the child has two whole blocks before it still to write:
+        the one it may be writing and one more; True if the block was handed
+        over."""
         lo = b * CSV_BLOCK_ROWS
         if self.pipe is None or lo - int(self.written[0]) < 2 * CSV_BLOCK_ROWS:
             return False
-        self.claimed.add(b)
-        self._send(b, _CLAIM)
-        if self.pipe is None:
-            return False
+        self.handed.add(b)
         try:
             with open(_handoff(self.path, b), "w", encoding="utf-8", newline="\n") as f:
                 # a quarter block at a time: the text of a whole one at once
                 # would raise the run process's peak resident set
                 for i in range(lo, min(lo + CSV_BLOCK_ROWS, final), _PART):
                     write_csv_rows(f, self.rows[i:min(i + _PART, final)])
-        except OSError:   # the child waits for this block: stop it, the log is written serially
+        except OSError:   # a failing disk: stop the child, the log is written serially
             self.abort()
             return False
         self._send(b, _HANDOFF)
@@ -165,9 +162,9 @@ class ForkedLog:
             self.pipe = None
 
     def _remove_handoffs(self) -> None:
-        for b in self.claimed:
+        for b in self.handed:
             _handoff(self.path, b).unlink(missing_ok=True)
-        self.claimed = set()
+        self.handed = set()
 
 
 def _handoff(path: Path, b: int) -> Path:
@@ -178,18 +175,18 @@ def _handoff(path: Path, b: int) -> Path:
 def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int:
     """The child: append the rows the tokens on `pipe` make final to the
     file at `path`, in the artifacts' dialect, a block at a time, each
-    claimed block from its handoff, and keep the count in written[0]; 0
-    once the whole log is written, 1 if the pipe closes first."""
+    block handed over before the child gets to it from its handoff, and
+    keep the count in written[0]; 0 once the whole log is written, 1 if the
+    pipe closes first."""
     out = open(path, "w", encoding="utf-8", newline="\n")
     out.write(LOG_HEAD)
-    final, n, done, claimed, handed = 0, None, 0, set(), set()
+    final, n, done, handed = 0, None, 0, set()
     pending, closed = b"", False
     while done != n:
         b = done // CSV_BLOCK_ROWS
         end = min(done + CSV_BLOCK_ROWS, final - final % CSV_BLOCK_ROWS if n is None else n)
-        ready = done < end and (b not in claimed or b in handed)
         # read what tokens have come; wait for one only when nothing can be written
-        if not closed and select.select([pipe], [], [], 0.0 if ready else None)[0]:
+        if not closed and select.select([pipe], [], [], 0.0 if done < end else None)[0]:
             part = os.read(pipe, 4096)
             closed = not part
             pending += part
@@ -202,12 +199,12 @@ def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int
                 elif kind == _LENGTH:
                     n = value
                 else:
-                    (claimed if kind == _CLAIM else handed).add(value)
+                    handed.add(value)
             pending = pending[usable:]
             continue
-        if not ready:
+        if done >= end:
             return 1
-        if b in claimed:
+        if b in handed:
             handoff = _handoff(path, b)
             out.write(handoff.read_text(encoding="utf-8"))
             handoff.unlink()

@@ -84,7 +84,7 @@ def _zoh(model: str, v, p: VehicleParams, dt: float) -> tuple[np.ndarray, np.nda
         ad[..., 0, 1] = vdt
         return ad, bd
     if model == "dynamic":
-        sysd = c2d(error_dynamics_matrices(v, p)[0], dt)
+        sysd = c2d(error_dynamics_matrices(v, p), dt)
         return sysd.A, sysd.B
     raise ValueError(f"unknown model {model!r}")
 

@@ -85,26 +85,6 @@ class Pose(NamedTuple("Pose", [("x", float), ("y", float), ("psi", float)])):
         return tuple.__new__(cls, (x, y, wrap_angle(psi)))
 
 
-class ControlInput(NamedTuple):
-    """Speed command v (m/s) and road-wheel steering angle delta (rad)."""
-
-    v: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Path-relative states: e_y, e_y_dot, e_psi, e_psi_dot."""
-
-    e_y: float
-    e_y_dot: float
-    e_psi: float
-    e_psi_dot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e_y, self.e_y_dot, self.e_psi, self.e_psi_dot])
-
-
 def kinematic_yaw_rate(v: float, delta: float, p: VehicleParams) -> float:
     """Heading rate of the kinematic bicycle: (v / L) tan(delta)."""
     if abs(delta) >= math.pi / 2:
@@ -182,7 +162,7 @@ def dynamic_step(state, vx: float, delta: float, dt: float, p: VehicleParams) ->
     return out
 
 
-def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarray]:
+def error_dynamics_matrices(vx, p: VehicleParams) -> StateSpace:
     """Error-coordinate dynamics on (e_y, e_y_dot, e_psi, e_psi_dot).
 
     Obtained from the body-frame model by substituting
@@ -190,10 +170,9 @@ def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarra
     moves slip-force coupling onto the heading-error column; without that
     coupling the pair (A, B) is unstabilizable (two decoupled marginal
     modes against one steering input) and no regulator exists.  B is
-    unchanged.  The second return value is the disturbance column
-    multiplying the desired yaw rate psi_dot_d = vx * kappa.  An array of
-    speeds gives stacks, one item per speed; the first speed at or below
-    the guard raises.
+    unchanged; the path curvature enters through a disturbance column the
+    design leaves out.  An array of speeds gives stacks, one item per
+    speed; the first speed at or below the guard raises.
     """
     for v in np.ravel(vx).tolist():
         check_dynamic_speed(v)
@@ -219,6 +198,4 @@ def error_dynamics_matrices(vx, p: VehicleParams) -> tuple[StateSpace, np.ndarra
     b[..., 1, 0], b[..., 3, 0] = b2, b4
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(f"the dynamic model of {p} is not finite")
-    disturbance = np.zeros(vx.shape + (4, 1))
-    disturbance[..., 1, 0], disturbance[..., 3, 0] = a24 - vx, a44
-    return StateSpace(a, b), disturbance
+    return StateSpace(a, b)

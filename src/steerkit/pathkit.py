@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import SimulationError
-from .curvkit import differential_sample
+from .curvkit import ackermann_curvature, differential_sample
 from .models import VehicleParams, Pose, wrap_angle
 from .numkit import read_csv_table, read_input
 
@@ -482,7 +482,6 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
     cfg = simkit.ScenarioConfig(
         path=ref,
         model="kinematic",
-        controller="kinematic_ff_fb",
         speed=v,
         t_end=t_end,
         initial_offset=(0.0, 0.0),
@@ -498,7 +497,7 @@ def smooth_recorded(path: RefPath, p: VehicleParams, v: float = 3.0) -> RefPath:
 
     step = max(1, int(round(SMOOTH_SPACING / (v * cfg.sim_dt) / 4)))
     xs, ys = log.x[::step], log.y[::step]
-    kap = np.tan(log.delta_act[::step]) / p.wheelbase
+    kap = ackermann_curvature(log.delta_act[::step], p.wheelbase)
     keep, s_raw, s, xr, yr, psi_d = _resample(xs, ys, SMOOTH_SPACING)
     return RefPath(s=s, x=xr, y=yr, psi=psi_d, kappa=np.interp(s, s_raw, kap[keep]),
                    kappa_bound=math.tan(p.max_steer) / p.wheelbase + 1e-9)

@@ -1,4 +1,4 @@
-"""Closed-loop simulation: RK4 plant steps, controllers, sensors, actuator.
+"""Closed-loop simulation: RK4 plant steps, the steering law, sensors, actuator.
 
 One scenario is one single-threaded deterministic loop: given the same
 config and seed, the produced log is bit-identical (noise comes from
@@ -21,8 +21,8 @@ from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENT
     INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
     feedforward_steer, kf_step
 from .lqr import DEFAULT_CONTROL_DT, GainSchedule, GainSet, certify
-from .models import ControlInput, ErrorState, Pose, VehicleParams, check_dynamic_speed, \
-    dynamic_step, kinematic_step, kinematic_yaw_rate
+from .models import Pose, VehicleParams, check_dynamic_speed, dynamic_step, kinematic_step, \
+    kinematic_yaw_rate
 from .numkit import write_csv_rows
 from .pathbatch import project_run
 from .pathkit import PathProjection, RefPath, project
@@ -117,7 +117,6 @@ class ScenarioConfig:
 
     path: RefPath
     model: str = "kinematic"                 # kinematic | dynamic
-    controller: str = "kinematic_ff_fb"      # kinematic_ff_fb | dynamic_lqr
     speed: float | Sequence[tuple[float, float]] = 10.0
     t_end: float = 60.0
     sim_dt: float = 0.001
@@ -131,8 +130,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.model not in ("kinematic", "dynamic"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.controller not in ("kinematic_ff_fb", "dynamic_lqr"):
-            raise ValueError(f"unknown controller {self.controller!r}")
         if not all(map(math.isfinite, self.initial_offset)):
             raise ValueError(f"initial_offset must be finite, got {list(self.initial_offset)}")
         if not 0.0 < self.t_end < math.inf:
@@ -230,29 +227,6 @@ class SimLog:
         write_csv_rows(fobj, self.rows)
 
 
-def kinematic_controller(proj: PathProjection, v: float, k: np.ndarray,
-                         p: VehicleParams) -> ControlInput:
-    """Feedback on (e_y, e_psi) through the gain row k = (k1, k2) plus
-    Ackermann feedforward from path curvature.
-
-    delta = clamp(-k1 e_y - k2 e_psi + atan(kappa L), +-max_steer)
-    """
-    k1, k2 = k.tolist()   # float arithmetic: a reading past the float range gives inf silently
-    delta_fb = -k1 * proj.e_y - k2 * proj.e_psi
-    delta = delta_fb + feedforward_steer(proj.kappa, p.wheelbase)
-    return ControlInput(v=v, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
-
-
-def dynamic_controller(err: ErrorState, vx: float, k: np.ndarray,
-                       kappa: float, p: VehicleParams) -> ControlInput:
-    """Feedback through the gain row k plus Ackermann feedforward, on the measured
-    e_y, e_psi and vx and on e_y_dot, e_psi_dot from the true vy and yaw rate."""
-    check_dynamic_speed(vx)
-    delta_fb = -float(k @ err.as_array())
-    delta = delta_fb + feedforward_steer(kappa, p.wheelbase)
-    return ControlInput(v=vx, delta=float(min(max(delta, -p.max_steer), p.max_steer)))
-
-
 class _Channel:
     """Sampled sensor channel with noise, quantization, and a delay buffer."""
 
@@ -286,15 +260,19 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
 
     Per sim step the plant takes one RK4 step (`models.kinematic_step` or
     `dynamic_step`); per control period the sensors' latest values feed the
-    selected controller and the curvature estimators; the commanded steer
-    passes through the actuator's pure delay, first-order lag, and rate
-    limit.  Raises SimulationError when the vehicle leaves the projection
-    horizon or the state goes non-finite, NumericalError when a gain the
-    controller used fails certification, and ValueError for an
+    steering law and the curvature estimators; the commanded steer passes
+    through the actuator's pure delay, first-order lag, and rate limit.
+    The law is one for every gain row, delta = clamp(-k @ e + atan(kappa L),
+    +-max_steer), and the row picks its error state e: (e_y, e_psi) for a
+    kinematic schedule, (e_y, e_y_dot, e_psi, e_psi_dot) for a dynamic one,
+    whose speed reading must pass the dynamic guard; either row runs on
+    either plant.  Raises SimulationError when the vehicle leaves the
+    projection horizon or the state goes non-finite, NumericalError when a
+    gain the law used fails certification, and ValueError for an
     initial_steer that is not finite or exceeds max_steer or a schedule
     whose dt is not the scenario's control_dt.
 
-    The controller uses an interpolated gain at once; the interpolated
+    The law uses an interpolated gain at once; the interpolated
     gains of a run are certified in bulk each time rows are made final (by
     the first read step once BLOCK_ROWS rows are not, and before the run
     ends or raises), and the first one that fails raises as if it had been
@@ -310,10 +288,6 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
     if not abs(cfg.initial_steer) <= p.max_steer:
         raise ValueError(f"initial_steer {cfg.initial_steer} must be finite and at most "
                          f"max_steer {p.max_steer} in magnitude")
-    if cfg.controller == "dynamic_lqr" and len(gains.gains[0].k) != 4:
-        raise ValueError("dynamic_lqr controller needs a 4-state gain schedule")
-    if cfg.controller == "kinematic_ff_fb" and len(gains.gains[0].k) != 2:
-        raise ValueError("kinematic_ff_fb controller needs a 2-state gain schedule")
     if gains.dt != cfg.control_dt:   # its off-grid gains are certified at gains.dt
         raise ValueError(f"gain schedule has dt {gains.dt} s, the scenario's control_dt is "
                          f"{cfg.control_dt} s")
@@ -324,7 +298,7 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
 
 
 def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> SimLog:
-    """run_scenario's loop.  Every read step, where the controller runs or
+    """run_scenario's loop.  Every read step, where the law runs or
     the heading or lateral channel samples, projects its pose at once; the
     other steps' projections, which only the log reads, wait in the row
     table.  Every step's memory is the foot of the last read step before
@@ -379,7 +353,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
     max_move = None if act.rate_limit is None else act.rate_limit * cfg.sim_dt
     delta_act = delta_cmd = cfg.initial_steer
     saturated = False
-    wheelbase = p.wheelbase
+    wheelbase, max_steer = p.wheelbase, p.max_steer
+    dynamic_law = gains.model == "dynamic"   # the gain row's law (run_scenario)
 
     kappa_fused, kf_p, q_step = INITIAL_KAPPA, INITIAL_VARIANCE, DEFAULT_Q_PROCESS * cfg.control_dt
     kappa_ack = kappa_diff = 0.0
@@ -467,7 +442,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
                 yaw_m = yaw_ch.latest()
                 steer_m = steer_ch.latest()
 
-                if cfg.controller == "dynamic_lqr":
+                if dynamic_law:
                     check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                 k = gains.gain(v_m)
                 if isinstance(k, GainSet):
@@ -475,20 +450,20 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
                 elif v_m != queued_v:   # interpolated: certify_ticks() certifies it
                     queued_v = v_m
                     ticks.append((step, v_m, k))
-                if cfg.controller == "kinematic_ff_fb":
-                    meas_proj = PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa)
-                    u = kinematic_controller(meas_proj, v_m, k, p)
-                else:
-                    err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
-                                     e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                    u = dynamic_controller(err, v_m, k, proj.kappa, p)
-                delta_cmd = u.delta
-                saturated = abs(delta_cmd) >= p.max_steer - 1e-12
+                if dynamic_law:   # e_y_dot and e_psi_dot from the true vy and yaw rate
+                    fb = -float(k @ np.array([e_y_m, vy + v_m * e_psi_m, e_psi_m,
+                                              yaw_rate - v_m * proj.kappa]))
+                else:   # on floats: a reading past the float range gives inf silently
+                    k1, k2 = k.tolist()
+                    fb = -k1 * e_y_m - k2 * e_psi_m
+                delta_cmd = float(min(max(fb + feedforward_steer(proj.kappa, wheelbase),
+                                          -max_steer), max_steer))
+                saturated = abs(delta_cmd) >= max_steer - 1e-12
                 cmd_buffer.append(delta_cmd)
                 if len(cmd_buffer) == cmd_buffer.maxlen:
                     target = cmd_buffer[0]
 
-                # curvature estimators run alongside the controller
+                # curvature estimators run alongside the law
                 try:
                     kappa_ack = ackermann_curvature(steer_m, wheelbase)
                 except ValueError as e:

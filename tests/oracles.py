@@ -7,17 +7,24 @@ rule the program computes in another way, so a test can compare the two.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from steerkit.lqr import GainSchedule, GainSet, certify
-from steerkit.models import ControlInput, Pose, VehicleParams, check_dynamic_speed, \
-    kinematic_yaw_rate
+from steerkit.models import Pose, VehicleParams, check_dynamic_speed, kinematic_yaw_rate
 from steerkit.numkit import StateSpace
 from steerkit.pathkit import _lateral_profile
 
 
 # ------------------------------------------------------------------ models
+
+class ControlInput(NamedTuple):
+    """Speed v (m/s) and road-wheel steering angle delta (rad), held over a step."""
+
+    v: float
+    delta: float
+
 
 def kinematic_derivative(state, u: ControlInput, p: VehicleParams) -> tuple[float, float, float]:
     """Rear-axle kinematic bicycle: (dX, dY, dpsi) of the state (X, Y, psi).
@@ -118,6 +125,15 @@ def dynamic_matrices(vx: float, p: VehicleParams) -> StateSpace:
     )
     b = np.array([[0.0], [b2], [0.0], [b4]])
     return StateSpace(a, b)
+
+
+def curvature_disturbance(vx: float, p: VehicleParams) -> np.ndarray:
+    """The column of the error dynamics (e_y, e_y_dot, e_psi, e_psi_dot) that
+    multiplies the desired yaw rate psi_dot_d = vx * kappa: (0, a24 - vx, 0,
+    a44) with the error model's a24 and a44.  The body frame's a24 already
+    holds the -vx, so the column is its (a24, a44), bit for bit."""
+    _, a24, _, a44, _, _ = lateral_coefficients(vx, p)
+    return np.array([[0.0], [a24], [0.0], [a44]])
 
 
 def kinematic_error_model(v: float, wheelbase: float) -> StateSpace:

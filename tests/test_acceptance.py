@@ -15,12 +15,13 @@ from steerkit.cli import main
 from steerkit.curvkit import ackermann_curvature, differential_curvature, kf_step
 from steerkit.lqr import LqrWeights, build_schedule, discrete_error_model
 from steerkit.margins import compute_margins, default_grid, loop_response
-from steerkit.models import ControlInput, Pose, kinematic_step
+from steerkit.models import Pose, kinematic_step
 from steerkit.numkit import dare_residual, solve_dare
 from steerkit.pathkit import gen_path, load_recorded
 from steerkit.simkit import ScenarioConfig, compute_metrics, run_scenario
 
-from oracles import kinematic_derivative, kinematic_error_model, lookup, pfaffian_residuals
+from oracles import ControlInput, kinematic_derivative, kinematic_error_model, lookup, \
+    pfaffian_residuals
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "steerkit" / "configs"
 EQUAL = LqrWeights((1.0, 1.0), 1.0)

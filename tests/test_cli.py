@@ -325,6 +325,59 @@ class TestSimulate:
         assert (tmp_path / "envroot" / "simulate" / "log.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def gain_tables(tmp_path_factory):
+    """The gains.csv that `design` writes for each model, by model."""
+    root = tmp_path_factory.mktemp("tables")
+    for model in ("kinematic", "dynamic"):
+        assert main(["design", str(CONFIGS / "sedan.json"), "--model", model,
+                     "--out", str(root / model)]) == 0
+    return {model: str(root / model / "gains.csv") for model in ("kinematic", "dynamic")}
+
+
+class TestControllerKey:
+    """The gain row picks the steering law; the config's `controller` key, by
+    default the model's law, must name it."""
+
+    @pytest.mark.parametrize("overrides, table, message", [
+        ({"controller": "dynamic_lqr"}, None,
+         "controller 'dynamic_lqr' is not the law of its kinematic gain schedule"),
+        ({"model": "dynamic"}, "kinematic",
+         "controller 'dynamic_lqr' is not the law of its kinematic gain schedule"),
+        ({}, "dynamic",
+         "controller 'kinematic_ff_fb' is not the law of its dynamic gain schedule"),
+        ({"controller": "pure_pursuit"}, None, "unknown controller 'pure_pursuit'"),
+        ({"controller": 2}, None, "unknown controller 2"),
+        ({"controller": None, "model": "dynamic"}, "dynamic", "unknown controller None"),
+    ])
+    def test_refused_with_exit_3_naming_controller(self, tmp_path, capsys, gain_tables,
+                                                    overrides, table, message):
+        if table is not None:
+            overrides["gains"] = {"csv": gain_tables[table]}
+        cfg = write_circle_config(tmp_path, t_end=1.0, **overrides)
+        if "controller" not in overrides:   # the default: the model's law
+            cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                       if k != "controller"}))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 3
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, law", [("dynamic", "kinematic"), ("kinematic", "dynamic")])
+    def test_either_law_runs_on_either_plant(self, tmp_path, gain_tables, model, law):
+        cfg = write_circle_config(tmp_path, model=model, t_end=3.0,
+                                  controller={"kinematic": "kinematic_ff_fb",
+                                              "dynamic": "dynamic_lqr"}[law],
+                                  gains={"csv": gain_tables[law]})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert (out / "gains.csv").read_text().splitlines()[0].count(",k") == \
+            (2 if law == "kinematic" else 4)
+        vy = np.loadtxt(out / "log.csv", delimiter=",", skiprows=2,
+                        usecols=simkit.CSV_COLUMNS.index("vy"))
+        assert (vy == 0.0).all() == (model == "kinematic")   # the plant is the model's
+
+
 def _artifacts(out: Path) -> dict[str, bytes]:
     """Every file under out but manifest.json (which records the paths), by relative path."""
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))

@@ -45,7 +45,7 @@ def augmented(a, b, dt):
 
 def taylor_zoh(model, v, p, dt):
     sys = kinematic_error_model(v, p.wheelbase) if model == "kinematic" else \
-        error_dynamics_matrices(v, p)[0]
+        error_dynamics_matrices(v, p)
     n = sys.n_states
     phi = taylor_expm(augmented(sys.A, sys.B, dt))
     return phi[:n, :n], phi[:n, n:]
@@ -107,7 +107,7 @@ class TestZohOracle:
         # on the shipped vehicle; on stiffer ones the series' own error grows
         # past 1e-13 (1.5e-13 against a 40-digit exp at m=800 kg, caf=1.19e5
         # N/rad, v=0.75 m/s, dt=0.094 s, where Pade is within 1.8e-15)
-        sys = error_dynamics_matrices(v, params)[0]
+        sys = error_dynamics_matrices(v, params)
         aug = augmented(sys.A, sys.B, dt)
         ref = taylor_expm(aug)
         assert np.linalg.norm(expm(aug) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)

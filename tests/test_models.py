@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steerkit.models import (
-    MIN_DYNAMIC_SPEED, ControlInput, Pose, VehicleParams, dynamic_step, error_dynamics_matrices,
-    kinematic_step, wrap_angle,
+    MIN_DYNAMIC_SPEED, Pose, VehicleParams, dynamic_step, error_dynamics_matrices, kinematic_step,
+    wrap_angle,
 )
 
-from oracles import dynamic_derivative, dynamic_matrices, generic_rk4, kinematic_derivative, \
-    kinematic_error_model, pfaffian_residuals
+from oracles import ControlInput, curvature_disturbance, dynamic_derivative, dynamic_matrices, \
+    generic_rk4, kinematic_derivative, kinematic_error_model, pfaffian_residuals
 
 
 def _f(lo, hi):
@@ -169,7 +169,7 @@ class TestDynamicMatrices:
 class TestErrorDynamics:
     def test_shares_body_frame_coefficients(self, params):
         body = dynamic_matrices(8.0, params)
-        err, _ = error_dynamics_matrices(8.0, params)
+        err = error_dynamics_matrices(8.0, params)
         assert np.array_equal(err.B, body.B)
         assert err.A[1, 1] == body.A[1, 1]
         assert err.A[3, 1] == body.A[3, 1]
@@ -177,7 +177,7 @@ class TestErrorDynamics:
         assert np.array_equal(err.A[2], body.A[2])
 
     def test_substitution_coupling_terms(self, params):
-        err, dist = error_dynamics_matrices(10.0, params)
+        err, dist = error_dynamics_matrices(10.0, params), curvature_disturbance(10.0, params)
         caf = car = 60000.0
         m, iz, lf, lr, vx = 1500.0, 3000.0, 1.2, 1.5, 10.0
         assert err.A[1, 2] == pytest.approx(2 * (caf + car) / m, abs=1e-12)
@@ -187,12 +187,12 @@ class TestErrorDynamics:
         assert dist[3, 0] == pytest.approx(-2 * (lf**2 * caf + lr**2 * car) / (iz * vx), abs=1e-12)
 
     def test_equilibrium_at_zero(self, params):
-        err, dist = error_dynamics_matrices(10.0, params)
+        err, dist = error_dynamics_matrices(10.0, params), curvature_disturbance(10.0, params)
         x = np.zeros((4, 1))
         assert np.all(err.A @ x + err.B * 0.0 + dist * 0.0 == 0.0)
 
     def test_stabilizable_with_single_input(self, params):
-        err, _ = error_dynamics_matrices(10.0, params)
+        err = error_dynamics_matrices(10.0, params)
         n = 4
         ctrb = np.hstack([np.linalg.matrix_power(err.A, i) @ err.B for i in range(n)])
         assert np.linalg.matrix_rank(ctrb) == n
@@ -201,7 +201,7 @@ class TestErrorDynamics:
         # constant desired yaw rate with stabilizing feedback settles to a
         # constant lateral error solved from the closed-loop equilibrium
         vx, kappa = 10.0, 0.02
-        err, dist = error_dynamics_matrices(vx, params)
+        err, dist = error_dynamics_matrices(vx, params), curvature_disturbance(vx, params)
         k = dynamic_schedule.gain(vx).k
         acl = err.A - err.B @ k.reshape(1, -1)
         psi_dot_d = vx * kappa

@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from steerkit import pathbatch, simkit
 from steerkit.curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENTIAL, \
-    INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, kf_step
+    INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
+    feedforward_steer, kf_step
 from steerkit.lqr import GainSchedule, GainSet, LqrWeights, build_schedule, certify
-from steerkit.models import ErrorState, Pose, VehicleParams, check_dynamic_speed, \
-    dynamic_step, kinematic_step, kinematic_yaw_rate
-from steerkit.pathkit import PathProjection, gen_path, load_recorded, project
+from steerkit.models import Pose, VehicleParams, check_dynamic_speed, dynamic_step, \
+    kinematic_step, kinematic_yaw_rate
+from steerkit.pathkit import gen_path, load_recorded, project
 from steerkit.simkit import CSV_COLUMNS, ActuatorConfig, ScenarioConfig, SensorConfig, \
-    SimLog, default_sensors, dynamic_controller, kinematic_controller, run_scenario
+    SimLog, default_sensors, run_scenario
 
 from oracles import lookup
 
@@ -100,15 +101,19 @@ def per_step_run_scenario(cfg, gains, p):
             v_m = max(speed_ch.latest(), 1e-6)
             yaw_m = yaw_ch.latest()
             steer_m = steer_ch.latest()
-            if cfg.controller == "kinematic_ff_fb":
-                u = kinematic_controller(PathProjection(proj.s, e_y_m, e_psi_m, proj.kappa),
-                                         v_m, lookup(gains, v_m).k, p)
-            else:
+            # the law of the row: -k @ e + atan(kappa L), clamped to max_steer
+            dynamic = gains.model == "dynamic"
+            if dynamic:
                 check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
-                err = ErrorState(e_y=e_y_m, e_y_dot=vy + v_m * e_psi_m,
-                                 e_psi=e_psi_m, e_psi_dot=yaw_rate - v_m * proj.kappa)
-                u = dynamic_controller(err, v_m, lookup(gains, v_m).k, proj.kappa, p)
-            delta_cmd = u.delta
+            k = lookup(gains, v_m).k
+            if dynamic:
+                fb = -float(k @ np.array([e_y_m, vy + v_m * e_psi_m, e_psi_m,
+                                          yaw_rate - v_m * proj.kappa]))
+            else:
+                k1, k2 = k.tolist()   # on floats: past the float range is inf, silently
+                fb = -k1 * e_y_m - k2 * e_psi_m
+            delta_cmd = float(min(max(fb + feedforward_steer(proj.kappa, p.wheelbase),
+                                      -p.max_steer), p.max_steer))
             saturated = abs(delta_cmd) >= p.max_steer - 1e-12
             cmd_buffer.append(delta_cmd)
             try:
@@ -224,10 +229,8 @@ def scenarios(draw):
     v_low = speed if isinstance(speed, float) else min(v for _, v in speed)
     t_end = {"path_end": 1.3 * path.length / v_low, "lost": 4.0,
              "t_end": draw(st.floats(0.3, 1.2)) * path.length / v_low}[ending]
-    cfg = ScenarioConfig(path=path, model=model,
-                         controller="kinematic_ff_fb" if model == "kinematic" else "dynamic_lqr",
-                         speed=speed, t_end=min(t_end, 8.0), initial_offset=offset,
-                         sensors=sensors,
+    cfg = ScenarioConfig(path=path, model=model, speed=speed, t_end=min(t_end, 8.0),
+                         initial_offset=offset, sensors=sensors,
                          actuator=ActuatorConfig(rate_limit=draw(st.sampled_from([None, 0.5]))),
                          seed=draw(st.integers(0, 9)))
     return cfg, SCHEDULES["limp" if ending == "lost" else model]
@@ -272,6 +275,17 @@ class TestRunScenarioOracle:
                        SCHEDULES[gains]) == want
 
 
+    @pytest.mark.parametrize("model, gains", [("kinematic", "dynamic"), ("dynamic", "kinematic")])
+    def test_either_row_on_either_plant(self, model, gains):
+        # the law comes from the gain row, whatever the plant
+        cfg = ScenarioConfig(path=PATHS["lane_change"], model=model, speed=9.0, t_end=6.0,
+                             initial_offset=(0.3, 0.05))
+        want = outcome(per_step_run_scenario, cfg, SCHEDULES[gains])
+        assert "path_end" in want
+        assert outcome(lambda c, g, p: run_scenario(c, g, params=p), cfg,
+                       SCHEDULES[gains]) == want
+
+
 def _limp_run(speed, offset):
     return ScenarioConfig(path=PATHS["line"], speed=speed, t_end=6.0, initial_offset=offset)
 
@@ -279,14 +293,13 @@ def _limp_run(speed, offset):
 def _breaking_run(speed):
     # a speed channel quantized to 2 m/s reads 0 below 1 m/s, at the dynamic
     # guard, and 4 m/s from 3 m/s up, where the interpolated gain fails
-    return ScenarioConfig(path=PATHS["line"], model="dynamic", controller="dynamic_lqr",
-                          speed=speed, t_end=2.0,
+    return ScenarioConfig(path=PATHS["line"], model="dynamic", speed=speed, t_end=2.0,
                           sensors={"speed": SensorConfig(quantization_step=2.0)})
 
 
 def _dynamic_run(table, t_end, **sensors):
-    return ScenarioConfig(path=PATHS["line"], model="dynamic", controller="dynamic_lqr",
-                          speed=table, t_end=t_end, sensors=sensors)
+    return ScenarioConfig(path=PATHS["line"], model="dynamic", speed=table, t_end=t_end,
+                          sensors=sensors)
 
 
 class TestCertificationOrder:

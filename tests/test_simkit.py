@@ -10,15 +10,14 @@ import pytest
 from steerkit import SimulationError
 from steerkit.curvkit import MIN_COS_HEADING
 from steerkit.lqr import LqrWeights, build_schedule
-from steerkit.models import ControlInput, ErrorState, Pose, dynamic_step, kinematic_step
-from steerkit.pathkit import PathProjection, gen_path
+from steerkit.models import Pose, dynamic_step, kinematic_step
+from steerkit.pathkit import gen_path
 from steerkit.simkit import (
     MAX_LOG_ROWS, ROW_BYTES, ActuatorConfig, CSV_COLUMNS, ScenarioConfig, SensorConfig, SimLog,
-    compute_metrics, default_sensors, dynamic_controller, kinematic_controller,
-    run_scenario,
+    compute_metrics, default_sensors, run_scenario,
 )
 
-from oracles import kinematic_derivative, pfaffian_residuals
+from oracles import ControlInput, kinematic_derivative, pfaffian_residuals
 
 
 def circle_scenario(speed=10.0, arc_deg=270.0, **kw):
@@ -86,53 +85,63 @@ class TestRk4:
             kinematic_step((0.0, 0.0, 0.0), 1.0, math.pi / 2, 0.01, params)
 
 
+def first_command(params, schedule, path, speed, **kw):
+    """delta_cmd on the first control tick (step 0) of a short run."""
+    cfg = ScenarioConfig(path=path, speed=speed, t_end=0.02, **kw)
+    return run_scenario(cfg, schedule, params=params).delta_cmd[0]
+
+
+LINE = gen_path("line", spacing=0.1, length=30.0)
+CIRCLE = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=30.0)
+
+
 class TestKinematicController:
+    """The law on a 2-entry row: -k1 e_y - k2 e_psi + atan(kappa L), clamped."""
+
     def test_on_path_straight(self, params, kinematic_schedule):
-        u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.gain(5.0).k, params)
-        assert u.delta == 0.0
+        assert first_command(params, kinematic_schedule, LINE, 5.0) == 0.0
 
     def test_pure_feedforward_on_circle(self, params, kinematic_schedule):
-        u = kinematic_controller(PathProjection(0.0, 0.0, 0.0, 0.02), 10.0,
-                                 kinematic_schedule.gain(10.0).k, params)
-        assert u.delta == pytest.approx(math.atan(0.02 * params.wheelbase), abs=1e-15)
+        delta = first_command(params, kinematic_schedule, CIRCLE, 10.0)
+        assert delta == pytest.approx(math.atan(0.02 * params.wheelbase), abs=1e-15)
 
     def test_left_offset_steers_right(self, params, kinematic_schedule):
         k1 = kinematic_schedule.gain(5.0).k[0]
-        u = kinematic_controller(PathProjection(0.0, 0.3, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.gain(5.0).k, params)
-        assert u.delta == pytest.approx(-0.3 * k1, abs=1e-12)
-        assert u.delta < 0.0
+        delta = first_command(params, kinematic_schedule, LINE, 5.0, initial_offset=(0.3, 0.0))
+        assert delta == pytest.approx(-0.3 * k1, abs=1e-12)
+        assert delta < 0.0
 
     def test_clamps_at_max_steer(self, params, kinematic_schedule):
-        u = kinematic_controller(PathProjection(0.0, 10.0, 0.0, 0.0), 5.0,
-                                 kinematic_schedule.gain(5.0).k, params)
-        assert u.delta == -params.max_steer
+        delta = first_command(params, kinematic_schedule, LINE, 5.0, initial_offset=(10.0, 0.0))
+        assert delta == -params.max_steer
 
 
 class TestDynamicController:
+    """The law on a 4-entry row: -k @ (e_y, e_y_dot, e_psi, e_psi_dot) + atan(kappa L),
+    clamped, with e_y_dot = vy + v e_psi and e_psi_dot = yaw rate - v kappa."""
+
     def test_zero_error_zero_curvature(self, params, dynamic_schedule):
-        k = dynamic_schedule.gain(10.0).k
-        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.0, params)
-        assert u.delta == 0.0
+        assert first_command(params, dynamic_schedule, LINE, 10.0, model="dynamic") == 0.0
 
     def test_pure_feedforward(self, params, dynamic_schedule):
-        k = dynamic_schedule.gain(10.0).k
-        u = dynamic_controller(ErrorState(0, 0, 0, 0), 10.0, k, 0.02, params)
-        assert u.delta == pytest.approx(math.atan(0.054), abs=1e-15)
+        # the kinematic plant starts on the circle's steer, so its yaw rate is
+        # the path's and every error is zero
+        delta = first_command(params, dynamic_schedule, CIRCLE, 10.0,
+                              initial_steer=math.atan(0.054))
+        assert delta == pytest.approx(math.atan(0.054), abs=1e-15)
 
     def test_feedback_linearity_before_clamp(self, params, dynamic_schedule):
-        e1 = ErrorState(0.1, 0.01, 0.02, 0.001)
-        e2 = ErrorState(0.2, 0.02, 0.04, 0.002)
+        # e = (0.1, 10 * 0.02, 0.02, 0) and twice that
         k = dynamic_schedule.gain(10.0).k
-        u1 = dynamic_controller(e1, 10.0, k, 0.0, params)
-        u2 = dynamic_controller(e2, 10.0, k, 0.0, params)
-        assert u2.delta == pytest.approx(2.0 * u1.delta, abs=1e-12)
+        d1, d2 = (first_command(params, dynamic_schedule, LINE, 10.0, model="dynamic",
+                                initial_offset=(a * 0.1, a * 0.02)) for a in (1.0, 2.0))
+        assert d1 == pytest.approx(-k @ [0.1, 0.2, 0.02, 0.0], abs=1e-12)
+        assert d2 == pytest.approx(2.0 * d1, abs=1e-12)
 
     def test_speed_guard(self, params, dynamic_schedule):
-        with pytest.raises(ValueError):
-            dynamic_controller(ErrorState(0, 0, 0, 0), 0.3, dynamic_schedule.gains[0].k, 0.0,
-                               params)
+        # the kinematic plant has no speed check of its own: the row's law guards
+        with pytest.raises(ValueError, match=r"0\.3 m/s \(sensors\.speed reading at t=0 s\)"):
+            first_command(params, dynamic_schedule, LINE, 0.3)
 
 
 class TestScenarioConfig:
@@ -335,14 +344,6 @@ class TestRunScenario:
         yaw = 5.0 / params.wheelbase * math.tan(0.1)
         assert log.kappa_diff[0] == pytest.approx(yaw / 5.0, rel=1e-12)
 
-    def test_gain_dimension_mismatch(self, params, kinematic_schedule, dynamic_schedule):
-        path = gen_path("line", spacing=0.1, length=30.0)
-        with pytest.raises(ValueError):
-            run_scenario(ScenarioConfig(path=path, controller="dynamic_lqr"),
-                         kinematic_schedule, params=params)
-        with pytest.raises(ValueError):
-            run_scenario(ScenarioConfig(path=path), dynamic_schedule, params=params)
-
     def test_schedule_dt_must_be_control_dt(self, params):
         # its off-grid gains would be certified against the wrong period
         path = gen_path("line", spacing=0.1, length=150.0)
@@ -356,10 +357,8 @@ class TestRunScenario:
     def test_bad_initial_steer_rejected(self, params, kinematic_schedule, dynamic_schedule, bad):
         # NaN used to fail in the steer quantizer; 1.0 rad ran silently past max_steer
         path = gen_path("line", spacing=0.1, length=30.0)
-        for model, controller, schedule in (("kinematic", "kinematic_ff_fb", kinematic_schedule),
-                                            ("dynamic", "dynamic_lqr", dynamic_schedule)):
-            cfg = ScenarioConfig(path=path, model=model, controller=controller, t_end=0.1,
-                                 initial_steer=bad)
+        for model, schedule in (("kinematic", kinematic_schedule), ("dynamic", dynamic_schedule)):
+            cfg = ScenarioConfig(path=path, model=model, t_end=0.1, initial_steer=bad)
             with pytest.raises(ValueError, match="initial_steer"):
                 run_scenario(cfg, schedule, params=params)
 
@@ -371,8 +370,7 @@ class TestRunScenario:
 
     def test_dynamic_model_tracks_circle(self, params, dynamic_schedule):
         path = gen_path("circle", spacing=0.1, radius=50.0, arc_deg=120.0)
-        cfg = ScenarioConfig(path=path, model="dynamic", controller="dynamic_lqr",
-                             speed=10.0, t_end=20.0)
+        cfg = ScenarioConfig(path=path, model="dynamic", speed=10.0, t_end=20.0)
         log = run_scenario(cfg, dynamic_schedule, params=params)
         m = compute_metrics(log)
         assert m["max_abs_e_y"] < 0.15
@@ -424,7 +422,7 @@ class TestRunScenario:
     def test_dynamic_speed_dip_rejected_before_the_first_step(self, params, dynamic_schedule):
         # the dip comes 4 s into the run; the whole commanded table is checked up front
         cfg = ScenarioConfig(path=gen_path("line", spacing=0.1, length=80.0), model="dynamic",
-                             controller="dynamic_lqr", speed=[(0.0, 5.0), (4.0, 0.3)], t_end=8.0)
+                             speed=[(0.0, 5.0), (4.0, 0.3)], t_end=8.0)
         with pytest.raises(ValueError, match=r"0\.3 m/s \(speed command at t=4 s\)"):
             run_scenario(cfg, dynamic_schedule, params=params)
 

@@ -234,7 +234,7 @@ class TestC2dStack:
     @given(p=vehicles, speeds=grids(), dt=periods)
     def test_dynamic_error_models_equal_the_oracle(self, p, speeds, dt):
         # stiff vehicles at long periods scale the augmented matrix (s > 0)
-        sysd = c2d(error_dynamics_matrices(speeds, p)[0], dt)
+        sysd = c2d(error_dynamics_matrices(speeds, p), dt)
         assert sysd.A.shape == (len(speeds), 4, 4) and sysd.B.shape == (len(speeds), 4, 1)
         for v, ad, bd in zip(speeds.tolist(), sysd.A, sysd.B):
             want_a, want_b = oracle_zoh("dynamic", v, p, dt)
