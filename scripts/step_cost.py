@@ -22,20 +22,26 @@ which times one whole command through `cli.main` (into a scratch directory
 under --work): a `simulate` command per case above (set-up, run, log.csv,
 metrics and plots), then the `desk` plan's four `design` commands of the
 same seed (both models, two weight sets each; gain design, gains.csv and
-the plot).  It reports the command's wall time in seconds, the time of it
-spent in `logfork.ForkedLog.done` (the wait for the forked log.csv
-formatter), and its peak resident set in MB, both of its own (VmHWM where
-/proc has it: RUSAGE_SELF also keeps the peak of the process that spawned
-it) and of the children it waited for (RUSAGE_CHILDREN, such as that
-formatter).
+the plot).  It reports the command's wall time in seconds and its peak
+resident set in MB, both of its own (VmHWM where /proc has it:
+RUSAGE_SELF also keeps the peak of the process that spawned it) and of the
+children it waited for (RUSAGE_CHILDREN, such as the forked log.csv
+formatter).  It also reports, per command, the seconds spent in its
+phases (`PHASES`): set-up (`cli._scenario_from_config`), the run
+(`simkit.run_scenario`), the blocks the run process formats for the
+forked formatter (`logfork.ForkedLog._take`, inside the run and the
+wait), the plots (`svgplot.render`) and the final wait for the formatter
+(`logfork.ForkedLog.done`); and the run process's slowest token write to
+the formatter (`logfork.ForkedLog._send`), in microseconds.
 
 For each case the script prints each side's quartiles over the rounds
 (q1, median, q3), the new/old ratio of the medians, how many rounds the new
 side wins (its value below the old side's of the same round), and whether
 the claim rule holds: at least 9 rounds in 10 won, and the old median
 above the new one by more than the old side's interquartile range; with
---commands also the largest peak RSS of each kind.  Then one JSON line
-with the summary and every round's values.
+--commands also the largest peak RSS of each kind, then each side's median
+of each phase per case.  Then one JSON line with the summary and every
+round's values.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import time
 from pathlib import Path
 
 SHIPPED = ("circle_10ms", "circle_3ms", "parking")
+PHASES = ("setup", "run", "takes", "plots", "wait")   # a command's timed phases (_time_command)
 
 
 def _pairs(old: list[float], new: list[float]) -> dict:
@@ -105,22 +112,35 @@ def _self_peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _time_command(src: str, argv: str, out: str) -> None:
-    """Child mode: print [seconds, self peak RSS MB, children peak RSS MB,
-    seconds in ForkedLog.done] of one command, argv a JSON list without --out."""
-    sys.path.insert(0, src)
-    from steerkit import cli, logfork
+def _timed(owner, attr: str, spent: dict, key: str, slowest: bool = False) -> None:
+    """Replace owner.attr by a wrapper that adds each call's seconds to
+    spent[key], or keeps the slowest call's there."""
+    real = getattr(owner, attr)
 
-    waited, done = [0.0], logfork.ForkedLog.done
-
-    def timed_done(writer):
+    def timed(*args, **kwargs):
         t = time.perf_counter()
         try:
-            return done(writer)
+            return real(*args, **kwargs)
         finally:
-            waited[0] += time.perf_counter() - t
+            dt = time.perf_counter() - t
+            spent[key] = max(spent[key], dt) if slowest else spent[key] + dt
 
-    logfork.ForkedLog.done = timed_done
+    setattr(owner, attr, timed)
+
+
+def _time_command(src: str, argv: str, out: str) -> None:
+    """Child mode: print [seconds, self peak RSS MB, children peak RSS MB,
+    {phase: seconds, "token": slowest token write in seconds}] of one
+    command, argv a JSON list without --out."""
+    sys.path.insert(0, src)
+    from steerkit import cli, logfork, simkit, svgplot
+
+    spent = dict.fromkeys(PHASES + ("token",), 0.0)
+    for name, (owner, attr) in zip(PHASES, (
+            (cli, "_scenario_from_config"), (simkit, "run_scenario"), (logfork.ForkedLog, "_take"),
+            (svgplot, "render"), (logfork.ForkedLog, "done"))):
+        _timed(owner, attr, spent, name)
+    _timed(logfork.ForkedLog, "_send", spent, "token", slowest=True)
     argv = json.loads(argv)
     t0 = time.perf_counter()
     rc = cli.main(argv + ["--out", out])
@@ -128,7 +148,7 @@ def _time_command(src: str, argv: str, out: str) -> None:
     if rc != 0:
         raise SystemExit(f"{' '.join(argv)} exited {rc}")
     print(json.dumps([elapsed, _self_peak_mb(),
-                      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0] + waited))
+                      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, spent]))
 
 
 def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
@@ -146,15 +166,22 @@ def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
     peak = {side: {name: {"self_rss_mb": max(r[1] for r in rs),
                           "children_rss_mb": max(r[2] for r in rs)}
                    for name, rs in by_case.items()} for side, by_case in runs.items()}
-    summary = _report("s per command; median s in done(), peak MB self, children old/new", [
+    summary = _report("s per command; peak MB self, children old/new", [
         (name, [r[0] for r in runs["old"][name]], [r[0] for r in runs["new"][name]],
-         "  done " + "/".join(f"{statistics.median(r[3] for r in runs[side][name]):.3f}"
-                             for side in ("old", "new")) +
          f"  self {peak['old'][name]['self_rss_mb']:.1f}/{peak['new'][name]['self_rss_mb']:.1f}"
          f"  children {peak['old'][name]['children_rss_mb']:.1f}/"
          f"{peak['new'][name]['children_rss_mb']:.1f}") for name, _ in cases])
-    print(json.dumps({"unit": "s per command; MB", "rounds": rounds,
-                      "summary": summary, "peak_rss": peak, "runs": runs}))
+    keys = PHASES + ("token",)
+    phases = {side: {name: {k: statistics.median(r[3][k] for r in rs) for k in keys}
+                     for name, rs in by_case.items()} for side, by_case in runs.items()}
+    print(f"{'case':<20}" + "".join(f"{k:>16}" for k in keys)
+          + "  (median s old/new; token: slowest write, us)")
+    for name, _ in cases:
+        pairs = ["/".join(f"{phases[side][name][k] * (1e6 if k == 'token' else 1.0):.3f}"
+                          for side in ("old", "new")) for k in keys]
+        print(f"{name:<20}" + "".join(f"{pair:>16}" for pair in pairs))
+    print(json.dumps({"unit": "s per command; MB", "rounds": rounds, "summary": summary,
+                      "peak_rss": peak, "phases": phases, "runs": runs}))
 
 
 def _cases(new_root: Path, desk_seed: int, work: Path) -> tuple[list[list[str]], list]:

@@ -392,6 +392,10 @@ def _log_writer(scenario: simkit.ScenarioConfig, file: Path):
 
 def _run_one_simulation(cfg: dict, config_path: Path, out: OutputDir) -> None:
     scenario, schedule, p = _scenario_from_config(cfg, config_path)
+    if schedule.model != scenario.model:   # a gain table of the other model: the run goes on
+        print(f"steerkit: warning: {config_path}: its gain table holds {schedule.model} gains, "
+              f"certified on the {schedule.model} error model, not on the {scenario.model} "
+              "plant it simulates", file=sys.stderr)
     writer = _log_writer(scenario, out.record("log.csv"))   # listed first, written last
     try:
         log = simkit.run_scenario(scenario, schedule, params=p, writer=writer)

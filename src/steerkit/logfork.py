@@ -4,24 +4,28 @@
 takes.  Its row table lives in a shared anonymous mmap, with one more
 cell where the child keeps the count of rows it has written.  The child,
 forked right after the table is made, appends the rows to `path` in order,
-one CSV_BLOCK_ROWS block at a time, as the run process tells it over a
-pipe of 8-byte tokens, each a row count or block number and a kind: rows
-[0, k) are final (and will not change), the log is rows [0, n), block b's
-text is handed over.  The child writes each whole block below the final
-rows, the rest once the length is known, and leaves through `os._exit` (0
-once the file is complete), so it never flushes inherited stdio or runs
-atexit handlers.
+as the run process tells it over a pipe of 8-byte tokens, each a row count
+or block number and a kind: rows [0, k) are final (and will not change),
+the log is rows [0, n), block b's text is handed over.  The run process
+sends a final token at every flush, so the child follows the run a flush
+behind.  The child never waits on the pipe: it drains it with a zero-timeout
+select, and when it has nothing to write it sleeps off the pipe (_IDLE), so
+a token write never wakes it.  It writes the final rows up to the next
+CSV_BLOCK_ROWS boundary at a time, the rest of the log once the length is
+known, and leaves through `os._exit` (0 once the file is complete), so it
+never flushes inherited stdio or runs atexit handlers.
 
 The run process formats blocks too.  Whenever the child is two or more
 whole blocks behind, not counting the block it is writing (checked each
 time a block becomes final, and in `done` before the wait), the run
 process formats the newest final block into a handoff file beside `path`,
 then hands it over with one token.  The child, which looks for tokens
-before each block, copies a block handed over by then into place, and
-formats any other itself.  `numkit.write_csv_rows` output does not depend
-on where a run of rows starts, so the bytes are the same whoever formats
-a block, and a handoff the child sees too late only costs the run process
-its work.
+before each write, copies a block handed over by then into place when it
+reaches the block's first row, and formats any other rows itself.
+`numkit.write_csv_rows` output does not depend on where a run of rows
+starts, so the bytes are the same whoever formats a row and wherever a
+write starts, and a handoff the child sees too late only costs the run
+process its work.
 
 `path` is where `cli.OutputDir` stages log.csv: the file is moved into
 place only if the whole command succeeds.  `done`, after the run, waits for
@@ -37,6 +41,7 @@ import mmap
 import os
 import select
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,7 @@ from .simkit import LOG_HEAD
 _TOKEN = 8  # bytes of one signed little-endian token: value * 4 + kind
 _FINAL, _LENGTH, _HANDOFF = range(3)
 _PART = CSV_BLOCK_ROWS // 4   # rows the run process formats at a time
+_IDLE = 0.0005                # s the child sleeps, off the pipe, with nothing to write
 
 
 class ForkedLog:
@@ -87,14 +93,12 @@ class ForkedLog:
         return rows
 
     def publish(self, k: int) -> None:
-        """Rows [0, k) are final.  Where that completes a block, tell the
-        child, which writes only whole blocks before it has the length (each
-        token may wake it, and a woken child can preempt the run), and take
-        the newest block if the child is two or more whole blocks behind
-        (`_take`)."""
+        """Rows [0, k) are final: tell the child.  Where that completes a
+        block, take the newest block if the child is two or more whole
+        blocks behind (`_take`)."""
+        self._send(k, _FINAL)
         if k // CSV_BLOCK_ROWS > self.blocks:
             self.blocks = k // CSV_BLOCK_ROWS
-            self._send(k, _FINAL)
             self._take(self.blocks - 1, k)
 
     def finish(self, n: int) -> None:
@@ -174,19 +178,17 @@ def _handoff(path: Path, b: int) -> Path:
 
 def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int:
     """The child: append the rows the tokens on `pipe` make final to the
-    file at `path`, in the artifacts' dialect, a block at a time, each
-    block handed over before the child gets to it from its handoff, and
-    keep the count in written[0]; 0 once the whole log is written, 1 if the
-    pipe closes first."""
+    file at `path`, in the artifacts' dialect, up to the next block boundary
+    at a time, each block handed over before the child gets to its first row
+    from its handoff, and keep the count in written[0]; 0 once the whole log
+    is written, 1 if the pipe closes first."""
     out = open(path, "w", encoding="utf-8", newline="\n")
     out.write(LOG_HEAD)
     final, n, done, handed = 0, None, 0, set()
     pending, closed = b"", False
     while done != n:
-        b = done // CSV_BLOCK_ROWS
-        end = min(done + CSV_BLOCK_ROWS, final - final % CSV_BLOCK_ROWS if n is None else n)
-        # read what tokens have come; wait for one only when nothing can be written
-        if not closed and select.select([pipe], [], [], 0.0 if done < end else None)[0]:
+        # take every token that has come, never waiting for one
+        while not closed and select.select([pipe], [], [], 0.0)[0]:
             part = os.read(pipe, 4096)
             closed = not part
             pending += part
@@ -201,10 +203,14 @@ def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int
                 else:
                     handed.add(value)
             pending = pending[usable:]
-            continue
+        b, start = divmod(done, CSV_BLOCK_ROWS)
+        end = min(done - start + CSV_BLOCK_ROWS, final if n is None else n)
         if done >= end:
-            return 1
-        if b in handed:
+            if closed:
+                return 1
+            time.sleep(_IDLE)   # off the pipe: a token written meanwhile wakes no one
+            continue
+        if start == 0 and b in handed:
             handoff = _handoff(path, b)
             out.write(handoff.read_text(encoding="utf-8"))
             handoff.unlink()

@@ -42,13 +42,14 @@ def _feet(path: RefPath, i: np.ndarray, px: np.ndarray, py: np.ndarray,
     # Python's float ** 2, as in project: libm's pow(v, 2) and v * v differ
     # in the last bit for some v; within the horizon no square overflows
     terms = np.concatenate((x[im] - px, y[im] - py, x[i] - px, y[i] - py, x[ip] - px,
-                            y[ip] - py, s1 - s0, s1 - s2))
-    sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms)).reshape(8, -1)
+                            y[ip] - py))
+    sq = np.fromiter(map(pow, memoryview(terms), repeat(2)), float, len(terms)).reshape(6, -1)
     f0, f1, f2 = sq[0] + sq[1], sq[2] + sq[3], sq[4] + sq[5]
+    widths2 = path._widths2_array   # (s1 - s0) ** 2 and (s1 - s2) ** 2, as project reads them
     # a degenerate parabola (im == i or ip == i) has a zero denominator
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
-        vertex = s1 - 0.5 * (sq[6] * (f1 - f2) - sq[7] * (f1 - f0)) / denom
+        vertex = s1 - 0.5 * (widths2[i] * (f1 - f2) - widths2[i + 1] * (f1 - f0)) / denom
     s_star = np.where(np.abs(denom) < 1e-30, s1, vertex)
     s_star = np.where(s0 > s_star, s0, s_star)   # Python's max(s_star, s0)
     s_star = np.where(s2 < s_star, s2, s_star)   # and min(., s2)

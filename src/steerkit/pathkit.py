@@ -82,6 +82,11 @@ class RefPath:
         self.end_s = (self.s[-1] - 2.0 * ds.max()).item()
         # float lists of the frozen columns, for project's per-sample scalar reads
         self._lists = tuple(arr.tolist() for arr in (self.s, self.x, self.y, self.psi, self.kappa))
+        # project's squared bracket widths by Python's float ** (libm's pow):
+        # (s1 - s0) ** 2 of nearest sample i is entry i, (s1 - s2) ** 2 entry
+        # i + 1, and 0.0 past either end, where the bracket is clamped
+        self._widths2 = [0.0, *(w ** 2 for w in ds.tolist()), 0.0]
+        self._widths2_array = np.array(self._widths2)
         # a pose outside this box is beyond the horizon from every sample; inside
         # it, project's squared distances stay in the float range
         self._box = (self.x.min().item() - PROJECT_HORIZON, self.x.max().item() + PROJECT_HORIZON,
@@ -361,8 +366,9 @@ def project(path: RefPath, pose: Pose, prev_s: float | None = None) -> PathProje
     denom = (s1 - s0) * (f1 - f2) - (s1 - s2) * (f1 - f0)
     if abs(denom) < 1e-30:
         s_star = s1
-    else:
-        s_star = s1 - 0.5 * ((s1 - s0) ** 2 * (f1 - f2) - (s1 - s2) ** 2 * (f1 - f0)) / denom
+    else:   # (s1 - s0) ** 2 and (s1 - s2) ** 2 from the path
+        widths2 = path._widths2
+        s_star = s1 - 0.5 * (widths2[i] * (f1 - f2) - widths2[i + 1] * (f1 - f0)) / denom
     s_star = min(max(s_star, s0), s2)
 
     j = min(max(bisect_left(s, s_star) - 1, 0), n - 2)

@@ -21,11 +21,11 @@ from .curvkit import DEFAULT_Q_PROCESS, DEFAULT_R_ACKERMANN, DEFAULT_R_DIFFERENT
     INITIAL_KAPPA, INITIAL_VARIANCE, ackermann_curvature, differential_sample, \
     feedforward_steer, kf_step
 from .lqr import DEFAULT_CONTROL_DT, GainSchedule, GainSet, certify
-from .models import Pose, VehicleParams, check_dynamic_speed, dynamic_step, kinematic_step, \
-    kinematic_yaw_rate
+from .models import MIN_DYNAMIC_SPEED, Pose, VehicleParams, check_dynamic_speed, \
+    dynamic_step, kinematic_step, kinematic_yaw_rate
 from .numkit import write_csv_rows
 from .pathbatch import project_run
-from .pathkit import PathProjection, RefPath, project
+from .pathkit import RefPath, project
 
 SETTLE_BAND = 0.05  # m, |e_y| band used for settle metrics
 BLOCK_ROWS = 480    # rows that may wait before a read step makes them final
@@ -43,8 +43,9 @@ MAX_LOG_ROWS = 5_000_000           # rows of one run's log: 800 MB of row table
 _S, _VY, _YAW_RATE, _V, _E_Y_DOT, _E_PSI_DOT = (CSV_COLUMNS.index(c) for c in (
     "s", "vy", "yaw_rate", "v_cmd", "e_y_dot", "e_psi_dot"))
 _PROJ = [CSV_COLUMNS.index(c) for c in ("s", "e_y", "e_psi", "kappa_path")]
-# the projection a waiting row carries until a flush projects it
-_UNSETTLED = PathProjection(math.nan, math.nan, math.nan, math.nan)
+# a waiting row's cells s, e_y, e_psi, e_y_dot, e_psi_dot and kappa_path,
+# which its flush fills
+_WAITING = (math.nan,) * 6
 
 
 @dataclass(frozen=True)
@@ -300,14 +301,16 @@ def run_scenario(cfg: ScenarioConfig, gains: GainSchedule,
 def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> SimLog:
     """run_scenario's loop.  Every read step, where the law runs or
     the heading or lateral channel samples, projects its pose at once; the
-    other steps' projections, which only the log reads, wait in the row
-    table.  Every step's memory is the foot of the last read step before
-    it.  One watermark, `done`, marks the rows that are final, and
-    flush(end) alone moves it: one `pathbatch.project_run` call projects the
-    waiting rows, the queued off-grid gains are certified in one stacked
-    call, and the writer is told.  The first read step once BLOCK_ROWS rows
-    are not final flushes; the end of the run and every error flush first,
-    so that stops and errors come in step order."""
+    other steps' projections, which only the log reads, wait.  Every step's
+    memory is the foot of the last read step before it.  Each step appends
+    its row's cells to a flat list, a waiting row's six projection cells NaN.
+    One watermark, `done`, marks the rows that are final, and flush(end)
+    alone moves it: the list goes into the row table in one `np.fromiter`,
+    one `pathbatch.project_run` call projects the waiting rows, the queued
+    off-grid gains are certified in one stacked call, and the writer is
+    told.  The first read step once BLOCK_ROWS rows are not final flushes;
+    the end of the run and every error flush first, so that stops and
+    errors come in step order."""
     path = cfg.path
     rng = np.random.default_rng(cfg.seed)
 
@@ -332,6 +335,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
     control_every = cfg.control_every
     sensors = default_sensors() | cfg.sensors
     proj = project(path, Pose(x0, y0, heading0))
+    mem = proj.s   # the search memory of the next read step
 
     def channel(name: str, initial: float) -> _Channel:
         return _Channel(sensors[name], cfg.sample_period(name), initial, rng)
@@ -361,6 +365,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
 
     shape = (n_steps + 1, len(CSV_COLUMNS))
     rows = np.empty(shape) if writer is None else writer.table(shape)
+    pending = []            # the cells of the rows not yet in the table, one flat list
     odometer = 0.0
     end_s = math.inf if path.closed else path.end_s   # a closed path has no end
     sim_dt = cfg.sim_dt
@@ -393,6 +398,11 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
         publish end.  One that raises leaves `done` and the failing tick, so
         called again it raises the same error."""
         nonlocal done
+        if pending:   # rows [end - len(pending) // width, end) go into the table
+            width = len(CSV_COLUMNS)
+            rows[end - len(pending) // width:end] = \
+                np.fromiter(pending, float, len(pending)).reshape(-1, width)
+            pending.clear()
         a = done if read_every > 1 else end   # no row waits for a projection
         blk = rows[a:end]
         feet, lost = project_run(path, *blk[:, 1:4].T,   # x, y, psi
@@ -427,10 +437,10 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
             else:
                 vy, yaw_rate = state[3], state[4]
 
-            q = proj or _UNSETTLED
             if step % offer_every == 0:
-                heading_ch.maybe_sample(step, q.e_psi)
-                lateral_ch.maybe_sample(step, q.e_y)
+                if proj is not None:   # the heading and lateral samples come on read steps
+                    heading_ch.maybe_sample(step, proj.e_psi)
+                    lateral_ch.maybe_sample(step, proj.e_y)
                 speed_ch.maybe_sample(step, v)
                 steer_ch.maybe_sample(step, delta_act)
                 yaw_ch.maybe_sample(step, yaw_rate)
@@ -442,7 +452,7 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
                 yaw_m = yaw_ch.latest()
                 steer_m = steer_ch.latest()
 
-                if dynamic_law:
+                if dynamic_law and not v_m > MIN_DYNAMIC_SPEED:   # the message only on failure
                     check_dynamic_speed(v_m, f" (sensors.speed reading at t={t:g} s)")
                 k = gains.gain(v_m)
                 if isinstance(k, GainSet):
@@ -484,10 +494,12 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
                 delta_next = delta_act + lag_alpha * (target - delta_act)
                 delta_act = delta_act + min(max(delta_next - delta_act, -max_move), max_move)
 
-            rows[step] = (t, state[0], state[1], state[2], vy, yaw_rate, odometer,
-                          v, delta_cmd, delta_act, saturated,
-                          q.s, q.e_y, q.e_psi, vy + v * q.e_psi,
-                          yaw_rate - v * q.kappa, q.kappa, kappa_ack, kappa_diff, kappa_fused)
+            pending += (t, state[0], state[1], state[2], vy, yaw_rate, odometer, v, delta_cmd,
+                        delta_act, saturated)
+            pending += _WAITING if proj is None else (
+                proj.s, proj.e_y, proj.e_psi, vy + v * proj.e_psi, yaw_rate - v * proj.kappa,
+                proj.kappa)
+            pending += (kappa_ack, kappa_diff, kappa_fused)
             written = step
 
             at_end = proj is not None and proj.s >= end_s
@@ -510,8 +522,8 @@ def _run(cfg: ScenarioConfig, gains: GainSchedule, p: VehicleParams, writer) -> 
                 log = flush(nxt)
                 if log is not None:
                     return log
-            proj = project(path, Pose(state[0], state[1], state[2]),
-                           prev_s=rows[nxt - read_every, _S].item())
+            proj = project(path, Pose(state[0], state[1], state[2]), prev_s=mem)
+            mem = proj.s
     except Exception:
         # the rows before the error are made final first: one of them may end
         # the run or be lost, or a queued gain fail; then the failing step's

@@ -2,7 +2,9 @@
 
 Plots are pure views of data that is always co-emitted as CSV; nothing is
 computed here beyond axis scaling, and nothing is written: `render` returns
-the SVG text, which the caller writes as an artifact.
+the SVG text, which the caller writes as an artifact.  A polyline's points
+are the text of "%.2f,%.2f" per point, made for a whole series at once in
+numpy from exact hundredths and a byte table (`_points`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, PANEL_HEIGHT = 820, 300   # px of the chart, and of each panel in it
 TICKS = 5                        # a linear axis gets about this many ticks
+POINT_BOUND = 1e5   # a series with a coordinate this large (or not finite) is formatted by "%.2f"
+# byte pairs of a polyline point's text (`_points`): the digits of 0 to 99,
+# "." and "," and " " each with a zero byte
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype="<u2")
+_DOT, _COMMA, _SPACE = np.frombuffer(b".\0,\0 \0", dtype="<u2")
+_TENS = 10 ** np.arange(1, 6)   # a whole part at or above each has one more digit
 
 
 @dataclass
@@ -96,6 +104,47 @@ def _decimated(x: np.ndarray, y: np.ndarray, drawn: np.ndarray):
     keep = np.flatnonzero(drawn)
     keep = keep[::max(1, len(keep) // 4000)]
     return x[keep], y[keep]
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """|v| * 100 rounded to a whole number exactly, ties to even as "%.2f"
+    rounds them, as int64, for |v| < POINT_BOUND: frexp gives v's 53-bit
+    significand, 100 times which fits in int64, and a right shift divides
+    it by its power of two."""
+    m, e = np.frexp(np.abs(v))
+    scaled = (m * 2.0 ** 53).astype(np.int64) * 100   # below 2 ** 60
+    shift = np.minimum(53 - e, 61)   # from 61 on, every scaled value rounds to 0
+    q = scaled >> shift
+    rest, half = scaled - (q << shift), np.int64(1) << (shift - 1)
+    return q + ((rest > half) | ((rest == half) & (q & 1 == 1)))
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """" ".join("%.2f,%.2f" % p for p in zip(px, py)) for float64 arrays,
+    made at once where every coordinate is below POINT_BOUND in magnitude.
+    Each coordinate is 7 little-endian byte pairs: a pad, three pairs of
+    integer places, "." and a pad, the two decimals, then "," or " ".  The
+    zero bytes before the first integer digit go, save the one that takes
+    the sign, which is the coordinate's sign bit (so -0.0 keeps its "-")."""
+    v = np.column_stack((px, py)).ravel()
+    if not (np.abs(v) < POINT_BOUND).all():   # NaN fails too
+        return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+    whole, cents = np.divmod(_hundredths(v), 100)
+    text = np.empty((len(v), 7), dtype="<u2")
+    text[:, 0] = 0
+    text[:, 1] = _PAIRS[whole // 10000]
+    text[:, 2] = _PAIRS[whole // 100 % 100]
+    text[:, 3] = _PAIRS[whole % 100]
+    text[:, 4] = _DOT
+    text[:, 5] = _PAIRS[cents]
+    text[0::2, 6] = _COMMA
+    text[1::2, 6] = _SPACE
+    chars = text.view(np.uint8)   # the integer places are bytes 2 to 7
+    first = 7 - np.searchsorted(_TENS, whole, side="right")
+    chars[:, :8] *= np.arange(8) >= first[:, None]
+    neg = np.flatnonzero(np.signbit(v))
+    chars[neg, first[neg] - 1] = ord("-")
+    return chars.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _fmt(v: float) -> str:
@@ -207,7 +256,7 @@ def render(panels: list[Panel]) -> str:
             if panel.logx:
                 x = np.array(list(map(math.log10, x.tolist())))
             px, py = sx(x), ty(y)   # tx and ty on the whole slice, in their operation order
-            pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+            pts = _points(px, py)
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          f'stroke-width="1.3"{dash}/>')

@@ -377,6 +377,23 @@ class TestControllerKey:
                         usecols=simkit.CSV_COLUMNS.index("vy"))
         assert (vy == 0.0).all() == (model == "kinematic")   # the plant is the model's
 
+    @pytest.mark.parametrize("model, table", [("dynamic", "kinematic"), ("kinematic", "dynamic"),
+                                              ("kinematic", "kinematic"), ("dynamic", "dynamic")])
+    def test_only_a_cross_pairing_warns(self, tmp_path, capsys, gain_tables, model, table):
+        cfg = write_circle_config(tmp_path, model=model, t_end=1.0,
+                                  controller={"kinematic": "kinematic_ff_fb",
+                                              "dynamic": "dynamic_lqr"}[table],
+                                  gains={"csv": gain_tables[table]})
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"simulation complete: artifacts in {out}\n"
+        warnings = [line for line in captured.err.splitlines() if "warning" in line]
+        assert warnings == ([] if model == table else [
+            f"steerkit: warning: {cfg}: its gain table holds {table} gains, certified on the "
+            f"{table} error model, not on the {model} plant it simulates"])
+
+
 
 def _artifacts(out: Path) -> dict[str, bytes]:
     """Every file under out but manifest.json (which records the paths), by relative path."""

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import select
 import signal
 import tempfile
 import time
@@ -304,6 +305,61 @@ class TestForkedBytes:
                           if p.is_file() and p.name != "manifest.json"}
             assert leftovers(out) == [] and leftovers(tmp_path) == []
         assert outs[1] == outs[2] and taken
+        assert len(forks) == 1 and forks.all_reaped()
+
+    def test_the_child_writes_rows_before_the_first_block_is_final(self, forks, tmp_path):
+        want = np.random.default_rng(4).choice(VALUES, size=(2 * CSV_BLOCK_ROWS,
+                                                             len(CSV_COLUMNS)))
+        writer = ForkedLog(tmp_path / "log.csv")
+        rows = writer.table(want.shape)
+        rows[:] = 7.77
+        rows[:480] = want[:480]
+        writer.publish(480)
+        first = serial_bytes(want[:480])
+        deadline = time.monotonic() + 10.0
+        while _size(writer.path) < len(first):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert writer.path.read_bytes() == first
+        rows[:] = want
+        writer.finish(len(want))
+        assert committed(writer) == serial_bytes(want)
+        assert len(forks) == 1 and forks.all_reaped()
+
+    def test_the_child_never_blocks_on_the_pipe(self, forks, tmp_path):
+        # the child looks at the pipe only through a select that does not
+        # wait; one that would wait fails the child, and with it the log
+        parent, real = os.getpid(), select.select
+
+        def polled(rlist, wlist, xlist, timeout=None):
+            if os.getpid() != parent and timeout != 0.0:
+                raise AssertionError(f"the child waits on the pipe, timeout {timeout}")
+            return real(rlist, wlist, xlist, timeout)
+
+        want = np.random.default_rng(5).choice(VALUES, size=(3 * CSV_BLOCK_ROWS + 7,
+                                                             len(CSV_COLUMNS)))
+        writer = ForkedLog(tmp_path / "log.csv")
+        with mock.patch.object(select, "select", polled):
+            published(writer, want, len(want))
+            time.sleep(0.01)   # the child runs out of rows and idles
+            got = committed(writer)
+        assert got == serial_bytes(want)
+        assert len(forks) == 1 and forks.all_reaped()
+
+    def test_a_closed_pipe_ends_the_child_with_exit_1(self, forks, tmp_path):
+        want = np.random.default_rng(6).choice(VALUES, size=(3 * CSV_BLOCK_ROWS,
+                                                             len(CSV_COLUMNS)))
+        writer = ForkedLog(tmp_path / "log.csv")
+        rows = writer.table(want.shape)
+        rows[:] = want
+        writer.publish(CSV_BLOCK_ROWS + 5)
+        writer._close_pipe()   # no length comes
+        _, status = os.waitpid(writer.pid, 0)
+        writer.pid = None
+        assert os.waitstatus_to_exitcode(status) == 1
+        # it wrote the final rows it was told of before it ended
+        assert writer.path.read_bytes() == serial_bytes(want[:CSV_BLOCK_ROWS + 5])
+        writer.abort()
         assert len(forks) == 1 and forks.all_reaped()
 
     def test_no_child_means_no_commit(self, tmp_path):

@@ -52,6 +52,35 @@ class TestPolylines:
                                             ylo - pad, yhi + pad, 70, 800, 34, 254)
 
 
+def coordinates(inside: bool):
+    """Coordinates that probe the point kernel, below POINT_BOUND in
+    magnitude (inside) or any: exact and near ties of the hundredths (k / 8
+    and k / 200), +-0.0, tiny magnitudes and values either side of the bound."""
+    bound = svgplot.POINT_BOUND
+    signed = st.booleans().map(lambda neg: -1.0 if neg else 1.0)
+    if not inside:
+        return st.one_of(st.floats(), st.sampled_from([bound, -bound, math.inf, math.nan]),
+                         st.tuples(signed, st.floats(bound, 1.1 * bound)).map(math.prod))
+    return st.one_of(
+        st.integers(-8 * 10**5 + 1, 8 * 10**5 - 1).map(lambda k: k / 8),
+        st.integers(-2 * 10**7 + 1, 2 * 10**7 - 1).map(lambda k: k / 200),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.005, -0.005, 0.015, 99999.995,
+                         math.nextafter(bound, 0.0), math.nextafter(-bound, 0.0)]),
+        st.tuples(signed, st.floats(0.0, 0.01)).map(math.prod),
+        st.tuples(signed, st.floats(0.9 * bound, bound, exclude_max=True)).map(math.prod),
+        st.floats(-bound, bound, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(coordinates(True), coordinates(True)), max_size=30),
+       outside=st.one_of(st.none(), st.tuples(coordinates(True), coordinates(False))))
+def test_point_kernel_equals_percent_formatting(points, outside):
+    # one coordinate at or past the bound sends the whole series to "%.2f"
+    points = points + [outside[::-1] if len(points) % 2 else outside] if outside else points
+    px, py = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
+    assert svgplot._points(px, py) == " ".join("%.2f,%.2f" % p for p in points)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(text=st.text(alphabet=st.sampled_from("a<>&;'\" é"), max_size=30))
 def test_escape_matches_saxutils(text):
