@@ -20,17 +20,22 @@ the log's rows (one row per sim step), in microseconds.
 With --commands each round starts one fresh process per side and case,
 which times one whole command through `cli.main` (into a scratch directory
 under --work): a `simulate` command per case above (set-up, run, log.csv,
-metrics and plots), then the `desk` plan's four `design` commands of the
-same seed (both models, two weight sets each; gain design, gains.csv and
-the plot).  It reports the command's wall time in seconds and its peak
-resident set in MB, both of its own (VmHWM where /proc has it:
+metrics and plots), the `track` plan's `parking` sweep (four initial
+offsets, one member per forked worker), then the `desk` plan's `design`
+and `margins` commands of the same seed (both models; gain design,
+gains.csv and the plot; the frequency response, bode.csv and the plot).
+It reports the command's wall time in seconds and its peak resident set
+in MB, both of its own (VmHWM where /proc has it:
 RUSAGE_SELF also keeps the peak of the process that spawned it) and of the
 children it waited for (RUSAGE_CHILDREN, such as the forked log.csv
 formatter).  It also reports, per command, the seconds spent in its
 phases (`PHASES`): set-up (`cli._scenario_from_config`), the run
 (`simkit.run_scenario`), the blocks the run process formats for the
 forked formatter (`logfork.ForkedLog._take`, inside the run and the
-wait), the plots (`svgplot.render`) and the final wait for the formatter
+wait), the CSV text the command's own process makes
+(`numkit.write_csv_rows`: the serial log.csv, gains.csv and the takes, not
+what a forked formatter or sweep worker makes), the plots
+(`svgplot.render`) and the final wait for the formatter
 (`logfork.ForkedLog.done`); and the run process's slowest token write to
 the formatter (`logfork.ForkedLog._send`), in microseconds.
 
@@ -57,7 +62,7 @@ import time
 from pathlib import Path
 
 SHIPPED = ("circle_10ms", "circle_3ms", "parking")
-PHASES = ("setup", "run", "takes", "plots", "wait")   # a command's timed phases (_time_command)
+PHASES = ("setup", "run", "takes", "csv", "plots", "wait")   # a command's timed phases (_time_command)
 
 
 def _pairs(old: list[float], new: list[float]) -> dict:
@@ -133,13 +138,15 @@ def _time_command(src: str, argv: str, out: str) -> None:
     {phase: seconds, "token": slowest token write in seconds}] of one
     command, argv a JSON list without --out."""
     sys.path.insert(0, src)
-    from steerkit import cli, logfork, simkit, svgplot
+    from steerkit import cli, logfork, numkit, simkit, svgplot
 
     spent = dict.fromkeys(PHASES + ("token",), 0.0)
     for name, (owner, attr) in zip(PHASES, (
             (cli, "_scenario_from_config"), (simkit, "run_scenario"), (logfork.ForkedLog, "_take"),
-            (svgplot, "render"), (logfork.ForkedLog, "done"))):
+            (numkit, "write_csv_rows"), (svgplot, "render"), (logfork.ForkedLog, "done"))):
         _timed(owner, attr, spent, name)
+    for owner in (simkit, logfork):   # modules that import write_csv_rows by name
+        _timed(owner, "write_csv_rows", spent, "csv")
     _timed(logfork.ForkedLog, "_send", spent, "token", slowest=True)
     argv = json.loads(argv)
     t0 = time.perf_counter()
@@ -185,21 +192,28 @@ def _run_commands(sides: dict, cases: list, rounds: int, work: Path) -> None:
 
 
 def _cases(new_root: Path, desk_seed: int, work: Path) -> tuple[list[list[str]], list]:
-    """The simulate cases ([name, config]) and the desk plan's design
-    commands ([name, argv without --out])."""
+    """The simulate cases ([name, config]), and the track plan's sweep and
+    the desk plan's design and margins commands ([name, argv without --out])."""
     configs = new_root / "src" / "steerkit" / "configs"
     cases = [[name, str(configs / f"{name}.json")] for name in SHIPPED]
     sys.path.insert(0, str(new_root / "bench"))
     import workloads
 
-    plan = workloads.generate("desk", desk_seed, new_root, work)
-    designs = [[cmd["name"], cmd["argv"][:cmd["argv"].index("--out")]]
-               for cmd in plan["commands"] if cmd["kind"] == "design"]
+    def without_out(argv: list[str]) -> list[str]:
+        at = argv.index("--out")
+        return argv[:at] + argv[at + 2:]
+
+    track = workloads.generate("track", 0, new_root, work)
+    desk = workloads.generate("desk", desk_seed, new_root, work)
+    commands = [[f"{cmd['name']}_sweep", without_out(cmd["argv"])]
+                for cmd in track["commands"] if "--sweep" in cmd["argv"]]
+    commands += [[cmd["name"], without_out(cmd["argv"])]
+                 for cmd in desk["commands"] if cmd["kind"] in ("design", "margins")]
     closed = json.loads((configs / "circle_10ms.json").read_text(encoding="utf-8"))
     closed["path"]["arc_deg"] = 360.0
     (work / "circle_10ms_360.json").write_text(json.dumps(closed), encoding="utf-8")
     return cases + [["c10_closed", str(work / "circle_10ms_360.json")]] + \
-        [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")], designs
+        [[f"desk_{name}", str(work / f"{name}.json")] for name in ("dyn", "kin")], commands
 
 
 def main(argv=None) -> int:
@@ -216,15 +230,15 @@ def main(argv=None) -> int:
     ap.add_argument("--desk-seed", type=int, default=1)
     ap.add_argument("--work", type=Path, default=Path(".compare_work") / "step_cost")
     ap.add_argument("--commands", action="store_true",
-                    help="time whole simulate and desk design commands, with peak RSS")
+                    help="time whole simulate, design and margins commands, with peak RSS")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
-    cases, designs = _cases(args.new_root.resolve(), args.desk_seed, args.work.resolve())
+    cases, commands = _cases(args.new_root.resolve(), args.desk_seed, args.work.resolve())
     sides = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
     if args.commands:
-        commands = [[name, ["simulate", config]] for name, config in cases] + designs
+        commands = [[name, ["simulate", config]] for name, config in cases] + commands
         _run_commands(sides, commands, args.rounds, args.work.resolve())
         return 0
     rounds: dict[str, list[dict]] = {"old": [], "new": []}

@@ -51,7 +51,6 @@ from .simkit import LOG_HEAD
 
 _TOKEN = 8  # bytes of one signed little-endian token: value * 4 + kind
 _FINAL, _LENGTH, _HANDOFF = range(3)
-_PART = CSV_BLOCK_ROWS // 4   # rows the run process formats at a time
 _IDLE = 0.0005                # s the child sleeps, off the pipe, with nothing to write
 
 
@@ -143,10 +142,7 @@ class ForkedLog:
         self.handed.add(b)
         try:
             with open(_handoff(self.path, b), "w", encoding="utf-8", newline="\n") as f:
-                # a quarter block at a time: the text of a whole one at once
-                # would raise the run process's peak resident set
-                for i in range(lo, min(lo + CSV_BLOCK_ROWS, final), _PART):
-                    write_csv_rows(f, self.rows[i:min(i + _PART, final)])
+                write_csv_rows(f, self.rows[lo:min(lo + CSV_BLOCK_ROWS, final)])
         except OSError:   # a failing disk: stop the child, the log is written serially
             self.abort()
             return False
@@ -186,7 +182,7 @@ def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int
     out.write(LOG_HEAD)
     final, n, done, handed = 0, None, 0, set()
     pending, closed = b"", False
-    while done != n:
+    while True:
         # take every token that has come, never waiting for one
         while not closed and select.select([pipe], [], [], 0.0)[0]:
             part = os.read(pipe, 4096)
@@ -203,6 +199,8 @@ def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int
                 else:
                     handed.add(value)
             pending = pending[usable:]
+        if done == n:   # before `closed`: the length and the pipe's end can come in one drain
+            return 0
         b, start = divmod(done, CSV_BLOCK_ROWS)
         end = min(done - start + CSV_BLOCK_ROWS, final if n is None else n)
         if done >= end:
@@ -218,4 +216,3 @@ def _format(rows: np.ndarray, written: np.ndarray, pipe: int, path: Path) -> int
             write_csv_rows(out, rows[done:end])
         out.flush()
         done = written[0] = end
-    return 0

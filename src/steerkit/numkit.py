@@ -16,8 +16,10 @@ the matrix exponential (no scipy), Higham's scaling-and-squaring method
 with the degree-13 Pade approximant; the zero-order hold `c2d` on top of
 it; and the doubling Riccati solver.
 `write_float_csv` is the one writer of the tool's float tables, and
-`write_csv_rows` its row formatter; `read_input` opens every input file,
-and `read_csv_table` is the one reader of the tables `write_float_csv` writes.
+`write_csv_rows` its row formatter: every cell is its repr, made in numpy
+for a whole table at once by the CSV cell kernel (`csvtext`); `read_input`
+opens every input file, and `read_csv_table` is the one reader of the
+tables `write_float_csv` writes.
 """
 
 from __future__ import annotations
@@ -30,14 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError
+from .csvtext import csv_text
 
 # Iteration caps / tolerances are fixed so results are reproducible.
 DARE_STEP_TOL = 1e-15
 DARE_RESIDUAL_TOL = 1e-9
 DARE_MAX_ITER = 64
 MAT_COND_MAX = 1e14
-# rows per block of write_float_csv: a block's cell strings all exist at once
+# rows per block of a forked log.csv (`logfork`)
 CSV_BLOCK_ROWS = 2048
+# cells per call of the CSV cell kernel (`csvtext.csv_text`): its arrays peak near 1.4 MB
+CSV_KERNEL_CELLS = 8192
+# a table of fewer cells is written by repr: the kernel costs about 150 us a
+# call plus 0.1 us a cell, repr 0.5-0.7 us a cell, so they break even near
+# 270 cells of bode.csv and 390 of a parking log.csv
+CSV_REPR_CELLS = 300
 # Pade coefficients b_0..b_13 of degree 13 and the 1-norm up to which that
 # approximant needs no scaling (Higham 2005, Table 2.3 and eq. 2.4)
 PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -297,39 +306,30 @@ def spectral_radius(a: np.ndarray):
     return float(rho) if rho.ndim == 0 else rho
 
 
-def _column_reprs(col: np.ndarray) -> list[str]:
-    """repr of every cell of a 1-D float column, computed once per run of equal
-    consecutive values.  Equal means == and the same sign bit, so 0.0 and -0.0
-    keep their own repr; NaN is never equal, so it is formatted every time."""
-    new_run = np.empty(len(col), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(col[1:], col[:-1], out=new_run[1:])
-    new_run[1:] |= np.signbit(col[1:]) != np.signbit(col[:-1])
-    starts = np.flatnonzero(new_run)
-    if len(starts) == len(col):
-        return list(map(repr, col.tolist()))
-    reprs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
-    return reprs.repeat(np.diff(starts, append=len(col))).tolist()
-
-
 def write_float_csv(fobj, header, cols) -> None:
     """Write a header line, then one row per index of the equal-length columns.
 
     A column is a 1-D sequence or a 2-D block of several.  Cells are
-    `repr(float)`, so a reload is bit-exact; a run of repeated values in a
-    column is formatted once.
+    `repr(float)`, so a reload is bit-exact.
     """
     fobj.write(",".join(header) + "\n")
     write_csv_rows(fobj, np.column_stack(cols).astype(float, copy=False))
 
 
 def write_csv_rows(fobj, table: np.ndarray) -> None:
-    """The rows of write_float_csv for a 2-D float64 table, CSV_BLOCK_ROWS at
-    a time.  A run of repeated values is found per block, but its repr is the
-    value's own, so the bytes do not depend on where the blocks start."""
-    for i in range(0, len(table), CSV_BLOCK_ROWS):
-        cells = [_column_reprs(col) for col in table[i:i + CSV_BLOCK_ROWS].T]
-        fobj.writelines(",".join(row) + "\n" for row in zip(*cells))
+    """The rows of write_float_csv for a 2-D float64 table: each cell's repr,
+    byte for byte, so the bytes do not depend on where a table is cut.
+
+    A table of CSV_REPR_CELLS cells or more is made by the CSV cell kernel
+    (`csvtext.csv_text`), on row slices of at most CSV_KERNEL_CELLS cells
+    so that its arrays stay small; a smaller table by repr, which is faster
+    there."""
+    if table.size < CSV_REPR_CELLS:
+        fobj.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        return
+    rows = max(1, CSV_KERNEL_CELLS // table.shape[1])
+    for i in range(0, len(table), rows):
+        fobj.write(csv_text(table[i:i + rows]))
 
 
 def read_input(path) -> str:

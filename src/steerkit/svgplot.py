@@ -3,8 +3,8 @@
 Plots are pure views of data that is always co-emitted as CSV; nothing is
 computed here beyond axis scaling, and nothing is written: `render` returns
 the SVG text, which the caller writes as an artifact.  A polyline's points
-are the text of "%.2f,%.2f" per point, made for a whole series at once in
-numpy from exact hundredths and a byte table (`_points`).
+are the text of "%.2f,%.2f" per point, made for a whole series of 100 points
+or more at once in numpy from exact hundredths and a byte table (`_points`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, PANEL_HEIGHT = 820, 300   # px of the chart, and of each panel in it
 TICKS = 5                        # a linear axis gets about this many ticks
 POINT_BOUND = 1e5   # a series with a coordinate this large (or not finite) is formatted by "%.2f"
+# a series of fewer points is formatted by "%.2f" too: the numpy text costs
+# about 40-60 us a call, "%.2f" 0.5 us a point, so they break even near 100
+POINT_KERNEL_MIN = 100
 # byte pairs of a polyline point's text (`_points`): the digits of 0 to 99,
 # "." and "," and " " each with a zero byte
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype="<u2")
@@ -121,13 +124,14 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
     """" ".join("%.2f,%.2f" % p for p in zip(px, py)) for float64 arrays,
-    made at once where every coordinate is below POINT_BOUND in magnitude.
+    made at once where every coordinate is below POINT_BOUND in magnitude
+    and there are POINT_KERNEL_MIN points or more.
     Each coordinate is 7 little-endian byte pairs: a pad, three pairs of
     integer places, "." and a pad, the two decimals, then "," or " ".  The
     zero bytes before the first integer digit go, save the one that takes
     the sign, which is the coordinate's sign bit (so -0.0 keeps its "-")."""
     v = np.column_stack((px, py)).ravel()
-    if not (np.abs(v) < POINT_BOUND).all():   # NaN fails too
+    if len(px) < POINT_KERNEL_MIN or not (np.abs(v) < POINT_BOUND).all():   # NaN fails too
         return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
     whole, cents = np.divmod(_hundredths(v), 100)
     text = np.empty((len(v), 7), dtype="<u2")

@@ -362,6 +362,25 @@ class TestForkedBytes:
         writer.abort()
         assert len(forks) == 1 and forks.all_reaped()
 
+    def test_the_length_and_the_pipe_end_in_one_drain(self, forks, tmp_path):
+        # the child writes every row, then sleeps a long _IDLE; the length
+        # and the pipe's end both come during that sleep, so one drain reads
+        # them, and a child that has written the whole log still exits 0
+        want = np.random.default_rng(7).choice(VALUES, size=(100, len(CSV_COLUMNS)))
+        writer = ForkedLog(tmp_path / "log.csv")
+        with mock.patch.object(logfork, "_IDLE", 0.2):   # before the fork
+            rows = writer.table(want.shape)
+        rows[:] = want
+        writer.publish(len(want))
+        whole = serial_bytes(want)
+        deadline = time.monotonic() + 10.0
+        while _size(writer.path) < len(whole):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        writer.finish(len(want))
+        assert committed(writer) == whole
+        assert len(forks) == 1 and forks.all_reaped()
+
     def test_no_child_means_no_commit(self, tmp_path):
         writer = ForkedLog(tmp_path / "log.csv")
         with mock.patch.object(os, "fork", side_effect=OSError("no processes")):

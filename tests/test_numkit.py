@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steerkit import NumericalError, numkit
+from steerkit import NumericalError, csvtext, numkit
 from steerkit.numkit import (
     StateSpace, c2d, dare_residual, expm, mat_solve, solve_dare, spectral_radius,
 )
@@ -242,11 +243,14 @@ class TestMatSolve:
             mat_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[1.0], [1.0]]))
 
 
+def repr_rows(table: np.ndarray) -> str:
+    """The row writer's contract: repr of every cell, row by row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
 def reference_float_csv(header, cols) -> str:
-    """The writer's contract, row by row: the header, then repr of every cell."""
-    table = np.column_stack(cols).astype(float)
-    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n"
-                                             for row in table.tolist())
+    """The writer's contract: the header, then repr_rows."""
+    return ",".join(header) + "\n" + repr_rows(np.column_stack(cols).astype(float))
 
 
 def first_difference(got: str, want: str):
@@ -298,6 +302,109 @@ class TestWriteFloatCsv:
         buf = io.StringIO()
         numkit.write_float_csv(buf, ["b", "x"], [np.array([True, True, False]), [1, 1, 2]])
         assert buf.getvalue() == "b,x\n1.0,1.0\n1.0,1.0\n0.0,2.0\n"
+
+
+def _edges() -> np.ndarray:
+    """Cells at the kernel's seams, each with both float neighbours: its range
+    ends 1e-9 and 1e9, the switch to the exponent form at 1e-4, every power of
+    two and of ten in range (a binade's bottom has a narrower interval below),
+    and the specials and subnormals that repr writes."""
+    seams = np.concatenate(([1e-9, 1e9, 1e-4, 1e-5, 0.5, 1.5, 10.0, 9.5, 1e16],
+                            np.ldexp(1.0, np.arange(-31, 31)), 10.0 ** np.arange(-10, 10)))
+    near = np.concatenate((seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)))
+    specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                2.225073858507201e-308, 1.7976931348623157e308]
+    return np.concatenate((near, -near, specials))
+
+
+def _family(name: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n cells of one kind, from rng."""
+    sign = rng.choice([-1.0, 1.0], n)
+    if name == "bits":   # every exponent, so every fallback too
+        return rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(float)
+    if name == "kernel bits":   # the exponents of 1e-9 <= |x| < 1e9
+        exponent = rng.integers(993, 1053, n).astype(np.uint64) << np.uint64(52)
+        return (exponent | rng.integers(0, 2**52, n, dtype=np.uint64)).view(float) * sign
+    if name == "log-uniform":
+        return 10.0 ** rng.uniform(-10.0, 10.0, n) * sign
+    if name == "decimal steps":
+        k = rng.integers(-10**7, 10**7, n)
+        return np.choose(rng.integers(0, 4, n), [k * 0.001, k / 1000, k * 0.1, k * 1.5])
+    if name == "rounded":
+        return np.round(10.0 ** rng.uniform(-10.0, 10.0, n), rng.integers(0, 10)) * sign
+    if name == "dyadic quarters":
+        return rng.integers(-4 * 10**6, 4 * 10**6, n) / 4
+    if name == "short significands":
+        # odd significands of 1 to 53 bits: x * 10^k is often a whole number,
+        # whose removed digits can be an exact half (2.9802322387695312e-08)
+        bits = rng.integers(1, 54, n)
+        odd = (rng.integers(0, 2**52, n, dtype=np.uint64) >> (53 - bits).astype(np.uint64)
+               | np.uint64(1) | np.uint64(1) << (bits - 1).astype(np.uint64))
+        return np.ldexp(odd.astype(float), rng.integers(-30, 30, n) - bits + 1) * sign
+    return rng.choice(_edges(), n)
+
+
+FAMILIES = ("bits", "kernel bits", "log-uniform", "decimal steps", "rounded", "dyadic quarters",
+            "short significands", "edges")
+
+
+@st.composite
+def kernel_tables(draw, max_cells: int = 3000) -> np.ndarray:
+    """A float64 table of a few families' cells, each cell repeated a run of
+    1 to 5 times down its column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.concatenate([_family(draw(st.sampled_from(FAMILIES)), rng, draw(st.integers(1, 600)))
+                            for _ in range(draw(st.integers(1, 5)))])
+    rng.shuffle(cells)
+    cols = draw(st.integers(1, 21))
+    run = rng.integers(1, 6, len(cells)) if draw(st.booleans()) else 1
+    column_major = np.repeat(cells, run)[:max_cells]
+    rows = max(1, len(column_major) // cols)
+    return np.resize(column_major, rows * cols).reshape(cols, rows).T
+
+
+class TestCsvKernel:
+    """The numpy CSV cell kernel (`csvtext.csv_text`) writes repr of every
+    cell, byte for byte; cells outside its range go through repr itself."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(table=kernel_tables())
+    def test_matches_repr(self, table):
+        assert first_difference(csvtext.csv_text(table), repr_rows(table)) is None
+
+    def test_every_edge_and_its_neighbours(self):
+        table = np.column_stack((_edges(), _edges()[::-1]))
+        assert first_difference(csvtext.csv_text(table), repr_rows(table)) is None
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_family_at_length(self, family):
+        table = _family(family, np.random.default_rng(35), 60_000).reshape(-1, 20)
+        assert first_difference(csvtext.csv_text(table), repr_rows(table)) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(table=kernel_tables(max_cells=4 * numkit.CSV_KERNEL_CELLS), data=st.data())
+    def test_the_bytes_do_not_depend_on_the_cuts(self, table, data):
+        # a cut can leave a piece below CSV_REPR_CELLS (repr) or above
+        # CSV_KERNEL_CELLS (several kernel calls)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(table)), max_size=6)))
+        whole, pieces = io.StringIO(), io.StringIO()
+        numkit.write_csv_rows(whole, table)
+        for lo, hi in itertools.pairwise([0] + cuts + [len(table)]):
+            numkit.write_csv_rows(pieces, table[lo:hi])
+        assert whole.getvalue() == pieces.getvalue() == repr_rows(table)
+
+    def test_the_interval_ends_are_never_integers(self):
+        # per exponent b: x * 10^k lies in [2.4e17, 4.8e18) over the binade,
+        # 5^k is odd and below 2^63, and the shift s is at least 0, so each end
+        # of the interval, odd * 5^k / 2^(s + 2), is never a whole number: whether
+        # an end belongs to it (the significand's parity) cannot matter
+        for i, b in enumerate(range(993, 1053)):
+            k, s = int(csvtext._K[i]), int(csvtext._SHIFT[i])
+            assert k >= 0 and s == 1075 - b - k >= 0 and int(csvtext._POW5[i]) == 5**k < 2**63
+            bottom = Fraction(2) ** (b - 1023) * 10**k   # x * 10^k at the binade's bottom
+            assert 24 * 10**16 <= bottom and 2 * bottom <= 48 * 10**17
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3,

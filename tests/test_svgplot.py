@@ -75,6 +75,10 @@ def coordinates(inside: bool):
 @given(points=st.lists(st.tuples(coordinates(True), coordinates(True)), max_size=30),
        outside=st.one_of(st.none(), st.tuples(coordinates(True), coordinates(False))))
 def test_point_kernel_equals_percent_formatting(points, outside):
+    # repeated up to POINT_KERNEL_MIN points (keeping the drawn count's
+    # parity), so that the kernel formats them, not the short-series fallback
+    n = svgplot.POINT_KERNEL_MIN + len(points) % 2
+    points = (points * n)[:max(len(points), n)]
     # one coordinate at or past the bound sends the whole series to "%.2f"
     points = points + [outside[::-1] if len(points) % 2 else outside] if outside else points
     px, py = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
