@@ -30,12 +30,10 @@ RUSAGE_SELF also keeps the peak of the process that spawned it) and of the
 children it waited for (RUSAGE_CHILDREN, such as the forked log.csv
 formatter).  It also reports, per command, the seconds spent in its
 phases (`PHASES`): set-up (`cli._scenario_from_config`), the run
-(`simkit.run_scenario`), the blocks the run process formats for the
-forked formatter (`logfork.ForkedLog._take`, inside the run and the
-wait), the CSV text the command's own process makes
-(`numkit.write_csv_rows`: the serial log.csv, gains.csv and the takes, not
-what a forked formatter or sweep worker makes), the plots
-(`svgplot.render`) and the final wait for the formatter
+(`simkit.run_scenario`), the CSV text the command's own process makes
+(`numkit.write_csv_rows`: the serial log.csv and gains.csv, not what a
+forked formatter or sweep worker makes), the plots (`svgplot.render`)
+and the final wait for the formatter
 (`logfork.ForkedLog.done`); and the run process's slowest token write to
 the formatter (`logfork.ForkedLog._send`), in microseconds.
 
@@ -62,7 +60,7 @@ import time
 from pathlib import Path
 
 SHIPPED = ("circle_10ms", "circle_3ms", "parking")
-PHASES = ("setup", "run", "takes", "csv", "plots", "wait")   # a command's timed phases (_time_command)
+PHASES = ("setup", "run", "csv", "plots", "wait")   # a command's timed phases (_time_command)
 
 
 def _pairs(old: list[float], new: list[float]) -> dict:
@@ -142,7 +140,7 @@ def _time_command(src: str, argv: str, out: str) -> None:
 
     spent = dict.fromkeys(PHASES + ("token",), 0.0)
     for name, (owner, attr) in zip(PHASES, (
-            (cli, "_scenario_from_config"), (simkit, "run_scenario"), (logfork.ForkedLog, "_take"),
+            (cli, "_scenario_from_config"), (simkit, "run_scenario"),
             (numkit, "write_csv_rows"), (svgplot, "render"), (logfork.ForkedLog, "done"))):
         _timed(owner, attr, spent, name)
     for owner in (simkit, logfork):   # modules that import write_csv_rows by name

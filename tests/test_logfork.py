@@ -42,7 +42,7 @@ def committed(writer: ForkedLog) -> bytes:
 
 
 def leftovers(folder: Path) -> list[str]:
-    """Handoffs (log.csv.<block>) and stages (.steerkit-*) left in folder."""
+    """Files beside log.csv (log.csv.*) and stages (.steerkit-*) left in folder."""
     return sorted(p.name for p in folder.iterdir()
                   if p.name.startswith("log.csv.") or p.name.startswith(".steerkit-"))
 
@@ -50,9 +50,9 @@ def leftovers(folder: Path) -> list[str]:
 @contextlib.contextmanager
 def slow_child(seconds=0.04):
     """Each block a forked child formats takes `seconds` longer, so the run
-    process gets two whole blocks ahead of it and takes blocks.  The patch is
+    process gets blocks ahead of it and waits for it in done().  The patch is
     made before the fork; the list it yields gets the row count of each block
-    the run process formats."""
+    the run process formats, which stays empty: the child formats every row."""
     parent, real, taken = os.getpid(), logfork.write_csv_rows, []
 
     def slowed(out, table):
@@ -188,7 +188,7 @@ class TestForkedBytes:
 
     @pytest.mark.parametrize("n", [6 * CSV_BLOCK_ROWS, 6 * CSV_BLOCK_ROWS + 5,
                                    5 * CSV_BLOCK_ROWS - 1, 3 * CSV_BLOCK_ROWS + 1])
-    def test_the_run_process_takes_blocks_from_a_slow_child(self, n, forks, tmp_path):
+    def test_a_slow_child_formats_every_row(self, n, forks, tmp_path):
         # the log ends where the table does, or short of it as at a path end
         want = np.random.default_rng(n).choice(VALUES, size=(6 * CSV_BLOCK_ROWS + 5,
                                                              len(CSV_COLUMNS)))
@@ -197,7 +197,7 @@ class TestForkedBytes:
             published(writer, want, n)
             got = committed(writer)
         assert got == serial_bytes(want[:n])
-        assert taken and len(forks) == 1 and forks.all_reaped()
+        assert taken == [] and len(forks) == 1 and forks.all_reaped()
         assert leftovers(tmp_path) == []
 
     def test_a_run_to_its_path_end_with_a_slow_child(self, params, kinematic_schedule, forks,
@@ -210,84 +210,25 @@ class TestForkedBytes:
             got = committed(writer)
         assert log.stop_reason == "path_end" and len(log) % CSV_BLOCK_ROWS
         assert got == serial_bytes(log.rows)
-        assert taken and len(forks) == 1 and forks.all_reaped()
+        assert taken == [] and len(forks) == 1 and forks.all_reaped()
         assert leftovers(tmp_path) == []
 
-    @pytest.mark.parametrize("failure", [RuntimeError, OSError])
-    def test_a_handoff_that_fails_after_its_claim(self, failure, forks, tmp_path):
-        # the run process has claimed a block and made its handoff file when
-        # formatting it fails: an error the caller gets, then abort() as on
-        # any failing path; or an OSError, after which the log is the caller's
-        want = np.random.default_rng(1).choice(VALUES, size=(5 * CSV_BLOCK_ROWS,
-                                                             len(CSV_COLUMNS)))
-        writer = ForkedLog(tmp_path / "log.csv")
-        handoffs = []
-
-        def failing(out, table):
-            handoffs.extend(leftovers(tmp_path))
-            raise failure("cannot format")
-
-        with slow_child(), mock.patch.object(ForkedLog, "_take", autospec=True,
-                                             side_effect=ForkedLog._take) as take:
-            rows = writer.table(want.shape)
-            rows[:] = want
-            writer.finish(len(want))
-            with mock.patch.object(logfork, "write_csv_rows", failing):
-                if failure is RuntimeError:
-                    with pytest.raises(RuntimeError):
-                        writer.done()
-                else:
-                    assert not writer.done()
-            writer.abort()
-        assert take.call_count == 1 and handoffs == ["log.csv.4"]
-        assert writer.pid is None and len(forks) == 1 and forks.all_reaped()
-        assert leftovers(tmp_path) == []
-
-    def test_a_child_killed_after_a_handoff(self, forks, tmp_path):
+    def test_a_child_killed_after_its_first_block(self, forks, tmp_path):
         want = np.random.default_rng(2).choice(VALUES, size=(6 * CSV_BLOCK_ROWS,
                                                              len(CSV_COLUMNS)))
         writer = ForkedLog(tmp_path / "log.csv")
-        take = ForkedLog._take
-
-        def kill_after(log, b, final):
-            handed = take(log, b, final)
-            if handed:
-                os.kill(log.pid, signal.SIGKILL)
-            return handed
-
-        with slow_child(0.2), mock.patch.object(ForkedLog, "_take", kill_after):
+        first = len(serial_bytes(want[:CSV_BLOCK_ROWS]))
+        with slow_child(0.2):
             published(writer, want, len(want))
-            assert not writer.done()
-            writer.abort()
-        assert writer.pid is None and len(forks) == 1 and forks.all_reaped()
-        assert leftovers(tmp_path) == []
-
-    def test_a_claim_the_child_sees_too_late(self, forks, tmp_path):
-        # each block is claimed only once the child has written it, as if the
-        # run process had read a stale count: the child keeps its own text,
-        # and the handoffs it never reads are removed after it exits
-        want = np.random.default_rng(3).choice(VALUES, size=(4 * CSV_BLOCK_ROWS + 9,
-                                                             len(CSV_COLUMNS)))
-        writer = ForkedLog(tmp_path / "log.csv")
-        take, handed = ForkedLog._take, []
-
-        def late(log, b, final):
-            counter, deadline = log.written, time.monotonic() + 10.0
-            while int(counter[0]) < min(b * CSV_BLOCK_ROWS + CSV_BLOCK_ROWS, final):
+            deadline = time.monotonic() + 10.0
+            while _size(writer.path) < first:
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
-            log.written = np.zeros(1, dtype=np.int64)
-            try:
-                handed.append(take(log, b, final))
-            finally:
-                log.written = counter
-            return handed[-1]
-
-        with mock.patch.object(ForkedLog, "_take", late):
-            published(writer, want, len(want))
-            got = committed(writer)
-        assert got == serial_bytes(want)
-        assert any(handed) and len(forks) == 1 and forks.all_reaped()
+            os.kill(writer.pid, signal.SIGKILL)
+            assert not writer.done()
+            writer.abort()
+        assert serial_bytes(want).startswith(writer.path.read_bytes())
+        assert writer.pid is None and len(forks) == 1 and forks.all_reaped()
         assert leftovers(tmp_path) == []
 
     def test_simulate_with_a_slow_child_leaves_only_its_artifacts(self, forks, tmp_path):
@@ -303,8 +244,8 @@ class TestForkedBytes:
                 assert cli.main(["simulate", str(cfg), "--out", str(out)]) == 0
             outs[cpus] = {p.name: p.read_bytes() for p in out.rglob("*")
                           if p.is_file() and p.name != "manifest.json"}
-            assert leftovers(out) == [] and leftovers(tmp_path) == []
-        assert outs[1] == outs[2] and taken
+            assert taken == [] and leftovers(out) == [] and leftovers(tmp_path) == []
+        assert outs[1] == outs[2]
         assert len(forks) == 1 and forks.all_reaped()
 
     def test_the_child_writes_rows_before_the_first_block_is_final(self, forks, tmp_path):

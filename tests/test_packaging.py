@@ -132,10 +132,9 @@ def test_the_reachability_scan_finds_what_is_unreached(tmp_path):
 
 
 MAKERS = {"mkdir", "makedirs", "write_text", "write_bytes", "replace", "rename", "mkdtemp",
-          "rmtree"}
-# the forked log child, which writes the staged log.csv, and the run process,
-# which hands it blocks through files beside it
-TEMP_FILES = {"logfork._format", "logfork.ForkedLog._take"}
+          "rmtree", "unlink", "remove", "rmdir"}
+# the forked log child, which writes the staged log.csv
+TEMP_FILES = {"logfork._format"}
 
 
 def _text(node) -> bool:
@@ -198,9 +197,10 @@ def test_only_outputdir_writes():
 def test_the_writer_scan_finds_every_writer(tmp_path):
     """The scan flags a writing mode given as a keyword, as the second or
     (`path.open`) the first argument or unknown, a directory made, a file
-    moved (`os.replace`, `Path.rename`), a temporary directory made and a tree
-    removed, and a file written at module level or in another class, and
-    passes reads, text replaced, cli.OutputDir and the log child."""
+    moved (`os.replace`, `Path.rename`), a temporary directory made, a file
+    (`Path.unlink`, `os.remove`) or a tree removed, and a file written at
+    module level or in another class, and passes reads, text replaced,
+    cli.OutputDir and the log child."""
     (tmp_path / "cli.py").write_text(
         "import os, shutil, tempfile\n"
         "class OutputDir:\n"
@@ -228,6 +228,9 @@ def test_the_writer_scan_finds_every_writer(tmp_path):
         "    return tempfile.mkdtemp(prefix='.x-')\n"
         "def removed(d):\n"
         "    shutil.rmtree(d, ignore_errors=True)\n"
+        "def deleted(p, f):\n"
+        "    p.unlink()\n"
+        "    os.remove(f)\n"
         "def escaped(text):\n"
         "    return text.replace('&', '&amp;').replace(' ', '')\n"
         "LOG = open('log.txt', 'w')\n", encoding="utf-8")
@@ -236,6 +239,6 @@ def test_the_writer_scan_finds_every_writer(tmp_path):
         "    return open(fd, 'w')\n"
         "def copy(p):\n"
         "    p.write_bytes(b'')\n", encoding="utf-8")
-    assert _writers(tmp_path) == ["cli", "cli.OutputDirs.save", "cli.append", "cli.made",
-                                  "cli.moved", "cli.raw", "cli.removed", "cli.renamed",
-                                  "cli.staged", "logfork.copy"]
+    assert _writers(tmp_path) == ["cli", "cli.OutputDirs.save", "cli.append", "cli.deleted",
+                                  "cli.made", "cli.moved", "cli.raw", "cli.removed",
+                                  "cli.renamed", "cli.staged", "logfork.copy"]
