@@ -1,5 +1,6 @@
 """The forked log.csv formatter: its bytes are SimLog.to_csv's on every path."""
 
+import atexit
 import contextlib
 import io
 import json
@@ -230,6 +231,58 @@ class TestForkedBytes:
         assert serial_bytes(want).startswith(writer.path.read_bytes())
         assert writer.pid is None and len(forks) == 1 and forks.all_reaped()
         assert leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("failure", [RuntimeError, OSError])
+    def test_a_child_whose_formatting_fails(self, failure, forks, tmp_path):
+        # formatting fails in the child once its first block is written: the
+        # child exits 1 without raising into the caller's stack, done() is
+        # False, and log.csv holds the first block, which it flushed
+        want = np.random.default_rng(1).choice(VALUES, size=(5 * CSV_BLOCK_ROWS,
+                                                             len(CSV_COLUMNS)))
+        parent, real, formatted = os.getpid(), logfork.write_csv_rows, [0]
+
+        def failing(out, table):
+            if os.getpid() != parent and formatted[0] >= CSV_BLOCK_ROWS:
+                raise failure("cannot format")
+            formatted[0] += len(table)
+            real(out, table)
+
+        writer = ForkedLog(tmp_path / "log.csv")
+        with mock.patch.object(logfork, "write_csv_rows", failing):   # before the fork
+            published(writer, want, len(want))
+            pid = writer.pid
+            assert not writer.done()
+            writer.abort()
+        assert writer.path.read_bytes() == serial_bytes(want[:CSV_BLOCK_ROWS])
+        assert forks == [pid] and forks.all_reaped() and formatted == [0]
+        assert leftovers(tmp_path) == []
+
+    def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler(
+            self, forks, tmp_path):
+        # the child leaves through os._exit: text the run process had
+        # buffered when it forked is written once, by the run process, and an
+        # atexit handler of the run process never runs in the child
+        want = np.random.default_rng(3).choice(VALUES, size=(2 * CSV_BLOCK_ROWS + 9,
+                                                             len(CSV_COLUMNS)))
+        exits = tmp_path / "exits"
+
+        def handler():
+            with open(exits, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+
+        atexit.register(handler)
+        try:
+            with open(tmp_path / "buffered.txt", "w", encoding="utf-8") as buffered:
+                buffered.write("once\n")   # unflushed when the child is forked
+                writer = ForkedLog(tmp_path / "log.csv")
+                published(writer, want, len(want))
+                got = committed(writer)
+        finally:
+            atexit.unregister(handler)
+        assert got == serial_bytes(want)
+        assert (tmp_path / "buffered.txt").read_text(encoding="utf-8") == "once\n"
+        assert not exits.exists()
+        assert len(forks) == 1 and forks.all_reaped()
 
     def test_simulate_with_a_slow_child_leaves_only_its_artifacts(self, forks, tmp_path):
         cfg = tmp_path / "c.json"
